@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 from .design import (
     DesignSpec,
     EdgeProjection,
-    SubBlockCoord,
     Trial,
     decode_subblock_value,
     encode_subblock_value,
@@ -19,16 +18,13 @@ from .design import (
     project_edges,
 )
 from .exact import (
-    ExactRational,
     IntersectionKind,
     KindParams,
     count_lh_trials,
     count_os_trials,
     count_trials_containing_edge,
     count_trials_containing_tuple,
-    coverage_universe,
     expected_coverage_multiset,
-    expected_covered_cells_multiset,
     expected_intersection,
     kind_params,
 )
@@ -68,9 +64,6 @@ from .sampling import (
     SampleKind,
     SamplerConfig,
     assemble_orthogonal,
-    gen_lh_trial,
-    gen_os_trial,
-    gen_trial,
     gen_trials,
 )
 from .simulate import (
@@ -78,10 +71,8 @@ from .simulate import (
     FullTuple,
     Projected,
     SimPlan,
-    SubblockEdge,
     coverage_curve,
     simulate_coverage,
-    subblock_uniformity,
     summarize,
 )
 from .sweep import (

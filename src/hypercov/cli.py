@@ -23,20 +23,15 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from . import __version__
 from .design import DesignSpec, EdgeProjection, trial_to_json
-from .errors import (
-    GuardExceededError,
-    HypercovError,
-    InvalidModeError,
-    StructuralError,
-    UnsupportedSpecError,
-)
+from .errors import GuardExceededError, HypercovError, StructuralError
 from .exact import (
     IntersectionKind,
     count_trials_containing_edge,
@@ -45,7 +40,6 @@ from .exact import (
     expected_intersection,
 )
 from .laws import (
-    LawModel,
     asymptotic_law,
     bracket_exact_vs_asymptotic,
     conjecture_law,
@@ -54,6 +48,8 @@ from .laws import (
     lambda_for,
 )
 from .oracle import (
+    CheckResult,
+    constant_count_check,
     default_verification_suite,
     edge_occurrence_counts,
     enumerate_trials,
@@ -62,81 +58,8 @@ from .oracle import (
     tuple_occurrence_counts,
 )
 from .sampling import SampleKind, SamplerConfig, gen_trials, trial_seed
-from .simulate import (
-    FullTuple,
-    Projected,
-    SimPlan,
-    SubblockEdge,
-    Target,
-    simulate_coverage,
-    target_label,
-)
+from .simulate import FullTuple, Projected, SimPlan, Target, simulate_coverage, target_label
 from .sweep import SweepMode, run_sweep as sweep_run
-
-REQUIRED = object()
-
-# (default, type tag); type tags drive config-file normalization
-SCHEMAS: dict[str, dict[str, tuple[Any, str]]] = {
-    "gen": {
-        "kind": ("lhs", "str"),
-        "d": (REQUIRED, "int"),
-        "n": (REQUIRED, "int"),
-        "p": (None, "int"),
-        "k": (1, "int"),
-        "seed": (None, "seed"),
-        "format": ("csv", "str"),
-    },
-    "exact": {
-        "kind": (REQUIRED, "str"),
-        "d": (REQUIRED, "int"),
-        "n": (REQUIRED, "int"),
-        "p": (None, "int"),
-        "m": (None, "int_list"),
-        "k": (None, "int_list"),
-        "format": ("decimal:12", "str"),
-    },
-    "law": {
-        "model": (REQUIRED, "str"),
-        "kind": (None, "str"),
-        "d": (None, "int"),
-        "n": (None, "int"),
-        "p": (None, "int"),
-        "t": (None, "int"),
-        "k": (REQUIRED, "int_list"),
-    },
-    "simulate": {
-        "kind": ("lhs", "str"),
-        "d": (REQUIRED, "int"),
-        "n": (REQUIRED, "int"),
-        "p": (None, "int"),
-        "k": (REQUIRED, "int"),
-        "reps": (REQUIRED, "int"),
-        "target": (["full"], "str_list"),
-        "dims": (None, "int_list"),
-        "seed": (None, "seed"),
-    },
-    "oracle": {
-        "kind": ("lhs", "str"),
-        "d": (REQUIRED, "int"),
-        "n": (REQUIRED, "int"),
-        "p": (None, "int"),
-        "mode": (REQUIRED, "str"),
-        "m": (None, "int_list"),
-        "k": (None, "int_list"),
-        "edge": (None, "str"),
-    },
-    "sweep": {
-        "kind": ("lhs", "str"),
-        "d": (REQUIRED, "int"),
-        "t": (REQUIRED, "int"),
-        "levels": (REQUIRED, "float_list"),
-        "n_grid": (REQUIRED, "int_list"),
-        "mode": (REQUIRED, "str"),
-        "reps": (400, "int"),
-        "seed": (None, "seed"),
-    },
-    "verify": {},
-}
 
 
 @dataclass(frozen=True)
@@ -195,28 +118,20 @@ def _emit(out: str | None, lines: list[str]) -> None:
 # --- parameter resolution ---------------------------------------------------
 
 
+# Element type of each type tag; a *_list tag holds a list of them.
+SCALARS: dict[str, type] = {"int": int, "seed": int, "str": str, "float": float}
+
+
 def _normalize(tag: str, value: Any) -> Any:
     if value is None:
         return None
-    if tag in ("int", "seed"):
-        return int(value)
-    if tag == "float":
-        return float(value)
-    if tag == "str":
-        return str(value)
-    if tag == "int_list":
-        if isinstance(value, str):
-            value = value.split(",")
-        return [int(v) for v in value]
-    if tag == "float_list":
-        if isinstance(value, str):
-            value = value.split(",")
-        return [float(v) for v in value]
-    if tag == "str_list":
-        if isinstance(value, str):
-            value = [value]
-        return [str(v) for v in value]
-    raise AssertionError(tag)
+    scalar = SCALARS[tag.removesuffix("_list")]
+    if not tag.endswith("_list"):
+        return scalar(value)
+    if isinstance(value, str):
+        # Flag text is comma-separated, except a str_list's: one item per flag.
+        value = [value] if tag == "str_list" else value.split(",")
+    return [scalar(v) for v in value]
 
 
 def _load_config_file(path: str) -> dict:
@@ -231,31 +146,54 @@ def _load_config_file(path: str) -> dict:
 
 
 def resolve_params(sub: str, args: argparse.Namespace) -> RunConfig:
-    schema = SCHEMAS[sub]
+    """Merge flags, --config values, defaults and HYPERCOV_SEED into the
+    run config; config-file values get the checks argparse gives flags."""
+    content = {name: f for name, f in COMMANDS[sub].flags.items() if not f.routing}
     file_values: dict = {}
     if getattr(args, "config", None):
         file_values = _load_config_file(args.config)
-        unknown = set(file_values) - set(schema) - {"out", "workers"}
+        # A config file may carry any subcommand's routing keys; they are ignored.
+        routing = {n for c in COMMANDS.values() for n, f in c.all_flags().items() if f.routing}
+        unknown = set(file_values) - set(content) - (routing - {"config"})
         if unknown:
             raise StructuralError(f"unknown config keys: {sorted(unknown)}")
     params: dict = {}
-    for name, (default, tag) in schema.items():
+    for name, flag in content.items():
         value = getattr(args, name, None)
-        if value is None and name in file_values:
-            value = file_values[name]
         if value is None:
-            if default is REQUIRED:
+            value = file_values.get(name)
+        if value is None:
+            if flag.default is REQUIRED:
                 raise StructuralError(f"missing required parameter --{name.replace('_', '-')}")
-            value = default
-        if tag == "seed" and value is None:
+            value = flag.default
+        if flag.tag == "seed" and value is None:
             env = os.environ.get("HYPERCOV_SEED")
             value = int(env) if env is not None else 0
-        params[name] = _normalize(tag, value)
+        value = params[name] = _normalize(flag.tag, value)
+        if flag.choices is not None and value is not None and value not in flag.choices:
+            raise StructuralError(f"--{name} must be one of {', '.join(flag.choices)}, got {value!r}")
     return RunConfig(sub, params)
 
 
 def _spec_from(params: dict) -> DesignSpec:
     return DesignSpec(params["d"], params["n"], params.get("p"))
+
+
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise StructuralError(f"expected an integer, got {text!r}") from None
+
+
+def _parse_edge(text: str) -> EdgeProjection:
+    """'i,j' names an axis pair; 'i,j,pi,pj' one coarse cell of it."""
+    parts = [_int(v) for v in text.split(",")]
+    if len(parts) == 2:
+        return EdgeProjection(parts[0], parts[1])
+    if len(parts) == 4:
+        return EdgeProjection(parts[0], parts[1], coarse=(parts[2], parts[3]))
+    raise StructuralError(f"an edge needs i,j or i,j,pi,pj, got {text!r}")
 
 
 def parse_target(text: str) -> Target:
@@ -265,36 +203,17 @@ def parse_target(text: str) -> Target:
         body = text[len("proj:") :]
         if "@" in body:
             t_str, dims_str = body.split("@", 1)
-            dims = tuple(int(v) for v in dims_str.split(","))
-            return Projected(int(t_str), dims)
-        return Projected(int(body))
+            return Projected(_int(t_str), tuple(_int(v) for v in dims_str.split(",")))
+        return Projected(_int(body))
     if text.startswith("edge:"):
-        parts = text[len("edge:") :].split(",")
-        if len(parts) != 4:
-            raise StructuralError(f"edge target needs i,j,pi,pj, got {text!r}")
-        i, j, pi, pj = (int(v) for v in parts)
-        return SubblockEdge(i, j, pi, pj)
+        return _parse_edge(text[len("edge:") :])
     raise StructuralError(f"unknown target {text!r}")
-
-
-def _parse_edge(text: str | None, spec: DesignSpec) -> EdgeProjection | None:
-    if text is None:
-        return None
-    parts = [int(v) for v in text.split(",")]
-    if len(parts) == 2:
-        e = EdgeProjection(parts[0], parts[1])
-    elif len(parts) == 4:
-        e = EdgeProjection(parts[0], parts[1], coarse=(parts[2], parts[3]))
-    else:
-        raise StructuralError(f"--edge needs i,j or i,j,pi,pj, got {text!r}")
-    e.validate_for(spec)
-    return e
 
 
 # --- subcommand runners -----------------------------------------------------
 
 
-def _run_gen(config: RunConfig, out: str | None) -> int:
+def _run_gen(config: RunConfig, out: str | None, workers: int) -> int:
     params = config.params
     spec = _spec_from(params)
     kind = SampleKind(params["kind"])
@@ -315,8 +234,6 @@ def _run_gen(config: RunConfig, out: str | None) -> int:
         }
         _emit(out, [json.dumps(doc, sort_keys=True, separators=(",", ":"))])
         return 0
-    if params["format"] != "csv":
-        raise StructuralError(f"unknown format {params['format']!r}")
     lines = provenance_lines(config)
     for t, trial in enumerate(trials, start=1):
         lines.append(f"# trial {t}")
@@ -330,7 +247,7 @@ def _parse_format(text: str) -> int | None:
     if text == "rational":
         return None
     if text.startswith("decimal:"):
-        digits = int(text[len("decimal:") :])
+        digits = _int(text[len("decimal:") :])
         if digits < 1:
             raise StructuralError("decimal digits must be >= 1")
         return digits
@@ -343,7 +260,7 @@ def _decimal_str(value: Fraction, digits: int) -> str:
         return str(Decimal(value.numerator) / Decimal(value.denominator))
 
 
-def _run_exact(config: RunConfig, out: str | None) -> int:
+def _run_exact(config: RunConfig, out: str | None, workers: int) -> int:
     params = config.params
     kind = IntersectionKind(params["kind"])
     spec = _spec_from(params)
@@ -394,7 +311,7 @@ def _law_lambda(params: dict) -> tuple[float, int | str, int | str, int | str]:
     return lambda_for(kind, spec), spec.d, spec.n, ""
 
 
-def _run_law(config: RunConfig, out: str | None) -> int:
+def _run_law(config: RunConfig, out: str | None, workers: int) -> int:
     params = config.params
     model = params["model"]
     lines = provenance_lines(config)
@@ -429,8 +346,6 @@ def _run_law(config: RunConfig, out: str | None) -> int:
         _emit(out, lines)
         return 0
 
-    if model not in ("iid", "asymptotic", "conjecture"):
-        raise StructuralError(f"unknown model {model!r}")
     lam, d_col, n_col, t_col = _law_lambda(params)
     if model == "conjecture" and params.get("t") is None:
         raise StructuralError("conjecture model needs --t")
@@ -490,55 +405,39 @@ def _run_simulate(config: RunConfig, out: str | None, workers: int) -> int:
     return 0
 
 
-def _run_oracle(config: RunConfig, out: str | None) -> int:
+def _exact_kind(
+    kind: SampleKind, edge: EdgeProjection | None, d: int
+) -> tuple[IntersectionKind, int]:
+    """The exact kind an oracle run is checked against, and the divisor
+    that turns its expected intersection into the oracle's units."""
+    if edge is None:
+        if kind is SampleKind.LHS:
+            return IntersectionKind.LHS_TUPLE, 1
+        return IntersectionKind.OS_TUPLE, 1
+    if edge.coarse is not None:
+        return IntersectionKind.LH_EDGE_SUBBLOCK, 1
+    # LH_EDGE_ALL pools the pairs of all C(d,2) axis pairs; the oracle
+    # counts those of one. Coverage fractions are the same for both.
+    return IntersectionKind.LH_EDGE_ALL, math.comb(d, 2)
+
+
+def _run_oracle(config: RunConfig, out: str | None, workers: int) -> int:
     params = config.params
     spec = _spec_from(params)
     kind = SampleKind(params["kind"])
     mode = params["mode"]
-    edge = _parse_edge(params.get("edge"), spec)
-    if edge is not None and kind is not SampleKind.LHS:
-        raise StructuralError("edge comparisons are defined for the lhs ensemble")
+    edge = None if params["edge"] is None else _parse_edge(params["edge"])
+    if edge is not None:
+        edge.validate_for(spec)
+        if kind is not SampleKind.LHS:
+            raise StructuralError("edge comparisons are defined for the lhs ensemble")
     ts = enumerate_trials(spec, kind)
-    tuple_kind = (
-        IntersectionKind.LHS_TUPLE if kind is SampleKind.LHS else IntersectionKind.OS_TUPLE
-    )
+    exact_kind, divisor = _exact_kind(kind, edge, spec.d)
 
-    rows: list[tuple[str, str, str, bool]] = []
-    if mode in ("intersect", "cover"):
-        qs = params.get("m") if mode == "intersect" else params.get("k")
-        if qs is None:
-            flag = "--m" if mode == "intersect" else "--k"
-            raise StructuralError(f"mode {mode} needs {flag}")
-        for q in qs:
-            if mode == "intersect":
-                got = oracle_expected_intersection(ts, q, projection=edge)
-                if edge is None:
-                    want = expected_intersection(tuple_kind, spec, q)
-                elif edge.coarse is not None:
-                    want = expected_intersection(IntersectionKind.LH_EDGE_SUBBLOCK, spec, q)
-                else:
-                    want = expected_intersection(
-                        IntersectionKind.LH_EDGE_ALL, spec, q
-                    ) / math.comb(spec.d, 2)
-            else:
-                got = oracle_expected_coverage(ts, q, projection=edge)
-                if edge is None:
-                    want = expected_coverage_multiset(tuple_kind, spec, q)
-                elif edge.coarse is not None:
-                    want = expected_coverage_multiset(
-                        IntersectionKind.LH_EDGE_SUBBLOCK, spec, q
-                    )
-                else:
-                    want = expected_coverage_multiset(IntersectionKind.LH_EDGE_ALL, spec, q)
-            name = f"{mode} {kind.value} d={spec.d} n={spec.n}"
-            if edge is not None:
-                name += f" edge={params['edge']}"
-            name += f" {'m' if mode == 'intersect' else 'k'}={q}"
-            rows.append((name, str(got), str(want), got == want))
-    elif mode == "occurrence":
+    if mode == "occurrence":
         if edge is None:
             counts = tuple_occurrence_counts(ts)
-            want = count_trials_containing_tuple(spec, tuple_kind)
+            want = count_trials_containing_tuple(spec, exact_kind)
             name = f"occurrence {kind.value} d={spec.d} n={spec.n}"
         else:
             if edge.coarse is not None:
@@ -546,29 +445,27 @@ def _run_oracle(config: RunConfig, out: str | None) -> int:
             counts = edge_occurrence_counts(ts, edge)
             want = count_trials_containing_edge(spec)
             name = f"occurrence edges d={spec.d} n={spec.n} edge={params['edge']}"
-        distinct = sorted(set(counts.values()))
-        got = str(distinct[0]) if len(distinct) == 1 else f"varies {distinct}"
-        rows.append((name, got, str(want), distinct == [want]))
-    else:
-        raise StructuralError(f"unknown mode {mode!r}")
+        return _emit_checks(config, out, [constant_count_check(name, counts, want)])
 
-    lines = provenance_lines(config)
-    lines.append("check,oracle,expected,verdict")
-    for name, got, want, okay in rows:
-        lines.append(_csv_row([name, got, want, "MATCH" if okay else "MISMATCH"]))
-    bad = sum(1 for row in rows if not row[3])
-    lines.append(
-        f"# all {len(rows)} checks MATCH"
-        if bad == 0
-        else f"# {bad} of {len(rows)} checks MISMATCH"
-    )
-    _emit(out, lines)
-    if out not in (None, "-"):
-        print(lines[-1].lstrip("# "))
-    return 0 if bad == 0 else 4
+    q_name = "m" if mode == "intersect" else "k"
+    if params[q_name] is None:
+        raise StructuralError(f"mode {mode} needs --{q_name}")
+    name = f"{mode} {kind.value} d={spec.d} n={spec.n}"
+    if edge is not None:
+        name += f" edge={params['edge']}"
+    checks = []
+    for q in params[q_name]:
+        if mode == "intersect":
+            got = oracle_expected_intersection(ts, q, projection=edge)
+            want = expected_intersection(exact_kind, spec, q) / divisor
+        else:
+            got = oracle_expected_coverage(ts, q, projection=edge)
+            want = expected_coverage_multiset(exact_kind, spec, q)
+        checks.append(CheckResult(f"{name} {q_name}={q}", str(got), str(want), got == want))
+    return _emit_checks(config, out, checks)
 
 
-def _run_sweep(config: RunConfig, out: str | None) -> int:
+def _run_sweep(config: RunConfig, out: str | None, workers: int) -> int:
     params = config.params
     kind = SampleKind(params["kind"])
     mode = SweepMode(params["mode"])
@@ -611,8 +508,12 @@ def _run_sweep(config: RunConfig, out: str | None) -> int:
     return 0
 
 
-def _run_verify(config: RunConfig, out: str | None) -> int:
-    checks = default_verification_suite()
+def _run_verify(config: RunConfig, out: str | None, workers: int) -> int:
+    return _emit_checks(config, out, default_verification_suite())
+
+
+def _emit_checks(config: RunConfig, out: str | None, checks: list[CheckResult]) -> int:
+    """The MATCH table of an oracle or verify run; exit 4 on any mismatch."""
     lines = provenance_lines(config)
     lines.append("check,oracle,expected,verdict")
     for c in checks:
@@ -631,30 +532,140 @@ def _run_verify(config: RunConfig, out: str | None) -> int:
     return 0 if bad == 0 else 4
 
 
+# --- the flag table ---------------------------------------------------------
+
+REQUIRED = object()
+
+
+@dataclass(frozen=True)
+class Flag:
+    """One option: its default (REQUIRED if it has none), its type tag and
+    its choices.
+
+    The type tag sets the argparse type and how a config-file value is
+    normalized. Routing flags say where output goes and how the work is
+    spread, not what is computed, so they stay out of the run config and
+    its hash.
+    """
+
+    default: Any = None
+    tag: str = "str"  # a key of SCALARS, or one with "_list" appended
+    choices: tuple[str, ...] | None = None
+    routing: bool = False
+    help: str | None = None
+
+
+@dataclass(frozen=True)
+class Command:
+    help: str
+    run: Callable[[RunConfig, str | None, int], int]
+    flags: dict[str, Flag]
+
+    def all_flags(self) -> dict[str, Flag]:
+        return {**self.flags, **COMMON_FLAGS}
+
+
+COMMON_FLAGS = {
+    "config": Flag(routing=True, help="JSON file of parameters; flags win"),
+    "out": Flag(routing=True, help="output path, '-' for stdout"),
+}
+
+_INT = Flag(None, "int")
+_REQUIRED_INT = Flag(REQUIRED, "int")
+_INT_LIST = Flag(None, "int_list")
+_SEED = Flag(None, "seed")
+_SAMPLE_KIND = Flag("lhs", choices=tuple(k.value for k in SampleKind))
+_EXACT_KIND = tuple(k.value for k in IntersectionKind)
+
+COMMANDS: dict[str, Command] = {
+    "gen": Command("generate trials", _run_gen, {
+        "kind": _SAMPLE_KIND,
+        "d": _REQUIRED_INT,
+        "n": _REQUIRED_INT,
+        "p": _INT,
+        "k": Flag(1, "int"),
+        "seed": _SEED,
+        "format": Flag("csv", choices=("csv", "json")),
+    }),
+    "exact": Command("exact intersection/coverage values", _run_exact, {
+        "kind": Flag(REQUIRED, choices=_EXACT_KIND),
+        "d": _REQUIRED_INT,
+        "n": _REQUIRED_INT,
+        "p": _INT,
+        "m": _INT_LIST,
+        "k": _INT_LIST,
+        "format": Flag("decimal:12"),
+    }),
+    "law": Command("closed-form coverage laws", _run_law, {
+        "model": Flag(REQUIRED, choices=("iid", "asymptotic", "conjecture", "bracket")),
+        "kind": Flag(None, choices=_EXACT_KIND),
+        "d": _INT,
+        "n": _INT,
+        "p": _INT,
+        "t": _INT,
+        "k": Flag(REQUIRED, "int_list"),
+    }),
+    "simulate": Command("Monte Carlo coverage", _run_simulate, {
+        "kind": _SAMPLE_KIND,
+        "d": _REQUIRED_INT,
+        "n": _REQUIRED_INT,
+        "p": _INT,
+        "k": _REQUIRED_INT,
+        "reps": _REQUIRED_INT,
+        "target": Flag(["full"], "str_list"),
+        "dims": _INT_LIST,
+        "seed": _SEED,
+        "workers": Flag(None, "int", routing=True),
+    }),
+    "oracle": Command("brute-force enumeration checks", _run_oracle, {
+        "kind": _SAMPLE_KIND,
+        "d": _REQUIRED_INT,
+        "n": _REQUIRED_INT,
+        "p": _INT,
+        "mode": Flag(REQUIRED, choices=("intersect", "cover", "occurrence")),
+        "m": _INT_LIST,
+        "k": _INT_LIST,
+        "edge": Flag(None),
+    }),
+    "sweep": Command("k* threshold sweeps over n", _run_sweep, {
+        "kind": _SAMPLE_KIND,
+        "d": _REQUIRED_INT,
+        "t": _REQUIRED_INT,
+        "levels": Flag(REQUIRED, "float_list"),
+        "n_grid": Flag(REQUIRED, "int_list"),
+        "mode": Flag(REQUIRED, choices=tuple(m.value for m in SweepMode)),
+        "reps": Flag(400, "int"),
+        "seed": _SEED,
+    }),
+    "verify": Command("oracle vs exact-count suite", _run_verify, {}),
+}
+
+
+@contextmanager
+def _all_int_digits() -> Iterator[None]:
+    """Lift the interpreter's int-to-str digit limit while a run prints
+    exact values, which run to tens of thousands of digits near the k cap;
+    restore it afterwards, since callers may share the interpreter."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def run(config: RunConfig, out: str | None = None, workers: int = 1) -> int:
     """Execute a resolved run configuration; returns the exit code."""
     try:
-        if config.subcommand == "gen":
-            return _run_gen(config, out)
-        if config.subcommand == "exact":
-            return _run_exact(config, out)
-        if config.subcommand == "law":
-            return _run_law(config, out)
-        if config.subcommand == "simulate":
-            return _run_simulate(config, out, workers)
-        if config.subcommand == "oracle":
-            return _run_oracle(config, out)
-        if config.subcommand == "sweep":
-            return _run_sweep(config, out)
-        if config.subcommand == "verify":
-            return _run_verify(config, out)
-        raise StructuralError(f"unknown subcommand {config.subcommand!r}")
+        if config.subcommand not in COMMANDS:
+            raise StructuralError(f"unknown subcommand {config.subcommand!r}")
+        with _all_int_digits():
+            return COMMANDS[config.subcommand].run(config, out, workers)
     except GuardExceededError as exc:  # includes cap violations
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (StructuralError, UnsupportedSpecError, InvalidModeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except HypercovError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -663,70 +674,22 @@ def run(config: RunConfig, out: str | None = None, workers: int = 1) -> int:
         return 5
 
 
-# --- argument parsing -------------------------------------------------------
-
-
-def _add_common(sp: argparse.ArgumentParser, names: Sequence[str]) -> None:
-    for name in names:
-        flag = "--" + name.replace("_", "-")
-        if name in ("d", "n", "p", "k", "t", "reps", "seed", "workers"):
-            sp.add_argument(flag, type=int)
-        else:
-            sp.add_argument(flag, type=str)
-    sp.add_argument("--config", type=str, help="JSON file of parameters; flags win")
-    sp.add_argument("--out", type=str, help="output path, '-' for stdout")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hypercov",
         description="Coverage statistics for Latin hypercube and orthogonal sampling",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    g = sub.add_parser("gen", help="generate trials")
-    g.add_argument("--kind", choices=["lhs", "os"])
-    g.add_argument("--format", choices=["csv", "json"])
-    _add_common(g, ["d", "n", "p", "k", "seed"])
-
-    e = sub.add_parser("exact", help="exact intersection/coverage values")
-    e.add_argument("--kind", choices=[k.value for k in IntersectionKind])
-    e.add_argument("--m", type=str)
-    e.add_argument("--k", type=str)
-    e.add_argument("--format", type=str)
-    _add_common(e, ["d", "n", "p"])
-
-    l = sub.add_parser("law", help="closed-form coverage laws")
-    l.add_argument("--model", choices=["iid", "asymptotic", "conjecture", "bracket"])
-    l.add_argument("--kind", choices=[k.value for k in IntersectionKind])
-    l.add_argument("--k", type=str)
-    _add_common(l, ["d", "n", "p", "t"])
-
-    s = sub.add_parser("simulate", help="Monte Carlo coverage")
-    s.add_argument("--kind", choices=["lhs", "os"])
-    s.add_argument("--target", action="append", type=str)
-    s.add_argument("--dims", type=str)
-    _add_common(s, ["d", "n", "p", "k", "reps", "seed", "workers"])
-
-    o = sub.add_parser("oracle", help="brute-force enumeration checks")
-    o.add_argument("--kind", choices=["lhs", "os"])
-    o.add_argument("--mode", choices=["intersect", "cover", "occurrence"])
-    o.add_argument("--m", type=str)
-    o.add_argument("--k", type=str)
-    o.add_argument("--edge", type=str)
-    _add_common(o, ["d", "n", "p"])
-
-    w = sub.add_parser("sweep", help="k* threshold sweeps over n")
-    w.add_argument("--kind", choices=["lhs", "os"])
-    w.add_argument("--levels", type=str)
-    w.add_argument("--n-grid", dest="n_grid", type=str)
-    w.add_argument("--mode", choices=[m.value for m in SweepMode])
-    _add_common(w, ["d", "t", "reps", "seed"])
-
-    v = sub.add_parser("verify", help="oracle vs exact-count suite")
-    v.add_argument("--config", type=str)
-    v.add_argument("--out", type=str)
-
+    for name, command in COMMANDS.items():
+        sp = sub.add_parser(name, help=command.help)
+        for flag_name, flag in command.all_flags().items():
+            sp.add_argument(
+                "--" + flag_name.replace("_", "-"),
+                type=str if flag.tag.endswith("_list") else SCALARS[flag.tag],
+                choices=flag.choices,
+                action="append" if flag.tag == "str_list" else "store",
+                help=flag.help,
+            )
     return parser
 
 
@@ -739,14 +702,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0 if code in (0, None) else 2
     try:
         config = resolve_params(args.subcommand, args)
-    except (HypercovError, ValueError) as exc:
+    except (HypercovError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 5
     workers = getattr(args, "workers", None) or 1
-    return run(config, out=getattr(args, "out", None), workers=workers)
+    return run(config, out=args.out, workers=workers)
 
 
 def entry() -> None:

@@ -56,10 +56,6 @@ class DesignSpec:
                     f"n must equal p**d, got n={self.n}, p**d={self.p**self.d}"
                 )
 
-    @property
-    def has_subblocks(self) -> bool:
-        return self.p is not None
-
     def require_p(self) -> int:
         if self.p is None:
             raise UnsupportedSpecError("operation needs a coarse base p (n = p**d)")
@@ -93,24 +89,6 @@ def coarse_tuple(point: tuple[int, ...], spec: DesignSpec) -> tuple[int, ...]:
     """Coarse band of each coordinate; identifies the point's sub-block."""
     p = spec.require_p()
     return tuple(decode_subblock_value(v, p, spec.d)[0] for v in point)
-
-
-@dataclass(frozen=True)
-class SubBlockCoord:
-    """One of the p^d sub-blocks, addressed by its coarse band per axis."""
-
-    spec: DesignSpec
-    coarse: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        p = self.spec.require_p()
-        if len(self.coarse) != self.spec.d:
-            raise StructuralError("coarse tuple width must equal d")
-        if any(not (1 <= q <= p) for q in self.coarse):
-            raise StructuralError(f"coarse bands must lie in [1, {p}]")
-
-    def contains(self, point: tuple[int, ...]) -> bool:
-        return coarse_tuple(point, self.spec) == self.coarse
 
 
 @dataclass(frozen=True)
@@ -218,32 +196,6 @@ def all_edge_pairs(d: int) -> tuple[tuple[int, int], ...]:
 # --- serialization ---------------------------------------------------------
 
 
-def trial_to_csv(trial: Trial) -> str:
-    """Canonical CSV: d columns, n rows, 1-based values, no header."""
-    return "\n".join(",".join(str(v) for v in row) for row in trial.points) + "\n"
-
-
-def trials_from_csv(text: str, spec: DesignSpec) -> list[Trial]:
-    """Parse one or more trial blocks; lines starting with '#' are ignored."""
-    rows: list[tuple[int, ...]] = []
-    trials: list[Trial] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            row = tuple(int(tok) for tok in line.split(","))
-        except ValueError as exc:
-            raise StructuralError(f"bad CSV row: {line!r}") from exc
-        rows.append(row)
-        if len(rows) == spec.n:
-            trials.append(Trial(spec, tuple(rows)))
-            rows = []
-    if rows:
-        raise StructuralError(f"trailing {len(rows)} rows do not form a full trial")
-    return trials
-
-
 def trial_to_json(trial: Trial, seed: int, kind: str) -> str:
     """JSON envelope with enough provenance to regenerate the trial."""
     spec_obj: dict = {"d": trial.spec.d, "n": trial.spec.n}
@@ -259,17 +211,3 @@ def trial_to_json(trial: Trial, seed: int, kind: str) -> str:
         sort_keys=True,
         separators=(",", ":"),
     )
-
-
-def trial_from_json(text: str) -> tuple[Trial, int, str]:
-    """Parse the envelope; returns (trial, seed, kind)."""
-    try:
-        obj = json.loads(text)
-        spec = DesignSpec(d=obj["spec"]["d"], n=obj["spec"]["n"], p=obj["spec"].get("p"))
-        points = tuple(tuple(int(v) for v in row) for row in obj["points"])
-        trial = Trial(spec, points)
-        return trial, int(obj["seed"]), str(obj["kind"])
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, StructuralError):
-            raise
-        raise StructuralError(f"bad trial JSON: {exc}") from exc

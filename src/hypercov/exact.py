@@ -3,17 +3,21 @@
 Every quantity here reduces to one pattern. Fix a family of "units"
 (cells of the full grid, or axis-pair value pairs), a trial ensemble of
 b equally likely trials, and suppose each unit lies in exactly a of
-them. Draw m trials with repetition (a multiset). The expected number
-of units common to all m drawn trials is
+them. Every value here is exact for one model: the m (or k) trials
+form a uniform multiset, each of the C(b+m-1, m) multisets of the b
+trials being equally likely, which is what the oracle enumerates. (The
+simulator draws k ordered i.i.d. trials instead; the iid law in the
+laws module is exact for that model.) The expected number of units
+common to all m trials of the multiset is
 
     x_m = scale * prod_{i=0}^{m-1} (a + i) / (b + i)
 
 where scale is the number of units. The falling-product form is exact
-and never evaluates a factorial of a shifted argument. The expected
-fraction of units covered by at least one of k pooled trials follows by
-inclusion-exclusion over the same products:
+and never evaluates a factorial of a shifted argument. A k-multiset
+misses a unit exactly when it is drawn from the b - a trials that avoid
+the unit, so the expected fraction of units covered is
 
-    P(k) = sum_{m=1}^{k} (-1)^(m+1) * C(k, m) * prod_{i=0}^{m-1} (a+i)/(b+i)
+    P(k) = 1 - prod_{i=0}^{k-1} (b - a + i) / (b + i)
 
 Parameter table (n levels, d axes, coarse base p where n = p^d):
 
@@ -42,12 +46,10 @@ from fractions import Fraction
 from .design import DesignSpec
 from .errors import CapExceededError, GuardExceededError, StructuralError
 
-ExactRational = Fraction
-
 # Refuse factorial work whose operands would exceed this many bits.
 BIGINT_GUARD_BITS = 1_000_000
 
-# Inclusion-exclusion term cap; beyond this the closed-form laws apply.
+# Product term cap; beyond this the closed-form laws apply.
 DEFAULT_COVERAGE_CAP = 512
 
 
@@ -134,23 +136,29 @@ def kind_params(kind: IntersectionKind, spec: DesignSpec) -> KindParams:
     raise StructuralError(f"unknown kind {kind!r}")
 
 
+def _rising_ratio(top: int, bottom: int, m: int) -> Fraction:
+    """prod_{i=0}^{m-1} (top+i)/(bottom+i), reduced once at the end."""
+    num = den = 1
+    for i in range(m):
+        num *= top + i
+        den *= bottom + i
+    return Fraction(num, den)
+
+
 def intersection_ratio(kind: IntersectionKind, spec: DesignSpec, m: int) -> Fraction:
     """prod_{i=0}^{m-1} (a+i)/(b+i), the per-unit m-fold containment rate."""
     if m < 0:
         raise StructuralError(f"m must be >= 0, got {m}")
     kp = kind_params(kind, spec)
-    out = Fraction(1)
-    for i in range(m):
-        out *= Fraction(kp.a + i, kp.b + i)
-    return out
+    return _rising_ratio(kp.a, kp.b, m)
 
 
 def expected_intersection(kind: IntersectionKind, spec: DesignSpec, m: int) -> Fraction:
-    """Expected number of units common to m trials drawn with repetition."""
+    """Expected number of units common to an m-multiset of trials."""
     if m < 1:
         raise StructuralError(f"m must be >= 1, got {m}")
     kp = kind_params(kind, spec)
-    return kp.scale * intersection_ratio(kind, spec, m)
+    return kp.scale * _rising_ratio(kp.a, kp.b, m)
 
 
 def expected_coverage_multiset(
@@ -158,8 +166,8 @@ def expected_coverage_multiset(
 ) -> Fraction:
     """Expected fraction of units covered by at least one of k pooled trials.
 
-    Exact under drawing the k trials with repetition. k above the cap is
-    refused; use the closed-form laws module for large k.
+    Exact for a uniform k-multiset of trials. k above the cap is refused;
+    use the closed-form laws module for large k.
     """
     if k < 0:
         raise StructuralError(f"k must be >= 0, got {k}")
@@ -168,25 +176,4 @@ def expected_coverage_multiset(
             f"k={k} exceeds cap {cap}; use the closed-form coverage laws for large k"
         )
     kp = kind_params(kind, spec)
-    total = Fraction(0)
-    ratio = Fraction(1)
-    binom = 1
-    for m in range(1, k + 1):
-        ratio *= Fraction(kp.a + m - 1, kp.b + m - 1)
-        binom = binom * (k - m + 1) // m
-        term = binom * ratio
-        total += term if m % 2 == 1 else -term
-    return total
-
-
-def expected_covered_cells_multiset(
-    kind: IntersectionKind, spec: DesignSpec, k: int, cap: int = DEFAULT_COVERAGE_CAP
-) -> Fraction:
-    """Expected number of distinct units covered by k pooled trials."""
-    kp = kind_params(kind, spec)
-    return kp.scale * expected_coverage_multiset(kind, spec, k, cap=cap)
-
-
-def coverage_universe(kind: IntersectionKind, spec: DesignSpec) -> int:
-    """Unit count that coverage for this kind is normalized against."""
-    return kind_params(kind, spec).scale
+    return 1 - _rising_ratio(kp.b - kp.a, kp.b, k)

@@ -3,7 +3,8 @@
 All laws are functions of the per-unit hit rate lambda = a/b and the
 pooled trial count k:
 
-    IID_EXACT       1 - (1 - lambda)^k     exact when trials are i.i.d.
+    IID_EXACT       1 - (1 - lambda)^k     exact for k i.i.d. trials (the
+                                           simulator's model), by linearity
     ASYMPTOTIC_EXP  1 - exp(-k lambda)     large-n limit law
     CONJECTURE_T    1 - (1 - n^-(t-1))^k   t-axis projections, 2 <= t <= d;
                                            proved for t = 2 and t = d,
@@ -12,8 +13,9 @@ pooled trial count k:
 (1 - lambda)^k is evaluated as exp(k * log1p(-lambda)) to keep
 precision at tiny lambda.
 
-The multiset-draw coverage differs from IID_EXACT because drawing with
-repetition correlates the pool. Writing P_multiset = 1 - exp(-k lambda)
+The exact module's coverage is for a uniform multiset of k trials, which
+weights a pool with repeated trials as much as one without, so it
+differs from IID_EXACT. Writing P_multiset = 1 - exp(-k lambda)
 + E1 + E2 splits the discrepancy into a combinatorial remainder E1,
 bounded by exp(k lambda) k(k-1)/a whenever k(k-1) <= a, and the
 Poissonization gap E2 = exp(-k lambda) - (1-lambda)^k, bounded by

@@ -16,7 +16,14 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 from typing import Literal, Union
 
-from .design import DesignSpec, EdgeProjection, Trial, all_edge_pairs, band_width
+from .design import (
+    DesignSpec,
+    EdgeProjection,
+    Trial,
+    all_edge_pairs,
+    band_width,
+    project_edges,
+)
 from .errors import GuardExceededError, StructuralError
 from .exact import (
     IntersectionKind,
@@ -28,6 +35,7 @@ from .exact import (
     expected_intersection,
 )
 from .sampling import SampleKind, assemble_orthogonal
+from .simulate import FullTuple, target_universe
 
 ENUM_GUARD = 100_000
 MULTISET_GUARD = 10_000_000
@@ -89,28 +97,17 @@ def _unit_sets(ts: EnumeratedTrialSet, projection: Projection) -> list[frozenset
         for t in ts.trials:
             units: set = set()
             for e in pairs:
-                for a, b in _project(t, e):
+                for a, b in project_edges(t, e):
                     units.add((e.i, e.j, a, b))
             out.append(frozenset(units))
         return out
-    return [_project(t, projection) for t in ts.trials]
-
-
-def _project(trial: Trial, e: EdgeProjection) -> frozenset:
-    from .design import project_edges
-
-    return project_edges(trial, e)
+    return [project_edges(t, projection) for t in ts.trials]
 
 
 def _universe(ts: EnumeratedTrialSet, projection: Projection) -> int:
-    n, d = ts.spec.n, ts.spec.d
-    if projection is None:
-        return n**d
     if projection == "all-edges":
-        return n * n * math.comb(d, 2)
-    if projection.coarse is not None:
-        return band_width(ts.spec.require_p(), d) ** 2
-    return n * n
+        return ts.spec.n**2 * math.comb(ts.spec.d, 2)
+    return target_universe(ts.spec, FullTuple() if projection is None else projection)
 
 
 def _check_multiset_guard(b: int, m: int, guard: int) -> None:
@@ -184,7 +181,7 @@ def edge_occurrence_counts(
     n = ts.spec.n
     counts: Counter = Counter()
     for t in ts.trials:
-        counts.update(_project(t, e))
+        counts.update(project_edges(t, e))
     return {pair: counts.get(pair, 0) for pair in product(range(1, n + 1), repeat=2)}
 
 
@@ -223,7 +220,8 @@ def _coverage_check(
     return CheckResult(name, str(got), str(want), got == want)
 
 
-def _constant_count_check(name: str, counts: dict, want: int) -> CheckResult:
+def constant_count_check(name: str, counts: dict, want: int) -> CheckResult:
+    """MATCH when every unit occurs in exactly `want` trials."""
     distinct = sorted(set(counts.values()))
     got = str(distinct[0]) if len(distinct) == 1 else f"varies {distinct}"
     return CheckResult(name, got, str(want), distinct == [want])
@@ -320,14 +318,14 @@ def default_verification_suite() -> list[CheckResult]:
         )
     )
     checks.append(
-        _constant_count_check(
+        constant_count_check(
             "cell occurrence lhs d=2 n=3",
             tuple_occurrence_counts(lhs_d2n3),
             count_trials_containing_tuple(d2n3, IntersectionKind.LHS_TUPLE),
         )
     )
     checks.append(
-        _constant_count_check(
+        constant_count_check(
             "cell occurrence os d=2 p=2",
             tuple_occurrence_counts(os_d2p2),
             count_trials_containing_tuple(d2p2, IntersectionKind.OS_TUPLE),
@@ -335,7 +333,7 @@ def default_verification_suite() -> list[CheckResult]:
     )
     for i, j in all_edge_pairs(3):
         checks.append(
-            _constant_count_check(
+            constant_count_check(
                 f"edge occurrence lhs d=3 n=2 axes=({i},{j})",
                 edge_occurrence_counts(lhs_d3n2, EdgeProjection(i, j)),
                 count_trials_containing_edge(d3n2),

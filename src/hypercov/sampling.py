@@ -15,9 +15,8 @@ Every choice of the d*p permutations yields a distinct orthogonal trial
 and every orthogonal trial arises from exactly one choice, so the
 output is uniform over all orthogonal trials.
 
-Batch helpers return int64 arrays of shape (k, n, d) with 1-based
-values; they share the exact derivation above, so a batch row equals
-the single-trial sampler run at that trial's seed.
+The samplers draw a batch at once: one trial per seed, as an int64
+array of shape (k, n, d) with 1-based values.
 """
 
 from __future__ import annotations
@@ -108,33 +107,15 @@ def points_batch(spec: DesignSpec, kind: SampleKind, trial_seeds: np.ndarray) ->
     return os_points_batch(spec, trial_seeds)
 
 
-def _to_trial(spec: DesignSpec, pts: np.ndarray) -> Trial:
-    return Trial(spec, tuple(tuple(int(v) for v in row) for row in pts))
-
-
-def gen_lh_trial(cfg: SamplerConfig) -> Trial:
-    pts = lh_points_batch(cfg.spec, np.array([cfg.seed], dtype=np.uint64))[0]
-    return _to_trial(cfg.spec, pts)
-
-
-def gen_os_trial(cfg: SamplerConfig) -> Trial:
-    pts = os_points_batch(cfg.spec, np.array([cfg.seed], dtype=np.uint64))[0]
-    return _to_trial(cfg.spec, pts)
-
-
-def gen_trial(cfg: SamplerConfig) -> Trial:
-    if cfg.kind is SampleKind.LHS:
-        return gen_lh_trial(cfg)
-    return gen_os_trial(cfg)
-
-
 def gen_trials(cfg: SamplerConfig, k: int) -> list[Trial]:
     """k i.i.d. trials; trial t uses fold(cfg.seed, t)."""
     if k < 0:
         raise StructuralError(f"k must be >= 0, got {k}")
     seeds = rng.fold_array(cfg.seed, np.arange(1, k + 1))
     pts = points_batch(cfg.spec, cfg.kind, seeds)
-    return [_to_trial(cfg.spec, pts[t]) for t in range(k)]
+    return [
+        Trial(cfg.spec, tuple(tuple(int(v) for v in row) for row in trial)) for trial in pts
+    ]
 
 
 def assemble_orthogonal(spec: DesignSpec, fine_perms: dict[tuple[int, int], tuple[int, ...]]) -> Trial:

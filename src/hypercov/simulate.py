@@ -7,8 +7,8 @@ covered keys for each requested target:
     FULL_TUPLE      grid cells, universe n^d
     PROJECTED(t)    cells of a t-axis projection, universe n^t
                     (default axes 1..t, arbitrary subsets allowed)
-    SUBBLOCK_EDGE   fine value pairs inside one coarse cell of an axis
-                    pair's quotient grid, universe p^(2(d-1))
+    EDGE            fine value pairs inside one coarse cell (pi, pj) of
+                    axis pair (i, j)'s quotient grid, universe p^(2(d-1))
 
 Keys are radix-encoded into int64 and counted with np.unique; when the
 key space does not fit int64 the rows themselves are deduplicated
@@ -21,6 +21,7 @@ seed regardless of worker count.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -29,14 +30,8 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import rng
-from .design import DesignSpec, EdgeProjection, Trial, band_width
-from .errors import (
-    CapExceededError,
-    GuardExceededError,
-    StructuralError,
-    UnsupportedSpecError,
-)
-from .exact import IntersectionKind, expected_coverage_multiset
+from .design import DesignSpec, EdgeProjection, band_width
+from .errors import GuardExceededError, StructuralError
 from .laws import asymptotic_law, coverage_closed_form, iid_law
 from .sampling import SampleKind, points_batch, replicate_seed
 
@@ -56,15 +51,7 @@ class Projected:
     dims: tuple[int, ...] | None = None  # default: axes 1..t
 
 
-@dataclass(frozen=True)
-class SubblockEdge:
-    i: int
-    j: int
-    pi: int
-    pj: int
-
-
-Target = Union[FullTuple, Projected, SubblockEdge]
+Target = Union[FullTuple, Projected, EdgeProjection]
 
 
 def target_label(target: Target) -> str:
@@ -74,7 +61,8 @@ def target_label(target: Target) -> str:
         if target.dims is not None:
             return f"proj:{target.t}@" + ",".join(str(v) for v in target.dims)
         return f"proj:{target.t}"
-    return f"edge:{target.i},{target.j},{target.pi},{target.pj}"
+    pi, pj = target.coarse
+    return f"edge:{target.i},{target.j},{pi},{pj}"
 
 
 def validate_target(spec: DesignSpec, target: Target) -> None:
@@ -86,11 +74,10 @@ def validate_target(spec: DesignSpec, target: Target) -> None:
                 raise StructuralError(f"need {target.t} distinct axes, got {target.dims}")
             if any(not (1 <= v <= spec.d) for v in target.dims):
                 raise StructuralError(f"axes {target.dims} outside [1, {spec.d}]")
-    elif isinstance(target, SubblockEdge):
-        p = spec.require_p()
-        EdgeProjection(target.i, target.j, coarse=(target.pi, target.pj)).validate_for(spec)
-        if not (1 <= target.pi <= p and 1 <= target.pj <= p):
-            raise StructuralError(f"coarse bands outside [1, {p}]")
+    elif isinstance(target, EdgeProjection):
+        if target.coarse is None:
+            raise StructuralError("an edge target needs coarse bands: edge:i,j,pi,pj")
+        target.validate_for(spec)
 
 
 def _proj_dims(spec: DesignSpec, target: Target) -> tuple[int, ...]:
@@ -101,7 +88,9 @@ def _proj_dims(spec: DesignSpec, target: Target) -> tuple[int, ...]:
 
 
 def target_universe(spec: DesignSpec, target: Target) -> int:
-    if isinstance(target, SubblockEdge):
+    if isinstance(target, EdgeProjection):
+        if target.coarse is None:
+            return spec.n**2
         return band_width(spec.require_p(), spec.d) ** 2
     return spec.n ** len(_proj_dims(spec, target))
 
@@ -109,7 +98,7 @@ def target_universe(spec: DesignSpec, target: Target) -> int:
 def target_lambda(spec: DesignSpec, target: Target) -> float:
     """Per-key hit rate of a single trial: n^(1-t) for t-axis keys, 1/n
     for sub-block edge keys. Holds for both samplers."""
-    if isinstance(target, SubblockEdge):
+    if isinstance(target, EdgeProjection):
         return 1.0 / spec.n
     t = len(_proj_dims(spec, target))
     return float(spec.n) ** (1 - t)
@@ -175,7 +164,6 @@ class CoverageReport:
     ci_high: float
     ref_iid: float
     ref_asym: float
-    ref_multiset: float | None
 
 
 def _keys_for_target(
@@ -183,11 +171,12 @@ def _keys_for_target(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(keys, per-trial key counts). keys is 1-D codes or 2-D rows."""
     k, n_rows = points.shape[0], points.shape[1]
-    if isinstance(target, SubblockEdge):
+    if isinstance(target, EdgeProjection):
         w = band_width(spec.require_p(), spec.d)
+        pi, pj = target.coarse
         ai = points[:, :, target.i - 1] - 1
         aj = points[:, :, target.j - 1] - 1
-        mask = (ai // w == target.pi - 1) & (aj // w == target.pj - 1)
+        mask = (ai // w == pi - 1) & (aj // w == pj - 1)
         codes = (ai % w)[mask] * np.int64(w) + (aj % w)[mask]
         return codes, mask.sum(axis=1)
     dims = _proj_dims(spec, target)
@@ -249,37 +238,17 @@ def _worker(args: tuple[SimPlan, list[int]]) -> list[tuple[int, list[int]]]:
     return _replicate_counts(*args)
 
 
-def _ref_multiset(plan: SimPlan, target: Target) -> float | None:
-    kind = None
-    if isinstance(target, FullTuple) or (
-        isinstance(target, Projected) and len(_proj_dims(plan.spec, target)) == plan.spec.d
-    ):
-        kind = (
-            IntersectionKind.LHS_TUPLE
-            if plan.kind is SampleKind.LHS
-            else IntersectionKind.OS_TUPLE
-        )
-    elif isinstance(target, SubblockEdge) and plan.kind is SampleKind.LHS:
-        kind = IntersectionKind.LH_EDGE_SUBBLOCK
-    if kind is None:
-        return None
-    try:
-        return float(expected_coverage_multiset(kind, plan.spec, plan.k))
-    except (CapExceededError, GuardExceededError, UnsupportedSpecError):
-        return None
-
-
 def simulate_coverage(plan: SimPlan, workers: int = 1) -> list[CoverageReport]:
     """One CoverageReport per target, in plan order."""
     rep_ids = list(range(1, plan.reps + 1))
-    if workers <= 1 or plan.reps < 4:
+    # Never more processes than CPUs or replicates, whatever was asked.
+    pool_size = min(workers, plan.reps, os.cpu_count() or 1)
+    if pool_size <= 1 or plan.reps < 4:
         rows = _replicate_counts(plan, rep_ids)
     else:
-        chunks = [
-            (plan, rep_ids[c::workers]) for c in range(min(workers, plan.reps))
-        ]
+        chunks = [(plan, rep_ids[c::pool_size]) for c in range(pool_size)]
         rows = []
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
             for part in pool.map(_worker, chunks):
                 rows.extend(part)
         rows.sort(key=lambda item: item[0])
@@ -301,39 +270,6 @@ def simulate_coverage(plan: SimPlan, workers: int = 1) -> list[CoverageReport]:
                 ci_high=stats.ci_high,
                 ref_iid=coverage_closed_form(iid_law(lam, plan.k)),
                 ref_asym=coverage_closed_form(asymptotic_law(lam, plan.k)),
-                ref_multiset=_ref_multiset(plan, target),
             )
         )
     return reports
-
-
-@dataclass(frozen=True)
-class UniformityStats:
-    counts: tuple[int, ...]  # p*p coarse cells of axes (i, j), lex order
-    mean_count: float
-    count_variance: float  # population variance
-    chi_square: float
-
-
-def subblock_uniformity(trials: Sequence[Trial], e: EdgeProjection) -> UniformityStats:
-    """Dispersion of pooled point counts over the p x p coarse grid of
-    axes (i, j). A single orthogonal trial is perfectly even: variance 0."""
-    if not trials:
-        raise StructuralError("need at least one trial")
-    spec = trials[0].spec
-    p = spec.require_p()
-    e.validate_for(spec)
-    w = band_width(p, spec.d)
-    cells = np.zeros(p * p, dtype=np.int64)
-    for trial in trials:
-        if trial.spec != spec:
-            raise StructuralError("all trials must share one spec")
-        for row in trial.points:
-            bi = (row[e.i - 1] - 1) // w
-            bj = (row[e.j - 1] - 1) // w
-            cells[bi * p + bj] += 1
-    total = int(cells.sum())
-    mean = total / (p * p)
-    var = math.fsum((int(c) - mean) ** 2 for c in cells) / (p * p)
-    chi = math.fsum((int(c) - mean) ** 2 for c in cells) / mean if mean > 0 else 0.0
-    return UniformityStats(tuple(int(c) for c in cells), mean, var, chi)

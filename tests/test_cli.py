@@ -1,12 +1,27 @@
 """Command line surface: formats, provenance, exit codes, config replay."""
 
 import json
+import re
+import shlex
 import subprocess
 import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from hypercov.cli import RunConfig, canonical_config_json, config_hash, main
+from hypercov.cli import (
+    RunConfig,
+    build_parser,
+    canonical_config_json,
+    config_hash,
+    main,
+    resolve_params,
+)
+from hypercov.design import DesignSpec
+from hypercov.exact import IntersectionKind, expected_coverage_multiset
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 GOLDEN_GEN = """\
 # hypercov 0.1.0
@@ -91,6 +106,22 @@ class TestExact:
     def test_guard_exit(self, capsys):
         code, _ = run_cli(capsys, "exact", "--kind", "lhs", "--d", "2", "--n", "1000000", "--m", "1")
         assert code == 3
+
+    def test_long_values_print_in_full(self, capsys):
+        # The numerator has about 9,850 digits, past the interpreter's
+        # default int-to-str limit; the run lifts it and puts it back.
+        limit = sys.get_int_max_str_digits()
+        code, out = run_cli(capsys, "exact", "--kind", "lhs", "--d", "2", "--n", "100", "--k", "64")
+        assert code == 0
+        assert sys.get_int_max_str_digits() == limit
+        row = out.splitlines()[-1].split(",")
+        want = expected_coverage_multiset(IntersectionKind.LHS_TUPLE, DesignSpec(2, 100), 64)
+        sys.set_int_max_str_digits(0)
+        try:
+            assert Fraction(int(row[5]), int(row[6])) == want
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert float(row[7]) == pytest.approx(float(want), rel=1e-11)
 
 
 class TestLaw:
@@ -215,6 +246,21 @@ class TestConfigReplay:
         _, out = run_cli(capsys, "gen", "--config", str(cfg), "--seed", "42")
         assert "# seed=42" in out
 
+    @pytest.mark.parametrize(
+        "sub,params",
+        [
+            ("gen", {"d": 2, "n": 4, "kind": "zzz"}),
+            ("gen", {"d": 2, "n": 4, "format": "xml"}),
+            ("law", {"model": "zzz", "k": [1]}),
+            ("sweep", {"mode": "zzz", "d": 3, "t": 2, "levels": [0.5], "n_grid": [64, 128, 256]}),
+        ],
+    )
+    def test_config_values_meet_flag_choices(self, capsys, tmp_path, sub, params):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"subcommand": sub, "params": params}))
+        code, _ = run_cli(capsys, sub, "--config", str(cfg))
+        assert code == 2
+
     def test_unknown_config_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"subcommand": "gen", "params": {"d": 2, "n": 4, "kind": "lhs", "k": 1, "sede": 3}}))
@@ -264,12 +310,65 @@ class TestUsageErrors:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("target", ["proj:x", "edge:a,b,1,1", "edge:1,2"])
+    def test_bad_target_numbers(self, capsys, target):
+        code, _ = run_cli(
+            capsys, "simulate", "--kind", "lhs", "--d", "2", "--n", "4", "--p", "2",
+            "--k", "1", "--reps", "1", "--target", target,
+        )
+        assert code == 2
+
     def test_io_error_exit(self, capsys):
         code, _ = run_cli(
             capsys, "gen", "--d", "2", "--n", "4", "--kind", "lhs", "--k", "1",
             "--out", "/nonexistent-dir/x.csv",
         )
         assert code == 5
+
+
+# Every option string and choice list of each subcommand. The flag table in
+# cli.py generates the parser; this pins what it must generate.
+OPTIONS = {
+    "gen": {"--kind": ["lhs", "os"], "--d": None, "--n": None, "--p": None, "--k": None,
+            "--seed": None, "--format": ["csv", "json"]},
+    "exact": {"--kind": ["lhs", "os", "edge", "edge-subblock"], "--d": None, "--n": None,
+              "--p": None, "--m": None, "--k": None, "--format": None},
+    "law": {"--model": ["iid", "asymptotic", "conjecture", "bracket"],
+            "--kind": ["lhs", "os", "edge", "edge-subblock"], "--d": None, "--n": None,
+            "--p": None, "--t": None, "--k": None},
+    "simulate": {"--kind": ["lhs", "os"], "--d": None, "--n": None, "--p": None, "--k": None,
+                 "--reps": None, "--target": None, "--dims": None, "--seed": None,
+                 "--workers": None},
+    "oracle": {"--kind": ["lhs", "os"], "--d": None, "--n": None, "--p": None,
+               "--mode": ["intersect", "cover", "occurrence"], "--m": None, "--k": None,
+               "--edge": None},
+    "sweep": {"--kind": ["lhs", "os"], "--d": None, "--t": None, "--levels": None,
+              "--n-grid": None, "--mode": ["closed-form", "simulated"], "--reps": None,
+              "--seed": None},
+    "verify": {},
+}
+
+
+class TestFlagSurface:
+    def test_options_and_choices(self):
+        subparsers = build_parser()._subparsers._group_actions[0].choices
+        assert list(subparsers) == list(OPTIONS)
+        for name, sp in subparsers.items():
+            got = {
+                opt: list(action.choices) if action.choices else None
+                for action in sp._actions
+                for opt in action.option_strings
+                if opt not in ("-h", "--help")
+            }
+            assert got == {**OPTIONS[name], "--config": None, "--out": None}, name
+
+    def test_readme_commands_parse(self):
+        commands = re.findall(r"^hypercov (.+)$", README.read_text(), flags=re.MULTILINE)
+        assert len(commands) >= 18
+        parser = build_parser()
+        for command in commands:
+            args = parser.parse_args(shlex.split(command))
+            resolve_params(args.subcommand, args)
 
 
 class TestCanonicalConfig:

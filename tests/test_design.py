@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from hypercov.design import (
     DesignSpec,
     EdgeProjection,
-    SubBlockCoord,
     Trial,
     all_edge_pairs,
     band_width,
@@ -19,10 +18,7 @@ from hypercov.design import (
     is_latin,
     is_orthogonal,
     project_edges,
-    trial_from_json,
-    trial_to_csv,
     trial_to_json,
-    trials_from_csv,
 )
 from hypercov.errors import StructuralError, UnsupportedSpecError
 
@@ -54,10 +50,6 @@ class TestDesignSpec:
     def test_invalid_specs(self, d, n, p):
         with pytest.raises(StructuralError):
             DesignSpec(d, n, p=p)
-
-    def test_has_subblocks(self):
-        assert DesignSpec(2, 4, p=2).has_subblocks
-        assert not DesignSpec(2, 4).has_subblocks
 
     def test_require_p(self):
         assert DesignSpec(2, 9, p=3).require_p() == 3
@@ -113,13 +105,6 @@ class TestSubblockCodec:
         spec = DesignSpec(2, 4, p=2)
         assert coarse_tuple((1, 3), spec) == (1, 2)
         assert coarse_tuple((4, 2), spec) == (2, 1)
-
-    def test_subblock_contains(self):
-        spec = DesignSpec(2, 4, p=2)
-        block = SubBlockCoord(spec, (1, 2))
-        assert block.contains((1, 3))
-        assert block.contains((2, 4))
-        assert not block.contains((3, 3))
 
 
 class TestTrial:
@@ -221,33 +206,15 @@ class TestProjections:
 
 
 class TestSerialization:
-    def test_csv_round_trip(self):
-        spec = DesignSpec(3, 8, p=2)
-        t = Trial(spec, ORTHOGONAL)
-        text = trial_to_csv(t)
-        back = trials_from_csv(text, spec)
-        assert back == [t]
-
-    def test_csv_multiple_trials_and_comments(self):
-        spec = DesignSpec(2, 3)
-        a = Trial(spec, ((1, 2), (2, 3), (3, 1)))
-        b = Trial(spec, ((1, 3), (2, 1), (3, 2)))
-        text = "# header\n" + trial_to_csv(a) + "# trial 2\n" + trial_to_csv(b)
-        assert trials_from_csv(text, spec) == [a, b]
-
-    def test_csv_rejects_ragged_input(self):
-        spec = DesignSpec(2, 3)
-        with pytest.raises(StructuralError):
-            trials_from_csv("1,2\n2,3\n", spec)
-
     def test_json_round_trip(self):
+        # The envelope holds everything needed to rebuild the trial.
         spec = DesignSpec(2, 4, p=2)
         t = Trial(spec, ((1, 3), (2, 1), (3, 4), (4, 2)))
-        text = trial_to_json(t, seed=42, kind="os")
-        back, seed, kind = trial_from_json(text)
+        doc = json.loads(trial_to_json(t, seed=42, kind="os"))
+        back = Trial(DesignSpec(**doc["spec"]), tuple(tuple(row) for row in doc["points"]))
         assert back == t
-        assert seed == 42
-        assert kind == "os"
+        assert doc["seed"] == 42
+        assert doc["kind"] == "os"
 
     def test_json_envelope_shape(self):
         t = Trial(DesignSpec(2, 2), ((1, 2), (2, 1)))

@@ -26,9 +26,7 @@ from hypercov.exact import (
     count_os_trials,
     count_trials_containing_edge,
     count_trials_containing_tuple,
-    coverage_universe,
     expected_coverage_multiset,
-    expected_covered_cells_multiset,
     expected_intersection,
     intersection_ratio,
     kind_params,
@@ -196,26 +194,28 @@ class TestExpectedCoverage:
         ],
     )
     def test_drawing_without_order_identity(self, kind, spec):
-        # The alternating sum telescopes to a ratio of two binomial
-        # coefficients; checking both routes at larger k guards the
-        # inclusion-exclusion bookkeeping.
+        # A k-multiset misses a unit when all of it comes from the b - a
+        # trials without the unit: C(b-a+k-1, k) of the C(b+k-1, k)
+        # multisets. Checking the product against the binomial ratio at
+        # larger k guards its bookkeeping.
+        # The inclusion-exclusion sum over m-fold intersections is a third
+        # route to the same value.
         kp = kind_params(kind, spec)
         for k in (1, 2, 5, 13, 40):
             direct = expected_coverage_multiset(kind, spec, k)
             closed = 1 - F(comb(kp.b - kp.a + k - 1, k), comb(kp.b + k - 1, k))
-            assert direct == closed
-
-    def test_covered_cells_is_scaled_coverage(self):
-        spec = DesignSpec(2, 4, p=2)
-        kind = IntersectionKind.OS_TUPLE
-        cov = expected_coverage_multiset(kind, spec, 2)
-        assert expected_covered_cells_multiset(kind, spec, 2) == coverage_universe(kind, spec) * cov
+            alternating = sum(
+                (-1) ** (m + 1) * comb(k, m) * intersection_ratio(kind, spec, m)
+                for m in range(1, k + 1)
+            )
+            assert direct == closed == alternating
 
     def test_universe_sizes(self):
-        assert coverage_universe(IntersectionKind.LHS_TUPLE, DesignSpec(2, 3)) == 9
-        assert coverage_universe(IntersectionKind.OS_TUPLE, DesignSpec(2, 4, p=2)) == 16
-        assert coverage_universe(IntersectionKind.LH_EDGE_ALL, DesignSpec(3, 2)) == 12
-        assert coverage_universe(IntersectionKind.LH_EDGE_SUBBLOCK, DesignSpec(2, 4, p=2)) == 4
+        # Coverage of each kind is a fraction of `scale` units.
+        assert kind_params(IntersectionKind.LHS_TUPLE, DesignSpec(2, 3)).scale == 9
+        assert kind_params(IntersectionKind.OS_TUPLE, DesignSpec(2, 4, p=2)).scale == 16
+        assert kind_params(IntersectionKind.LH_EDGE_ALL, DesignSpec(3, 2)).scale == 12
+        assert kind_params(IntersectionKind.LH_EDGE_SUBBLOCK, DesignSpec(2, 4, p=2)).scale == 4
 
     @given(k=st.integers(min_value=1, max_value=60))
     @settings(max_examples=40)

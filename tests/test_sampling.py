@@ -10,9 +10,6 @@ from hypercov.sampling import (
     SampleKind,
     SamplerConfig,
     assemble_orthogonal,
-    gen_lh_trial,
-    gen_os_trial,
-    gen_trial,
     gen_trials,
     lh_points_batch,
     os_points_batch,
@@ -27,25 +24,31 @@ OS_UNIFORMITY_DRAWS = 32_000
 CHI2_ALPHA = 0.001
 
 
+def draw(spec, seed, kind=SampleKind.LHS):
+    """The trial the sampler draws at this seed, as a Trial."""
+    pts = points_batch(spec, kind, np.array([seed], dtype=np.uint64))[0]
+    return Trial(spec, tuple(tuple(int(v) for v in row) for row in pts))
+
+
 class TestLatinSampler:
     @pytest.mark.parametrize("d,n", [(2, 2), (2, 5), (3, 4), (4, 3)])
     @pytest.mark.parametrize("seed", [0, 1, 42])
     def test_output_is_latin(self, d, n, seed):
-        t = gen_lh_trial(SamplerConfig(DesignSpec(d, n), seed))
+        t = draw(DesignSpec(d, n), seed)
         assert is_latin(t)
 
     def test_frozen_trial(self):
-        t = gen_lh_trial(SamplerConfig(DesignSpec(2, 4), 42))
+        t = draw(DesignSpec(2, 4), 42)
         assert t.points == ((4, 3), (1, 4), (3, 1), (2, 2))
 
     def test_determinism(self):
-        cfg = SamplerConfig(DesignSpec(3, 6), 99)
-        assert gen_lh_trial(cfg) == gen_lh_trial(cfg)
+        spec = DesignSpec(3, 6)
+        assert draw(spec, 99) == draw(spec, 99)
 
     def test_seed_sensitivity(self):
         spec = DesignSpec(3, 6)
-        a = gen_lh_trial(SamplerConfig(spec, 1))
-        b = gen_lh_trial(SamplerConfig(spec, 2))
+        a = draw(spec, 1)
+        b = draw(spec, 2)
         assert a != b
 
     def test_batch_matches_scalar(self):
@@ -54,7 +57,7 @@ class TestLatinSampler:
         batch = lh_points_batch(spec, seeds)
         assert batch.shape == (3, 5, 3)
         for row, s in zip(batch, [0, 7, 123]):
-            want = gen_lh_trial(SamplerConfig(spec, s)).points
+            want = draw(spec, s).points
             assert tuple(map(tuple, row)) == want
 
 
@@ -63,14 +66,14 @@ class TestOrthogonalSampler:
     @pytest.mark.parametrize("seed", [0, 1, 7, 42])
     def test_output_is_orthogonal(self, d, p, seed):
         spec = DesignSpec(d, p**d, p=p)
-        t = gen_os_trial(SamplerConfig(spec, seed, SampleKind.OS))
+        t = draw(spec, seed, SampleKind.OS)
         assert is_latin(t)
         assert is_orthogonal(t)
 
     def test_frozen_trials(self):
-        t = gen_os_trial(SamplerConfig(DesignSpec(2, 4, p=2), 42, SampleKind.OS))
+        t = draw(DesignSpec(2, 4, p=2), 42, SampleKind.OS)
         assert t.points == ((1, 2), (2, 3), (3, 1), (4, 4))
-        t3 = gen_os_trial(SamplerConfig(DesignSpec(3, 8, p=2), 7, SampleKind.OS))
+        t3 = draw(DesignSpec(3, 8, p=2), 7, SampleKind.OS)
         assert t3.points == (
             (3, 3, 2), (4, 4, 8), (2, 7, 1), (1, 8, 5),
             (6, 1, 3), (7, 2, 7), (5, 6, 4), (8, 5, 6),
@@ -85,7 +88,7 @@ class TestOrthogonalSampler:
         seeds = np.array([3, 1000], dtype=np.uint64)
         batch = os_points_batch(spec, seeds)
         for row, s in zip(batch, [3, 1000]):
-            want = gen_os_trial(SamplerConfig(spec, s, SampleKind.OS)).points
+            want = draw(spec, s, SampleKind.OS).points
             assert tuple(map(tuple, row)) == want
 
     def test_assemble_identity_permutations(self):
@@ -112,10 +115,9 @@ class TestOrthogonalSampler:
 class TestTrialStreams:
     def test_gen_trial_dispatch(self):
         spec = DesignSpec(2, 4, p=2)
-        assert gen_trial(SamplerConfig(spec, 5, SampleKind.LHS)) == gen_lh_trial(SamplerConfig(spec, 5))
-        assert gen_trial(SamplerConfig(spec, 5, SampleKind.OS)) == gen_os_trial(
-            SamplerConfig(spec, 5, SampleKind.OS)
-        )
+        seeds = np.array([5, 6], dtype=np.uint64)
+        assert np.array_equal(points_batch(spec, SampleKind.LHS, seeds), lh_points_batch(spec, seeds))
+        assert np.array_equal(points_batch(spec, SampleKind.OS, seeds), os_points_batch(spec, seeds))
 
     def test_gen_trials_uses_folded_seeds(self):
         spec = DesignSpec(2, 5)
@@ -123,7 +125,7 @@ class TestTrialStreams:
         run = gen_trials(cfg, 4)
         assert len(run) == 4
         for t, trial in enumerate(run, start=1):
-            assert trial == gen_lh_trial(SamplerConfig(spec, trial_seed(77, t)))
+            assert trial == draw(spec, trial_seed(77, t))
 
     def test_gen_trials_empty(self):
         assert gen_trials(SamplerConfig(DesignSpec(2, 3), 0), 0) == []

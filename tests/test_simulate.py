@@ -10,18 +10,17 @@ import statistics
 import numpy as np
 import pytest
 
+from hypercov import simulate
 from hypercov.design import DesignSpec, EdgeProjection
 from hypercov.errors import GuardExceededError, StructuralError, UnsupportedSpecError
-from hypercov.exact import IntersectionKind, expected_coverage_multiset
 from hypercov.sampling import SampleKind, SamplerConfig, gen_trials
 from hypercov.simulate import (
     FullTuple,
     Projected,
     SimPlan,
-    SubblockEdge,
+    _keys_for_target,
     coverage_curve,
     simulate_coverage,
-    subblock_uniformity,
     summarize,
     target_label,
     target_lambda,
@@ -31,26 +30,30 @@ from hypercov.simulate import (
 SEED = 1106
 
 
+def edge(i, j, pi, pj):
+    return EdgeProjection(i, j, coarse=(pi, pj))
+
+
 class TestTargets:
     def test_labels(self):
         assert target_label(FullTuple()) == "full"
         assert target_label(Projected(2)) == "proj:2"
         assert target_label(Projected(2, dims=(1, 3))) == "proj:2@1,3"
-        assert target_label(SubblockEdge(1, 2, 1, 1)) == "edge:1,2,1,1"
+        assert target_label(edge(1, 2, 1, 1)) == "edge:1,2,1,1"
 
     def test_universe(self):
         spec = DesignSpec(3, 4)
         assert target_universe(spec, FullTuple()) == 64
         assert target_universe(spec, Projected(2)) == 16
         bspec = DesignSpec(3, 8, p=2)
-        assert target_universe(bspec, SubblockEdge(1, 2, 1, 1)) == 16
+        assert target_universe(bspec, edge(1, 2, 1, 1)) == 16
 
     def test_lambda(self):
         spec = DesignSpec(3, 4)
         assert target_lambda(spec, FullTuple()) == pytest.approx(4.0**-2)
         assert target_lambda(spec, Projected(2)) == pytest.approx(0.25)
         bspec = DesignSpec(3, 8, p=2)
-        assert target_lambda(bspec, SubblockEdge(1, 2, 1, 1)) == pytest.approx(1 / 8)
+        assert target_lambda(bspec, edge(1, 2, 1, 1)) == pytest.approx(1 / 8)
 
     def test_plan_validation(self):
         spec = DesignSpec(2, 4)
@@ -61,7 +64,7 @@ class TestTargets:
         with pytest.raises(StructuralError):
             SimPlan(spec, SampleKind.LHS, k=1, reps=1, targets=(Projected(3),), seed=0)
         with pytest.raises(UnsupportedSpecError):
-            SimPlan(spec, SampleKind.LHS, k=1, reps=1, targets=(SubblockEdge(1, 2, 1, 1),), seed=0)
+            SimPlan(spec, SampleKind.LHS, k=1, reps=1, targets=(edge(1, 2, 1, 1),), seed=0)
 
     def test_memory_guard(self):
         with pytest.raises(GuardExceededError):
@@ -92,7 +95,7 @@ class TestDeterministicCases:
         # An orthogonal trial places exactly p^(d-2) points in each
         # coarse rectangle of an axis pair.
         spec = DesignSpec(3, 8, p=2)
-        plan = SimPlan(spec, SampleKind.OS, k=1, reps=5, targets=(SubblockEdge(1, 2, 1, 1),), seed=SEED)
+        plan = SimPlan(spec, SampleKind.OS, k=1, reps=5, targets=(edge(1, 2, 1, 1),), seed=SEED)
         rep = simulate_coverage(plan)[0]
         assert rep.fractions == tuple([2 / 16] * 5)
 
@@ -103,16 +106,17 @@ class TestDeterministicCases:
         )
         full, proj = simulate_coverage(plan)
         assert full.fractions == proj.fractions
-        assert full.ref_multiset == proj.ref_multiset
+        assert full.ref_iid == proj.ref_iid
 
 
 class TestStatisticalAgreement:
-    def test_mean_tracks_multiset_reference(self):
+    def test_mean_tracks_iid_reference(self):
+        # The simulator draws i.i.d. trials, for which the iid law is exact.
         spec = DesignSpec(2, 8)
         plan = SimPlan(spec, SampleKind.LHS, k=6, reps=400, seed=SEED)
         rep = simulate_coverage(plan)[0]
-        want = float(expected_coverage_multiset(IntersectionKind.LHS_TUPLE, spec, 6))
-        assert rep.ref_multiset == pytest.approx(want, rel=1e-15)
+        want = 1 - (1 - 1 / 8) ** 6
+        assert rep.ref_iid == pytest.approx(want, rel=1e-15)
         assert abs(rep.mean - want) < 4 * rep.se
 
     def test_lhs_and_os_agree_on_shared_grid(self):
@@ -130,16 +134,11 @@ class TestStatisticalAgreement:
 
     def test_lhs_subblock_edge_reference(self):
         spec = DesignSpec(2, 4, p=2)
-        plan = SimPlan(spec, SampleKind.LHS, k=2, reps=200, targets=(SubblockEdge(1, 2, 1, 2),), seed=SEED)
+        plan = SimPlan(spec, SampleKind.LHS, k=2, reps=200, targets=(edge(1, 2, 1, 2),), seed=SEED)
         rep = simulate_coverage(plan)[0]
-        want = float(expected_coverage_multiset(IntersectionKind.LH_EDGE_SUBBLOCK, spec, 2))
-        assert rep.ref_multiset == pytest.approx(want)
+        want = 1 - (1 - 1 / 4) ** 2  # each fine pair lies in a trial with rate 1/n
+        assert rep.ref_iid == pytest.approx(want)
         assert abs(rep.mean - want) < 4 * rep.se
-
-    def test_subblock_reference_absent_for_os(self):
-        spec = DesignSpec(2, 4, p=2)
-        plan = SimPlan(spec, SampleKind.OS, k=2, reps=5, targets=(SubblockEdge(1, 2, 1, 2),), seed=SEED)
-        assert simulate_coverage(plan)[0].ref_multiset is None
 
 
 class TestCurve:
@@ -189,34 +188,69 @@ class TestWorkers:
             assert a.fractions == b.fractions
             assert a.mean == b.mean
 
+    def test_pool_never_exceeds_cpus(self, monkeypatch):
+        # A fake executor records the pool size and runs the chunks here,
+        # so no process is started whatever --workers asks for.
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, chunks):
+                return [fn(chunk) for chunk in chunks]
+
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 3)
+        plan = SimPlan(DesignSpec(2, 6), SampleKind.LHS, k=4, reps=30, seed=SEED)
+        seq = simulate_coverage(plan, workers=1)
+        assert simulate_coverage(plan, workers=10_000)[0].fractions == seq[0].fractions
+        assert simulate_coverage(plan, workers=2)[0].fractions == seq[0].fractions
+        assert sizes == [3, 2]
+
 
 class TestSubblockUniformity:
+    """Orthogonal trials spread evenly over the coarse rectangles of an
+    axis pair; the counts come from the edge target's per-trial keys."""
+
+    @staticmethod
+    def rectangle_counts(trials):
+        spec = trials[0].spec
+        points = np.array([t.points for t in trials])
+        cells = [edge(1, 2, pi, pj) for pi in range(1, spec.p + 1) for pj in range(1, spec.p + 1)]
+        return tuple(int(_keys_for_target(points, spec, e)[1].sum()) for e in cells)
+
     def test_single_orthogonal_trial_is_flat(self):
         trials = gen_trials(SamplerConfig(DesignSpec(2, 4, p=2), 5, SampleKind.OS), 1)
-        u = subblock_uniformity(trials, EdgeProjection(1, 2))
-        assert u.counts == (1, 1, 1, 1)
-        assert u.count_variance == 0.0
-        assert u.chi_square == 0.0
+        assert self.rectangle_counts(trials) == (1, 1, 1, 1)
 
     def test_counts_pool_across_trials(self):
         spec = DesignSpec(2, 4, p=2)
         trials = gen_trials(SamplerConfig(spec, 5, SampleKind.OS), 3)
-        u = subblock_uniformity(trials, EdgeProjection(1, 2))
-        assert sum(u.counts) == 12
-        assert u.counts == (3, 3, 3, 3)
+        counts = self.rectangle_counts(trials)
+        assert sum(counts) == 12
+        assert counts == (3, 3, 3, 3)
 
     def test_orthogonal_flatter_than_latin(self):
         # Stratification should show up as a smaller spread of
         # per-rectangle counts, averaged over many single-trial draws.
         spec = DesignSpec(2, 4, p=2)
         reps = 400
-        e = EdgeProjection(1, 2)
+
+        def chi_square(trials):
+            counts = np.array(self.rectangle_counts(trials))
+            return float(((counts - counts.mean()) ** 2).sum() / counts.mean())
+
         chi_os = []
         chi_lh = []
         for r in range(reps):
-            os_t = gen_trials(SamplerConfig(spec, 1000 + r, SampleKind.OS), 1)
-            lh_t = gen_trials(SamplerConfig(spec, 1000 + r, SampleKind.LHS), 1)
-            chi_os.append(subblock_uniformity(os_t, e).chi_square)
-            chi_lh.append(subblock_uniformity(lh_t, e).chi_square)
+            chi_os.append(chi_square(gen_trials(SamplerConfig(spec, 1000 + r, SampleKind.OS), 1)))
+            chi_lh.append(chi_square(gen_trials(SamplerConfig(spec, 1000 + r, SampleKind.LHS), 1)))
         assert statistics.mean(chi_os) < statistics.mean(chi_lh)
         assert statistics.mean(chi_os) == 0.0

@@ -9,13 +9,12 @@ __version__ = "0.1.0"
 
 from .design import (
     DesignSpec,
-    EdgeProjection,
     Trial,
+    Units,
     decode_subblock_value,
     encode_subblock_value,
     is_latin,
     is_orthogonal,
-    project_edges,
 )
 from .exact import (
     IntersectionKind,
@@ -54,11 +53,10 @@ from .oracle import (
     CheckResult,
     EnumeratedTrialSet,
     default_verification_suite,
-    edge_occurrence_counts,
     enumerate_trials,
+    occurrence_counts,
     oracle_expected_coverage,
     oracle_expected_intersection,
-    tuple_occurrence_counts,
 )
 from .sampling import (
     SampleKind,
@@ -68,8 +66,6 @@ from .sampling import (
 )
 from .simulate import (
     CoverageReport,
-    FullTuple,
-    Projected,
     SimPlan,
     coverage_curve,
     simulate_coverage,

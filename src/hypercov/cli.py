@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Any, Callable, Iterator, Sequence
 
 from . import __version__
-from .design import DesignSpec, EdgeProjection, trial_to_json
+from .design import DesignSpec, Units, trial_to_json
 from .errors import GuardExceededError, HypercovError, StructuralError
 from .exact import (
     IntersectionKind,
@@ -51,14 +51,13 @@ from .oracle import (
     CheckResult,
     constant_count_check,
     default_verification_suite,
-    edge_occurrence_counts,
     enumerate_trials,
+    occurrence_counts,
     oracle_expected_coverage,
     oracle_expected_intersection,
-    tuple_occurrence_counts,
 )
 from .sampling import SampleKind, SamplerConfig, gen_trials, trial_seed
-from .simulate import FullTuple, Projected, SimPlan, Target, simulate_coverage, target_label
+from .simulate import SimPlan, simulate_coverage
 from .sweep import SweepMode, run_sweep as sweep_run
 
 
@@ -186,27 +185,31 @@ def _int(text: str) -> int:
         raise StructuralError(f"expected an integer, got {text!r}") from None
 
 
-def _parse_edge(text: str) -> EdgeProjection:
+def _parse_edge(text: str) -> Units:
     """'i,j' names an axis pair; 'i,j,pi,pj' one coarse cell of it."""
     parts = [_int(v) for v in text.split(",")]
-    if len(parts) == 2:
-        return EdgeProjection(parts[0], parts[1])
-    if len(parts) == 4:
-        return EdgeProjection(parts[0], parts[1], coarse=(parts[2], parts[3]))
-    raise StructuralError(f"an edge needs i,j or i,j,pi,pj, got {text!r}")
+    if len(parts) not in (2, 4):
+        raise StructuralError(f"an edge needs i,j or i,j,pi,pj, got {text!r}")
+    i, j, *coarse = parts
+    if not (1 <= i < j):
+        raise StructuralError(f"need 1 <= i < j, got ({i}, {j})")
+    if any(q < 1 for q in coarse):
+        raise StructuralError("coarse bands must be >= 1")
+    return Units(2, (i, j), tuple(coarse) or None)
 
 
-def parse_target(text: str) -> Target:
+def parse_target(text: str) -> Units:
     if text == "full":
-        return FullTuple()
+        return Units()
     if text.startswith("proj:"):
-        body = text[len("proj:") :]
-        if "@" in body:
-            t_str, dims_str = body.split("@", 1)
-            return Projected(_int(t_str), tuple(_int(v) for v in dims_str.split(",")))
-        return Projected(_int(body))
+        t_str, at, dims_str = text[len("proj:") :].partition("@")
+        t = _int(t_str)
+        return Units(t, tuple(_int(v) for v in dims_str.split(",")) if at else None)
     if text.startswith("edge:"):
-        return _parse_edge(text[len("edge:") :])
+        units = _parse_edge(text[len("edge:") :])
+        if units.coarse is None:
+            raise StructuralError("an edge target needs coarse bands: edge:i,j,pi,pj")
+        return units
     raise StructuralError(f"unknown target {text!r}")
 
 
@@ -367,10 +370,9 @@ def _run_simulate(config: RunConfig, out: str | None, workers: int) -> int:
     kind = SampleKind(params["kind"])
     targets = [parse_target(s) for s in params["target"]]
     if params.get("dims") is not None:
+        # --dims names the axes of every proj: target.
         dims = tuple(params["dims"])
-        targets = [
-            Projected(t.t, dims) if isinstance(t, Projected) else t for t in targets
-        ]
+        targets = [Units(u.t, dims) if u.t is not None and u.coarse is None else u for u in targets]
     plan = SimPlan(
         spec=spec,
         kind=kind,
@@ -386,7 +388,7 @@ def _run_simulate(config: RunConfig, out: str | None, workers: int) -> int:
         lines.append(
             _csv_row(
                 [
-                    target_label(target),
+                    target.label,
                     spec.d,
                     spec.n,
                     "" if spec.p is None else spec.p,
@@ -406,7 +408,7 @@ def _run_simulate(config: RunConfig, out: str | None, workers: int) -> int:
 
 
 def _exact_kind(
-    kind: SampleKind, edge: EdgeProjection | None, d: int
+    kind: SampleKind, edge: Units | None, d: int
 ) -> tuple[IntersectionKind, int]:
     """The exact kind an oracle run is checked against, and the divisor
     that turns its expected intersection into the oracle's units."""
@@ -434,17 +436,18 @@ def _run_oracle(config: RunConfig, out: str | None, workers: int) -> int:
     ts = enumerate_trials(spec, kind)
     exact_kind, divisor = _exact_kind(kind, edge, spec.d)
 
+    units = Units() if edge is None else edge
+
     if mode == "occurrence":
         if edge is None:
-            counts = tuple_occurrence_counts(ts)
             want = count_trials_containing_tuple(spec, exact_kind)
             name = f"occurrence {kind.value} d={spec.d} n={spec.n}"
         else:
             if edge.coarse is not None:
                 raise StructuralError("occurrence mode takes --edge i,j without bands")
-            counts = edge_occurrence_counts(ts, edge)
             want = count_trials_containing_edge(spec)
             name = f"occurrence edges d={spec.d} n={spec.n} edge={params['edge']}"
+        counts = occurrence_counts(ts, units)
         return _emit_checks(config, out, [constant_count_check(name, counts, want)])
 
     q_name = "m" if mode == "intersect" else "k"
@@ -456,10 +459,10 @@ def _run_oracle(config: RunConfig, out: str | None, workers: int) -> int:
     checks = []
     for q in params[q_name]:
         if mode == "intersect":
-            got = oracle_expected_intersection(ts, q, projection=edge)
+            got = oracle_expected_intersection(ts, q, projection=units)
             want = expected_intersection(exact_kind, spec, q) / divisor
         else:
-            got = oracle_expected_coverage(ts, q, projection=edge)
+            got = oracle_expected_coverage(ts, q, projection=units)
             want = expected_coverage_multiset(exact_kind, spec, q)
         checks.append(CheckResult(f"{name} {q_name}={q}", str(got), str(want), got == want))
     return _emit_checks(config, out, checks)

@@ -1,4 +1,4 @@
-"""Domain model: design specs, trials, sub-block coordinates, edge projections.
+"""Domain model: design specs, trials, sub-block coordinates, unit families.
 
 A trial is an n x d matrix over [n] = {1..n} whose columns are each a
 permutation of [n] (the Latin property). When n = p^d for a coarse base
@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 
 from .errors import StructuralError, UnsupportedSpecError
 
@@ -91,30 +90,6 @@ def coarse_tuple(point: tuple[int, ...], spec: DesignSpec) -> tuple[int, ...]:
     return tuple(decode_subblock_value(v, p, spec.d)[0] for v in point)
 
 
-@dataclass(frozen=True)
-class EdgeProjection:
-    """An ordered axis pair (i, j), i < j, optionally restricted to one
-    coarse cell (pi, pj) of the pair's base-p quotient grid."""
-
-    i: int
-    j: int
-    coarse: tuple[int, int] | None = None
-
-    def __post_init__(self) -> None:
-        if not (1 <= self.i < self.j):
-            raise StructuralError(f"need 1 <= i < j, got ({self.i}, {self.j})")
-        if self.coarse is not None and any(q < 1 for q in self.coarse):
-            raise StructuralError("coarse bands must be >= 1")
-
-    def validate_for(self, spec: DesignSpec) -> None:
-        if self.j > spec.d:
-            raise StructuralError(f"axis {self.j} outside [1, {spec.d}]")
-        if self.coarse is not None:
-            p = spec.require_p()
-            if any(q > p for q in self.coarse):
-                raise StructuralError(f"coarse bands must lie in [1, {p}]")
-
-
 @dataclass(frozen=True, eq=False)
 class Trial:
     """n points in [n]^d, stored row-major in generation order."""
@@ -167,30 +142,72 @@ def is_orthogonal(trial: Trial) -> bool:
     return len(blocks) == spec.n
 
 
-def project_edges(trial: Trial, e: EdgeProjection) -> frozenset[tuple[int, int]]:
-    """Distinct (a_i, a_j) pairs of the trial on axes (i, j).
+@dataclass(frozen=True)
+class Units:
+    """A family of counted cells: those of the projection onto t axes.
 
-    With e.coarse set, only pairs whose coarse bands match are kept.
-    A Latin trial always yields exactly n distinct pairs unrestricted,
-    because coordinate i alone already separates the rows.
+    t None means all d axes (the full grid); otherwise the axes are
+    1..t unless dims names them. coarse = (pi, pj), for an axis pair
+    named in dims, keeps only the cells inside coarse cell (pi, pj) of
+    the pair's base-p quotient grid, so the family has p^(2(d-1)) cells.
     """
-    e.validate_for(trial.spec)
-    pairs = {(row[e.i - 1], row[e.j - 1]) for row in trial.points}
-    if e.coarse is not None:
-        p, d = trial.spec.require_p(), trial.spec.d
-        pi, pj = e.coarse
-        pairs = {
-            (a, b)
-            for a, b in pairs
-            if decode_subblock_value(a, p, d)[0] == pi
-            and decode_subblock_value(b, p, d)[0] == pj
-        }
-    return frozenset(pairs)
 
+    t: int | None = None
+    dims: tuple[int, ...] | None = None
+    coarse: tuple[int, int] | None = None
 
-def all_edge_pairs(d: int) -> tuple[tuple[int, int], ...]:
-    """All C(d,2) axis pairs (i, j) with i < j, in lexicographic order."""
-    return tuple(combinations(range(1, d + 1), 2))
+    @property
+    def label(self) -> str:
+        """The simulate target text that names the family."""
+        if self.coarse is not None:
+            return "edge:" + ",".join(str(v) for v in self.dims + self.coarse)
+        if self.t is None:
+            return "full"
+        if self.dims is None:
+            return f"proj:{self.t}"
+        return f"proj:{self.t}@" + ",".join(str(v) for v in self.dims)
+
+    def axes(self, spec: DesignSpec) -> tuple[int, ...]:
+        """The projected axes, 1-based, in key order."""
+        if self.dims is not None:
+            return self.dims
+        return tuple(range(1, (spec.d if self.t is None else self.t) + 1))
+
+    def validate_for(self, spec: DesignSpec) -> None:
+        if self.t is not None and not (1 <= self.t <= spec.d):
+            raise StructuralError(f"t must be in [1, {spec.d}], got {self.t}")
+        if self.dims is not None:
+            if len(self.dims) != self.t or len(set(self.dims)) != self.t:
+                raise StructuralError(f"need {self.t} distinct axes, got {self.dims}")
+            if any(not (1 <= v <= spec.d) for v in self.dims):
+                raise StructuralError(f"axes {self.dims} outside [1, {spec.d}]")
+        if self.coarse is not None:
+            if self.dims is None or len(self.dims) != 2 or len(self.coarse) != 2:
+                raise StructuralError("coarse bands need an axis pair: edge:i,j,pi,pj")
+            p = spec.require_p()
+            if any(not (1 <= q <= p) for q in self.coarse):
+                raise StructuralError(f"coarse bands must lie in [1, {p}]")
+
+    def universe(self, spec: DesignSpec) -> int:
+        """Number of cells in the family."""
+        if self.coarse is not None:
+            return band_width(spec.require_p(), spec.d) ** 2
+        return spec.n ** len(self.axes(spec))
+
+    def cells(self, trial: Trial) -> frozenset[tuple[int, ...]]:
+        """Distinct cells of the family that the trial covers, as value
+        tuples on the projected axes.
+
+        Without coarse a Latin trial covers exactly n cells, because any
+        one axis already separates its rows.
+        """
+        spec = trial.spec
+        self.validate_for(spec)
+        axes = self.axes(spec)
+        cells = {tuple(row[v - 1] for v in axes) for row in trial.points}
+        if self.coarse is not None:
+            cells = {c for c in cells if coarse_tuple(c, spec) == self.coarse}
+        return frozenset(cells)
 
 
 # --- serialization ---------------------------------------------------------

@@ -12,7 +12,7 @@ common to all m trials of the multiset is
 
     x_m = scale * prod_{i=0}^{m-1} (a + i) / (b + i)
 
-where scale is the number of units. The falling-product form is exact
+where scale is the number of units. The rising-product form is exact
 and never evaluates a factorial of a shifted argument. A k-multiset
 misses a unit exactly when it is drawn from the b - a trials that avoid
 the unit, so the expected fraction of units covered is

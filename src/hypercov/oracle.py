@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive. Trials are enumerated outright,
 multisets of trials are iterated with itertools, and expectations are
-exact Fraction averages. Guards refuse anything that would not finish
+exact Fraction averages. The units counted are a `design.Units`
+family, projected trial by trial with `Units.cells`, or a tuple of
+families pooled together. Guards refuse anything that would not finish
 at a desk; the point of this module is to check the closed-form module
 on small instances, not to scale.
 """
@@ -13,17 +15,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations, product
-from typing import Literal, Union
+from itertools import combinations, combinations_with_replacement, permutations, product
 
-from .design import (
-    DesignSpec,
-    EdgeProjection,
-    Trial,
-    all_edge_pairs,
-    band_width,
-    project_edges,
-)
+from .design import DesignSpec, Trial, Units, band_width
 from .errors import GuardExceededError, StructuralError
 from .exact import (
     IntersectionKind,
@@ -35,13 +29,10 @@ from .exact import (
     expected_intersection,
 )
 from .sampling import SampleKind, assemble_orthogonal
-from .simulate import FullTuple, target_universe
 
 ENUM_GUARD = 100_000
 MULTISET_GUARD = 10_000_000
 GRID_GUARD = 1_000_000
-
-Projection = Union[EdgeProjection, Literal["all-edges"], None]
 
 
 @dataclass(frozen=True)
@@ -88,39 +79,35 @@ def enumerate_trials(spec: DesignSpec, kind: SampleKind, guard: int = ENUM_GUARD
     return EnumeratedTrialSet(spec, SampleKind.OS, tuple(trials))
 
 
-def _unit_sets(ts: EnumeratedTrialSet, projection: Projection) -> list[frozenset]:
-    if projection is None:
-        return [frozenset(t.points) for t in ts.trials]
-    if projection == "all-edges":
-        pairs = [EdgeProjection(i, j) for i, j in all_edge_pairs(ts.spec.d)]
-        out = []
-        for t in ts.trials:
-            units: set = set()
-            for e in pairs:
-                for a, b in project_edges(t, e):
-                    units.add((e.i, e.j, a, b))
-            out.append(frozenset(units))
-        return out
-    return [project_edges(t, projection) for t in ts.trials]
+def _unit_sets(ts: EnumeratedTrialSet, projection: Units | tuple[Units, ...]) -> list[frozenset]:
+    """Each trial's covered units. A tuple of families pools them, each
+    cell tagged with its family's place so the families stay disjoint."""
+    if isinstance(projection, Units):
+        return [projection.cells(t) for t in ts.trials]
+    return [
+        frozenset((f, cell) for f, units in enumerate(projection) for cell in units.cells(t))
+        for t in ts.trials
+    ]
 
 
-def _universe(ts: EnumeratedTrialSet, projection: Projection) -> int:
-    if projection == "all-edges":
-        return ts.spec.n**2 * math.comb(ts.spec.d, 2)
-    return target_universe(ts.spec, FullTuple() if projection is None else projection)
+def _universe(ts: EnumeratedTrialSet, projection: Units | tuple[Units, ...]) -> int:
+    families = (projection,) if isinstance(projection, Units) else projection
+    return sum(units.universe(ts.spec) for units in families)
 
 
 def _check_multiset_guard(b: int, m: int, guard: int) -> None:
-    if math.comb(b + m - 1, m) > guard:
+    # Walking one multiset costs O(m), so the guard bounds multisets * m.
+    count = math.comb(b + m - 1, m)
+    if count * m > guard:
         raise GuardExceededError(
-            f"{math.comb(b + m - 1, m)} multisets exceed guard {guard}"
+            f"{count} multisets of {m} trials exceed guard {guard} on multisets * m"
         )
 
 
 def oracle_expected_intersection(
     ts: EnumeratedTrialSet,
     m: int,
-    projection: Projection = None,
+    projection: Units | tuple[Units, ...] = Units(),
     guard: int = MULTISET_GUARD,
 ) -> Fraction:
     """Average number of units common to all trials of an m-multiset."""
@@ -142,7 +129,7 @@ def oracle_expected_intersection(
 def oracle_expected_coverage(
     ts: EnumeratedTrialSet,
     k: int,
-    projection: Projection = None,
+    projection: Units | tuple[Units, ...] = Units(),
     guard: int = MULTISET_GUARD,
 ) -> Fraction:
     """Average fraction of the unit universe covered by a k-multiset."""
@@ -162,27 +149,18 @@ def oracle_expected_coverage(
     return Fraction(total, count * universe)
 
 
-def tuple_occurrence_counts(ts: EnumeratedTrialSet) -> dict[tuple[int, ...], int]:
-    """How many trials of the ensemble contain each grid cell (zeros kept)."""
-    n, d = ts.spec.n, ts.spec.d
-    if n**d > GRID_GUARD:
-        raise GuardExceededError(f"grid of {n**d} cells exceeds guard {GRID_GUARD}")
+def occurrence_counts(ts: EnumeratedTrialSet, units: Units) -> dict[tuple[int, ...], int]:
+    """How many trials of the ensemble contain each value tuple on the
+    family's axes (zeros kept; with coarse bands, tuples outside the
+    coarse cell count 0)."""
+    units.validate_for(ts.spec)
+    n, t = ts.spec.n, len(units.axes(ts.spec))
+    if n**t > GRID_GUARD:
+        raise GuardExceededError(f"grid of {n**t} cells exceeds guard {GRID_GUARD}")
     counts: Counter = Counter()
-    for t in ts.trials:
-        counts.update(t.points)
-    return {cell: counts.get(cell, 0) for cell in product(range(1, n + 1), repeat=d)}
-
-
-def edge_occurrence_counts(
-    ts: EnumeratedTrialSet, e: EdgeProjection
-) -> dict[tuple[int, int], int]:
-    """How many trials contain each (a_i, a_j) value pair on axes (i, j)."""
-    e.validate_for(ts.spec)
-    n = ts.spec.n
-    counts: Counter = Counter()
-    for t in ts.trials:
-        counts.update(project_edges(t, e))
-    return {pair: counts.get(pair, 0) for pair in product(range(1, n + 1), repeat=2)}
+    for trial in ts.trials:
+        counts.update(units.cells(trial))
+    return {cell: counts.get(cell, 0) for cell in product(range(1, n + 1), repeat=t)}
 
 
 # --- verification suite -----------------------------------------------------
@@ -201,7 +179,7 @@ def _intersection_check(
     ts: EnumeratedTrialSet,
     kind: IntersectionKind,
     m: int,
-    projection: Projection = None,
+    projection: Units | tuple[Units, ...] = Units(),
 ) -> CheckResult:
     got = oracle_expected_intersection(ts, m, projection)
     want = expected_intersection(kind, ts.spec, m)
@@ -213,7 +191,7 @@ def _coverage_check(
     ts: EnumeratedTrialSet,
     kind: IntersectionKind,
     k: int,
-    projection: Projection = None,
+    projection: Units | tuple[Units, ...] = Units(),
 ) -> CheckResult:
     got = oracle_expected_coverage(ts, k, projection)
     want = expected_coverage_multiset(kind, ts.spec, k)
@@ -269,7 +247,7 @@ def default_verification_suite() -> list[CheckResult]:
                 lhs_d3n2,
                 IntersectionKind.LH_EDGE_ALL,
                 m,
-                projection="all-edges",
+                projection=tuple(Units(2, pair) for pair in combinations(range(1, 4), 2)),
             )
         )
         checks.append(
@@ -278,7 +256,7 @@ def default_verification_suite() -> list[CheckResult]:
                 lhs_d2p2,
                 IntersectionKind.LH_EDGE_SUBBLOCK,
                 m,
-                projection=EdgeProjection(1, 2, coarse=(1, 1)),
+                projection=Units(2, (1, 2), coarse=(1, 1)),
             )
         )
     for k in (1, 2, 3):
@@ -298,7 +276,7 @@ def default_verification_suite() -> list[CheckResult]:
             lhs_d2p2,
             IntersectionKind.LH_EDGE_SUBBLOCK,
             2,
-            projection=EdgeProjection(1, 2, coarse=(1, 1)),
+            projection=Units(2, (1, 2), coarse=(1, 1)),
         )
     )
     checks.append(
@@ -320,22 +298,22 @@ def default_verification_suite() -> list[CheckResult]:
     checks.append(
         constant_count_check(
             "cell occurrence lhs d=2 n=3",
-            tuple_occurrence_counts(lhs_d2n3),
+            occurrence_counts(lhs_d2n3, Units()),
             count_trials_containing_tuple(d2n3, IntersectionKind.LHS_TUPLE),
         )
     )
     checks.append(
         constant_count_check(
             "cell occurrence os d=2 p=2",
-            tuple_occurrence_counts(os_d2p2),
+            occurrence_counts(os_d2p2, Units()),
             count_trials_containing_tuple(d2p2, IntersectionKind.OS_TUPLE),
         )
     )
-    for i, j in all_edge_pairs(3):
+    for i, j in combinations(range(1, 4), 2):
         checks.append(
             constant_count_check(
                 f"edge occurrence lhs d=3 n=2 axes=({i},{j})",
-                edge_occurrence_counts(lhs_d3n2, EdgeProjection(i, j)),
+                occurrence_counts(lhs_d3n2, Units(2, (i, j))),
                 count_trials_containing_edge(d3n2),
             )
         )

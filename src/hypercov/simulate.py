@@ -2,13 +2,15 @@
 
 A replicate draws k i.i.d. trials (replicate r uses substream
 fold(seed, r), trial t inside it fold(rep_seed, t)) and counts distinct
-covered keys for each requested target:
+covered keys for each requested target, a `design.Units` family:
 
-    FULL_TUPLE      grid cells, universe n^d
-    PROJECTED(t)    cells of a t-axis projection, universe n^t
-                    (default axes 1..t, arbitrary subsets allowed)
-    EDGE            fine value pairs inside one coarse cell (pi, pj) of
-                    axis pair (i, j)'s quotient grid, universe p^(2(d-1))
+    Units()                 grid cells, universe n^d
+    Units(t, dims)          cells of a t-axis projection, universe n^t
+                            (default axes 1..t, arbitrary subsets allowed)
+    Units(2, (i, j), (pi, pj))
+                            fine value pairs inside one coarse cell
+                            (pi, pj) of axis pair (i, j)'s quotient grid,
+                            universe p^(2(d-1))
 
 Keys are radix-encoded into int64 and counted with np.unique; when the
 key space does not fit int64 the rows themselves are deduplicated
@@ -25,12 +27,12 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 from . import rng
-from .design import DesignSpec, EdgeProjection, band_width
+from .design import DesignSpec, Units, band_width
 from .errors import GuardExceededError, StructuralError
 from .laws import asymptotic_law, coverage_closed_form, iid_law
 from .sampling import SampleKind, points_batch, replicate_seed
@@ -40,68 +42,12 @@ MAX_TRACKED_KEYS = 20_000_000  # k * n per replicate
 Z99 = NormalDist().inv_cdf(0.995)
 
 
-@dataclass(frozen=True)
-class FullTuple:
-    pass
-
-
-@dataclass(frozen=True)
-class Projected:
-    t: int
-    dims: tuple[int, ...] | None = None  # default: axes 1..t
-
-
-Target = Union[FullTuple, Projected, EdgeProjection]
-
-
-def target_label(target: Target) -> str:
-    if isinstance(target, FullTuple):
-        return "full"
-    if isinstance(target, Projected):
-        if target.dims is not None:
-            return f"proj:{target.t}@" + ",".join(str(v) for v in target.dims)
-        return f"proj:{target.t}"
-    pi, pj = target.coarse
-    return f"edge:{target.i},{target.j},{pi},{pj}"
-
-
-def validate_target(spec: DesignSpec, target: Target) -> None:
-    if isinstance(target, Projected):
-        if not (1 <= target.t <= spec.d):
-            raise StructuralError(f"t must be in [1, {spec.d}], got {target.t}")
-        if target.dims is not None:
-            if len(target.dims) != target.t or len(set(target.dims)) != target.t:
-                raise StructuralError(f"need {target.t} distinct axes, got {target.dims}")
-            if any(not (1 <= v <= spec.d) for v in target.dims):
-                raise StructuralError(f"axes {target.dims} outside [1, {spec.d}]")
-    elif isinstance(target, EdgeProjection):
-        if target.coarse is None:
-            raise StructuralError("an edge target needs coarse bands: edge:i,j,pi,pj")
-        target.validate_for(spec)
-
-
-def _proj_dims(spec: DesignSpec, target: Target) -> tuple[int, ...]:
-    if isinstance(target, FullTuple):
-        return tuple(range(1, spec.d + 1))
-    assert isinstance(target, Projected)
-    return target.dims if target.dims is not None else tuple(range(1, target.t + 1))
-
-
-def target_universe(spec: DesignSpec, target: Target) -> int:
-    if isinstance(target, EdgeProjection):
-        if target.coarse is None:
-            return spec.n**2
-        return band_width(spec.require_p(), spec.d) ** 2
-    return spec.n ** len(_proj_dims(spec, target))
-
-
-def target_lambda(spec: DesignSpec, target: Target) -> float:
+def target_lambda(spec: DesignSpec, target: Units) -> float:
     """Per-key hit rate of a single trial: n^(1-t) for t-axis keys, 1/n
     for sub-block edge keys. Holds for both samplers."""
-    if isinstance(target, EdgeProjection):
+    if target.coarse is not None:
         return 1.0 / spec.n
-    t = len(_proj_dims(spec, target))
-    return float(spec.n) ** (1 - t)
+    return float(spec.n) ** (1 - len(target.axes(spec)))
 
 
 @dataclass(frozen=True)
@@ -110,7 +56,7 @@ class SimPlan:
     kind: SampleKind
     k: int
     reps: int
-    targets: tuple[Target, ...] = (FullTuple(),)
+    targets: tuple[Units, ...] = (Units(),)
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -123,7 +69,7 @@ class SimPlan:
         if self.kind is SampleKind.OS:
             self.spec.require_p()
         for target in self.targets:
-            validate_target(self.spec, target)
+            target.validate_for(self.spec)
         if self.k * self.spec.n > MAX_TRACKED_KEYS:
             raise GuardExceededError(
                 f"k*n = {self.k * self.spec.n} keys exceed guard {MAX_TRACKED_KEYS}"
@@ -155,7 +101,7 @@ def summarize(values: Sequence[float]) -> SummaryStats:
 
 @dataclass(frozen=True)
 class CoverageReport:
-    target: Target
+    target: Units
     fractions: tuple[float, ...]
     mean: float
     sd: float
@@ -167,30 +113,28 @@ class CoverageReport:
 
 
 def _keys_for_target(
-    points: np.ndarray, spec: DesignSpec, target: Target
+    points: np.ndarray, spec: DesignSpec, target: Units
 ) -> tuple[np.ndarray, np.ndarray]:
     """(keys, per-trial key counts). keys is 1-D codes or 2-D rows."""
     k, n_rows = points.shape[0], points.shape[1]
-    if isinstance(target, EdgeProjection):
-        w = band_width(spec.require_p(), spec.d)
-        pi, pj = target.coarse
-        ai = points[:, :, target.i - 1] - 1
-        aj = points[:, :, target.j - 1] - 1
-        mask = (ai // w == pi - 1) & (aj // w == pj - 1)
-        codes = (ai % w)[mask] * np.int64(w) + (aj % w)[mask]
-        return codes, mask.sum(axis=1)
-    dims = _proj_dims(spec, target)
-    sel = points[:, :, [v - 1 for v in dims]]
-    counts = np.full(k, n_rows, dtype=np.int64)
-    if spec.n ** len(dims) <= 2**63:
-        codes = np.zeros((k, n_rows), dtype=np.int64)
-        for q in range(len(dims)):
-            codes = codes * np.int64(spec.n) + (sel[:, :, q] - 1)
-        return codes.reshape(-1), counts
-    return sel.reshape(-1, len(dims)), counts
+    sel = points[:, :, [v - 1 for v in target.axes(spec)]]  # a copy
+    sel -= 1
+    if target.coarse is None:
+        base, counts = spec.n, np.full(k, n_rows, dtype=np.int64)
+    else:
+        # Keep the rows inside the coarse cell, keyed by fine offsets.
+        base = band_width(spec.require_p(), spec.d)
+        mask = np.all(sel // base == np.array(target.coarse) - 1, axis=2)
+        sel, counts = (sel % base)[mask], mask.sum(axis=1)
+    if target.universe(spec) > 2**63:
+        return sel.reshape(-1, sel.shape[-1]), counts
+    codes = np.zeros(sel.shape[:-1], dtype=np.int64)
+    for q in range(sel.shape[-1]):
+        codes = codes * np.int64(base) + sel[..., q]
+    return codes.reshape(-1), counts
 
 
-def _covered_count(points: np.ndarray, spec: DesignSpec, target: Target) -> int:
+def _covered_count(points: np.ndarray, spec: DesignSpec, target: Units) -> int:
     keys, _ = _keys_for_target(points, spec, target)
     if keys.ndim == 1:
         return int(np.unique(keys).size)
@@ -204,18 +148,14 @@ def replicate_points(spec: DesignSpec, kind: SampleKind, rep_seed: int, k: int) 
 
 
 def coverage_curve(
-    spec: DesignSpec, kind: SampleKind, rep_seed: int, k: int, target: Target
+    spec: DesignSpec, kind: SampleKind, rep_seed: int, k: int, target: Units
 ) -> np.ndarray:
     """Distinct covered keys after each trial prefix 1..k (one replicate).
 
     Nondecreasing by construction; entry k-1 equals the replicate's
     final covered count.
     """
-    validate_target(spec, target)
-    if k * spec.n > MAX_TRACKED_KEYS:
-        raise GuardExceededError(
-            f"k*n = {k * spec.n} keys exceed guard {MAX_TRACKED_KEYS}"
-        )
+    SimPlan(spec, kind, k, reps=1, targets=(target,))  # the plan's checks and key guard
     points = replicate_points(spec, kind, rep_seed, k)
     keys, counts = _keys_for_target(points, spec, target)
     if keys.ndim == 1:
@@ -255,7 +195,7 @@ def simulate_coverage(plan: SimPlan, workers: int = 1) -> list[CoverageReport]:
 
     reports = []
     for ti, target in enumerate(plan.targets):
-        universe = target_universe(plan.spec, target)
+        universe = target.universe(plan.spec)
         fracs = tuple(counts[ti] / universe for _, counts in rows)
         stats = summarize(fracs)
         lam = target_lambda(plan.spec, target)

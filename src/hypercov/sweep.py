@@ -26,10 +26,10 @@ import mpmath
 import numpy as np
 
 from . import rng
-from .design import DesignSpec
+from .design import DesignSpec, Units
 from .errors import GuardExceededError, InvalidModeError, StructuralError
 from .sampling import SampleKind, replicate_seed
-from .simulate import Projected, coverage_curve
+from .simulate import coverage_curve
 
 EXACT_VERIFY_BITS = 200_000
 SIM_K_GUARD = 1_000_000
@@ -80,10 +80,10 @@ def _mean_curve(
     spec: DesignSpec, kind: SampleKind, t: int, k: int, reps: int, seed: int
 ) -> np.ndarray:
     total = np.zeros(k, dtype=np.int64)
-    target = Projected(t)
+    target = Units(t)
     for r in range(1, reps + 1):
         total += coverage_curve(spec, kind, replicate_seed(seed, r), k, target)
-    return total / (reps * spec.n**t)
+    return total / (reps * target.universe(spec))
 
 
 def simulated_k(
@@ -116,8 +116,8 @@ def full_coverage_k(
     seed: int,
 ) -> float:
     """Mean number of trials until the t-axis projection is fully covered."""
-    universe = spec.n**t
-    target = Projected(t)
+    target = Units(t)
+    universe = target.universe(spec)
     # coupon-collector scale estimate; doubled on demand per replicate
     start = max(8, int(2 * universe * (math.log(universe) + 1) / spec.n) + 4)
     stops = []
@@ -146,8 +146,7 @@ def find_k_for_target(
 ) -> int | float:
     """k* for one (spec, t, level) cell. Full coverage (level = 1.0) is
     simulation-only and returns the mean stopping count as a float."""
-    if not (1 <= t <= spec.d):
-        raise StructuralError(f"t must be in [1, {spec.d}], got {t}")
+    Units(t).validate_for(spec)
     if not (0.0 < level <= 1.0):
         raise StructuralError(f"level must be in (0, 1], got {level}")
     if level == 1.0:

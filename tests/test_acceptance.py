@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from hypercov.design import DesignSpec, EdgeProjection
+from hypercov.design import DesignSpec, Units
 from hypercov.exact import (
     IntersectionKind,
     count_lh_trials,
@@ -116,11 +116,11 @@ def parse_sweep(out: bytes):
 def test_criterion_01_intersections_match_enumeration(report):
     started = time.monotonic()
     grid = [
-        (IntersectionKind.LHS_TUPLE, DesignSpec(2, 2), SampleKind.LHS, None, (1, 2, 3)),
-        (IntersectionKind.LHS_TUPLE, DesignSpec(2, 3), SampleKind.LHS, None, (1, 2, 3)),
-        (IntersectionKind.LHS_TUPLE, DesignSpec(3, 2), SampleKind.LHS, None, (1, 2)),
-        (IntersectionKind.OS_TUPLE, DesignSpec(2, 4, p=2), SampleKind.OS, None, (1, 2)),
-        (IntersectionKind.LH_EDGE_ALL, DesignSpec(3, 2), SampleKind.LHS, "all-edges", (1, 2)),
+        (IntersectionKind.LHS_TUPLE, DesignSpec(2, 2), SampleKind.LHS, Units(), (1, 2, 3)),
+        (IntersectionKind.LHS_TUPLE, DesignSpec(2, 3), SampleKind.LHS, Units(), (1, 2, 3)),
+        (IntersectionKind.LHS_TUPLE, DesignSpec(3, 2), SampleKind.LHS, Units(), (1, 2)),
+        (IntersectionKind.OS_TUPLE, DesignSpec(2, 4, p=2), SampleKind.OS, Units(), (1, 2)),
+        (IntersectionKind.LH_EDGE_ALL, DesignSpec(3, 2), SampleKind.LHS, (Units(2, (1, 2)), Units(2, (1, 3)), Units(2, (2, 3))), (1, 2)),
     ]
     checked = 0
     for kind, spec, sample_kind, projection, ms in grid:
@@ -143,10 +143,10 @@ def test_criterion_01_intersections_match_enumeration(report):
 def test_criterion_02_coverage_matches_enumeration(report):
     started = time.monotonic()
     grid = [
-        (IntersectionKind.LHS_TUPLE, DesignSpec(2, 2), SampleKind.LHS, None, (1, 2, 3)),
-        (IntersectionKind.LHS_TUPLE, DesignSpec(2, 3), SampleKind.LHS, None, (1, 2)),
-        (IntersectionKind.OS_TUPLE, DesignSpec(2, 4, p=2), SampleKind.OS, None, (1, 2)),
-        (IntersectionKind.LH_EDGE_ALL, DesignSpec(3, 2), SampleKind.LHS, "all-edges", (1, 2)),
+        (IntersectionKind.LHS_TUPLE, DesignSpec(2, 2), SampleKind.LHS, Units(), (1, 2, 3)),
+        (IntersectionKind.LHS_TUPLE, DesignSpec(2, 3), SampleKind.LHS, Units(), (1, 2)),
+        (IntersectionKind.OS_TUPLE, DesignSpec(2, 4, p=2), SampleKind.OS, Units(), (1, 2)),
+        (IntersectionKind.LH_EDGE_ALL, DesignSpec(3, 2), SampleKind.LHS, (Units(2, (1, 2)), Units(2, (1, 3)), Units(2, (2, 3))), (1, 2)),
     ]
     checked = 0
     for kind, spec, sample_kind, projection, ks in grid:

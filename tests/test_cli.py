@@ -199,6 +199,12 @@ class TestOracleCommand:
         code, _ = run_cli(capsys, "oracle", "--mode", "intersect", "--kind", "lhs", "--d", "2", "--n", "10", "--m", "1")
         assert code == 3
 
+    @pytest.mark.parametrize("flags", [("--mode", "intersect", "--m", "80000"), ("--mode", "cover", "--k", "8000")])
+    def test_guard_bounds_the_walk(self, capsys, flags):
+        # Two trials give only m + 1 multisets, but walking each costs O(m).
+        code, _ = run_cli(capsys, "oracle", "--kind", "lhs", "--d", "2", "--n", "2", *flags)
+        assert code == 3
+
 
 class TestVerifyCommand:
     def test_full_suite(self, capsys):

@@ -8,16 +8,14 @@ from hypothesis import strategies as st
 
 from hypercov.design import (
     DesignSpec,
-    EdgeProjection,
     Trial,
-    all_edge_pairs,
+    Units,
     band_width,
     coarse_tuple,
     decode_subblock_value,
     encode_subblock_value,
     is_latin,
     is_orthogonal,
-    project_edges,
     trial_to_json,
 )
 from hypercov.errors import StructuralError, UnsupportedSpecError
@@ -174,21 +172,16 @@ class TestClassification:
 
 
 class TestProjections:
-    def test_all_edge_pairs(self):
-        assert all_edge_pairs(2) == ((1, 2),)
-        assert all_edge_pairs(3) == ((1, 2), (1, 3), (2, 3))
-        assert len(all_edge_pairs(5)) == 10
-
     def test_project_edges_full(self):
         t = Trial(DesignSpec(3, 2), ((1, 2, 1), (2, 1, 2)))
-        got = project_edges(t, EdgeProjection(1, 3))
+        got = Units(2, (1, 3)).cells(t)
         assert got == frozenset({(1, 1), (2, 2)})
 
     def test_project_edges_with_coarse_filter(self):
         spec = DesignSpec(3, 8, p=2)
         t = Trial(spec, ORTHOGONAL)
-        e = EdgeProjection(1, 2, coarse=(1, 1))
-        got = project_edges(t, e)
+        e = Units(2, (1, 2), coarse=(1, 1))
+        got = e.cells(t)
         # Orthogonal designs put exactly p^(d-2) = 2 points in each
         # coarse rectangle of an axis pair.
         assert len(got) == 2
@@ -198,11 +191,26 @@ class TestProjections:
     def test_edge_projection_validation(self):
         spec = DesignSpec(3, 8, p=2)
         with pytest.raises(StructuralError):
-            EdgeProjection(2, 2).validate_for(spec)
+            Units(2, (2, 2)).validate_for(spec)
         with pytest.raises(StructuralError):
-            EdgeProjection(1, 4).validate_for(spec)
+            Units(2, (1, 4)).validate_for(spec)
         with pytest.raises(StructuralError):
-            EdgeProjection(1, 2, coarse=(3, 1)).validate_for(spec)
+            Units(2, (1, 2), coarse=(3, 1)).validate_for(spec)
+
+    def test_units_validation(self):
+        spec = DesignSpec(3, 8, p=2)
+        bad_units = (
+            Units(0),
+            Units(4),
+            Units(2, (1,)),
+            Units(2, (1, 2), coarse=(1,)),
+            Units(3, (1, 2, 3), coarse=(1, 1)),
+        )
+        for bad in bad_units:
+            with pytest.raises(StructuralError):
+                bad.validate_for(spec)
+        with pytest.raises(UnsupportedSpecError):
+            Units(2, (1, 2), coarse=(1, 1)).validate_for(DesignSpec(3, 8))
 
 
 class TestSerialization:

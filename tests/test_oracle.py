@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from hypercov.design import DesignSpec, EdgeProjection, is_latin, is_orthogonal
+from hypercov.design import DesignSpec, Units, is_latin, is_orthogonal
 from hypercov.errors import GuardExceededError
 from hypercov.exact import (
     IntersectionKind,
@@ -17,13 +17,15 @@ from hypercov.exact import (
 )
 from hypercov.oracle import (
     default_verification_suite,
-    edge_occurrence_counts,
     enumerate_trials,
+    occurrence_counts,
     oracle_expected_coverage,
     oracle_expected_intersection,
-    tuple_occurrence_counts,
 )
 from hypercov.sampling import SampleKind
+
+# The pooled axis-pair family of d = 3: every pair's value pairs.
+ALL_PAIRS_D3 = (Units(2, (1, 2)), Units(2, (1, 3)), Units(2, (2, 3)))
 
 
 class TestEnumeration:
@@ -73,15 +75,15 @@ class TestOracleAgainstFastPath:
     def test_edge_projection_routes(self):
         ts = enumerate_trials(DesignSpec(3, 2), SampleKind.LHS)
         spec = DesignSpec(3, 2)
-        assert oracle_expected_intersection(ts, 1, projection="all-edges") == expected_intersection(
+        assert oracle_expected_intersection(ts, 1, projection=ALL_PAIRS_D3) == expected_intersection(
             IntersectionKind.LH_EDGE_ALL, spec, 1
         )
-        assert oracle_expected_coverage(ts, 2, projection="all-edges") == expected_coverage_multiset(
+        assert oracle_expected_coverage(ts, 2, projection=ALL_PAIRS_D3) == expected_coverage_multiset(
             IntersectionKind.LH_EDGE_ALL, spec, 2
         )
         # A single axis pair sees the same coverage as the pooled
         # average by symmetry.
-        assert oracle_expected_coverage(ts, 1, projection=EdgeProjection(1, 2)) == Fraction(1, 2)
+        assert oracle_expected_coverage(ts, 1, projection=Units(2, (1, 2))) == Fraction(1, 2)
 
     def test_multiset_guard(self):
         ts = enumerate_trials(DesignSpec(2, 4), SampleKind.LHS)
@@ -92,20 +94,20 @@ class TestOracleAgainstFastPath:
 class TestOccurrenceCounts:
     def test_every_tuple_equally_often(self):
         ts = enumerate_trials(DesignSpec(2, 3), SampleKind.LHS)
-        counts = tuple_occurrence_counts(ts)
+        counts = occurrence_counts(ts, Units())
         assert len(counts) == 9
         assert set(counts.values()) == {2}
 
     def test_os_tuples_equally_often(self):
         ts = enumerate_trials(DesignSpec(2, 4, p=2), SampleKind.OS)
-        counts = tuple_occurrence_counts(ts)
+        counts = occurrence_counts(ts, Units())
         assert len(counts) == 16
         assert set(counts.values()) == {4}
 
     def test_every_edge_pair_equally_often(self):
         ts = enumerate_trials(DesignSpec(3, 2), SampleKind.LHS)
         for pair in ((1, 2), (1, 3), (2, 3)):
-            counts = edge_occurrence_counts(ts, EdgeProjection(*pair))
+            counts = occurrence_counts(ts, Units(2, pair))
             assert len(counts) == 4
             assert set(counts.values()) == {2}
 

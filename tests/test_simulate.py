@@ -11,47 +11,44 @@ import numpy as np
 import pytest
 
 from hypercov import simulate
-from hypercov.design import DesignSpec, EdgeProjection
+from hypercov.cli import parse_target
+from hypercov.design import DesignSpec, Units
 from hypercov.errors import GuardExceededError, StructuralError, UnsupportedSpecError
 from hypercov.sampling import SampleKind, SamplerConfig, gen_trials
 from hypercov.simulate import (
-    FullTuple,
-    Projected,
     SimPlan,
     _keys_for_target,
     coverage_curve,
     simulate_coverage,
     summarize,
-    target_label,
     target_lambda,
-    target_universe,
 )
 
 SEED = 1106
 
 
 def edge(i, j, pi, pj):
-    return EdgeProjection(i, j, coarse=(pi, pj))
+    return Units(2, (i, j), coarse=(pi, pj))
 
 
 class TestTargets:
     def test_labels(self):
-        assert target_label(FullTuple()) == "full"
-        assert target_label(Projected(2)) == "proj:2"
-        assert target_label(Projected(2, dims=(1, 3))) == "proj:2@1,3"
-        assert target_label(edge(1, 2, 1, 1)) == "edge:1,2,1,1"
+        assert Units().label == "full"
+        assert Units(2).label == "proj:2"
+        assert Units(2, dims=(1, 3)).label == "proj:2@1,3"
+        assert edge(1, 2, 1, 1).label == "edge:1,2,1,1"
 
     def test_universe(self):
         spec = DesignSpec(3, 4)
-        assert target_universe(spec, FullTuple()) == 64
-        assert target_universe(spec, Projected(2)) == 16
+        assert Units().universe(spec) == 64
+        assert Units(2).universe(spec) == 16
         bspec = DesignSpec(3, 8, p=2)
-        assert target_universe(bspec, edge(1, 2, 1, 1)) == 16
+        assert edge(1, 2, 1, 1).universe(bspec) == 16
 
     def test_lambda(self):
         spec = DesignSpec(3, 4)
-        assert target_lambda(spec, FullTuple()) == pytest.approx(4.0**-2)
-        assert target_lambda(spec, Projected(2)) == pytest.approx(0.25)
+        assert target_lambda(spec, Units()) == pytest.approx(4.0**-2)
+        assert target_lambda(spec, Units(2)) == pytest.approx(0.25)
         bspec = DesignSpec(3, 8, p=2)
         assert target_lambda(bspec, edge(1, 2, 1, 1)) == pytest.approx(1 / 8)
 
@@ -62,7 +59,7 @@ class TestTargets:
         with pytest.raises(StructuralError):
             SimPlan(spec, SampleKind.LHS, k=1, reps=0, seed=0)
         with pytest.raises(StructuralError):
-            SimPlan(spec, SampleKind.LHS, k=1, reps=1, targets=(Projected(3),), seed=0)
+            SimPlan(spec, SampleKind.LHS, k=1, reps=1, targets=(Units(3),), seed=0)
         with pytest.raises(UnsupportedSpecError):
             SimPlan(spec, SampleKind.LHS, k=1, reps=1, targets=(edge(1, 2, 1, 1),), seed=0)
 
@@ -85,7 +82,7 @@ class TestDeterministicCases:
         # Projection keeps all n points distinct (Latin columns), so
         # every width also covers exactly n cells.
         spec = DesignSpec(4, 3)
-        targets = (Projected(2), Projected(3), FullTuple())
+        targets = (Units(2), Units(3), Units())
         plan = SimPlan(spec, SampleKind.LHS, k=1, reps=4, targets=targets, seed=SEED)
         reports = simulate_coverage(plan)
         for t, rep in zip((2, 3, 4), reports):
@@ -102,7 +99,7 @@ class TestDeterministicCases:
     def test_full_width_projection_equals_full_tuple(self):
         spec = DesignSpec(3, 4)
         plan = SimPlan(
-            spec, SampleKind.LHS, k=3, reps=10, targets=(FullTuple(), Projected(3)), seed=SEED
+            spec, SampleKind.LHS, k=3, reps=10, targets=(Units(), Units(3)), seed=SEED
         )
         full, proj = simulate_coverage(plan)
         assert full.fractions == proj.fractions
@@ -127,10 +124,19 @@ class TestStatisticalAgreement:
 
     def test_projection_axes_are_exchangeable(self):
         spec = DesignSpec(3, 4)
-        targets = (Projected(2, dims=(1, 2)), Projected(2, dims=(2, 3)))
+        targets = (Units(2, dims=(1, 2)), Units(2, dims=(2, 3)))
         plan = SimPlan(spec, SampleKind.LHS, k=3, reps=300, targets=targets, seed=SEED)
         a, b = simulate_coverage(plan)
         assert abs(a.mean - b.mean) <= 4 * (a.se + b.se)
+
+    def test_mean_is_iid_not_multiset_at_d2_n2(self):
+        # Two trials only: k=2 i.i.d. draws cover 3/4 of the cells on
+        # average, a uniform 2-multiset of the trials 2/3.
+        plan = SimPlan(DesignSpec(2, 2), SampleKind.LHS, k=2, reps=5000, seed=SEED)
+        rep = simulate_coverage(plan)[0]
+        assert rep.ref_iid == pytest.approx(0.75, rel=1e-15)
+        assert abs(rep.mean - rep.ref_iid) < 4 * rep.se
+        assert abs(rep.mean - 2 / 3) > 10 * rep.se
 
     def test_lhs_subblock_edge_reference(self):
         spec = DesignSpec(2, 4, p=2)
@@ -144,7 +150,7 @@ class TestStatisticalAgreement:
 class TestCurve:
     def test_curve_shape_and_monotonicity(self):
         spec = DesignSpec(2, 5)
-        c = coverage_curve(spec, SampleKind.LHS, rep_seed=9, k=8, target=FullTuple())
+        c = coverage_curve(spec, SampleKind.LHS, rep_seed=9, k=8, target=Units())
         assert len(c) == 8
         assert c[0] == 5  # first trial always covers n cells
         assert np.all(np.diff(c) >= 0)
@@ -157,8 +163,40 @@ class TestCurve:
         from hypercov.sampling import replicate_seed
 
         for r in range(1, 4):
-            c = coverage_curve(spec, SampleKind.LHS, replicate_seed(SEED, r), 5, FullTuple())
+            c = coverage_curve(spec, SampleKind.LHS, replicate_seed(SEED, r), 5, Units())
             assert c[-1] / 16 == rep.fractions[r - 1]
+
+
+class TestUnitEncoders:
+    """The oracle's per-trial projection (Units.cells) and the simulator's
+    numpy key encoder count the same cells on the same trials."""
+
+    FORMS = ["full", "proj:1", "proj:2", "proj:3", "proj:2@1,3", "proj:2@3,2"]
+    FORMS += ["edge:1,2,1,1", "edge:1,3,2,1", "edge:2,3,2,2"]
+
+    @staticmethod
+    def counts(spec, kind, units, seed, k):
+        trials = gen_trials(SamplerConfig(spec, seed, kind), k)
+        points = np.array([t.points for t in trials])
+        naive = frozenset().union(*(units.cells(t) for t in trials))
+        return len(naive), simulate._covered_count(points, spec, units)
+
+    @pytest.mark.parametrize("kind", list(SampleKind))
+    @pytest.mark.parametrize("text", FORMS)
+    def test_distinct_counts_agree(self, kind, text):
+        spec = DesignSpec(3, 8, p=2)
+        for seed in (1, 2, 3, 4):
+            naive, fast = self.counts(spec, kind, parse_target(text), seed, k=4)
+            assert naive == fast
+
+    def test_row_keys_agree(self):
+        # n^d > 2^63, so the simulator counts distinct rows, not codes.
+        naive, fast = self.counts(DesignSpec(4, 2**16), SampleKind.LHS, Units(), seed=5, k=2)
+        assert naive == fast
+
+    @pytest.mark.parametrize("text", ["full", "proj:2", "proj:2@1,3", "edge:1,2,1,1"])
+    def test_label_round_trip(self, text):
+        assert parse_target(text).label == text
 
 
 class TestSummarize:
@@ -181,7 +219,7 @@ class TestSummarize:
 class TestWorkers:
     def test_parallel_equals_sequential(self):
         spec = DesignSpec(2, 6)
-        plan = SimPlan(spec, SampleKind.LHS, k=4, reps=30, targets=(FullTuple(), Projected(2)), seed=SEED)
+        plan = SimPlan(spec, SampleKind.LHS, k=4, reps=30, targets=(Units(), Units(2)), seed=SEED)
         seq = simulate_coverage(plan, workers=1)
         par = simulate_coverage(plan, workers=2)
         for a, b in zip(seq, par):

@@ -6,6 +6,9 @@ the sha256 of its payload: every output line that does not start with
 The hashes were recorded before the unit families (full grid, t-axis
 projections, axis pairs and their coarse cells) shared one definition;
 a refactor of how units are counted must leave every one unchanged.
+The `law`, `exact --m` and `oracle --mode occurrence` rows were recorded
+before the ensemble counts and the closed-form laws each got one
+definition, and pin the exit codes of the `law --t` range checks.
 """
 
 import hashlib
@@ -38,6 +41,32 @@ GOLDEN = {
     "exact-edge": ("exact --kind edge --d 3 --n 4 --m 1,2 --format rational", 0, "8363e989bb922ac5c539ca5416dca97a3a919c76a5369a61b1e7a40a16d1666a"),
     "exact-edge-subblock": ("exact --kind edge-subblock --d 3 --n 8 --p 2 --k 1,5", 0, "6dd743eadbdd5835e8fda267b722e702f7fb847deb8ae427e22662d5ffb48e93"),
     "verify": ("verify", 0, "f0b5d06e1d351a198f30dec2cf1072279ec2262f5d1ca564268612fff6be6eb9"),
+    "law-iid-lhs": ("law --model iid --kind lhs --d 3 --n 5 --k 0,1,10,100", 0, "dea326cab3ebfe85b044bc6324f7ec9d43e339ee2a273728d3134c5062b223ba"),
+    "law-asymptotic-lhs": ("law --model asymptotic --kind lhs --d 3 --n 5 --k 0,1,10,100", 0, "51626d367a38e2d350e7b1dd155efe51ab8d7d62a7d8b37b3991b6ddffcd5a88"),
+    "law-iid-os": ("law --model iid --kind os --d 2 --n 9 --p 3 --k 0,1,10", 0, "87994456b0feee6219f0054156e2e29afe93b4983ea44f17943e75c749127b91"),
+    "law-asymptotic-os": ("law --model asymptotic --kind os --d 2 --n 9 --p 3 --k 0,1,10", 0, "e6aef78e39b998f11ab14f96f8ecc47b6066431baebba44e0df56e0ed3371140"),
+    "law-iid-edge": ("law --model iid --kind edge --d 3 --n 4 --k 0,1,10", 0, "f412faefa445128cbc54889ca4902dc5c11451344dac719a3c634d748d22e478"),
+    "law-asymptotic-edge": ("law --model asymptotic --kind edge --d 3 --n 4 --k 0,1,10", 0, "51411d31d36480176d1e34a34e0764fccc03ed0e3d45315390d02728838ba0fa"),
+    "law-iid-edge-subblock": ("law --model iid --kind edge-subblock --d 3 --n 8 --p 2 --k 0,1,10", 0, "4bbbe9cb55fb46e906d9a262de84c6ceb36d0d1a41cdfa04249f49a350c07aea"),
+    "law-asymptotic-edge-subblock": ("law --model asymptotic --kind edge-subblock --d 3 --n 8 --p 2 --k 0,1,10", 0, "1c4a6b61be46ec7c9636e9a9fe41ea8c1ef8db2a8140c37f0670f2b56057c6ce"),
+    "law-t1": ("law --model iid --t 1 --n 10 --k 0,1,5", 0, "c5ffaafc4b1c13883f9a60989898b95fb0a1d6c8edb41df77df1fc95800a2941"),
+    "law-t3-d3": ("law --model iid --t 3 --d 3 --n 10 --k 1,100,1000", 0, "ca0be15dbf5539748d1ff59c82828e6c4922983d610f81c24504b9863e4ed3ea"),
+    "law-asymptotic-t2": ("law --model asymptotic --t 2 --n 27 --k 0,27", 0, "fca0b436a9489efb08bde4fc0e108f5c6e35376c99e67b722985d6784fa1d7ec"),
+    "law-conjecture-n27": ("law --model conjecture --t 2 --n 27 --k 1,27,100", 0, "246abbc45a233323216612beebdd3f3dc805d22ecf30925387b98f5e89c3eb54"),
+    "law-conjecture-n1923": ("law --model conjecture --t 2 --n 1923 --k 1,1923,10000", 0, "e89dd3d9079db6beee787261ced62365d14b51763b6060af27b27b0ef54836dd"),
+    "law-t1-n1": ("law --model iid --t 1 --n 1 --k 1", 0, "6be49721cb13fa72d0d5589f9b6ef80d99327b21a5861cf1ea2bc7ffd61a75e6"),
+    "law-t2-n1": ("law --model iid --t 2 --n 1 --k 1", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "law-t0": ("law --model iid --t 0 --n 5 --k 1", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "law-t4-d3": ("law --model iid --t 4 --d 3 --n 5 --k 1", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "law-bracket-lhs": ("law --model bracket --kind lhs --d 2 --n 10 --k 0,1,5,20", 0, "b68dec412e48252b545b54225228e4be1619c091ffc2f3b10a1f56f70bf44cae"),
+    "law-bracket-os": ("law --model bracket --kind os --d 2 --n 4 --p 2 --k 1,3", 0, "a11f01cf7596119c96935656671d7b4ddfa7fe220560545f9a01b58d9c5cf2cd"),
+    "law-bracket-edge": ("law --model bracket --kind edge --d 3 --n 4 --k 1,10", 0, "8248c6ecc3fdce43dd40e1571a652feb3eac1218a666c2ed984a537763c8efe5"),
+    "law-bracket-edge-subblock": ("law --model bracket --kind edge-subblock --d 3 --n 8 --p 2 --k 1,5", 0, "aef2689c7509e328a7691259b1aa46ca9d24cdfd10bc2c4f5c023df075236072"),
+    "exact-lhs-m": ("exact --kind lhs --d 3 --n 4 --m 1,2,3", 0, "edb4197bfc999e4070954424c1d181d523d8f9a7e0b76120f580dbe2b117009c"),
+    "exact-os-m": ("exact --kind os --d 2 --n 9 --p 3 --m 1,2,3 --format rational", 0, "ed964c8d4b7b6f27fc2fe15fed9121780c1bdbe64d249eb0b0534dd1aba5e0e2"),
+    "oracle-occurrence-lhs": ("oracle --mode occurrence --kind lhs --d 2 --n 3", 0, "ecea589f5acbcd5378b56b2239041c1caf3636719b2cc1b6e5cc9b7070d79d2d"),
+    "oracle-occurrence-os": ("oracle --mode occurrence --kind os --d 2 --n 4 --p 2", 0, "96fd916238fe671c471bc0bfd6026e888e7b8c62d1371e5b78f963893e63a431"),
+    "oracle-occurrence-edge": ("oracle --mode occurrence --kind lhs --d 3 --n 2 --edge 1,3", 0, "c7e4b1b5e51e9728cf61212435c8d73553d7bd13634584f1d0ea3048b951f372"),
 }
 
 

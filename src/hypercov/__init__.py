@@ -19,10 +19,6 @@ from .design import (
 from .exact import (
     IntersectionKind,
     KindParams,
-    count_lh_trials,
-    count_os_trials,
-    count_trials_containing_edge,
-    count_trials_containing_tuple,
     expected_coverage_multiset,
     expected_intersection,
     kind_params,
@@ -37,17 +33,14 @@ from .errors import (
 )
 from .laws import (
     BracketReport,
-    CoverageLaw,
     ErrorBounds,
-    LawModel,
-    asymptotic_law,
+    asymptotic_coverage,
     bracket_exact_vs_asymptotic,
-    conjecture_law,
-    coverage_closed_form,
     error_bounds,
-    iid_law,
+    iid_coverage,
     lambda_for,
     lambda_fraction,
+    projection_lambda,
 )
 from .oracle import (
     CheckResult,

@@ -34,18 +34,16 @@ from .design import DesignSpec, Units, trial_to_json
 from .errors import GuardExceededError, HypercovError, StructuralError
 from .exact import (
     IntersectionKind,
-    count_trials_containing_edge,
-    count_trials_containing_tuple,
     expected_coverage_multiset,
     expected_intersection,
+    kind_params,
 )
 from .laws import (
-    asymptotic_law,
+    asymptotic_coverage,
     bracket_exact_vs_asymptotic,
-    conjecture_law,
-    coverage_closed_form,
-    iid_law,
+    iid_coverage,
     lambda_for,
+    projection_lambda,
 )
 from .oracle import (
     CheckResult,
@@ -303,10 +301,9 @@ def _law_lambda(params: dict) -> tuple[float, int | str, int | str, int | str]:
     if t is not None:
         if n is None:
             raise StructuralError("--t needs --n to fix lambda")
-        if t == 1:
-            return 1.0, params.get("d") or "", n, t
-        law = conjecture_law(n, t, 1, d=params.get("d"))
-        return law.lam, params.get("d") or "", n, t
+        if t > 1 and n < 2:
+            raise StructuralError(f"n must be >= 2, got {n}")
+        return projection_lambda(n, t, params.get("d")), params.get("d") or "", n, t
     if params.get("kind") is None:
         raise StructuralError("need --kind or --t to fix lambda")
     kind = IntersectionKind(params["kind"])
@@ -352,11 +349,9 @@ def _run_law(config: RunConfig, out: str | None, workers: int) -> int:
     lam, d_col, n_col, t_col = _law_lambda(params)
     if model == "conjecture" and params.get("t") is None:
         raise StructuralError("conjecture model needs --t")
+    law = asymptotic_coverage if model == "asymptotic" else iid_coverage
     for k in params["k"]:
-        if model == "asymptotic":
-            value = coverage_closed_form(asymptotic_law(lam, k))
-        else:
-            value = coverage_closed_form(iid_law(lam, k))
+        value = law(lam, k)
         lines.append(
             _csv_row([model, d_col, n_col, t_col, k, _fmt(lam), _fmt(value), "", "", ""])
         )
@@ -413,9 +408,7 @@ def _exact_kind(
     """The exact kind an oracle run is checked against, and the divisor
     that turns its expected intersection into the oracle's units."""
     if edge is None:
-        if kind is SampleKind.LHS:
-            return IntersectionKind.LHS_TUPLE, 1
-        return IntersectionKind.OS_TUPLE, 1
+        return IntersectionKind(kind.value), 1  # the tuple kinds share the sampler's value
     if edge.coarse is not None:
         return IntersectionKind.LH_EDGE_SUBBLOCK, 1
     # LH_EDGE_ALL pools the pairs of all C(d,2) axis pairs; the oracle
@@ -440,13 +433,12 @@ def _run_oracle(config: RunConfig, out: str | None, workers: int) -> int:
 
     if mode == "occurrence":
         if edge is None:
-            want = count_trials_containing_tuple(spec, exact_kind)
             name = f"occurrence {kind.value} d={spec.d} n={spec.n}"
         else:
             if edge.coarse is not None:
                 raise StructuralError("occurrence mode takes --edge i,j without bands")
-            want = count_trials_containing_edge(spec)
             name = f"occurrence edges d={spec.d} n={spec.n} edge={params['edge']}"
+        want = kind_params(exact_kind, spec).a
         counts = occurrence_counts(ts, units)
         return _emit_checks(config, out, [constant_count_check(name, counts, want)])
 
@@ -458,12 +450,14 @@ def _run_oracle(config: RunConfig, out: str | None, workers: int) -> int:
         name += f" edge={params['edge']}"
     checks = []
     for q in params[q_name]:
+        # The exact side first: it refuses q above the term cap before
+        # the oracle walks its multisets.
         if mode == "intersect":
-            got = oracle_expected_intersection(ts, q, projection=units)
             want = expected_intersection(exact_kind, spec, q) / divisor
+            got = oracle_expected_intersection(ts, q, projection=units)
         else:
-            got = oracle_expected_coverage(ts, q, projection=units)
             want = expected_coverage_multiset(exact_kind, spec, q)
+            got = oracle_expected_coverage(ts, q, projection=units)
         checks.append(CheckResult(f"{name} {q_name}={q}", str(got), str(want), got == want))
     return _emit_checks(config, out, checks)
 

@@ -49,7 +49,7 @@ from .errors import CapExceededError, GuardExceededError, StructuralError
 # Refuse factorial work whose operands would exceed this many bits.
 BIGINT_GUARD_BITS = 1_000_000
 
-# Product term cap; beyond this the closed-form laws apply.
+# Term cap of both rising products; beyond it the closed-form laws apply.
 DEFAULT_COVERAGE_CAP = 512
 
 
@@ -73,33 +73,6 @@ def _check_bigint_guard(spec: DesignSpec) -> None:
         raise GuardExceededError(
             f"factorial work near {bits} bits exceeds guard of {BIGINT_GUARD_BITS}"
         )
-
-
-def count_lh_trials(spec: DesignSpec) -> int:
-    """Number of distinct Latin hypercube trials: n!^(d-1)."""
-    _check_bigint_guard(spec)
-    return math.factorial(spec.n) ** (spec.d - 1)
-
-
-def count_os_trials(spec: DesignSpec) -> int:
-    """Number of distinct orthogonal trials: (p^(d-1))!^(dp)."""
-    p = spec.require_p()
-    _check_bigint_guard(spec)
-    return math.factorial(p ** (spec.d - 1)) ** (spec.d * p)
-
-
-def count_trials_containing_tuple(spec: DesignSpec, kind: IntersectionKind) -> int:
-    """Trials of the ensemble that contain one fixed grid cell."""
-    if kind not in (IntersectionKind.LHS_TUPLE, IntersectionKind.OS_TUPLE):
-        raise StructuralError(f"tuple containment undefined for kind {kind.value}")
-    return kind_params(kind, spec).a
-
-
-def count_trials_containing_edge(spec: DesignSpec) -> int:
-    """Latin trials containing a fixed axis-pair value pair: (n-1)! n!^(d-2)."""
-    _check_bigint_guard(spec)
-    n, d = spec.n, spec.d
-    return math.factorial(n - 1) * math.factorial(n) ** (d - 2)
 
 
 def kind_params(kind: IntersectionKind, spec: DesignSpec) -> KindParams:
@@ -145,35 +118,29 @@ def _rising_ratio(top: int, bottom: int, m: int) -> Fraction:
     return Fraction(num, den)
 
 
-def intersection_ratio(kind: IntersectionKind, spec: DesignSpec, m: int) -> Fraction:
-    """prod_{i=0}^{m-1} (a+i)/(b+i), the per-unit m-fold containment rate."""
-    if m < 0:
-        raise StructuralError(f"m must be >= 0, got {m}")
-    kp = kind_params(kind, spec)
-    return _rising_ratio(kp.a, kp.b, m)
+def _check_terms(name: str, q: int, least: int) -> None:
+    """Both rising products take q terms; refuse q outside [least, cap]."""
+    if q < least:
+        raise StructuralError(f"{name} must be >= {least}, got {q}")
+    if q > DEFAULT_COVERAGE_CAP:
+        advice = "; use the closed-form coverage laws for large k" if name == "k" else ""
+        raise CapExceededError(f"{name}={q} exceeds cap {DEFAULT_COVERAGE_CAP}{advice}")
 
 
 def expected_intersection(kind: IntersectionKind, spec: DesignSpec, m: int) -> Fraction:
-    """Expected number of units common to an m-multiset of trials."""
-    if m < 1:
-        raise StructuralError(f"m must be >= 1, got {m}")
+    """Expected number of units common to an m-multiset of trials; m above
+    the cap is refused."""
+    _check_terms("m", m, 1)
     kp = kind_params(kind, spec)
     return kp.scale * _rising_ratio(kp.a, kp.b, m)
 
 
-def expected_coverage_multiset(
-    kind: IntersectionKind, spec: DesignSpec, k: int, cap: int = DEFAULT_COVERAGE_CAP
-) -> Fraction:
+def expected_coverage_multiset(kind: IntersectionKind, spec: DesignSpec, k: int) -> Fraction:
     """Expected fraction of units covered by at least one of k pooled trials.
 
     Exact for a uniform k-multiset of trials. k above the cap is refused;
     use the closed-form laws module for large k.
     """
-    if k < 0:
-        raise StructuralError(f"k must be >= 0, got {k}")
-    if k > cap:
-        raise CapExceededError(
-            f"k={k} exceeds cap {cap}; use the closed-form coverage laws for large k"
-        )
+    _check_terms("k", k, 0)
     kp = kind_params(kind, spec)
     return 1 - _rising_ratio(kp.b - kp.a, kp.b, k)

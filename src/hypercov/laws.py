@@ -1,21 +1,25 @@
 """Closed-form coverage laws and the error bounds that bracket them.
 
-All laws are functions of the per-unit hit rate lambda = a/b and the
-pooled trial count k:
+Both laws are plain functions of the per-unit hit rate lambda = a/b and
+the pooled trial count k:
 
-    IID_EXACT       1 - (1 - lambda)^k     exact for k i.i.d. trials (the
-                                           simulator's model), by linearity
-    ASYMPTOTIC_EXP  1 - exp(-k lambda)     large-n limit law
-    CONJECTURE_T    1 - (1 - n^-(t-1))^k   t-axis projections, 2 <= t <= d;
-                                           proved for t = 2 and t = d,
-                                           conjectured in between
+    iid_coverage(lam, k)         1 - (1 - lambda)^k   exact for k i.i.d. trials
+                                                      (the simulator's model),
+                                                      by linearity
+    asymptotic_coverage(lam, k)  1 - exp(-k lambda)   large-n limit law
+
+A cell of a t-axis projection lies in a fraction n^(1-t) of the trials,
+since each trial has one row per axis-1 value and that row's other
+coordinates are uniform; projection_lambda(n, t) is that rate. The
+paper's projection law is iid_coverage at it: proved for t = 2 and
+t = d, conjectured in between.
 
 (1 - lambda)^k is evaluated as exp(k * log1p(-lambda)) to keep
 precision at tiny lambda.
 
 The exact module's coverage is for a uniform multiset of k trials, which
 weights a pool with repeated trials as much as one without, so it
-differs from IID_EXACT. Writing P_multiset = 1 - exp(-k lambda)
+differs from iid_coverage. Writing P_multiset = 1 - exp(-k lambda)
 + E1 + E2 splits the discrepancy into a combinatorial remainder E1,
 bounded by exp(k lambda) k(k-1)/a whenever k(k-1) <= a, and the
 Poissonization gap E2 = exp(-k lambda) - (1-lambda)^k, bounded by
@@ -28,40 +32,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
 from .design import DesignSpec
 from .errors import StructuralError
-from .exact import (
-    DEFAULT_COVERAGE_CAP,
-    IntersectionKind,
-    expected_coverage_multiset,
-    kind_params,
-)
-
-
-class LawModel(str, Enum):
-    IID_EXACT = "iid"
-    ASYMPTOTIC_EXP = "asymptotic"
-    CONJECTURE_T = "conjecture"
-
-
-@dataclass(frozen=True)
-class CoverageLaw:
-    model: LawModel
-    lam: float
-    k: int
-    t: int | None = None  # projection width, CONJECTURE_T only
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.lam <= 1.0):
-            raise StructuralError(f"lambda must be in (0, 1], got {self.lam}")
-        if self.k < 0:
-            raise StructuralError(f"k must be >= 0, got {self.k}")
-        if self.model is LawModel.CONJECTURE_T:
-            if self.t is None or self.t < 2:
-                raise StructuralError("CONJECTURE_T needs t >= 2")
+from .exact import IntersectionKind, expected_coverage_multiset, kind_params
 
 
 def lambda_fraction(kind: IntersectionKind, spec: DesignSpec) -> Fraction:
@@ -74,34 +49,38 @@ def lambda_for(kind: IntersectionKind, spec: DesignSpec) -> float:
     return float(lambda_fraction(kind, spec))
 
 
-def iid_law(lam: float, k: int) -> CoverageLaw:
-    return CoverageLaw(LawModel.IID_EXACT, lam, k)
+def projection_lambda(n: int, t: int, d: int | None = None) -> float:
+    """Per-cell hit rate of one trial on a t-axis projection: n^(1-t)."""
+    if t < 1:
+        raise StructuralError(f"t must be >= 1, got {t}")
+    if d is not None and t > d:
+        raise StructuralError(f"t must be in [1, {d}], got {t}")
+    return float(n) ** (1 - t)
 
 
-def asymptotic_law(lam: float, k: int) -> CoverageLaw:
-    return CoverageLaw(LawModel.ASYMPTOTIC_EXP, lam, k)
+def _check_law(lam: float, k: int) -> None:
+    if not (0.0 < lam <= 1.0):
+        raise StructuralError(f"lambda must be in (0, 1], got {lam}")
+    if k < 0:
+        raise StructuralError(f"k must be >= 0, got {k}")
 
 
-def conjecture_law(n: int, t: int, k: int, d: int | None = None) -> CoverageLaw:
-    """Projection-coverage conjecture at width t: lambda = n^-(t-1)."""
-    if d is not None and not (2 <= t <= d):
-        raise StructuralError(f"t must be in [2, {d}], got {t}")
-    if t < 2:
-        raise StructuralError(f"t must be >= 2, got {t}")
-    if n < 2:
-        raise StructuralError(f"n must be >= 2, got {n}")
-    return CoverageLaw(LawModel.CONJECTURE_T, float(n) ** (1 - t), k, t=t)
-
-
-def coverage_closed_form(law: CoverageLaw) -> float:
-    """Evaluate the law; exact 0.0 at k = 0."""
-    if law.k == 0:
+def iid_coverage(lam: float, k: int) -> float:
+    """1 - (1 - lam)^k, exact for k i.i.d. trials; exact 0.0 at k = 0."""
+    _check_law(lam, k)
+    if k == 0:
         return 0.0
-    if law.model is LawModel.ASYMPTOTIC_EXP:
-        return -math.expm1(-law.k * law.lam)
-    if law.lam >= 1.0:
+    if lam >= 1.0:
         return 1.0
-    return -math.expm1(law.k * math.log1p(-law.lam))
+    return -math.expm1(k * math.log1p(-lam))
+
+
+def asymptotic_coverage(lam: float, k: int) -> float:
+    """1 - exp(-k lam), the large-n limit; exact 0.0 at k = 0."""
+    _check_law(lam, k)
+    if k == 0:
+        return 0.0
+    return -math.expm1(-k * lam)
 
 
 @dataclass(frozen=True)
@@ -125,10 +104,6 @@ def error_bounds(kind: IntersectionKind, spec: DesignSpec, k: int) -> ErrorBound
 
 @dataclass(frozen=True)
 class BracketReport:
-    kind: IntersectionKind
-    d: int
-    n: int
-    k: int
     lam: float
     p_multiset: float
     p_iid: float
@@ -140,7 +115,7 @@ class BracketReport:
 
 
 def bracket_exact_vs_asymptotic(
-    kind: IntersectionKind, spec: DesignSpec, k: int, cap: int = DEFAULT_COVERAGE_CAP
+    kind: IntersectionKind, spec: DesignSpec, k: int
 ) -> BracketReport:
     """Exact multiset coverage next to both closed forms, with bounds.
 
@@ -148,18 +123,14 @@ def bracket_exact_vs_asymptotic(
     sit inside e1_bound + e2_bound; within_bounds records the check.
     """
     lam = lambda_for(kind, spec)
-    p_multiset = float(expected_coverage_multiset(kind, spec, k, cap=cap))
-    p_iid = coverage_closed_form(iid_law(lam, k)) if k > 0 else 0.0
-    p_asym = coverage_closed_form(asymptotic_law(lam, k)) if k > 0 else 0.0
+    p_multiset = float(expected_coverage_multiset(kind, spec, k))
+    p_iid = iid_coverage(lam, k)
+    p_asym = asymptotic_coverage(lam, k)
     eb = error_bounds(kind, spec, k)
     within = None
     if eb.valid:
         within = abs(p_multiset - p_asym) <= eb.e1_bound + eb.e2_bound
     return BracketReport(
-        kind=kind,
-        d=spec.d,
-        n=spec.n,
-        k=k,
         lam=lam,
         p_multiset=p_multiset,
         p_iid=p_iid,

@@ -21,12 +21,9 @@ from .design import DesignSpec, Trial, Units, band_width
 from .errors import GuardExceededError, StructuralError
 from .exact import (
     IntersectionKind,
-    count_os_trials,
-    count_lh_trials,
-    count_trials_containing_edge,
-    count_trials_containing_tuple,
     expected_coverage_multiset,
     expected_intersection,
+    kind_params,
 )
 from .sampling import SampleKind, assemble_orthogonal
 
@@ -50,10 +47,13 @@ def enumerate_trials(spec: DesignSpec, kind: SampleKind, guard: int = ENUM_GUARD
     2..d as free permutations. Orthogonal trials are enumerated through
     the fine-permutation assembly bijection.
     """
+    if kind is SampleKind.OS:
+        p = spec.require_p()
+    # The tuple kinds share their sampler's value; b counts the trials.
+    total = kind_params(IntersectionKind(kind.value), spec).b
+    if total > guard:
+        raise GuardExceededError(f"{total} trials exceed enumeration guard {guard}")
     if kind is SampleKind.LHS:
-        total = count_lh_trials(spec)
-        if total > guard:
-            raise GuardExceededError(f"{total} trials exceed enumeration guard {guard}")
         n, d = spec.n, spec.d
         base = list(permutations(range(1, n + 1)))
         trials = []
@@ -63,10 +63,6 @@ def enumerate_trials(spec: DesignSpec, kind: SampleKind, guard: int = ENUM_GUARD
         assert len(trials) == total
         return EnumeratedTrialSet(spec, kind, tuple(trials))
 
-    p = spec.require_p()
-    total = count_os_trials(spec)
-    if total > guard:
-        raise GuardExceededError(f"{total} trials exceed enumeration guard {guard}")
     w = band_width(p, spec.d)
     slots = [(i, j) for i in range(1, spec.d + 1) for j in range(1, p + 1)]
     base = list(permutations(range(1, w + 1)))
@@ -279,34 +275,36 @@ def default_verification_suite() -> list[CheckResult]:
             projection=Units(2, (1, 2), coarse=(1, 1)),
         )
     )
+    os_b = kind_params(IntersectionKind.OS_TUPLE, d2p2).b
+    lhs_b = kind_params(IntersectionKind.LHS_TUPLE, d2n3).b
     checks.append(
         CheckResult(
             "count os d=2 p=2",
             str(len(os_d2p2.trials)),
-            str(count_os_trials(d2p2)),
-            len(os_d2p2.trials) == count_os_trials(d2p2) == 16,
+            str(os_b),
+            len(os_d2p2.trials) == os_b == 16,
         )
     )
     checks.append(
         CheckResult(
             "count lhs d=2 n=3",
             str(len(lhs_d2n3.trials)),
-            str(count_lh_trials(d2n3)),
-            len(lhs_d2n3.trials) == count_lh_trials(d2n3) == 6,
+            str(lhs_b),
+            len(lhs_d2n3.trials) == lhs_b == 6,
         )
     )
     checks.append(
         constant_count_check(
             "cell occurrence lhs d=2 n=3",
             occurrence_counts(lhs_d2n3, Units()),
-            count_trials_containing_tuple(d2n3, IntersectionKind.LHS_TUPLE),
+            kind_params(IntersectionKind.LHS_TUPLE, d2n3).a,
         )
     )
     checks.append(
         constant_count_check(
             "cell occurrence os d=2 p=2",
             occurrence_counts(os_d2p2, Units()),
-            count_trials_containing_tuple(d2p2, IntersectionKind.OS_TUPLE),
+            kind_params(IntersectionKind.OS_TUPLE, d2p2).a,
         )
     )
     for i, j in combinations(range(1, 4), 2):
@@ -314,7 +312,7 @@ def default_verification_suite() -> list[CheckResult]:
             constant_count_check(
                 f"edge occurrence lhs d=3 n=2 axes=({i},{j})",
                 occurrence_counts(lhs_d3n2, Units(2, (i, j))),
-                count_trials_containing_edge(d3n2),
+                kind_params(IntersectionKind.LH_EDGE_ALL, d3n2).a,
             )
         )
     return checks

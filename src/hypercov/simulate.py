@@ -34,7 +34,7 @@ import numpy as np
 from . import rng
 from .design import DesignSpec, Units, band_width
 from .errors import GuardExceededError, StructuralError
-from .laws import asymptotic_law, coverage_closed_form, iid_law
+from .laws import asymptotic_coverage, iid_coverage, projection_lambda
 from .sampling import SampleKind, points_batch, replicate_seed
 
 MAX_TRACKED_KEYS = 20_000_000  # k * n per replicate
@@ -47,7 +47,7 @@ def target_lambda(spec: DesignSpec, target: Units) -> float:
     for sub-block edge keys. Holds for both samplers."""
     if target.coarse is not None:
         return 1.0 / spec.n
-    return float(spec.n) ** (1 - len(target.axes(spec)))
+    return projection_lambda(spec.n, len(target.axes(spec)))
 
 
 @dataclass(frozen=True)
@@ -208,8 +208,8 @@ def simulate_coverage(plan: SimPlan, workers: int = 1) -> list[CoverageReport]:
                 se=stats.se,
                 ci_low=stats.ci_low,
                 ci_high=stats.ci_high,
-                ref_iid=coverage_closed_form(iid_law(lam, plan.k)),
-                ref_asym=coverage_closed_form(asymptotic_law(lam, plan.k)),
+                ref_iid=iid_coverage(lam, plan.k),
+                ref_asym=asymptotic_coverage(lam, plan.k),
             )
         )
     return reports

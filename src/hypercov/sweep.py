@@ -28,6 +28,7 @@ import numpy as np
 from . import rng
 from .design import DesignSpec, Units
 from .errors import GuardExceededError, InvalidModeError, StructuralError
+from .laws import projection_lambda
 from .sampling import SampleKind, replicate_seed
 from .simulate import coverage_curve
 
@@ -64,7 +65,7 @@ def closed_form_k(n: int, t: int, level: float) -> int:
         raise StructuralError(f"n must be >= 2, got {n}")
     if t == 1:
         return 1
-    lam = float(n) ** (1 - t)
+    lam = projection_lambda(n, t)
     k = max(1, math.ceil(math.log1p(-level) / math.log1p(-lam)))
     for _ in range(10_000):
         if not _meets_level(n, t, k, level):

@@ -19,12 +19,9 @@ import pytest
 from hypercov.design import DesignSpec, Units
 from hypercov.exact import (
     IntersectionKind,
-    count_lh_trials,
-    count_os_trials,
-    count_trials_containing_edge,
-    count_trials_containing_tuple,
     expected_coverage_multiset,
     expected_intersection,
+    kind_params,
 )
 from hypercov.laws import bracket_exact_vs_asymptotic, lambda_fraction
 from hypercov.oracle import (
@@ -165,11 +162,11 @@ def test_criterion_02_coverage_matches_enumeration(report):
 
 
 def test_criterion_03_counting_identities(report):
-    c_os = count_os_trials(DesignSpec(2, 4, p=2))
-    c_lh = count_lh_trials(DesignSpec(2, 3))
-    per_tuple_lh = count_trials_containing_tuple(DesignSpec(2, 3), IntersectionKind.LHS_TUPLE)
-    per_tuple_os = count_trials_containing_tuple(DesignSpec(2, 4, p=2), IntersectionKind.OS_TUPLE)
-    per_edge = count_trials_containing_edge(DesignSpec(3, 2))
+    c_os = kind_params(IntersectionKind.OS_TUPLE, DesignSpec(2, 4, p=2)).b
+    c_lh = kind_params(IntersectionKind.LHS_TUPLE, DesignSpec(2, 3)).b
+    per_tuple_lh = kind_params(IntersectionKind.LHS_TUPLE, DesignSpec(2, 3)).a
+    per_tuple_os = kind_params(IntersectionKind.OS_TUPLE, DesignSpec(2, 4, p=2)).a
+    per_edge = kind_params(IntersectionKind.LH_EDGE_ALL, DesignSpec(3, 2)).a
     # Independent recount by enumeration: how many trials hold a fixed
     # point or a fixed axis-pair value.
     lh_trials = enumerate_trials(DesignSpec(2, 3), SampleKind.LHS).trials

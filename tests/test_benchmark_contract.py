@@ -1,0 +1,52 @@
+"""The traced benchmark run rebinds hypercov functions by name.
+
+`perfbench/layers.py` lists in `WRAPPED` each (module, function) it
+wraps, with a hook that reads some of the call's arguments by name. A
+rename or deletion under `src/` would only show when the traced
+benchmark runs; these tests make it fail here first.
+"""
+
+import importlib
+import importlib.util
+import inspect
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
+
+
+def _load_layers():
+    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look the module up in sys.modules while it executes.
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+WRAPPED = _load_layers().WRAPPED
+
+
+def _arguments_read(hook) -> set[str]:
+    """Argument names a hook reads as `.arguments["name"]`."""
+    if hook is None:
+        return set()
+    return set(re.findall(r'\.arguments\["(\w+)"\]', inspect.getsource(hook)))
+
+
+@pytest.mark.parametrize("entry", WRAPPED, ids=lambda e: f"{e[0]}.{e[1]}")
+def test_wrapped_function_resolves(entry):
+    mod_name, fn_name, _, hook = entry
+    fn = getattr(importlib.import_module(f"hypercov.{mod_name}"), fn_name)
+    params = inspect.signature(fn).parameters
+    for name in _arguments_read(hook):
+        assert name in params, f"{mod_name}.{fn_name} lost the argument {name!r}"
+
+
+def test_hooks_read_the_known_arguments():
+    # Keeps the source scan above from passing vacuously.
+    read = set().union(*(_arguments_read(hook) for *_, hook in WRAPPED))
+    assert read == {"n", "k", "reps"}

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from hypercov import cli
 from hypercov.cli import (
     RunConfig,
     build_parser,
@@ -107,6 +108,12 @@ class TestExact:
         code, _ = run_cli(capsys, "exact", "--kind", "lhs", "--d", "2", "--n", "1000000", "--m", "1")
         assert code == 3
 
+    @pytest.mark.parametrize("m", ["513", "2000", "8000"])
+    def test_m_cap_exit(self, capsys, m):
+        # --m shares the term cap of --k; uncapped, --m 2000 runs for seconds.
+        code, _ = run_cli(capsys, "exact", "--kind", "lhs", "--d", "2", "--n", "100", "--m", m)
+        assert code == 3
+
     def test_long_values_print_in_full(self, capsys):
         # The numerator has about 9,850 digits, past the interpreter's
         # default int-to-str limit; the run lifts it and puts it back.
@@ -202,6 +209,18 @@ class TestOracleCommand:
     @pytest.mark.parametrize("flags", [("--mode", "intersect", "--m", "80000"), ("--mode", "cover", "--k", "8000")])
     def test_guard_bounds_the_walk(self, capsys, flags):
         # Two trials give only m + 1 multisets, but walking each costs O(m).
+        code, _ = run_cli(capsys, "oracle", "--kind", "lhs", "--d", "2", "--n", "2", *flags)
+        assert code == 3
+
+    @pytest.mark.parametrize("flags", [("--mode", "intersect", "--m", "3000"), ("--mode", "cover", "--k", "3000")])
+    def test_cap_refuses_before_the_walk(self, capsys, monkeypatch, flags):
+        # These pass the multiset guard; the exact side's term cap must
+        # refuse them before the oracle walks any multiset.
+        def walk(*args, **kwargs):
+            raise AssertionError("the oracle walked before the cap refused")
+
+        monkeypatch.setattr(cli, "oracle_expected_coverage", walk)
+        monkeypatch.setattr(cli, "oracle_expected_intersection", walk)
         code, _ = run_cli(capsys, "oracle", "--kind", "lhs", "--d", "2", "--n", "2", *flags)
         assert code == 3
 

@@ -21,14 +21,10 @@ from hypercov.errors import (
     UnsupportedSpecError,
 )
 from hypercov.exact import (
+    DEFAULT_COVERAGE_CAP,
     IntersectionKind,
-    count_lh_trials,
-    count_os_trials,
-    count_trials_containing_edge,
-    count_trials_containing_tuple,
     expected_coverage_multiset,
     expected_intersection,
-    intersection_ratio,
     kind_params,
 )
 from hypercov.laws import lambda_fraction
@@ -42,28 +38,28 @@ class TestCounting:
         [(2, 2, 2), (2, 3, 6), (3, 2, 4), (3, 3, 36), (2, 4, 24)],
     )
     def test_count_lh_trials(self, d, n, count):
-        assert count_lh_trials(DesignSpec(d, n)) == count
+        assert kind_params(IntersectionKind.LHS_TUPLE, DesignSpec(d, n)).b == count
 
     @pytest.mark.parametrize(
         "d,p,count",
         [(2, 2, 16), (2, 3, 46656), (3, 2, 24**6), (2, 1, 1)],
     )
     def test_count_os_trials(self, d, p, count):
-        assert count_os_trials(DesignSpec(d, p**d, p=p)) == count
+        assert kind_params(IntersectionKind.OS_TUPLE, DesignSpec(d, p**d, p=p)).b == count
 
     def test_count_trials_containing_tuple(self):
-        assert count_trials_containing_tuple(DesignSpec(2, 3), IntersectionKind.LHS_TUPLE) == 2
-        assert count_trials_containing_tuple(DesignSpec(2, 4, p=2), IntersectionKind.OS_TUPLE) == 4
+        assert kind_params(IntersectionKind.LHS_TUPLE, DesignSpec(2, 3)).a == 2
+        assert kind_params(IntersectionKind.OS_TUPLE, DesignSpec(2, 4, p=2)).a == 4
 
     def test_count_trials_containing_edge(self):
-        assert count_trials_containing_edge(DesignSpec(3, 2)) == 2
+        assert kind_params(IntersectionKind.LH_EDGE_ALL, DesignSpec(3, 2)).a == 2
         # d=2 degenerates to the tuple count.
-        assert count_trials_containing_edge(DesignSpec(2, 3)) == 2
+        assert kind_params(IntersectionKind.LH_EDGE_ALL, DesignSpec(2, 3)).a == 2
 
     def test_containment_never_exceeds_total(self):
         for n in (2, 3, 4, 5):
-            spec = DesignSpec(3, n)
-            assert count_trials_containing_tuple(spec, IntersectionKind.LHS_TUPLE) <= count_lh_trials(spec)
+            kp = kind_params(IntersectionKind.LHS_TUPLE, DesignSpec(3, n))
+            assert kp.a <= kp.b
 
 
 class TestKindParams:
@@ -81,12 +77,6 @@ class TestKindParams:
     def test_frozen_params(self, kind, spec, a, b, scale):
         kp = kind_params(kind, spec)
         assert (kp.a, kp.b, kp.scale) == (a, b, scale)
-
-    def test_tuple_b_equals_trial_count(self):
-        spec = DesignSpec(3, 3)
-        assert kind_params(IntersectionKind.LHS_TUPLE, spec).b == count_lh_trials(spec)
-        ospec = DesignSpec(2, 9, p=3)
-        assert kind_params(IntersectionKind.OS_TUPLE, ospec).b == count_os_trials(ospec)
 
     def test_os_kinds_require_p(self):
         with pytest.raises(UnsupportedSpecError):
@@ -142,7 +132,7 @@ class TestExpectedIntersection:
         spec = DesignSpec(2, 3)
         kp = kind_params(IntersectionKind.LHS_TUPLE, spec)
         want = F(kp.a, kp.b) * F(kp.a + 1, kp.b + 1) * F(kp.a + 2, kp.b + 2)
-        assert intersection_ratio(IntersectionKind.LHS_TUPLE, spec, 3) == want
+        assert expected_intersection(IntersectionKind.LHS_TUPLE, spec, 3) == kp.scale * want
 
 
 class TestExpectedCoverage:
@@ -205,7 +195,7 @@ class TestExpectedCoverage:
             direct = expected_coverage_multiset(kind, spec, k)
             closed = 1 - F(comb(kp.b - kp.a + k - 1, k), comb(kp.b + k - 1, k))
             alternating = sum(
-                (-1) ** (m + 1) * comb(k, m) * intersection_ratio(kind, spec, m)
+                (-1) ** (m + 1) * comb(k, m) * expected_intersection(kind, spec, m) / kp.scale
                 for m in range(1, k + 1)
             )
             assert direct == closed == alternating
@@ -241,13 +231,16 @@ class TestGuards:
         with pytest.raises(CapExceededError):
             expected_coverage_multiset(IntersectionKind.LHS_TUPLE, DesignSpec(2, 3), 513)
 
-    def test_coverage_cap_override(self):
-        v = expected_coverage_multiset(IntersectionKind.LHS_TUPLE, DesignSpec(2, 2), 600, cap=600)
-        assert 0 < v < 1
+    def test_intersection_cap(self):
+        # One term cap for both rising products.
+        spec = DesignSpec(2, 3)
+        assert 0 < expected_intersection(IntersectionKind.LHS_TUPLE, spec, DEFAULT_COVERAGE_CAP)
+        with pytest.raises(CapExceededError):
+            expected_intersection(IntersectionKind.LHS_TUPLE, spec, DEFAULT_COVERAGE_CAP + 1)
 
     def test_bigint_guard(self):
         with pytest.raises(GuardExceededError):
-            count_lh_trials(DesignSpec(2, 1_000_000))
+            kind_params(IntersectionKind.LHS_TUPLE, DesignSpec(2, 1_000_000))
 
     def test_cap_error_is_guard_error(self):
         assert issubclass(CapExceededError, GuardExceededError)

@@ -9,15 +9,13 @@ from hypercov.design import DesignSpec
 from hypercov.errors import StructuralError
 from hypercov.exact import IntersectionKind, expected_coverage_multiset, kind_params
 from hypercov.laws import (
-    LawModel,
-    asymptotic_law,
+    asymptotic_coverage,
     bracket_exact_vs_asymptotic,
-    conjecture_law,
-    coverage_closed_form,
     error_bounds,
-    iid_law,
+    iid_coverage,
     lambda_for,
     lambda_fraction,
+    projection_lambda,
 )
 
 
@@ -56,55 +54,51 @@ class TestLambda:
 
 class TestClosedForms:
     def test_iid_frozen(self):
-        assert coverage_closed_form(iid_law(0.01, 100)) == pytest.approx(
+        assert iid_coverage(0.01, 100) == pytest.approx(
             1 - 0.99**100, rel=1e-12
         )
-        assert coverage_closed_form(iid_law(0.01, 100)) == pytest.approx(0.6339676587, abs=1e-9)
+        assert iid_coverage(0.01, 100) == pytest.approx(0.6339676587, abs=1e-9)
 
     def test_asymptotic_frozen(self):
-        assert coverage_closed_form(asymptotic_law(0.01, 100)) == pytest.approx(
+        assert asymptotic_coverage(0.01, 100) == pytest.approx(
             -math.expm1(-1.0), rel=1e-12
         )
 
     def test_conjecture_frozen(self):
         # t=2 slice of a 27-wide design: same exponential family with
         # rate n^(1-t).
-        got = coverage_closed_form(conjecture_law(27, 2, 27))
+        got = iid_coverage(projection_lambda(27, 2), 27)
         assert got == pytest.approx(1 - (1 - 1 / 27) ** 27, rel=1e-12)
 
     def test_k_zero(self):
-        assert coverage_closed_form(iid_law(0.3, 0)) == 0.0
-        assert coverage_closed_form(asymptotic_law(0.3, 0)) == 0.0
+        assert iid_coverage(0.3, 0) == 0.0
+        assert asymptotic_coverage(0.3, 0) == 0.0
 
     def test_full_rate_saturates(self):
-        assert coverage_closed_form(iid_law(1.0, 3)) == 1.0
+        assert iid_coverage(1.0, 3) == 1.0
 
     def test_iid_monotone_in_k(self):
-        vals = [coverage_closed_form(iid_law(0.05, k)) for k in range(0, 40)]
+        vals = [iid_coverage(0.05, k) for k in range(0, 40)]
         assert all(x < y for x, y in zip(vals, vals[1:]))
 
     def test_small_k_precision(self):
         # k*lam near 1e-12 must not cancel to zero.
-        v = coverage_closed_form(iid_law(1e-12, 1))
+        v = iid_coverage(1e-12, 1)
         assert v == pytest.approx(1e-12, rel=1e-6)
         assert v > 0
 
     def test_law_validation(self):
         with pytest.raises(StructuralError):
-            iid_law(0.0, 3)
+            iid_coverage(0.0, 3)
         with pytest.raises(StructuralError):
-            iid_law(1.5, 3)
+            iid_coverage(1.5, 3)
         with pytest.raises(StructuralError):
-            iid_law(0.5, -1)
+            iid_coverage(0.5, -1)
 
     def test_conjecture_validation(self):
         with pytest.raises(StructuralError):
-            conjecture_law(10, 1, 5)
-        with pytest.raises(StructuralError):
-            conjecture_law(10, 4, 5, d=3)
-        law = conjecture_law(10, 3, 5, d=3)
-        assert law.model is LawModel.CONJECTURE_T
-        assert law.lam == pytest.approx(10.0**-2)
+            projection_lambda(10, 4, d=3)
+        assert projection_lambda(10, 3, d=3) == pytest.approx(10.0**-2)
 
 
 class TestErrorBounds:
@@ -126,7 +120,7 @@ class TestErrorBounds:
     def test_second_bound_controls_iid_vs_asymptotic(self, n, k):
         lam = lambda_for(IntersectionKind.LHS_TUPLE, DesignSpec(3, n))
         gap = abs(
-            coverage_closed_form(iid_law(lam, k)) - coverage_closed_form(asymptotic_law(lam, k))
+            iid_coverage(lam, k) - asymptotic_coverage(lam, k)
         )
         assert gap <= math.exp(-k * lam) * k * lam * lam + 1e-15
 

@@ -55,7 +55,11 @@ def projection_lambda(n: int, t: int, d: int | None = None) -> float:
         raise StructuralError(f"t must be >= 1, got {t}")
     if d is not None and t > d:
         raise StructuralError(f"t must be in [1, {d}], got {t}")
-    return float(n) ** (1 - t)
+    try:
+        base = float(n)
+    except OverflowError:
+        raise StructuralError(f"n must fit a float, got a {n.bit_length()}-bit n") from None
+    return base ** (1 - t)
 
 
 def _check_law(lam: float, k: int) -> None:

@@ -23,11 +23,13 @@ derives an independent stream per integer label; folds chain for nested
 labels. Trial t of a run uses fold(seed, t); column j inside a trial
 uses fold(trial_seed, j); replicate r of a simulation uses fold(seed, r).
 
-Permutations: a permutation of n items is the stable argsort of n
-consecutive uint64 draws (distinct keys are exchangeable, so all n!
-orders are equally likely). If the n keys collide anywhere the whole
-block is discarded and the next n draws of the stream are used; the
-retry preserves uniformity because blocks are i.i.d.
+Permutations: a permutation of n items is the argsort of n distinct
+consecutive uint64 draws (blocks with a tie are redrawn). Distinct keys
+are exchangeable, so all n! orders are equally likely, and they sort
+one way only, so every argsort gives the same order. A block whose n
+keys collide anywhere is discarded whole and the next n draws of the
+stream are used; the retry preserves uniformity because blocks are
+i.i.d.
 """
 
 from __future__ import annotations
@@ -96,9 +98,9 @@ def fold_grid(seeds: np.ndarray, labels: np.ndarray) -> np.ndarray:
 def permutations_from_seeds(seeds: np.ndarray, n: int) -> np.ndarray:
     """One uniform permutation of {0..n-1} per seed; shape (*seeds.shape, n).
 
-    Stable argsort of n consecutive stream draws per seed. Rows whose key
-    block contains a collision are redrawn from the next block of the
-    same stream until the keys are distinct.
+    The argsort of n distinct consecutive stream draws per seed (blocks
+    with a tie are redrawn from the next block of the same stream until
+    the keys are distinct).
     """
     s = np.asarray(seeds, dtype=np.uint64).reshape(-1)
     out = np.empty((s.size, n), dtype=np.int64)
@@ -108,7 +110,7 @@ def permutations_from_seeds(seeds: np.ndarray, n: int) -> np.ndarray:
         idx = np.arange(rnd * n + 1, rnd * n + n + 1, dtype=np.uint64)
         with np.errstate(over="ignore"):
             keys = _mix64_arr(s[pending][:, None] + idx[None, :] * _G)
-        order = np.argsort(keys, axis=1, kind="stable")
+        order = np.argsort(keys, axis=1)
         if n > 1:
             ks = np.take_along_axis(keys, order, axis=1)
             dup = (ks[:, 1:] == ks[:, :-1]).any(axis=1)

@@ -12,12 +12,18 @@ covered keys for each requested target, a `design.Units` family:
                             (pi, pj) of axis pair (i, j)'s quotient grid,
                             universe p^(2(d-1))
 
-Keys are radix-encoded into int64 and counted with np.unique; when the
-key space does not fit int64 the rows themselves are deduplicated
-(np.unique over rows). Per-replicate coverage fractions are exact
-integer ratios converted to float once; aggregation is sequential in
-replicate order with math.fsum, so reports are bit-stable for a fixed
-seed regardless of worker count.
+Keys are radix-encoded into int64 and counted by sorting them and
+counting the places where adjacent keys differ. When the key space does
+not fit int64 (n^t > 2^63) the rows go into Latin buckets instead: every
+counted axis of a trial is a permutation of [n], so bucket b, the rows
+with value b on the first counted axis, holds exactly one row of each
+trial. The other axes are packed into int64 words, each bucket is sorted
+on its own (np.lexsort when one word does not hold them), and the count
+is n plus the adjacent differences. Prefix curves take each distinct
+key's first trial from the same sort. Per-replicate coverage fractions
+are exact integer ratios converted to float once; aggregation is
+sequential in replicate order with math.fsum, so reports are bit-stable
+for a fixed seed regardless of worker count.
 """
 
 from __future__ import annotations
@@ -134,11 +140,68 @@ def _keys_for_target(
     return codes.reshape(-1), counts
 
 
+def _sorted_flags(
+    words: Sequence[np.ndarray], with_order: bool = False
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Sort each bucket of keys and flag where a new distinct key starts.
+
+    words are int64 arrays of one shape (buckets, m): word w of the i-th
+    key of bucket b sits at [b, i], and a key is its bucket plus its
+    words. Returns the flags, in sorted order, and the sorting argsort
+    along axis 1 when with_order is set (otherwise None).
+    """
+    if len(words) == 1 and not with_order:
+        order, words = None, [np.sort(words[0], axis=1)]
+    else:
+        if len(words) == 1:
+            order = np.argsort(words[0], axis=1)
+        else:
+            order = np.lexsort(words[::-1], axis=1)
+        words = [np.take_along_axis(w, order, axis=1) for w in words]
+    new = np.zeros(words[0].shape, dtype=bool)
+    new[:, :1] = True
+    for w in words:
+        new[:, 1:] |= w[:, 1:] != w[:, :-1]
+    return new, order
+
+
+def _count_distinct(words: Sequence[np.ndarray]) -> int:
+    """Distinct keys in the bucket layout of `_sorted_flags`."""
+    return int(np.count_nonzero(_sorted_flags(words)[0]))
+
+
+def _bucket_words(keys: np.ndarray, k: int, n: int) -> list[np.ndarray]:
+    """The keys of k trials from `_keys_for_target`, laid out for
+    `_sorted_flags`.
+
+    1-D codes form one bucket. 2-D rows are the 0-based rows of k
+    trials, n per trial, whose first column is a permutation of 0..n-1
+    in each trial. So bucket b holds exactly one row of every trial:
+    trial i's row with first value b goes to column i of bucket b. The
+    other columns are packed base n into as few int64 words as hold them.
+    """
+    if keys.ndim == 1:
+        return [keys.reshape(1, -1)]
+    rows, per_word = keys, 1
+    while per_word < rows.shape[1] - 1 and n ** (per_word + 1) <= 2**63:
+        per_word += 1
+    slot = (rows[:, 0].reshape(k, n) * k + np.arange(k)[:, None]).reshape(-1)
+    words = []
+    for lo in range(1, rows.shape[1], per_word):
+        code = np.zeros(rows.shape[0], dtype=np.int64)
+        for q in range(lo, min(lo + per_word, rows.shape[1])):
+            code *= n
+            code += rows[:, q]
+        word = np.empty(n * k, dtype=np.int64)
+        word[slot] = code
+        words.append(word.reshape(n, k))
+    return words
+
+
 def _covered_count(points: np.ndarray, spec: DesignSpec, target: Units) -> int:
     keys, _ = _keys_for_target(points, spec, target)
-    if keys.ndim == 1:
-        return int(np.unique(keys).size)
-    return int(np.unique(keys, axis=0).shape[0])
+    # Rows come only from t-axis units (a coarse universe is below n^2).
+    return _count_distinct(_bucket_words(keys, points.shape[0], spec.n))
 
 
 def replicate_points(spec: DesignSpec, kind: SampleKind, rep_seed: int, k: int) -> np.ndarray:
@@ -158,12 +221,13 @@ def coverage_curve(
     SimPlan(spec, kind, k, reps=1, targets=(target,))  # the plan's checks and key guard
     points = replicate_points(spec, kind, rep_seed, k)
     keys, counts = _keys_for_target(points, spec, target)
+    new, order = _sorted_flags(_bucket_words(keys, k, spec.n), with_order=True)
+    # Each distinct key's first column: a key position for 1-D codes, a
+    # trial for row buckets.
+    first = np.minimum.reduceat(order.reshape(-1), np.flatnonzero(new))
     if keys.ndim == 1:
-        first = np.unique(keys, return_index=True)[1]
-    else:
-        first = np.unique(keys, axis=0, return_index=True)[1]
-    first.sort()
-    return np.searchsorted(first, np.cumsum(counts), side="left").astype(np.int64)
+        first = np.searchsorted(np.cumsum(counts), first, side="right")
+    return np.cumsum(np.bincount(first, minlength=k), dtype=np.int64)
 
 
 def _replicate_counts(plan: SimPlan, rep_ids: Sequence[int]) -> list[tuple[int, list[int]]]:

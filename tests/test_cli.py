@@ -149,6 +149,14 @@ class TestLaw:
         assert len(rows) == 2
         assert all(r.rstrip().endswith("true") for r in rows)
 
+    @pytest.mark.parametrize("t", ["1", "2"])
+    def test_n_beyond_float_exits_2(self, capsys, t):
+        code = main(["law", "--model", "iid", "--t", t, "--n", "1" + "0" * 400, "--k", "1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: n must fit a float")
+        assert "Traceback" not in err
+
     def test_conjecture_needs_t(self, capsys):
         code, _ = run_cli(capsys, "law", "--model", "conjecture", "--d", "3", "--n", "27", "--k", "27")
         assert code == 2

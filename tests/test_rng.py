@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypercov import rng
 from hypercov.rng import (
     GAMMA,
     MASK64,
@@ -120,6 +121,28 @@ def test_permutations_from_seeds_matches_scalar():
     assert batch.shape == (8, 12)
     for row, s in zip(batch, seeds):
         assert np.array_equal(row, permutation(int(s), 12))
+
+
+def test_redrawn_rows_match_a_stable_argsort_reference(monkeypatch):
+    # Narrow the mixer to 64 values so that key blocks of 6 often tie.
+    seeds = np.array([fold(11, t) for t in range(1, 41)], dtype=np.uint64)
+    n = 6
+    wide = rng._mix64_arr
+    monkeypatch.setattr(rng, "_mix64_arr", lambda z: wide(z) % np.uint64(64))
+
+    got = permutations_from_seeds(seeds, n)
+
+    redrawn = 0
+    for row, s in zip(got, seeds):
+        rnd = 0
+        keys = raw_block(int(s), 0, n)
+        while len(set(keys.tolist())) < n:
+            rnd += 1
+            keys = raw_block(int(s), rnd * n, n)
+        redrawn += rnd > 0
+        assert sorted(row.tolist()) == list(range(n))
+        assert np.array_equal(row, np.argsort(keys, kind="stable"))
+    assert redrawn >= 1
 
 
 def test_gamma_constant():

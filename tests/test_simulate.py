@@ -9,6 +9,8 @@ import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypercov import simulate
 from hypercov.cli import parse_target
@@ -194,9 +196,96 @@ class TestUnitEncoders:
         naive, fast = self.counts(DesignSpec(4, 2**16), SampleKind.LHS, Units(), seed=5, k=2)
         assert naive == fast
 
+    def test_os_row_keys_agree(self):
+        naive, fast = self.counts(DesignSpec(4, 2**16, p=16), SampleKind.OS, Units(), seed=6, k=2)
+        assert naive == fast
+
+    def test_multi_word_row_keys_agree(self):
+        # n^(t-1) = 2^64 also exceeds int64, so the rest of a row takes
+        # two words and each bucket is lexsorted.
+        naive, fast = self.counts(DesignSpec(5, 2**16), SampleKind.LHS, Units(), seed=7, k=2)
+        assert naive == fast
+
+    def test_edge_counts_agree_when_trials_add_no_key(self):
+        spec, units = DesignSpec(2, 4, p=2), edge(1, 2, 1, 1)
+        points = np.array([t.points for t in gen_trials(SamplerConfig(spec, 2), 8)])
+        _, per_trial = _keys_for_target(points, spec, units)
+        assert per_trial.tolist() == [0, 0, 0, 1, 1, 1, 1, 1]
+        naive, fast = self.counts(spec, SampleKind.LHS, units, seed=2, k=8)
+        assert naive == fast
+        assert simulate._covered_count(points[:3], spec, units) == 0
+
+    @pytest.mark.parametrize(
+        "spec, kind, text",
+        [
+            (DesignSpec(3, 8, p=2), SampleKind.LHS, "full"),
+            (DesignSpec(3, 8, p=2), SampleKind.OS, "proj:2"),
+            (DesignSpec(2, 4, p=2), SampleKind.LHS, "edge:1,2,1,1"),
+            (DesignSpec(4, 2**16), SampleKind.LHS, "full"),
+        ],
+    )
+    def test_curve_entries_are_prefix_counts(self, spec, kind, text):
+        # Seed 2 gives the edge unit three leading trials with no key.
+        units, k = parse_target(text), 6
+        curve = coverage_curve(spec, kind, rep_seed=2, k=k, target=units)
+        points = simulate.replicate_points(spec, kind, 2, k)
+        prefix = [simulate._covered_count(points[:i], spec, units) for i in range(1, k + 1)]
+        assert curve.tolist() == prefix
+
     @pytest.mark.parametrize("text", ["full", "proj:2", "proj:2@1,3", "edge:1,2,1,1"])
     def test_label_round_trip(self, text):
         assert parse_target(text).label == text
+
+
+class TestDistinctCount:
+    """The sort-based distinct count against Python sets."""
+
+    @given(
+        st.lists(st.integers(0, 3) | st.integers(-(2**63), 2**63 - 1), max_size=40),
+        st.integers(1, 3),
+    )
+    @settings(max_examples=200)
+    def test_codes_match_set(self, values, copies):
+        codes = np.array(values * copies, dtype=np.int64)
+        assert simulate._count_distinct([codes.reshape(1, -1)]) == len(set(values))
+
+    @given(
+        buckets=st.integers(0, 5),
+        per_bucket=st.integers(0, 6),
+        n_words=st.integers(1, 3),
+        high=st.sampled_from([1, 3, 2**63 - 1]),
+        data=st.data(),
+    )
+    @settings(max_examples=100)
+    def test_bucketed_rows_match_set_of_tuples(self, buckets, per_bucket, n_words, high, data):
+        shape = (buckets, per_bucket)
+        words = [
+            np.array(
+                data.draw(st.lists(st.integers(0, high), min_size=buckets * per_bucket, max_size=buckets * per_bucket)),
+                dtype=np.int64,
+            ).reshape(shape)
+            for _ in range(n_words)
+        ]
+        rows = {
+            (b, *(int(w[b, i]) for w in words)) for b in range(buckets) for i in range(per_bucket)
+        }
+        assert simulate._count_distinct(words) == len(rows)
+
+    @given(
+        d=st.integers(2, 4),
+        n=st.integers(2, 4),
+        k=st.integers(0, 6),
+        seed=st.integers(0, 2**32),
+        repeat=st.booleans(),
+    )
+    @settings(max_examples=100)
+    def test_latin_rows_match_set_of_tuples(self, d, n, k, seed, repeat):
+        points = simulate.replicate_points(DesignSpec(d, n), SampleKind.LHS, seed, k)
+        if repeat:  # every row then appears twice
+            points = np.concatenate([points, points])
+        rows = points.reshape(-1, d) - 1
+        words = simulate._bucket_words(rows, points.shape[0], n)
+        assert simulate._count_distinct(words) == len(set(map(tuple, rows.tolist())))
 
 
 class TestSummarize:

@@ -594,7 +594,11 @@ COMMANDS: dict[str, Command] = {
         "format": Flag("decimal:12"),
     }),
     "law": Command("closed-form coverage laws", _run_law, {
-        "model": Flag(REQUIRED, choices=("iid", "asymptotic", "conjecture", "bracket")),
+        "model": Flag(
+            REQUIRED,
+            choices=("iid", "asymptotic", "conjecture", "bracket"),
+            help="conjecture: the iid law at a t-axis cell's rate n^(1-t), exact for i.i.d. trials",
+        ),
         "kind": Flag(None, choices=_EXACT_KIND),
         "d": _INT,
         "n": _INT,

@@ -11,8 +11,12 @@ the pooled trial count k:
 A cell of a t-axis projection lies in a fraction n^(1-t) of the trials,
 since each trial has one row per axis-1 value and that row's other
 coordinates are uniform; projection_lambda(n, t) is that rate. The
-paper's projection law is iid_coverage at it: proved for t = 2 and
-t = d, conjectured in between.
+paper's projection law (the CLI's `conjecture` model, a name kept so
+payloads and config hashes stay put) is iid_coverage at it, so it is
+exact for k i.i.d. trials at every t, by linearity, once the rate holds.
+The oracle confirms the rate by enumeration for Latin trials; for
+orthogonal trials with d >= 3 it rests on the sub-block argument and
+simulation, since those ensembles are too large to enumerate.
 
 (1 - lambda)^k is evaluated as exp(k * log1p(-lambda)) to keep
 precision at tiny lambda.

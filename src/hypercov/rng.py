@@ -30,6 +30,15 @@ one way only, so every argsort gives the same order. A block whose n
 keys collide anywhere is discarded whole and the next n draws of the
 stream are used; the retry preserves uniformity because blocks are
 i.i.d.
+
+That argsort is computed by a packed sort. With b = bit_length(n - 1),
+the low b bits of each key are replaced by its column index and the row
+is sorted as plain integers; where the top 64 - b bits of the row are
+distinct they alone decide the order, so the low bits of the sorted row
+are the argsort. A row in which two top parts tie takes the definition
+literally: argsort of the full keys, duplicate check and redraw. Rows
+are drawn in chunks of about CHUNK_KEYS keys (one row when n is larger),
+so the temporaries have a fixed size however many rows are asked for.
 """
 
 from __future__ import annotations
@@ -42,6 +51,10 @@ _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
 
 _G = np.uint64(GAMMA)
+# Keys per chunk of permutation rows (at least one row). At 512 KiB per
+# uint64 array a chunk's keys and temporaries stay in a core's L2 cache,
+# which made the draw up to twice as fast as chunks of 2^22 keys.
+CHUNK_KEYS = 1 << 16
 
 
 def mix64(z: int) -> int:
@@ -61,12 +74,15 @@ def fold(seed: int, *labels: int) -> int:
 
 
 def _mix64_arr(z: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer on a uint64 array, in place; returns z."""
+    tmp = np.empty_like(z)
     with np.errstate(over="ignore"):
-        z = z ^ (z >> np.uint64(30))
-        z = z * np.uint64(_M1)
-        z = z ^ (z >> np.uint64(27))
-        z = z * np.uint64(_M2)
-        z = z ^ (z >> np.uint64(31))
+        for shift, mult in ((30, _M1), (27, _M2)):
+            np.right_shift(z, np.uint64(shift), out=tmp)
+            z ^= tmp
+            z *= np.uint64(mult)
+        np.right_shift(z, np.uint64(31), out=tmp)
+        z ^= tmp
     return z
 
 
@@ -95,14 +111,9 @@ def fold_grid(seeds: np.ndarray, labels: np.ndarray) -> np.ndarray:
         return _mix64_arr(s[:, None] ^ inner[None, :])
 
 
-def permutations_from_seeds(seeds: np.ndarray, n: int) -> np.ndarray:
-    """One uniform permutation of {0..n-1} per seed; shape (*seeds.shape, n).
-
-    The argsort of n distinct consecutive stream draws per seed (blocks
-    with a tie are redrawn from the next block of the same stream until
-    the keys are distinct).
-    """
-    s = np.asarray(seeds, dtype=np.uint64).reshape(-1)
+def _argsort_redraw(s: np.ndarray, n: int) -> np.ndarray:
+    """The definition itself: argsort of each seed's first block of n
+    draws, redrawn from the next block while its keys are not distinct."""
     out = np.empty((s.size, n), dtype=np.int64)
     pending = np.arange(s.size)
     rnd = 0
@@ -111,16 +122,39 @@ def permutations_from_seeds(seeds: np.ndarray, n: int) -> np.ndarray:
         with np.errstate(over="ignore"):
             keys = _mix64_arr(s[pending][:, None] + idx[None, :] * _G)
         order = np.argsort(keys, axis=1)
-        if n > 1:
-            ks = np.take_along_axis(keys, order, axis=1)
-            dup = (ks[:, 1:] == ks[:, :-1]).any(axis=1)
-        else:
-            dup = np.zeros(pending.size, dtype=bool)
-        ok = ~dup
-        out[pending[ok]] = order[ok]
+        ks = np.take_along_axis(keys, order, axis=1)
+        dup = (ks[:, 1:] == ks[:, :-1]).any(axis=1)
+        out[pending[~dup]] = order[~dup]
         pending = pending[dup]
         rnd += 1
-    return out.reshape(*np.asarray(seeds, dtype=np.uint64).shape, n)
+    return out
+
+
+def permutations_from_seeds(seeds: np.ndarray, n: int) -> np.ndarray:
+    """One uniform permutation of {0..n-1} per seed; shape (*seeds.shape, n).
+
+    The argsort of n distinct consecutive stream draws per seed (blocks
+    with a tie are redrawn from the next block of the same stream until
+    the keys are distinct), computed by the packed sort of the module
+    docstring.
+    """
+    shape = np.shape(seeds)
+    s = np.asarray(seeds, dtype=np.uint64).reshape(-1)
+    out = np.empty((s.size, n), dtype=np.int64)
+    low = np.uint64((1 << (n - 1).bit_length()) - 1)
+    cols = np.arange(n, dtype=np.uint64)
+    steps = (cols + np.uint64(1)) * _G
+    rows = max(1, CHUNK_KEYS // n)
+    for lo in range(0, s.size, rows):
+        keys = _mix64_arr(s[lo : lo + rows, None] + steps)
+        keys &= ~low
+        keys |= cols
+        keys.sort(axis=1)
+        tied = np.flatnonzero(((keys[:, 1:] ^ keys[:, :-1]) <= low).any(axis=1))
+        np.bitwise_and(keys, low, out=out[lo : lo + rows].view(np.uint64))
+        if tied.size:
+            out[lo + tied] = _argsort_redraw(s[lo + tied], n)
+    return out.reshape(*shape, n)
 
 
 def permutation(seed: int, n: int) -> np.ndarray:

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Sequence
@@ -250,6 +249,9 @@ def simulate_coverage(plan: SimPlan, workers: int = 1) -> list[CoverageReport]:
     if pool_size <= 1 or plan.reps < 4:
         rows = _replicate_counts(plan, rep_ids)
     else:
+        # Imported here: it costs start-up time a single process never uses.
+        from concurrent.futures import ProcessPoolExecutor
+
         chunks = [(plan, rep_ids[c::pool_size]) for c in range(pool_size)]
         rows = []
         with ProcessPoolExecutor(max_workers=pool_size) as pool:

@@ -1,8 +1,8 @@
 """Threshold sweeps: smallest trial count k* reaching a coverage level,
 swept over n, with a log-log slope fit.
 
-Closed-form mode inverts 1 - (1 - n^-(t-1))^k >= level analytically,
-then verifies the boundary pair (k*-1 fails, k* meets) without float
+Closed-form mode inverts 1 - (1 - n^-(t-1))^k >= level with 60-digit
+mpmath logarithms, then verifies the boundary pair (k*-1 fails, k* meets) without float
 trust: exactly with Fractions while the bit cost stays small, otherwise
 with 60-digit mpmath.
 
@@ -28,7 +28,6 @@ import numpy as np
 from . import rng
 from .design import DesignSpec, Units
 from .errors import GuardExceededError, InvalidModeError, StructuralError
-from .laws import projection_lambda
 from .sampling import SampleKind, replicate_seed
 from .simulate import coverage_curve
 
@@ -53,8 +52,13 @@ def _meets_level(n: int, t: int, k: int, level: float) -> bool:
     if bits <= EXACT_VERIFY_BITS:
         return Fraction(base - 1, base) ** k <= 1 - Fraction(level)
     with mpmath.workdps(MP_DPS):
-        lhs = k * mpmath.log1p(mpmath.mpf(-1) / base)
-        return lhs <= mpmath.log1p(-mpmath.mpf(level))
+        log_miss, log_level = _mp_logs(base, level)
+        return k * log_miss <= log_level
+
+
+def _mp_logs(base: int, level: float) -> tuple[mpmath.mpf, mpmath.mpf]:
+    """log(1 - 1/base) and log(1 - level) at the working mpmath precision."""
+    return mpmath.log1p(mpmath.mpf(-1) / base), mpmath.log1p(-mpmath.mpf(level))
 
 
 def closed_form_k(n: int, t: int, level: float) -> int:
@@ -63,10 +67,14 @@ def closed_form_k(n: int, t: int, level: float) -> int:
         raise InvalidModeError(f"closed form needs level in (0, 1), got {level}")
     if n < 2:
         raise StructuralError(f"n must be >= 2, got {n}")
+    if t < 1:
+        raise StructuralError(f"t must be >= 1, got {t}")
     if t == 1:
         return 1
-    lam = projection_lambda(n, t)
-    k = max(1, math.ceil(math.log1p(-level) / math.log1p(-lam)))
+    # A float start is off by more than the walk once k* passes 2^53.
+    with mpmath.workdps(MP_DPS):
+        log_miss, log_level = _mp_logs(n ** (t - 1), level)
+        k = max(1, int(mpmath.ceil(log_level / log_miss)))
     for _ in range(10_000):
         if not _meets_level(n, t, k, level):
             k += 1

@@ -251,6 +251,28 @@ class TestSweepCommand:
         assert "# summary" in out
         assert "0.5,2,64,45" in out
 
+    def test_closed_form_past_float_precision(self, capsys):
+        # k* is near 1e20 here, past 2^53, where a float start for the
+        # boundary walk lands further off than the walk can go.
+        code, out = run_cli(
+            capsys, "sweep", "--mode", "closed-form", "--kind", "lhs", "--d", "5",
+            "--t", "5", "--levels", "0.9", "--n-grid", "76750,80000,90000",
+        )
+        assert code == 0
+        rows = [l for l in out.splitlines() if l.startswith("0.9,5,") and l.count(",") == 3]
+        assert rows == [
+            "0.9,5,76750,79896770537683506354",
+            "0.9,5,80000,94313885409036120312",
+            "0.9,5,90000,151072607951339351896",
+        ]
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(100):
+            for row in rows:
+                n, k = (int(v) for v in row.split(",")[2:])
+                log_miss = mpmath.log1p(mpmath.mpf(-1) / n**4)
+                log_level = mpmath.log1p(-mpmath.mpf(0.9))
+                assert k * log_miss <= log_level < (k - 1) * log_miss
+
     def test_file_mode_writes_summary_sibling(self, capsys, tmp_path):
         target = tmp_path / "sweep.csv"
         code, out = run_cli(

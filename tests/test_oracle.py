@@ -5,6 +5,7 @@ none of the closed-form algebra it is checking.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -110,6 +111,22 @@ class TestOccurrenceCounts:
             counts = occurrence_counts(ts, Units(2, pair))
             assert len(counts) == 4
             assert set(counts.values()) == {2}
+
+    # A cell of a t-axis projection lies in a fraction n^(1-t) of the
+    # Latin trials, on every choice of t axes; the projection law rests
+    # on that rate. (n, trials, {t: trials containing each cell})
+    @pytest.mark.parametrize(
+        "n,trials,per_cell", [(2, 8, {2: 4, 3: 2}), (3, 216, {2: 72, 3: 24})]
+    )
+    def test_t_axis_cells_equally_often(self, n, trials, per_cell):
+        ts = enumerate_trials(DesignSpec(4, n), SampleKind.LHS)
+        assert len(ts.trials) == trials
+        for t, want in per_cell.items():
+            assert want * n ** (t - 1) == trials
+            for dims in combinations(range(1, 5), t):
+                counts = occurrence_counts(ts, Units(t, dims))
+                assert len(counts) == n**t
+                assert set(counts.values()) == {want}, dims
 
 
 class TestVerificationSuite:

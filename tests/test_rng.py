@@ -145,6 +145,69 @@ def test_redrawn_rows_match_a_stable_argsort_reference(monkeypatch):
     assert redrawn >= 1
 
 
+def _reference_permutation(seed: int, n: int) -> tuple[np.ndarray, str]:
+    """Stable argsort of the first block of distinct keys, and how the
+    packed sort meets the first block: top parts distinct ("fast"),
+    tied but keys distinct ("tied"), or keys repeated ("redrawn")."""
+    b = (n - 1).bit_length()
+    keys = raw_block(seed, 0, n)
+    if len(set((keys >> np.uint64(b)).tolist())) == n:
+        path = "fast"
+    elif len(set(keys.tolist())) == n:
+        path = "tied"
+    else:
+        path = "redrawn"
+    rnd = 0
+    while len(set(keys.tolist())) < n:
+        rnd += 1
+        keys = raw_block(seed, rnd * n, n)
+    return np.argsort(keys, kind="stable"), path
+
+
+@pytest.mark.parametrize("n", [3, 5, 9])
+def test_packed_sort_matches_the_reference_on_every_path(monkeypatch, n):
+    # Keys below 2**(b+4) have 16 possible top parts, so one call holds
+    # rows whose tops are distinct, rows whose tops tie and rows whose
+    # whole keys repeat; chunks of 4 rows put them in different chunks.
+    b = (n - 1).bit_length()
+    wide = rng._mix64_arr
+    monkeypatch.setattr(rng, "_mix64_arr", lambda z: wide(z) % np.uint64(2 ** (b + 4)))
+    monkeypatch.setattr(rng, "CHUNK_KEYS", 4 * n)
+    seeds = np.array([fold(23, t) for t in range(1, 301)], dtype=np.uint64)
+
+    got = permutations_from_seeds(seeds, n)
+
+    paths = []
+    for row, s in zip(got, seeds):
+        want, path = _reference_permutation(int(s), n)
+        paths.append(path)
+        assert np.array_equal(row, want), (int(s), path)
+    assert {"fast", "tied", "redrawn"} <= set(paths)
+
+
+@pytest.mark.parametrize("n", [1000, 2**17])
+def test_chunked_rows_match_rows_drawn_one_seed_at_a_time(n):
+    # Two full chunks and a partial one (a chunk is one row once n
+    # passes CHUNK_KEYS).
+    per_chunk = max(1, rng.CHUNK_KEYS // n)
+    count = 2 * per_chunk + (per_chunk + 1) // 2
+    seeds = rng.fold_array(31, np.arange(1, count + 1))
+
+    got = permutations_from_seeds(seeds, n)
+
+    assert got.shape == (count, n)
+    for row, s in zip(got, seeds):
+        assert np.array_equal(row, permutation(int(s), n))
+        assert np.array_equal(row, np.argsort(raw_block(int(s), 0, n), kind="stable"))
+
+
+def test_mix64_arr_works_in_place():
+    z = np.array([0, 1, 2**64 - 1], dtype=np.uint64)
+    out = rng._mix64_arr(z)
+    assert out is z
+    assert [int(v) for v in z] == [mix64(0), mix64(1), mix64(2**64 - 1)]
+
+
 def test_gamma_constant():
     # The increment is pinned; silently changing it would reshuffle
     # every derived stream.

@@ -333,7 +333,7 @@ class TestWorkers:
             def map(self, fn, chunks):
                 return [fn(chunk) for chunk in chunks]
 
-        monkeypatch.setattr(simulate, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(simulate.os, "cpu_count", lambda: 3)
         plan = SimPlan(DesignSpec(2, 6), SampleKind.LHS, k=4, reps=30, seed=SEED)
         seq = simulate_coverage(plan, workers=1)

@@ -8,6 +8,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from hypercov import cli
@@ -265,7 +266,6 @@ class TestSweepCommand:
             "0.9,5,80000,94313885409036120312",
             "0.9,5,90000,151072607951339351896",
         ]
-        mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(100):
             for row in rows:
                 n, k = (int(v) for v in row.split(",")[2:])

@@ -9,6 +9,10 @@ a refactor of how units are counted must leave every one unchanged.
 The `law`, `exact --m` and `oracle --mode occurrence` rows were recorded
 before the ensemble counts and the closed-form laws each got one
 definition, and pin the exit codes of the `law --t` range checks.
+The `sweep` rows were recorded while the closed form still took its
+logarithms from mpmath; every k* in them is below 10^61, where that
+60-digit precision was enough, so the stdlib decimal logarithms must
+print the same bytes.
 """
 
 import hashlib
@@ -67,6 +71,13 @@ GOLDEN = {
     "oracle-occurrence-lhs": ("oracle --mode occurrence --kind lhs --d 2 --n 3", 0, "ecea589f5acbcd5378b56b2239041c1caf3636719b2cc1b6e5cc9b7070d79d2d"),
     "oracle-occurrence-os": ("oracle --mode occurrence --kind os --d 2 --n 4 --p 2", 0, "96fd916238fe671c471bc0bfd6026e888e7b8c62d1371e5b78f963893e63a431"),
     "oracle-occurrence-edge": ("oracle --mode occurrence --kind lhs --d 3 --n 2 --edge 1,3", 0, "c7e4b1b5e51e9728cf61212435c8d73553d7bd13634584f1d0ea3048b951f372"),
+    "sweep-closed-form-1e6": ("sweep --mode closed-form --kind lhs --d 3 --t 2 --levels 0.5,0.9 --n-grid 1000,10000,100000,1000000", 0, "ed858373c9b8d8e49d510cf4b0e058c23c8555fb153f38c56b82ceff94ca0e38"),
+    "sweep-closed-form-t3": ("sweep --mode closed-form --kind lhs --d 3 --t 3 --levels 0.5,0.9 --n-grid 10,100,1000,10000", 0, "028b84eeca9f32f0273220f54c610ec8588adc941acaf82803a08e41da2d884c"),
+    "sweep-closed-form-past-float": ("sweep --mode closed-form --kind lhs --d 5 --t 5 --levels 0.9 --n-grid 76750,80000,90000", 0, "fe6266b45e22be974457a474cd87c02546485d44e88155b088ab9a42bdb589d6"),
+    "sweep-closed-form-os": ("sweep --mode closed-form --kind os --d 2 --t 2 --levels 0.5,0.9 --n-grid 4,9,16,25,36", 0, "84a2a1167d2a0eb249965d44993cf84f2b3b855c29cd65fa8f941b1bc5aa7bda"),
+    "sweep-closed-form-t1": ("sweep --mode closed-form --kind lhs --d 3 --t 1 --levels 0.5 --n-grid 10,100,1000", 0, "08c54e4392a12788dc863c054e1be0d1cc928314407db3416c00b184ca13679d"),
+    "sweep-simulated-t2": ("sweep --mode simulated --kind lhs --d 3 --t 2 --levels 0.5,0.9 --n-grid 8,27,64 --reps 3 --seed 5", 0, "971023deb6bc9c7e98c5e83a8c3d1cf2404ef7727701cc3eee5ec620ca954666"),
+    "sweep-full-coverage": ("sweep --mode simulated --kind lhs --d 2 --t 2 --levels 1.0 --n-grid 8,16,32 --reps 3 --seed 5", 0, "bcf240152fbda2b299daedb637cd05862e458a9ad32a45c1ab6d7e465d03a4f2"),
 }
 
 

@@ -50,9 +50,8 @@ from .oracle import (
     constant_count_check,
     default_verification_suite,
     enumerate_trials,
+    exact_check,
     occurrence_counts,
-    oracle_expected_coverage,
-    oracle_expected_intersection,
 )
 from .sampling import SampleKind, SamplerConfig, gen_trials, trial_seed
 from .simulate import SimPlan, simulate_coverage
@@ -448,17 +447,10 @@ def _run_oracle(config: RunConfig, out: str | None, workers: int) -> int:
     name = f"{mode} {kind.value} d={spec.d} n={spec.n}"
     if edge is not None:
         name += f" edge={params['edge']}"
-    checks = []
-    for q in params[q_name]:
-        # The exact side first: it refuses q above the term cap before
-        # the oracle walks its multisets.
-        if mode == "intersect":
-            want = expected_intersection(exact_kind, spec, q) / divisor
-            got = oracle_expected_intersection(ts, q, projection=units)
-        else:
-            want = expected_coverage_multiset(exact_kind, spec, q)
-            got = oracle_expected_coverage(ts, q, projection=units)
-        checks.append(CheckResult(f"{name} {q_name}={q}", str(got), str(want), got == want))
+    checks = [
+        exact_check(f"{name} {q_name}={q}", ts, exact_kind, mode, q, units, divisor)
+        for q in params[q_name]
+    ]
     return _emit_checks(config, out, checks)
 
 

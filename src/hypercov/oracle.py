@@ -170,27 +170,25 @@ class CheckResult:
     match: bool
 
 
-def _intersection_check(
+def exact_check(
     name: str,
     ts: EnumeratedTrialSet,
     kind: IntersectionKind,
-    m: int,
+    mode: str,
+    q: int,
     projection: Units | tuple[Units, ...] = Units(),
+    divisor: int = 1,
 ) -> CheckResult:
-    got = oracle_expected_intersection(ts, m, projection)
-    want = expected_intersection(kind, ts.spec, m)
-    return CheckResult(name, str(got), str(want), got == want)
-
-
-def _coverage_check(
-    name: str,
-    ts: EnumeratedTrialSet,
-    kind: IntersectionKind,
-    k: int,
-    projection: Units | tuple[Units, ...] = Units(),
-) -> CheckResult:
-    got = oracle_expected_coverage(ts, k, projection)
-    want = expected_coverage_multiset(kind, ts.spec, k)
+    """Oracle vs exact value of the expected intersection of q trials
+    (mode "intersect", the exact side divided by divisor) or the expected
+    coverage of q trials (mode "cover"). The exact side runs first, so
+    its term cap refuses q before the oracle walks any multiset."""
+    if mode == "intersect":
+        want = expected_intersection(kind, ts.spec, q) / divisor
+        got = oracle_expected_intersection(ts, q, projection)
+    else:
+        want = expected_coverage_multiset(kind, ts.spec, q)
+        got = oracle_expected_coverage(ts, q, projection)
     return CheckResult(name, str(got), str(want), got == want)
 
 
@@ -214,67 +212,27 @@ def default_verification_suite() -> list[CheckResult]:
     lhs_d2p2 = enumerate_trials(d2p2, SampleKind.LHS)
     os_d2p2 = enumerate_trials(d2p2, SampleKind.OS)
 
-    checks: list[CheckResult] = []
-    for m in (1, 2, 3):
-        checks.append(
-            _intersection_check(
-                f"intersection lhs d=2 n=2 m={m}", lhs_d2n2, IntersectionKind.LHS_TUPLE, m
-            )
-        )
+    lhs, os_ = IntersectionKind.LHS_TUPLE, IntersectionKind.OS_TUPLE
+    band = IntersectionKind.LH_EDGE_SUBBLOCK
+    pairs = tuple(Units(2, pair) for pair in combinations(range(1, 4), 2))
+    cell = Units(2, (1, 2), coarse=(1, 1))
+    checks = [
+        exact_check(f"intersection lhs d=2 n=2 m={m}", lhs_d2n2, lhs, "intersect", m)
+        for m in (1, 2, 3)
+    ]
     for m in (1, 2):
-        checks.append(
-            _intersection_check(
-                f"intersection lhs d=2 n=3 m={m}", lhs_d2n3, IntersectionKind.LHS_TUPLE, m
-            )
-        )
-        checks.append(
-            _intersection_check(
-                f"intersection lhs d=3 n=2 m={m}", lhs_d3n2, IntersectionKind.LHS_TUPLE, m
-            )
-        )
-        checks.append(
-            _intersection_check(
-                f"intersection os d=2 p=2 m={m}", os_d2p2, IntersectionKind.OS_TUPLE, m
-            )
-        )
-        checks.append(
-            _intersection_check(
-                f"intersection edges d=3 n=2 m={m}",
-                lhs_d3n2,
-                IntersectionKind.LH_EDGE_ALL,
-                m,
-                projection=tuple(Units(2, pair) for pair in combinations(range(1, 4), 2)),
-            )
-        )
-        checks.append(
-            _intersection_check(
-                f"intersection sub-block edge d=2 p=2 m={m}",
-                lhs_d2p2,
-                IntersectionKind.LH_EDGE_SUBBLOCK,
-                m,
-                projection=Units(2, (1, 2), coarse=(1, 1)),
-            )
-        )
+        for label, ts, kind, units in (
+            ("lhs d=2 n=3", lhs_d2n3, lhs, Units()),
+            ("lhs d=3 n=2", lhs_d3n2, lhs, Units()),
+            ("os d=2 p=2", os_d2p2, os_, Units()),
+            ("edges d=3 n=2", lhs_d3n2, IntersectionKind.LH_EDGE_ALL, pairs),
+            ("sub-block edge d=2 p=2", lhs_d2p2, band, cell),
+        ):
+            checks.append(exact_check(f"intersection {label} m={m}", ts, kind, "intersect", m, units))
     for k in (1, 2, 3):
-        checks.append(
-            _coverage_check(
-                f"coverage lhs d=2 n=2 k={k}", lhs_d2n2, IntersectionKind.LHS_TUPLE, k
-            )
-        )
-    checks.append(
-        _coverage_check(
-            "coverage os d=2 p=2 k=2", os_d2p2, IntersectionKind.OS_TUPLE, 2
-        )
-    )
-    checks.append(
-        _coverage_check(
-            "coverage sub-block edge d=2 p=2 k=2",
-            lhs_d2p2,
-            IntersectionKind.LH_EDGE_SUBBLOCK,
-            2,
-            projection=Units(2, (1, 2), coarse=(1, 1)),
-        )
-    )
+        checks.append(exact_check(f"coverage lhs d=2 n=2 k={k}", lhs_d2n2, lhs, "cover", k))
+    checks.append(exact_check("coverage os d=2 p=2 k=2", os_d2p2, os_, "cover", 2))
+    checks.append(exact_check("coverage sub-block edge d=2 p=2 k=2", lhs_d2p2, band, "cover", 2, cell))
     os_b = kind_params(IntersectionKind.OS_TUPLE, d2p2).b
     lhs_b = kind_params(IntersectionKind.LHS_TUPLE, d2n3).b
     checks.append(

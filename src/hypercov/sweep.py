@@ -1,10 +1,15 @@
 """Threshold sweeps: smallest trial count k* reaching a coverage level,
 swept over n, with a log-log slope fit.
 
-Closed-form mode inverts 1 - (1 - n^-(t-1))^k >= level with 60-digit
-mpmath logarithms, then verifies the boundary pair (k*-1 fails, k* meets) without float
+Closed-form mode inverts 1 - (1 - 1/base)^k >= level, base = n^(t-1),
+then verifies the boundary pair (k*-1 fails, k* meets) without float
 trust: exactly with Fractions while the bit cost stays small, otherwise
-with 60-digit mpmath.
+with stdlib decimal logarithms. Those carry 60 + digits(base) + digits(k)
+significant digits: ln(1 - 1/base) loses digits(base) of them to
+cancellation, and k * ln(1 - 1/base) must be told apart from its
+neighbours at k - 1 and k + 1. The start of the boundary walk takes
+digits(base) + 2 in place of digits(k), since k* <= 37 * base + 1 for
+any float level below 1 (-ln(1 - level) <= 53 ln 2).
 
 Simulated mode estimates the mean coverage curve over replicates
 (nested trial prefixes, so one pass yields every k) and takes the first
@@ -18,11 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
-import mpmath
 import numpy as np
 
 from . import rng
@@ -33,12 +38,20 @@ from .simulate import coverage_curve
 
 EXACT_VERIFY_BITS = 200_000
 SIM_K_GUARD = 1_000_000
-MP_DPS = 60
 
 
 class SweepMode(str, Enum):
     CLOSED_FORM = "closed-form"
     SIMULATED = "simulated"
+
+
+def _crossing(base: int, level: float, k: int) -> Decimal:
+    """ln(1 - level) / ln(1 - 1/base): the real k at which
+    1 - (1 - 1/base)^k equals level, accurate enough to compare with any
+    trial count of at most as many digits as k."""
+    with localcontext() as ctx:
+        ctx.prec = 60 + Decimal(base).adjusted() + Decimal(k).adjusted() + 2
+        return (1 - Decimal(level)).ln() / (Decimal(base - 1) / base).ln()
 
 
 def _meets_level(n: int, t: int, k: int, level: float) -> bool:
@@ -51,14 +64,7 @@ def _meets_level(n: int, t: int, k: int, level: float) -> bool:
     bits = k * (t - 1) * math.log2(n)
     if bits <= EXACT_VERIFY_BITS:
         return Fraction(base - 1, base) ** k <= 1 - Fraction(level)
-    with mpmath.workdps(MP_DPS):
-        log_miss, log_level = _mp_logs(base, level)
-        return k * log_miss <= log_level
-
-
-def _mp_logs(base: int, level: float) -> tuple[mpmath.mpf, mpmath.mpf]:
-    """log(1 - 1/base) and log(1 - level) at the working mpmath precision."""
-    return mpmath.log1p(mpmath.mpf(-1) / base), mpmath.log1p(-mpmath.mpf(level))
+    return k >= _crossing(base, level, k)
 
 
 def closed_form_k(n: int, t: int, level: float) -> int:
@@ -71,10 +77,10 @@ def closed_form_k(n: int, t: int, level: float) -> int:
         raise StructuralError(f"t must be >= 1, got {t}")
     if t == 1:
         return 1
-    # A float start is off by more than the walk once k* passes 2^53.
-    with mpmath.workdps(MP_DPS):
-        log_miss, log_level = _mp_logs(n ** (t - 1), level)
-        k = max(1, int(mpmath.ceil(log_level / log_miss)))
+    base = n ** (t - 1)
+    # A float start is off by more than the walk once k* passes 2^53;
+    # 100 * base has digits(base) + 2 digits and exceeds every k*.
+    k = max(1, math.ceil(_crossing(base, level, 100 * base)))
     for _ in range(10_000):
         if not _meets_level(n, t, k, level):
             k += 1
@@ -95,6 +101,18 @@ def _mean_curve(
     return total / (reps * target.universe(spec))
 
 
+def _first_k(curve_at: Callable[[int], np.ndarray], goal: float, k: int, what: str) -> int:
+    """First 1-based k at which curve_at(k) reaches goal, doubling the
+    curve length k until it does; refused past SIM_K_GUARD."""
+    while True:
+        hit = np.nonzero(curve_at(k) >= goal)[0]
+        if hit.size:
+            return int(hit[0]) + 1
+        k *= 2
+        if k > SIM_K_GUARD:
+            raise GuardExceededError(f"{what} passed guard {SIM_K_GUARD}")
+
+
 def simulated_k(
     spec: DesignSpec,
     kind: SampleKind,
@@ -106,15 +124,12 @@ def simulated_k(
     """Smallest k whose mean simulated coverage over reps reaches level."""
     if not (0.0 < level < 1.0):
         raise InvalidModeError(f"threshold search needs level in (0, 1), got {level}")
-    k_hi = max(4, 2 * closed_form_k(spec.n, t, level))
-    while True:
-        mean = _mean_curve(spec, kind, t, k_hi, reps, seed)
-        hit = np.nonzero(mean >= level)[0]
-        if hit.size:
-            return int(hit[0]) + 1
-        k_hi *= 2
-        if k_hi > SIM_K_GUARD:
-            raise GuardExceededError(f"k search passed guard {SIM_K_GUARD}")
+    return _first_k(
+        lambda k: _mean_curve(spec, kind, t, k, reps, seed),
+        level,
+        max(4, 2 * closed_form_k(spec.n, t, level)),
+        "k search",
+    )
 
 
 def full_coverage_k(
@@ -129,18 +144,15 @@ def full_coverage_k(
     universe = target.universe(spec)
     # coupon-collector scale estimate; doubled on demand per replicate
     start = max(8, int(2 * universe * (math.log(universe) + 1) / spec.n) + 4)
-    stops = []
-    for r in range(1, reps + 1):
-        k = start
-        while True:
-            curve = coverage_curve(spec, kind, replicate_seed(seed, r), k, target)
-            hit = np.nonzero(curve >= universe)[0]
-            if hit.size:
-                stops.append(int(hit[0]) + 1)
-                break
-            k *= 2
-            if k > SIM_K_GUARD:
-                raise GuardExceededError(f"full coverage passed guard {SIM_K_GUARD}")
+    stops = [
+        _first_k(
+            lambda k: coverage_curve(spec, kind, replicate_seed(seed, r), k, target),
+            universe,
+            start,
+            "full coverage",
+        )
+        for r in range(1, reps + 1)
+    ]
     return math.fsum(stops) / len(stops)
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from hypercov import cli
+from hypercov import cli, oracle
 from hypercov.cli import (
     RunConfig,
     build_parser,
@@ -228,8 +228,8 @@ class TestOracleCommand:
         def walk(*args, **kwargs):
             raise AssertionError("the oracle walked before the cap refused")
 
-        monkeypatch.setattr(cli, "oracle_expected_coverage", walk)
-        monkeypatch.setattr(cli, "oracle_expected_intersection", walk)
+        monkeypatch.setattr(oracle, "oracle_expected_coverage", walk)
+        monkeypatch.setattr(oracle, "oracle_expected_intersection", walk)
         code, _ = run_cli(capsys, "oracle", "--kind", "lhs", "--d", "2", "--n", "2", *flags)
         assert code == 3
 
@@ -271,6 +271,25 @@ class TestSweepCommand:
                 n, k = (int(v) for v in row.split(",")[2:])
                 log_miss = mpmath.log1p(mpmath.mpf(-1) / n**4)
                 log_level = mpmath.log1p(-mpmath.mpf(0.9))
+                assert k * log_miss <= log_level < (k - 1) * log_miss
+
+    @pytest.mark.parametrize("d,n_grid", [(12, "439597,500000,600000"), (14, "471880,500000,600000")])
+    def test_closed_form_past_sixty_digits(self, capsys, d, n_grid):
+        # k* passes 10^61 here, so a fixed 60-digit logarithm cannot tell
+        # it from its neighbours; the precision has to grow with k*.
+        code, out = run_cli(
+            capsys, "sweep", "--mode", "closed-form", "--kind", "lhs", "--d", str(d),
+            "--t", str(d), "--levels", "0.5", "--n-grid", n_grid,
+        )
+        assert code == 0
+        rows = [l.split(",") for l in out.splitlines() if l.startswith(f"0.5,{d},") and l.count(",") == 3]
+        assert [n for _, _, n, _ in rows] == n_grid.split(",")
+        with mpmath.workdps(500):
+            log_level = mpmath.log1p(-mpmath.mpf(0.5))
+            for _, _, n, k in rows:
+                k = int(k)
+                log_miss = mpmath.log1p(mpmath.mpf(-1) / int(n) ** (d - 1))
+                assert k > 10**61
                 assert k * log_miss <= log_level < (k - 1) * log_miss
 
     def test_file_mode_writes_summary_sibling(self, capsys, tmp_path):
@@ -448,3 +467,15 @@ def test_module_entry_smoke():
     )
     assert proc.returncode == 0
     assert "2,3" in proc.stdout
+
+
+def test_cli_import_loads_neither_mpmath_nor_the_process_pool():
+    # Both cost import time on every run: mpmath is not a runtime
+    # dependency, and the pool is imported only when simulate uses one.
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, hypercov.cli; "
+         "print(sorted({'mpmath', 'concurrent.futures'} & set(sys.modules)))"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

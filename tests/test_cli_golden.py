@@ -9,10 +9,10 @@ a refactor of how units are counted must leave every one unchanged.
 The `law`, `exact --m` and `oracle --mode occurrence` rows were recorded
 before the ensemble counts and the closed-form laws each got one
 definition, and pin the exit codes of the `law --t` range checks.
-The `sweep` rows were recorded while the closed form still took its
-logarithms from mpmath; every k* in them is below 10^61, where that
-60-digit precision was enough, so the stdlib decimal logarithms must
-print the same bytes.
+The `sweep` rows were recorded while the closed form took fixed
+60-digit mpmath logarithms. Every k* in them has at most 21 digits, well
+within that precision, so logarithms sized from k* must print the same
+bytes.
 """
 
 import hashlib

@@ -2,10 +2,12 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from hypercov import sweep
 from hypercov.design import DesignSpec
-from hypercov.errors import InvalidModeError, StructuralError
+from hypercov.errors import GuardExceededError, InvalidModeError, StructuralError
 from hypercov.sampling import SampleKind
 from hypercov.sweep import (
     SweepMode,
@@ -88,6 +90,36 @@ class TestFullCoverage:
         assert isinstance(got, float)
         with pytest.raises(InvalidModeError):
             find_k_for_target(DesignSpec(2, 4), SampleKind.LHS, 2, 1.0, SweepMode.CLOSED_FORM)
+
+
+class TestDoublingSearch:
+    def test_short_start_doubles_to_the_same_k(self, monkeypatch):
+        # Curves of one seed agree on shared prefixes, so a start below
+        # k* doubles (4, 8, 16, 32) to the k* a start above it finds.
+        spec = DesignSpec(2, 8)
+        want = simulated_k(spec, SampleKind.LHS, 2, 0.9, reps=20, seed=4)
+        assert want > 16
+        monkeypatch.setattr(sweep, "closed_form_k", lambda n, t, level: 1)
+        assert simulated_k(spec, SampleKind.LHS, 2, 0.9, reps=20, seed=4) == want
+
+    def test_guard_stops_both_searches(self, monkeypatch):
+        lengths = []
+
+        def never_covers(spec, kind, seed, k, target):
+            lengths.append(k)
+            return np.zeros(k, np.int64)
+
+        monkeypatch.setattr(sweep, "coverage_curve", never_covers)
+        monkeypatch.setattr(sweep, "SIM_K_GUARD", 64)
+        with pytest.raises(GuardExceededError, match="^k search passed guard 64$"):
+            simulated_k(DesignSpec(2, 8), SampleKind.LHS, 2, 0.5, reps=2, seed=0)
+        # Starts at 2 * closed_form_k = 12 and doubles while within the guard.
+        assert lengths == [12, 12, 24, 24, 48, 48]
+        lengths.clear()
+        with pytest.raises(GuardExceededError, match="^full coverage passed guard 64$"):
+            full_coverage_k(DesignSpec(2, 4), SampleKind.LHS, 2, reps=2, seed=0)
+        # The coupon-collector start is 34; 68 is past the guard.
+        assert lengths == [34]
 
 
 class TestFitSlope:

@@ -13,6 +13,10 @@ The `sweep` rows were recorded while the closed form took fixed
 60-digit mpmath logarithms. Every k* in them has at most 21 digits, well
 within that precision, so logarithms sized from k* must print the same
 bytes.
+The `gen`, row-key `simulate` and enumerated orthogonal `oracle` rows
+were recorded while the samplers returned 1-based (k, n, d) points and
+the orthogonal ensemble was assembled one trial at a time; keeping
+trials as 0-based columns must leave every one unchanged.
 """
 
 import hashlib
@@ -78,6 +82,14 @@ GOLDEN = {
     "sweep-closed-form-t1": ("sweep --mode closed-form --kind lhs --d 3 --t 1 --levels 0.5 --n-grid 10,100,1000", 0, "08c54e4392a12788dc863c054e1be0d1cc928314407db3416c00b184ca13679d"),
     "sweep-simulated-t2": ("sweep --mode simulated --kind lhs --d 3 --t 2 --levels 0.5,0.9 --n-grid 8,27,64 --reps 3 --seed 5", 0, "971023deb6bc9c7e98c5e83a8c3d1cf2404ef7727701cc3eee5ec620ca954666"),
     "sweep-full-coverage": ("sweep --mode simulated --kind lhs --d 2 --t 2 --levels 1.0 --n-grid 8,16,32 --reps 3 --seed 5", 0, "bcf240152fbda2b299daedb637cd05862e458a9ad32a45c1ab6d7e465d03a4f2"),
+    "gen-lhs-csv": ("gen --kind lhs --d 3 --n 5 --k 3 --seed 21", 0, "046f83d0677b2ef14bf4ca117f1716db72d222b1e415e677d3b06bd088f9953f"),
+    "gen-lhs-json": ("gen --kind lhs --d 3 --n 5 --k 3 --seed 21 --format json", 0, "5824a4cbc01e392212b79db88e765364fe1bc2d1bd0490f1c96dbef421b3b5a1"),
+    "gen-os-csv": ("gen --kind os --d 3 --n 8 --p 2 --k 3 --seed 21", 0, "a8f61be127dac1c3a2ce237fdaaa5fea8c8817e927486f9987f45ef1736ed086"),
+    "gen-os-json": ("gen --kind os --d 3 --n 8 --p 2 --k 3 --seed 21 --format json", 0, "3f79736118b040a8200ae54aba476d32dd4cc9a39a7d39ad8a65b31a45efa6bf"),
+    "simulate-lhs-rows": ("simulate --kind lhs --d 4 --n 65536 --k 2 --reps 2 --target full --seed 3", 0, "74021c1068da1734dd3765cdacf13fd4750616d88d3a9600523d85418a4170b6"),
+    "simulate-os-rows": ("simulate --kind os --d 4 --n 65536 --p 16 --k 2 --reps 2 --target full --seed 3", 0, "8075cd123a2d13b16429384b662607f9dfa5d6dc80568f2e5ebb55220cb06b7e"),
+    "simulate-lhs-multi-word": ("simulate --kind lhs --d 5 --n 65536 --k 2 --reps 2 --target full --seed 3", 0, "0dbe8823e46359e19cdf87bf148c46503b3647e1b761e4fe5c7dcba183834caa"),
+    "oracle-cover-os-enumerated": ("oracle --mode cover --kind os --d 2 --n 9 --p 3 --k 1", 0, "4227ef6fc0693b5b4728eb89783a06c17d9d143e8982b1cbdb48dd6bedb490db"),
 }
 
 

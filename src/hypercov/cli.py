@@ -31,7 +31,7 @@ from typing import Any, Callable, Iterator, Sequence
 
 from . import __version__
 from .design import DesignSpec, Units, trial_to_json
-from .errors import GuardExceededError, HypercovError, StructuralError
+from .errors import CapExceededError, GuardExceededError, HypercovError, StructuralError
 from .exact import (
     IntersectionKind,
     expected_coverage_multiset,
@@ -242,6 +242,10 @@ def _run_gen(config: RunConfig, out: str | None, workers: int) -> int:
     return 0
 
 
+# The largest exact value (lhs d=2 n=100 k=512) has 78,560 digits.
+MAX_DECIMAL_DIGITS = 1_000_000
+
+
 def _parse_format(text: str) -> int | None:
     """Digits of the decimal column; None means rational only."""
     if text == "rational":
@@ -250,6 +254,11 @@ def _parse_format(text: str) -> int | None:
         digits = _int(text[len("decimal:") :])
         if digits < 1:
             raise StructuralError("decimal digits must be >= 1")
+        if digits > MAX_DECIMAL_DIGITS:
+            raise CapExceededError(
+                f"decimal:{digits} exceeds cap {MAX_DECIMAL_DIGITS} digits; "
+                "use --format rational for the exact value"
+            )
         return digits
     raise StructuralError(f"--format must be rational or decimal:<digits>, got {text!r}")
 

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
 
+import numpy as np
+
 from .design import DesignSpec, Trial, Units, band_width
 from .errors import GuardExceededError, StructuralError
 from .exact import (
@@ -25,7 +27,7 @@ from .exact import (
     expected_intersection,
     kind_params,
 )
-from .sampling import SampleKind, assemble_orthogonal
+from .sampling import SampleKind, orthogonal_columns, trials_from_columns
 
 ENUM_GUARD = 100_000
 MULTISET_GUARD = 10_000_000
@@ -39,13 +41,20 @@ class EnumeratedTrialSet:
     trials: tuple[Trial, ...]
 
 
+def _choices(width: int, repeat: int) -> np.ndarray:
+    """Every choice of `repeat` permutations of 0..width-1, in
+    itertools.product order; shape (width! ** repeat, repeat, width)."""
+    perms = np.array(list(permutations(range(width))))
+    return perms[np.indices((len(perms),) * repeat).reshape(repeat, -1).T]
+
+
 def enumerate_trials(spec: DesignSpec, kind: SampleKind, guard: int = ENUM_GUARD) -> EnumeratedTrialSet:
     """Every distinct trial of the ensemble, exactly once.
 
     Latin trials are enumerated in canonical form: rows sorted by the
     first coordinate, which pins column 1 to (1..n) and leaves columns
     2..d as free permutations. Orthogonal trials are enumerated through
-    the fine-permutation assembly bijection.
+    the fine-permutation assembly bijection, every choice at once.
     """
     if kind is SampleKind.OS:
         p = spec.require_p()
@@ -53,26 +62,19 @@ def enumerate_trials(spec: DesignSpec, kind: SampleKind, guard: int = ENUM_GUARD
     total = kind_params(IntersectionKind(kind.value), spec).b
     if total > guard:
         raise GuardExceededError(f"{total} trials exceed enumeration guard {guard}")
+    d, n = spec.d, spec.n
     if kind is SampleKind.LHS:
-        n, d = spec.n, spec.d
-        base = list(permutations(range(1, n + 1)))
-        trials = []
-        for rest in product(base, repeat=d - 1):
-            rows = tuple((r,) + tuple(col[r - 1] for col in rest) for r in range(1, n + 1))
-            trials.append(Trial(spec, rows))
-        assert len(trials) == total
-        return EnumeratedTrialSet(spec, kind, tuple(trials))
-
-    w = band_width(p, spec.d)
-    slots = [(i, j) for i in range(1, spec.d + 1) for j in range(1, p + 1)]
-    base = list(permutations(range(1, w + 1)))
-    trials = []
-    for choice in product(base, repeat=len(slots)):
-        fine = dict(zip(slots, choice))
-        trials.append(assemble_orthogonal(spec, fine))
-    # the assembly is a bijection, so no duplicates can appear
+        rest = _choices(n, d - 1)
+        first = np.broadcast_to(np.arange(n), (len(rest), 1, n))
+        cols = np.concatenate([first, rest], axis=1)
+    else:
+        w = band_width(p, d)
+        fines = _choices(w, d * p)
+        cols = orthogonal_columns(fines.reshape(-1, d, p, w), p)
+    trials = tuple(trials_from_columns(spec, cols))
+    # Both enumerations are bijections, so no duplicates can appear.
     assert len(set(trials)) == total
-    return EnumeratedTrialSet(spec, SampleKind.OS, tuple(trials))
+    return EnumeratedTrialSet(spec, kind, trials)
 
 
 def _unit_sets(ts: EnumeratedTrialSet, projection: Units | tuple[Units, ...]) -> list[frozenset]:

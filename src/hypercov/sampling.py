@@ -15,8 +15,10 @@ Every choice of the d*p permutations yields a distinct orthogonal trial
 and every orthogonal trial arises from exactly one choice, so the
 output is uniform over all orthogonal trials.
 
-The samplers draw a batch at once: one trial per seed, as an int64
-array of shape (k, n, d) with 1-based values.
+The samplers draw a batch at once, one trial per seed, as 0-based
+columns: an int64 array of shape (k, d, n) whose entry [t, j] is axis
+j + 1 of trial t, a permutation of 0..n-1. 1-based rows exist only in
+`design.Trial`, which `trials_from_columns` builds.
 """
 
 from __future__ import annotations
@@ -59,46 +61,41 @@ def replicate_seed(master: int, r: int) -> int:
 
 
 def lh_points_batch(spec: DesignSpec, trial_seeds: np.ndarray) -> np.ndarray:
-    """Latin hypercube points for each seed; shape (k, n, d), values 1-based."""
+    """Latin hypercube columns for each seed; shape (k, d, n), 0-based."""
     col_seeds = rng.fold_grid(trial_seeds, np.arange(1, spec.d + 1))
-    perms = rng.permutations_from_seeds(col_seeds, spec.n)  # (k, d, n), 0-based
-    return perms.transpose(0, 2, 1) + 1
+    return rng.permutations_from_seeds(col_seeds, spec.n)
 
 
 @lru_cache(maxsize=64)
 def _coarse_tables(p: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lex-ordered coarse tuples (n, d) and per-axis slot indices (n, d).
+    """0-based coarse band (d, n) and fine slot (d, n) of each row.
 
-    slot[r, i] counts earlier rows sharing coarse band C[r, i]; it is the
-    consumption index into that band's fine permutation.
+    Row r visits the sub-block whose coarse bands are the base-p digits
+    of r, most significant first (lexicographic order). slot[i, r] is
+    the consumption index into that band's fine permutation: the number
+    of earlier rows sharing band[i, r], which is r with digit i removed.
     """
-    n = p**d
-    r = np.arange(n)
-    cols = [(r // p ** (d - 1 - i)) % p + 1 for i in range(d)]
-    coarse = np.stack(cols, axis=1).astype(np.int64)
-    slot = np.empty((n, d), dtype=np.int64)
-    for i in range(d):
-        for j in range(1, p + 1):
-            pos = np.flatnonzero(coarse[:, i] == j)
-            slot[pos, i] = np.arange(pos.size)
-    return coarse, slot
+    r = np.arange(p**d)
+    scale = p ** np.arange(d - 1, -1, -1)[:, None]  # p^(d-1-i) for axis i
+    return r // scale % p, r // (scale * p) * scale + r % scale
+
+
+def orthogonal_columns(fines: np.ndarray, p: int) -> np.ndarray:
+    """0-based columns (k, d, n) of the orthogonal trials assembled from
+    fine permutations (k, d, p, w): fines[t, i, j] is the 0-based fine
+    permutation of axis i + 1, coarse band j + 1 in trial t."""
+    d, w = fines.shape[1], fines.shape[3]
+    band, slot = _coarse_tables(p, d)
+    cols = fines[:, np.arange(d)[:, None], band, slot]
+    cols += band * w
+    return cols
 
 
 def os_points_batch(spec: DesignSpec, trial_seeds: np.ndarray) -> np.ndarray:
-    """Orthogonal points for each seed; shape (k, n, d), values 1-based."""
+    """Orthogonal columns for each seed; shape (k, d, n), 0-based."""
     p = spec.require_p()
-    d, n = spec.d, spec.n
-    w = band_width(p, d)
-    labels = np.arange(1, d * p + 1)
-    f_seeds = rng.fold_grid(trial_seeds, labels)  # (k, d*p)
-    fines = rng.permutations_from_seeds(f_seeds, w).reshape(-1, d, p, w)
-    coarse, slot = _coarse_tables(p, d)
-    out = np.empty((len(np.atleast_1d(trial_seeds)), n, d), dtype=np.int64)
-    for i in range(d):
-        band = coarse[:, i]  # (n,), 1-based
-        fine = fines[:, i, band - 1, slot[:, i]]  # (k, n), 0-based
-        out[:, :, i] = (band - 1) * w + fine + 1
-    return out
+    f_seeds = rng.fold_grid(trial_seeds, np.arange(1, spec.d * p + 1)).reshape(-1, spec.d, p)
+    return orthogonal_columns(rng.permutations_from_seeds(f_seeds, band_width(p, spec.d)), p)
 
 
 def points_batch(spec: DesignSpec, kind: SampleKind, trial_seeds: np.ndarray) -> np.ndarray:
@@ -107,34 +104,31 @@ def points_batch(spec: DesignSpec, kind: SampleKind, trial_seeds: np.ndarray) ->
     return os_points_batch(spec, trial_seeds)
 
 
+def trial_columns(spec: DesignSpec, kind: SampleKind, seed: int, k: int) -> np.ndarray:
+    """Columns of the k trials of a run or replicate; trial t (1-based)
+    is drawn from fold(seed, t)."""
+    return points_batch(spec, kind, rng.fold_array(seed, np.arange(1, k + 1)))
+
+
+def trials_from_columns(spec: DesignSpec, cols: np.ndarray) -> list[Trial]:
+    """One `Trial` (1-based rows) per trial of 0-based columns (k, d, n)."""
+    return [Trial(spec, tuple(map(tuple, rows))) for rows in (cols.transpose(0, 2, 1) + 1).tolist()]
+
+
 def gen_trials(cfg: SamplerConfig, k: int) -> list[Trial]:
     """k i.i.d. trials; trial t uses fold(cfg.seed, t)."""
     if k < 0:
         raise StructuralError(f"k must be >= 0, got {k}")
-    seeds = rng.fold_array(cfg.seed, np.arange(1, k + 1))
-    pts = points_batch(cfg.spec, cfg.kind, seeds)
-    return [
-        Trial(cfg.spec, tuple(tuple(int(v) for v in row) for row in trial)) for trial in pts
-    ]
+    return trials_from_columns(cfg.spec, trial_columns(cfg.spec, cfg.kind, cfg.seed, k))
 
 
 def assemble_orthogonal(spec: DesignSpec, fine_perms: dict[tuple[int, int], tuple[int, ...]]) -> Trial:
     """Build the orthogonal trial determined by explicit fine permutations.
 
     fine_perms[(i, j)] is a permutation of [p^(d-1)] (1-based) for axis i,
-    coarse band j. This is the same assembly rule the sampler uses; the
-    oracle enumerates all choices through it.
+    coarse band j. This is the same assembly rule the sampler uses.
     """
     p = spec.require_p()
-    d = spec.d
-    w = band_width(p, d)
-    coarse, slot = _coarse_tables(p, d)
-    rows = []
-    for r in range(spec.n):
-        row = []
-        for i in range(d):
-            j = int(coarse[r, i])
-            fine = fine_perms[(i + 1, j)][int(slot[r, i])]
-            row.append((j - 1) * w + fine)
-        rows.append(tuple(row))
-    return Trial(spec, tuple(rows))
+    axes, bands = range(1, spec.d + 1), range(1, p + 1)
+    fines = np.array([[fine_perms[(i, j)] for j in bands] for i in axes], dtype=np.int64) - 1
+    return trials_from_columns(spec, orthogonal_columns(fines[None], p))[0]

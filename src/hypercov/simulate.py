@@ -12,18 +12,20 @@ covered keys for each requested target, a `design.Units` family:
                             (pi, pj) of axis pair (i, j)'s quotient grid,
                             universe p^(2(d-1))
 
-Keys are radix-encoded into int64 and counted by sorting them and
-counting the places where adjacent keys differ. When the key space does
-not fit int64 (n^t > 2^63) the rows go into Latin buckets instead: every
-counted axis of a trial is a permutation of [n], so bucket b, the rows
-with value b on the first counted axis, holds exactly one row of each
-trial. The other axes are packed into int64 words, each bucket is sorted
-on its own (np.lexsort when one word does not hold them), and the count
-is n plus the adjacent differences. Prefix curves take each distinct
-key's first trial from the same sort. Per-replicate coverage fractions
-are exact integer ratios converted to float once; aggregation is
-sequential in replicate order with math.fsum, so reports are bit-stable
-for a fixed seed regardless of worker count.
+Trials arrive from the sampler as 0-based columns (k, d, n), and each
+counted axis is read as a view of them. Keys are the counted axes packed
+base n (base p^(d-1) for fine offsets) into int64 codes, counted by
+sorting them and counting the places where adjacent keys differ. When
+the key space does not fit int64 (n^t > 2^63) the keys go into Latin
+buckets instead: every counted axis of a trial is a permutation of
+0..n-1, so bucket b, the keys with value b on the first counted axis,
+holds exactly one key of each trial. The other axes are packed into
+int64 words, each bucket is sorted on its own (np.lexsort when one word
+does not hold them), and the count is n plus the adjacent differences.
+Prefix curves take each distinct key's first trial from the same sort.
+Per-replicate coverage fractions are exact integer ratios converted to
+float once; aggregation is sequential in replicate order with math.fsum,
+so reports are bit-stable for a fixed seed regardless of worker count.
 """
 
 from __future__ import annotations
@@ -36,11 +38,10 @@ from typing import Sequence
 
 import numpy as np
 
-from . import rng
 from .design import DesignSpec, Units, band_width
 from .errors import GuardExceededError, StructuralError
 from .laws import asymptotic_coverage, iid_coverage, projection_lambda
-from .sampling import SampleKind, points_batch, replicate_seed
+from .sampling import SampleKind, replicate_seed, trial_columns
 
 MAX_TRACKED_KEYS = 20_000_000  # k * n per replicate
 
@@ -117,26 +118,43 @@ class CoverageReport:
     ref_asym: float
 
 
+def _pack(digits: Sequence[np.ndarray], base: int) -> np.ndarray:
+    """Base-`base` codes of equal-shape digit arrays, most significant first."""
+    code = digits[0].astype(np.int64)  # a copy
+    for digit in digits[1:]:
+        code *= base
+        code += digit
+    return code
+
+
 def _keys_for_target(
-    points: np.ndarray, spec: DesignSpec, target: Units
+    cols: np.ndarray, spec: DesignSpec, target: Units
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(keys, per-trial key counts). keys is 1-D codes or 2-D rows."""
-    k, n_rows = points.shape[0], points.shape[1]
-    sel = points[:, :, [v - 1 for v in target.axes(spec)]]  # a copy
-    sel -= 1
-    if target.coarse is None:
-        base, counts = spec.n, np.full(k, n_rows, dtype=np.int64)
-    else:
-        # Keep the rows inside the coarse cell, keyed by fine offsets.
+    """(keys, per-trial key counts) of the trials' 0-based columns (k, d, n).
+
+    keys is 1-D codes, trial by trial, when the target's universe fits
+    int64. Otherwise it is rows of shape (n * k, words): the counted axes
+    after the first, packed base n into as few int64 words as hold them,
+    in Latin-bucket order, so trial i's key whose first-axis value is b
+    is row b * k + i.
+    """
+    k, n = cols.shape[0], spec.n
+    digits = [cols[:, v - 1] for v in target.axes(spec)]  # views, (k, n) each
+    if target.coarse is not None:
+        # Keep the keys inside the coarse cell, coded by fine offsets.
         base = band_width(spec.require_p(), spec.d)
-        mask = np.all(sel // base == np.array(target.coarse) - 1, axis=2)
-        sel, counts = (sel % base)[mask], mask.sum(axis=1)
-    if target.universe(spec) > 2**63:
-        return sel.reshape(-1, sel.shape[-1]), counts
-    codes = np.zeros(sel.shape[:-1], dtype=np.int64)
-    for q in range(sel.shape[-1]):
-        codes = codes * np.int64(base) + sel[..., q]
-    return codes.reshape(-1), counts
+        mask = np.logical_and(*(x // base == q - 1 for x, q in zip(digits, target.coarse)))
+        return _pack([x[mask] % base for x in digits], base), mask.sum(axis=1)
+    counts = np.full(k, n, dtype=np.int64)
+    if target.universe(spec) <= 2**63:
+        return _pack(digits, n).reshape(-1), counts
+    first, rest = digits[0], digits[1:]
+    per_word = max(q for q in range(1, len(rest) + 1) if n**q <= 2**63)
+    groups = [rest[lo : lo + per_word] for lo in range(0, len(rest), per_word)]
+    keys = np.empty((len(groups), n * k), dtype=np.int64).T  # each word contiguous
+    for word, group in zip(keys.T, groups):
+        word.reshape(n, k)[first, np.arange(k)[:, None]] = _pack(group, n)
+    return keys, counts
 
 
 def _sorted_flags(
@@ -171,42 +189,17 @@ def _count_distinct(words: Sequence[np.ndarray]) -> int:
 
 def _bucket_words(keys: np.ndarray, k: int, n: int) -> list[np.ndarray]:
     """The keys of k trials from `_keys_for_target`, laid out for
-    `_sorted_flags`.
-
-    1-D codes form one bucket. 2-D rows are the 0-based rows of k
-    trials, n per trial, whose first column is a permutation of 0..n-1
-    in each trial. So bucket b holds exactly one row of every trial:
-    trial i's row with first value b goes to column i of bucket b. The
-    other columns are packed base n into as few int64 words as hold them.
-    """
+    `_sorted_flags`: 1-D codes form one bucket, and rows, already in
+    Latin-bucket order, give one (n, k) array per word."""
     if keys.ndim == 1:
         return [keys.reshape(1, -1)]
-    rows, per_word = keys, 1
-    while per_word < rows.shape[1] - 1 and n ** (per_word + 1) <= 2**63:
-        per_word += 1
-    slot = (rows[:, 0].reshape(k, n) * k + np.arange(k)[:, None]).reshape(-1)
-    words = []
-    for lo in range(1, rows.shape[1], per_word):
-        code = np.zeros(rows.shape[0], dtype=np.int64)
-        for q in range(lo, min(lo + per_word, rows.shape[1])):
-            code *= n
-            code += rows[:, q]
-        word = np.empty(n * k, dtype=np.int64)
-        word[slot] = code
-        words.append(word.reshape(n, k))
-    return words
+    return [word.reshape(n, k) for word in keys.T]
 
 
-def _covered_count(points: np.ndarray, spec: DesignSpec, target: Units) -> int:
-    keys, _ = _keys_for_target(points, spec, target)
+def _covered_count(cols: np.ndarray, spec: DesignSpec, target: Units) -> int:
+    keys, _ = _keys_for_target(cols, spec, target)
     # Rows come only from t-axis units (a coarse universe is below n^2).
-    return _count_distinct(_bucket_words(keys, points.shape[0], spec.n))
-
-
-def replicate_points(spec: DesignSpec, kind: SampleKind, rep_seed: int, k: int) -> np.ndarray:
-    """The k trials of one replicate, shape (k, n, d)."""
-    seeds = rng.fold_array(rep_seed, np.arange(1, k + 1))
-    return points_batch(spec, kind, seeds)
+    return _count_distinct(_bucket_words(keys, cols.shape[0], spec.n))
 
 
 def coverage_curve(
@@ -218,8 +211,8 @@ def coverage_curve(
     final covered count.
     """
     SimPlan(spec, kind, k, reps=1, targets=(target,))  # the plan's checks and key guard
-    points = replicate_points(spec, kind, rep_seed, k)
-    keys, counts = _keys_for_target(points, spec, target)
+    cols = trial_columns(spec, kind, rep_seed, k)
+    keys, counts = _keys_for_target(cols, spec, target)
     new, order = _sorted_flags(_bucket_words(keys, k, spec.n), with_order=True)
     # Each distinct key's first column: a key position for 1-D codes, a
     # trial for row buckets.
@@ -232,8 +225,8 @@ def coverage_curve(
 def _replicate_counts(plan: SimPlan, rep_ids: Sequence[int]) -> list[tuple[int, list[int]]]:
     out = []
     for r in rep_ids:
-        points = replicate_points(plan.spec, plan.kind, replicate_seed(plan.seed, r), plan.k)
-        out.append((r, [_covered_count(points, plan.spec, tgt) for tgt in plan.targets]))
+        cols = trial_columns(plan.spec, plan.kind, replicate_seed(plan.seed, r), plan.k)
+        out.append((r, [_covered_count(cols, plan.spec, tgt) for tgt in plan.targets]))
     return out
 
 

@@ -99,6 +99,25 @@ class TestExact:
         assert code == 0
         assert "1.28571428571428571428571428571" in out
 
+    @pytest.mark.parametrize("digits", ["1000001", "100000000", "999999999999999999"])
+    def test_decimal_digits_cap_exit(self, capsys, digits):
+        # Uncapped, decimal:100000000 prints 100 MB and the largest width
+        # dies with a MemoryError traceback.
+        code, out = run_cli(
+            capsys, "exact", "--kind", "lhs", "--d", "2", "--n", "3", "--m", "2",
+            "--format", f"decimal:{digits}",
+        )
+        assert code == 3
+        assert out == ""
+
+    def test_decimal_digits_at_the_cap(self, capsys):
+        code, out = run_cli(
+            capsys, "exact", "--kind", "lhs", "--d", "2", "--n", "3", "--m", "2",
+            "--format", "decimal:1000000",
+        )
+        assert code == 0
+        assert len(out.splitlines()[-1].split(",")[-1]) == 1_000_001  # digits and the point
+
     def test_needs_exactly_one_of_m_k(self, capsys):
         code, _ = run_cli(capsys, "exact", "--kind", "lhs", "--d", "2", "--n", "3")
         assert code == 2

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from hypercov.design import DesignSpec, Trial, is_latin, is_orthogonal
+from hypercov.design import DesignSpec, is_latin, is_orthogonal
 from hypercov.errors import StructuralError, UnsupportedSpecError
 from hypercov.sampling import (
     SampleKind,
@@ -15,6 +15,7 @@ from hypercov.sampling import (
     os_points_batch,
     points_batch,
     trial_seed,
+    trials_from_columns,
 )
 
 # Uniformity runs draw one trial per seed; batch generation keeps the
@@ -26,8 +27,8 @@ CHI2_ALPHA = 0.001
 
 def draw(spec, seed, kind=SampleKind.LHS):
     """The trial the sampler draws at this seed, as a Trial."""
-    pts = points_batch(spec, kind, np.array([seed], dtype=np.uint64))[0]
-    return Trial(spec, tuple(tuple(int(v) for v in row) for row in pts))
+    cols = points_batch(spec, kind, np.array([seed], dtype=np.uint64))
+    return trials_from_columns(spec, cols)[0]
 
 
 class TestLatinSampler:
@@ -55,10 +56,10 @@ class TestLatinSampler:
         spec = DesignSpec(3, 5)
         seeds = np.array([0, 7, 123], dtype=np.uint64)
         batch = lh_points_batch(spec, seeds)
-        assert batch.shape == (3, 5, 3)
-        for row, s in zip(batch, [0, 7, 123]):
+        assert batch.shape == (3, 3, 5)
+        for trial, s in zip(trials_from_columns(spec, batch), [0, 7, 123]):
             want = draw(spec, s).points
-            assert tuple(map(tuple, row)) == want
+            assert trial.points == want
 
 
 class TestOrthogonalSampler:
@@ -87,9 +88,9 @@ class TestOrthogonalSampler:
         spec = DesignSpec(2, 9, p=3)
         seeds = np.array([3, 1000], dtype=np.uint64)
         batch = os_points_batch(spec, seeds)
-        for row, s in zip(batch, [3, 1000]):
+        for trial, s in zip(trials_from_columns(spec, batch), [3, 1000]):
             want = draw(spec, s, SampleKind.OS).points
-            assert tuple(map(tuple, row)) == want
+            assert trial.points == want
 
     def test_assemble_identity_permutations(self):
         spec = DesignSpec(2, 4, p=2)
@@ -100,6 +101,29 @@ class TestOrthogonalSampler:
         # fine value: block (1,1) gets (1,1), block (1,2) gets (2,3)...
         assert t.points == ((1, 1), (2, 3), (3, 2), (4, 4))
         assert is_orthogonal(t)
+
+    @pytest.mark.parametrize("d,p", [(2, 3), (3, 2)])
+    def test_assembly_follows_the_documented_rule(self, d, p):
+        # Sub-blocks in lexicographic order; on each axis a point takes
+        # the next unused value of its band's fine permutation.
+        from itertools import product
+
+        w = p ** (d - 1)
+        gen = np.random.default_rng(5)
+        perms = {
+            (i, j): tuple(int(v) + 1 for v in gen.permutation(w))
+            for i in range(1, d + 1)
+            for j in range(1, p + 1)
+        }
+        used = dict.fromkeys(perms, 0)
+        rows = []
+        for block in product(range(1, p + 1), repeat=d):
+            row = []
+            for i, j in enumerate(block, start=1):
+                row.append((j - 1) * w + perms[(i, j)][used[(i, j)]])
+                used[(i, j)] += 1
+            rows.append(tuple(row))
+        assert assemble_orthogonal(DesignSpec(d, p**d, p), perms).points == tuple(rows)
 
     def test_assemble_is_injective(self):
         from itertools import permutations, product
@@ -140,19 +164,19 @@ class TestUniformity:
         # d=2, n=2 has exactly two Latin trials; each should appear
         # about half the time over many seeds.
         spec = DesignSpec(2, 2)
-        pts = lh_points_batch(spec, np.arange(LH_UNIFORMITY_DRAWS, dtype=np.uint64))
+        cols = lh_points_batch(spec, np.arange(LH_UNIFORMITY_DRAWS, dtype=np.uint64))
         # Column 1 is always the identity after sorting rows; the trial
-        # is determined by the axis-2 value paired with axis-1 value 1.
-        first = pts[:, :, 1][np.arange(len(pts)), np.argmax(pts[:, :, 0] == 1, axis=1)]
-        frac_diag = float(np.mean(first == 1))
+        # is determined by the axis-2 value paired with axis-1 value 0.
+        first = cols[:, 1][np.arange(len(cols)), np.argmax(cols[:, 0] == 0, axis=1)]
+        frac_diag = float(np.mean(first == 0))
         assert abs(frac_diag - 0.5) < 0.02
 
     def test_os_all_sixteen_trials_uniform(self):
         spec = DesignSpec(2, 4, p=2)
-        pts = os_points_batch(spec, np.arange(OS_UNIFORMITY_DRAWS, dtype=np.uint64))
-        order = np.argsort(pts[:, :, 0], axis=1)
-        col2 = np.take_along_axis(pts[:, :, 1], order, axis=1)
-        codes = ((col2 - 1) * (4 ** np.arange(4))[::-1]).sum(axis=1)
+        cols = os_points_batch(spec, np.arange(OS_UNIFORMITY_DRAWS, dtype=np.uint64))
+        order = np.argsort(cols[:, 0], axis=1)
+        col2 = np.take_along_axis(cols[:, 1], order, axis=1)
+        codes = (col2 * (4 ** np.arange(4))[::-1]).sum(axis=1)
         _, counts = np.unique(codes, return_counts=True)
         assert len(counts) == 16
         expected = OS_UNIFORMITY_DRAWS / 16
@@ -166,8 +190,8 @@ class TestUniformity:
         # probability 1/n.
         spec = DesignSpec(2, 4)
         draws = 8_000
-        pts = lh_points_batch(spec, np.arange(draws, dtype=np.uint64))
-        codes = (pts[:, :, 0] - 1) * 4 + (pts[:, :, 1] - 1)
+        cols = lh_points_batch(spec, np.arange(draws, dtype=np.uint64))
+        codes = cols[:, 0] * 4 + cols[:, 1]
         counts = np.bincount(codes.ravel(), minlength=16)
         expected = draws * 4 / 16
         stat = float(((counts - expected) ** 2 / expected).sum())

@@ -6,6 +6,8 @@ before any statistics enter.
 """
 
 import statistics
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from hypercov import simulate
 from hypercov.cli import parse_target
 from hypercov.design import DesignSpec, Units
 from hypercov.errors import GuardExceededError, StructuralError, UnsupportedSpecError
-from hypercov.sampling import SampleKind, SamplerConfig, gen_trials
+from hypercov.sampling import SampleKind, SamplerConfig, gen_trials, trial_columns
 from hypercov.simulate import (
     SimPlan,
     _keys_for_target,
@@ -31,6 +33,11 @@ SEED = 1106
 
 def edge(i, j, pi, pj):
     return Units(2, (i, j), coarse=(pi, pj))
+
+
+def columns(trials):
+    """The sampler's 0-based (k, d, n) columns of these trials."""
+    return np.array([[t.column(j) for j in range(1, t.spec.d + 1)] for t in trials], dtype=np.int64) - 1
 
 
 class TestTargets:
@@ -179,9 +186,8 @@ class TestUnitEncoders:
     @staticmethod
     def counts(spec, kind, units, seed, k):
         trials = gen_trials(SamplerConfig(spec, seed, kind), k)
-        points = np.array([t.points for t in trials])
         naive = frozenset().union(*(units.cells(t) for t in trials))
-        return len(naive), simulate._covered_count(points, spec, units)
+        return len(naive), simulate._covered_count(columns(trials), spec, units)
 
     @pytest.mark.parametrize("kind", list(SampleKind))
     @pytest.mark.parametrize("text", FORMS)
@@ -208,12 +214,12 @@ class TestUnitEncoders:
 
     def test_edge_counts_agree_when_trials_add_no_key(self):
         spec, units = DesignSpec(2, 4, p=2), edge(1, 2, 1, 1)
-        points = np.array([t.points for t in gen_trials(SamplerConfig(spec, 2), 8)])
-        _, per_trial = _keys_for_target(points, spec, units)
+        cols = columns(gen_trials(SamplerConfig(spec, 2), 8))
+        _, per_trial = _keys_for_target(cols, spec, units)
         assert per_trial.tolist() == [0, 0, 0, 1, 1, 1, 1, 1]
         naive, fast = self.counts(spec, SampleKind.LHS, units, seed=2, k=8)
         assert naive == fast
-        assert simulate._covered_count(points[:3], spec, units) == 0
+        assert simulate._covered_count(cols[:3], spec, units) == 0
 
     @pytest.mark.parametrize(
         "spec, kind, text",
@@ -228,8 +234,8 @@ class TestUnitEncoders:
         # Seed 2 gives the edge unit three leading trials with no key.
         units, k = parse_target(text), 6
         curve = coverage_curve(spec, kind, rep_seed=2, k=k, target=units)
-        points = simulate.replicate_points(spec, kind, 2, k)
-        prefix = [simulate._covered_count(points[:i], spec, units) for i in range(1, k + 1)]
+        cols = trial_columns(spec, kind, 2, k)
+        prefix = [simulate._covered_count(cols[:i], spec, units) for i in range(1, k + 1)]
         assert curve.tolist() == prefix
 
     @pytest.mark.parametrize("text", ["full", "proj:2", "proj:2@1,3", "edge:1,2,1,1"])
@@ -280,12 +286,70 @@ class TestDistinctCount:
     )
     @settings(max_examples=100)
     def test_latin_rows_match_set_of_tuples(self, d, n, k, seed, repeat):
-        points = simulate.replicate_points(DesignSpec(d, n), SampleKind.LHS, seed, k)
+        spec = DesignSpec(d, n)
+        cols = trial_columns(spec, SampleKind.LHS, seed, k)
         if repeat:  # every row then appears twice
-            points = np.concatenate([points, points])
-        rows = points.reshape(-1, d) - 1
-        words = simulate._bucket_words(rows, points.shape[0], n)
+            cols = np.concatenate([cols, cols])
+        # A universe past 2^63 sends these small trials down the row path.
+        with mock.patch.object(Units, "universe", return_value=2**64):
+            keys, _ = _keys_for_target(cols, spec, Units())
+        assert keys.ndim == 2
+        words = simulate._bucket_words(keys, cols.shape[0], n)
+        rows = cols.transpose(0, 2, 1).reshape(-1, d)
         assert simulate._count_distinct(words) == len(set(map(tuple, rows.tolist())))
+
+
+class TestKeyContract:
+    """What the traced run's key counters assume of `_keys_for_target`:
+    one key per row of `keys`, and 2-D keys exactly when the universe
+    passes 2^63."""
+
+    @pytest.mark.parametrize(
+        "spec, kind, text",
+        [
+            (DesignSpec(3, 8, p=2), SampleKind.LHS, "full"),
+            (DesignSpec(3, 8, p=2), SampleKind.OS, "proj:2"),
+            (DesignSpec(3, 8, p=2), SampleKind.LHS, "proj:2@3,1"),
+            (DesignSpec(3, 8, p=2), SampleKind.OS, "edge:1,3,2,1"),
+            (DesignSpec(4, 2**16), SampleKind.LHS, "full"),
+            (DesignSpec(4, 2**16, p=16), SampleKind.OS, "proj:4@4,2,3,1"),
+            (DesignSpec(5, 2**16), SampleKind.LHS, "full"),
+        ],
+    )
+    def test_one_key_per_row_and_rows_past_int64(self, spec, kind, text):
+        units = parse_target(text)
+        keys, counts = _keys_for_target(trial_columns(spec, kind, 4, 3), spec, units)
+        assert keys.shape[0] == counts.sum()
+        assert (keys.ndim == 2) == (units.universe(spec) > 2**63)
+
+    def test_rows_come_in_latin_bucket_order(self):
+        # Trial i's key whose first-axis value is b is row b * k + i,
+        # holding the other axes packed base n.
+        spec, k, n = DesignSpec(4, 5), 3, 5
+        cols = trial_columns(spec, SampleKind.LHS, 8, k)
+        with mock.patch.object(Units, "universe", return_value=2**64):
+            keys, counts = _keys_for_target(cols, spec, Units(4, (2, 4, 1, 3)))
+        assert counts.tolist() == [n] * k
+        want = np.empty((n * k, 1), dtype=np.int64)
+        for i in range(k):
+            for r in range(n):
+                want[cols[i, 1, r] * k + i] = (cols[i, 3, r] * n + cols[i, 0, r]) * n + cols[i, 2, r]
+        assert np.array_equal(keys, want)
+
+
+class TestMemory:
+    def test_replicate_peak_below_twice_its_columns(self):
+        # One row-key replicate holds its (k, d, n) columns plus the key
+        # words and one sort copy, not a second layout of the trials.
+        spec, k = DesignSpec(4, 2**16), 8
+        plan = SimPlan(spec, SampleKind.LHS, k=k, reps=1, seed=SEED)
+        tracemalloc.start()
+        try:
+            simulate._replicate_counts(plan, [1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * k * spec.d * spec.n * 8
 
 
 class TestSummarize:
@@ -349,9 +413,9 @@ class TestSubblockUniformity:
     @staticmethod
     def rectangle_counts(trials):
         spec = trials[0].spec
-        points = np.array([t.points for t in trials])
+        cols = columns(trials)
         cells = [edge(1, 2, pi, pj) for pi in range(1, spec.p + 1) for pj in range(1, spec.p + 1)]
-        return tuple(int(_keys_for_target(points, spec, e)[1].sum()) for e in cells)
+        return tuple(int(_keys_for_target(cols, spec, e)[1].sum()) for e in cells)
 
     def test_single_orthogonal_trial_is_flat(self):
         trials = gen_trials(SamplerConfig(DesignSpec(2, 4, p=2), 5, SampleKind.OS), 1)

@@ -37,7 +37,8 @@ def edge(i, j, pi, pj):
 
 def columns(trials):
     """The sampler's 0-based (k, d, n) columns of these trials."""
-    return np.array([[t.column(j) for j in range(1, t.spec.d + 1)] for t in trials], dtype=np.int64) - 1
+    cols = [[t.column(j) for j in range(1, t.spec.d + 1)] for t in trials]
+    return np.array(cols, dtype=np.int64) - 1
 
 
 class TestTargets:

@@ -11,6 +11,10 @@ Feeding that JSON back through --config reproduces the artifact byte
 for byte. Flags always win over --config values; the seed falls back
 to the HYPERCOV_SEED environment variable, then to 0. Output paths and
 worker counts are routing, not content, so they stay out of the hash.
+
+Every table cell prints by one rule (`_fmt`): bools as true/false,
+floats as their repr, None as an empty cell, ints in full whatever
+their digit count, anything else as str.
 """
 
 from __future__ import annotations
@@ -27,10 +31,10 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from . import __version__
-from .design import DesignSpec, Units, trial_to_json
+from .design import DesignSpec, Units
 from .errors import CapExceededError, GuardExceededError, HypercovError, StructuralError
 from .exact import (
     IntersectionKind,
@@ -86,12 +90,6 @@ def provenance_lines(config: RunConfig) -> list[str]:
     ]
 
 
-def _csv_row(fields: Sequence[Any]) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="").writerow(list(fields))
-    return buf.getvalue()
-
-
 def _fmt(value: Any) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -100,6 +98,19 @@ def _fmt(value: Any) -> str:
     if value is None:
         return ""
     return str(value)
+
+
+def _csv_lines(rows: Iterable[Sequence[Any]]) -> list[str]:
+    """One CSV line per row, every cell through _fmt. A quoted cell that
+    holds a newline spans two items, which _emit joins back."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([_fmt(v) for v in row] for row in rows)
+    return buf.getvalue().split("\n")[:-1]
+
+
+def _table(config: RunConfig, header: str, rows: Iterable[Sequence[Any]]) -> list[str]:
+    """Provenance lines, the header, then one CSV line per row."""
+    return [*provenance_lines(config), header, *_csv_lines(rows)]
 
 
 def _emit(out: str | None, lines: list[str]) -> None:
@@ -118,16 +129,24 @@ def _emit(out: str | None, lines: list[str]) -> None:
 SCALARS: dict[str, type] = {"int": int, "seed": int, "str": str, "float": float}
 
 
-def _normalize(tag: str, value: Any) -> Any:
+def _normalize(name: str, tag: str, value: Any) -> Any:
     if value is None:
         return None
     scalar = SCALARS[tag.removesuffix("_list")]
+
+    def cast(v: Any) -> Any:
+        # No flag text parses to a bool, nor to a float where an int is due.
+        if isinstance(v, bool) or (scalar is int and isinstance(v, float)):
+            flag = name.replace("_", "-")
+            raise StructuralError(f"--{flag} must be {scalar.__name__}, got {json.dumps(v)}")
+        return scalar(v)
+
     if not tag.endswith("_list"):
-        return scalar(value)
+        return cast(value)
     if isinstance(value, str):
         # Flag text is comma-separated, except a str_list's: one item per flag.
         value = [value] if tag == "str_list" else value.split(",")
-    return [scalar(v) for v in value]
+    return [cast(v) for v in value]
 
 
 def _load_config_file(path: str) -> dict:
@@ -165,7 +184,7 @@ def resolve_params(sub: str, args: argparse.Namespace) -> RunConfig:
         if flag.tag == "seed" and value is None:
             env = os.environ.get("HYPERCOV_SEED")
             value = int(env) if env is not None else 0
-        value = params[name] = _normalize(flag.tag, value)
+        value = params[name] = _normalize(name, flag.tag, value)
         if flag.choices is not None and value is not None and value not in flag.choices:
             raise StructuralError(f"--{name} must be one of {', '.join(flag.choices)}, got {value!r}")
     return RunConfig(sub, params)
@@ -215,29 +234,29 @@ def parse_target(text: str) -> Units:
 
 def _run_gen(config: RunConfig, out: str | None, workers: int) -> int:
     params = config.params
-    spec = _spec_from(params)
     kind = SampleKind(params["kind"])
     seed = params["seed"]
-    trials = gen_trials(SamplerConfig(spec, seed, kind), params["k"])
+    trials = gen_trials(SamplerConfig(_spec_from(params), seed, kind), params["k"])
     if params["format"] == "json":
+        spec = {key: params[key] for key in ("d", "n", "p") if params[key] is not None}
         doc = {
             "provenance": {
                 "version": __version__,
                 "seed": seed,
                 "config_hash": config_hash(config),
-                "config": json.loads(canonical_config_json(config)),
+                "config": {"subcommand": config.subcommand, "params": params},
             },
             "trials": [
-                json.loads(trial_to_json(trial, trial_seed(seed, t + 1), kind.value))
-                for t, trial in enumerate(trials)
+                {"spec": spec, "seed": trial_seed(seed, t), "kind": kind.value,
+                 "points": trial.points}
+                for t, trial in enumerate(trials, start=1)
             ],
         }
         _emit(out, [json.dumps(doc, sort_keys=True, separators=(",", ":"))])
         return 0
     lines = provenance_lines(config)
     for t, trial in enumerate(trials, start=1):
-        lines.append(f"# trial {t}")
-        lines.extend(",".join(str(v) for v in row) for row in trial.points)
+        lines += [f"# trial {t}", *_csv_lines(trial.points)]
     _emit(out, lines)
     return 0
 
@@ -277,93 +296,56 @@ def _run_exact(config: RunConfig, out: str | None, workers: int) -> int:
     ms, ks = params.get("m"), params.get("k")
     if (ms is None) == (ks is None):
         raise StructuralError("exactly one of --m and --k is required")
-    lines = provenance_lines(config)
-    lines.append("kind,d,n,p,m_or_k,value_num,value_den,value_decimal")
-    for q in ms if ms is not None else ks:
-        if ms is not None:
-            value = expected_intersection(kind, spec, q)
-        else:
-            value = expected_coverage_multiset(kind, spec, q)
-        dec = "" if digits is None else _decimal_str(value, digits)
-        lines.append(
-            _csv_row(
-                [
-                    kind.value,
-                    spec.d,
-                    spec.n,
-                    "" if spec.p is None else spec.p,
-                    q,
-                    value.numerator,
-                    value.denominator,
-                    dec,
-                ]
-            )
-        )
-    _emit(out, lines)
+    value_of = expected_coverage_multiset if ms is None else expected_intersection
+    rows = []
+    for q in ks if ms is None else ms:
+        v = value_of(kind, spec, q)
+        dec = None if digits is None else _decimal_str(v, digits)
+        rows.append([kind.value, spec.d, spec.n, spec.p, q, v.numerator, v.denominator, dec])
+    _emit(out, _table(config, "kind,d,n,p,m_or_k,value_num,value_den,value_decimal", rows))
     return 0
 
 
-def _law_lambda(params: dict) -> tuple[float, int | str, int | str, int | str]:
-    """Resolve lambda; returns (lambda, d, n, t) with '' for absent columns."""
+def _law_lambda(params: dict) -> tuple[float, int | None, int | None, int | None]:
+    """Resolve lambda; returns (lambda, d, n, t) with None for absent columns."""
     t, n = params.get("t"), params.get("n")
     if t is not None:
         if n is None:
             raise StructuralError("--t needs --n to fix lambda")
         if t > 1 and n < 2:
             raise StructuralError(f"n must be >= 2, got {n}")
-        return projection_lambda(n, t, params.get("d")), params.get("d") or "", n, t
+        return projection_lambda(n, t, params.get("d")), params.get("d"), n, t
     if params.get("kind") is None:
         raise StructuralError("need --kind or --t to fix lambda")
     kind = IntersectionKind(params["kind"])
     spec = _spec_from(params)
-    return lambda_for(kind, spec), spec.d, spec.n, ""
+    return lambda_for(kind, spec), spec.d, spec.n, None
 
 
 def _run_law(config: RunConfig, out: str | None, workers: int) -> int:
     params = config.params
     model = params["model"]
-    lines = provenance_lines(config)
-    lines.append("model,d,n,t,k,lambda,value,e1_bound,e2_bound,valid")
-
     if model == "bracket":
         if params.get("kind") is None:
             raise StructuralError("bracket needs --kind")
         kind = IntersectionKind(params["kind"])
         spec = _spec_from(params)
+        rows = []
         for k in params["k"]:
             rep = bracket_exact_vs_asymptotic(kind, spec, k)
-            base = [spec.d, spec.n, "", k, rep.lam]
-            for name, value in (
-                ("multiset", rep.p_multiset),
-                ("iid", rep.p_iid),
-                ("asymptotic", rep.p_asym),
-            ):
-                lines.append(_csv_row([name, *base, _fmt(value), "", "", ""]))
-            lines.append(
-                _csv_row(
-                    [
-                        "bracket",
-                        *base,
-                        _fmt(abs(rep.p_multiset - rep.p_asym)),
-                        _fmt(rep.e1_bound),
-                        _fmt(rep.e2_bound),
-                        _fmt(rep.valid),
-                    ]
-                )
-            )
-        _emit(out, lines)
-        return 0
-
-    lam, d_col, n_col, t_col = _law_lambda(params)
-    if model == "conjecture" and params.get("t") is None:
-        raise StructuralError("conjecture model needs --t")
-    law = asymptotic_coverage if model == "asymptotic" else iid_coverage
-    for k in params["k"]:
-        value = law(lam, k)
-        lines.append(
-            _csv_row([model, d_col, n_col, t_col, k, _fmt(lam), _fmt(value), "", "", ""])
-        )
-    _emit(out, lines)
+            base = [spec.d, spec.n, None, k, rep.lam]
+            values = (rep.p_multiset, rep.p_iid, rep.p_asym)
+            for name, value in zip(("multiset", "iid", "asymptotic"), values):
+                rows.append([name, *base, value, None, None, None])
+            gap = abs(rep.p_multiset - rep.p_asym)
+            rows.append(["bracket", *base, gap, rep.e1_bound, rep.e2_bound, rep.valid])
+    else:
+        lam, d, n, t = _law_lambda(params)
+        if model == "conjecture" and t is None:
+            raise StructuralError("conjecture model needs --t")
+        law = asymptotic_coverage if model == "asymptotic" else iid_coverage
+        rows = [[model, d, n, t, k, lam, law(lam, k), None, None, None] for k in params["k"]]
+    _emit(out, _table(config, "model,d,n,t,k,lambda,value,e1_bound,e2_bound,valid", rows))
     return 0
 
 
@@ -376,37 +358,13 @@ def _run_simulate(config: RunConfig, out: str | None, workers: int) -> int:
         # --dims names the axes of every proj: target.
         dims = tuple(params["dims"])
         targets = [Units(u.t, dims) if u.t is not None and u.coarse is None else u for u in targets]
-    plan = SimPlan(
-        spec=spec,
-        kind=kind,
-        k=params["k"],
-        reps=params["reps"],
-        targets=tuple(targets),
-        seed=params["seed"],
-    )
-    reports = simulate_coverage(plan, workers=workers)
-    lines = provenance_lines(config)
-    lines.append("target,d,n,p,kind,k,reps,mean,sd,se,ref_iid,ref_asym")
-    for target, rep in zip(targets, reports):
-        lines.append(
-            _csv_row(
-                [
-                    target.label,
-                    spec.d,
-                    spec.n,
-                    "" if spec.p is None else spec.p,
-                    kind.value,
-                    plan.k,
-                    plan.reps,
-                    _fmt(rep.mean),
-                    _fmt(rep.sd),
-                    _fmt(rep.se),
-                    _fmt(rep.ref_iid),
-                    _fmt(rep.ref_asym),
-                ]
-            )
-        )
-    _emit(out, lines)
+    plan = SimPlan(spec, kind, params["k"], params["reps"], tuple(targets), params["seed"])
+    rows = [
+        [t.label, spec.d, spec.n, spec.p, kind.value, plan.k, plan.reps,
+         r.mean, r.sd, r.se, r.ref_iid, r.ref_asym]
+        for t, r in zip(targets, simulate_coverage(plan, workers=workers))
+    ]
+    _emit(out, _table(config, "target,d,n,p,kind,k,reps,mean,sd,se,ref_iid,ref_asym", rows))
     return 0
 
 
@@ -468,35 +426,19 @@ def _run_sweep(config: RunConfig, out: str | None, workers: int) -> int:
     kind = SampleKind(params["kind"])
     mode = SweepMode(params["mode"])
     results = sweep_run(
-        d=params["d"],
-        t=params["t"],
-        kind=kind,
-        levels=params["levels"],
-        n_grid=params["n_grid"],
-        mode=mode,
-        reps=params["reps"],
-        seed=params["seed"],
+        params["d"], params["t"], kind, params["levels"], params["n_grid"], mode,
+        reps=params["reps"], seed=params["seed"],
     )
-    tidy = provenance_lines(config)
-    tidy.append("level,t,n,k_star")
-    for res in results:
-        for n, k_star in res.rows:
-            k_txt = str(int(k_star)) if float(k_star).is_integer() else repr(k_star)
-            tidy.append(_csv_row([_fmt(res.level), res.t, n, k_txt]))
-    summary = provenance_lines(config)
-    summary.append("level,t,slope,intercept,residual")
-    for res in results:
-        summary.append(
-            _csv_row(
-                [
-                    _fmt(res.level),
-                    res.t,
-                    _fmt(res.slope),
-                    _fmt(res.intercept),
-                    _fmt(res.residual),
-                ]
-            )
-        )
+    # k* prints as an integer when it is one, even the float mean of a
+    # full-coverage sweep.
+    tidy = _table(config, "level,t,n,k_star", [
+        [res.level, res.t, n, str(int(k)) if float(k).is_integer() else repr(k)]
+        for res in results
+        for n, k in res.rows
+    ])
+    summary = _table(config, "level,t,slope,intercept,residual", [
+        [res.level, res.t, res.slope, res.intercept, res.residual] for res in results
+    ])
     if out in (None, "-"):
         _emit(out, tidy + ["# summary"] + summary[len(provenance_lines(config)) :])
     else:
@@ -512,18 +454,11 @@ def _run_verify(config: RunConfig, out: str | None, workers: int) -> int:
 
 def _emit_checks(config: RunConfig, out: str | None, checks: list[CheckResult]) -> int:
     """The MATCH table of an oracle or verify run; exit 4 on any mismatch."""
-    lines = provenance_lines(config)
-    lines.append("check,oracle,expected,verdict")
-    for c in checks:
-        lines.append(
-            _csv_row([c.name, c.oracle, c.expected, "MATCH" if c.match else "MISMATCH"])
-        )
-    bad = sum(1 for c in checks if not c.match)
-    lines.append(
-        f"# all {len(checks)} checks MATCH"
-        if bad == 0
-        else f"# {bad} of {len(checks)} checks MISMATCH"
-    )
+    lines = _table(config, "check,oracle,expected,verdict", [
+        [c.name, c.oracle, c.expected, "MATCH" if c.match else "MISMATCH"] for c in checks
+    ])
+    bad, total = sum(1 for c in checks if not c.match), len(checks)
+    lines.append(f"# {bad} of {total} checks MISMATCH" if bad else f"# all {total} checks MATCH")
     _emit(out, lines)
     if out not in (None, "-"):
         print(lines[-1].lstrip("# "))
@@ -704,7 +639,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0 if code in (0, None) else 2
     try:
         config = resolve_params(args.subcommand, args)
-    except (HypercovError, ValueError, TypeError) as exc:
+    except (HypercovError, ValueError, TypeError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

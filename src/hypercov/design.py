@@ -16,7 +16,6 @@ equality and hashing use the rows sorted lexicographically.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -208,23 +207,3 @@ class Units:
         if self.coarse is not None:
             cells = {c for c in cells if coarse_tuple(c, spec) == self.coarse}
         return frozenset(cells)
-
-
-# --- serialization ---------------------------------------------------------
-
-
-def trial_to_json(trial: Trial, seed: int, kind: str) -> str:
-    """JSON envelope with enough provenance to regenerate the trial."""
-    spec_obj: dict = {"d": trial.spec.d, "n": trial.spec.n}
-    if trial.spec.p is not None:
-        spec_obj["p"] = trial.spec.p
-    return json.dumps(
-        {
-            "spec": spec_obj,
-            "seed": seed,
-            "kind": kind,
-            "points": [list(row) for row in trial.points],
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )

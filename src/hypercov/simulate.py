@@ -44,6 +44,7 @@ from .laws import asymptotic_coverage, iid_coverage, projection_lambda
 from .sampling import SampleKind, replicate_seed, trial_columns
 
 MAX_TRACKED_KEYS = 20_000_000  # k * n per replicate
+MAX_REPLICATE_BYTES = 2**30  # k * d * n int64 column entries, times 8
 
 Z99 = NormalDist().inv_cdf(0.995)
 
@@ -80,6 +81,17 @@ class SimPlan:
             raise GuardExceededError(
                 f"k*n = {self.k * self.spec.n} keys exceed guard {MAX_TRACKED_KEYS}"
             )
+        if self.replicate_bytes > MAX_REPLICATE_BYTES:
+            raise GuardExceededError(
+                f"a replicate's columns take {self.replicate_bytes} bytes, over guard "
+                f"{MAX_REPLICATE_BYTES}; the largest k that fits is "
+                f"{MAX_REPLICATE_BYTES // (self.replicate_bytes // self.k)}"
+            )
+
+    @property
+    def replicate_bytes(self) -> int:
+        """Bytes of one replicate's int64 columns, shape (k, d, n)."""
+        return self.k * self.spec.d * self.spec.n * 8
 
 
 @dataclass(frozen=True)
@@ -237,8 +249,11 @@ def _worker(args: tuple[SimPlan, list[int]]) -> list[tuple[int, list[int]]]:
 def simulate_coverage(plan: SimPlan, workers: int = 1) -> list[CoverageReport]:
     """One CoverageReport per target, in plan order."""
     rep_ids = list(range(1, plan.reps + 1))
-    # Never more processes than CPUs or replicates, whatever was asked.
-    pool_size = min(workers, plan.reps, os.cpu_count() or 1)
+    # Never more processes than CPUs or replicates, whatever was asked, nor
+    # more replicates in memory at once than MAX_REPLICATE_BYTES holds.
+    pool_size = min(
+        workers, plan.reps, os.cpu_count() or 1, max(1, MAX_REPLICATE_BYTES // plan.replicate_bytes)
+    )
     if pool_size <= 1 or plan.reps < 4:
         rows = _replicate_counts(plan, rep_ids)
     else:

@@ -156,6 +156,14 @@ def full_coverage_k(
     return math.fsum(stops) / len(stops)
 
 
+def _check_cell(level: float, mode: SweepMode, reps: int) -> None:
+    """Refuse a level or replicate count that no sweep cell can use."""
+    if not (0.0 < level <= 1.0):  # also refuses nan
+        raise StructuralError(f"level must be in (0, 1], got {level}")
+    if mode is SweepMode.SIMULATED and reps < 1:
+        raise StructuralError(f"reps must be >= 1, got {reps}")
+
+
 def find_k_for_target(
     spec: DesignSpec,
     kind: SampleKind,
@@ -168,8 +176,7 @@ def find_k_for_target(
     """k* for one (spec, t, level) cell. Full coverage (level = 1.0) is
     simulation-only and returns the mean stopping count as a float."""
     Units(t).validate_for(spec)
-    if not (0.0 < level <= 1.0):
-        raise StructuralError(f"level must be in (0, 1], got {level}")
+    _check_cell(level, mode, reps)
     if level == 1.0:
         if mode is SweepMode.CLOSED_FORM:
             raise InvalidModeError("full coverage has no closed form; use simulated mode")
@@ -190,13 +197,13 @@ def fit_slope(rows: Sequence[tuple[int, float]]) -> FitResult:
     """Least squares fit of log10(k*) against log10(n)."""
     if len(rows) < 3:
         raise StructuralError(f"need >= 3 grid points, got {len(rows)}")
+    if len({n for n, _ in rows}) < 2:
+        raise StructuralError("all grid points share one n; slope undefined")
     xs = [math.log10(n) for n, _ in rows]
     ys = [math.log10(ks) for _, ks in rows]
     xm = math.fsum(xs) / len(xs)
     ym = math.fsum(ys) / len(ys)
     sxx = math.fsum((x - xm) ** 2 for x in xs)
-    if sxx == 0.0:
-        raise StructuralError("all grid points share one n; slope undefined")
     sxy = math.fsum((x - xm) * (y - ym) for x, y in zip(xs, ys))
     slope = sxy / sxx
     intercept = ym - slope * xm
@@ -244,6 +251,8 @@ def run_sweep(
     seed: int = 0,
 ) -> list[SweepResult]:
     """One SweepResult per level, over the same n grid."""
+    for level in levels:
+        _check_cell(level, mode, reps)  # before any cell seed rounds the level
     results = []
     for level in levels:
         rows = []

@@ -9,9 +9,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
 
-from hypercov import cli, oracle
+from hypercov import cli, oracle, simulate
 from hypercov.cli import (
     RunConfig,
     build_parser,
@@ -20,8 +21,16 @@ from hypercov.cli import (
     main,
     resolve_params,
 )
-from hypercov.design import DesignSpec
+from hypercov.design import DesignSpec, Trial
 from hypercov.exact import IntersectionKind, expected_coverage_multiset
+from hypercov.sampling import (
+    SampleKind,
+    SamplerConfig,
+    gen_trials,
+    points_batch,
+    trial_seed,
+    trials_from_columns,
+)
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -65,6 +74,34 @@ class TestGen:
         assert doc["provenance"]["seed"] == 42
         assert len(doc["trials"]) == 1
         assert doc["trials"][0]["spec"] == {"d": 2, "n": 4, "p": 2}
+
+    def test_json_envelope_shape(self, capsys):
+        code, out = run_cli(
+            capsys, "gen", "--d", "2", "--n", "4", "--kind", "lhs", "--k", "2", "--format", "json",
+        )
+        assert code == 0
+        for trial in json.loads(out)["trials"]:
+            assert set(trial) == {"spec", "seed", "kind", "points"}
+            assert trial["spec"] == {"d": 2, "n": 4}  # no p for an lhs spec
+            assert trial["kind"] == "lhs"
+
+    @pytest.mark.parametrize("kind,spec", [("lhs", DesignSpec(3, 5)), ("os", DesignSpec(2, 4, 2))])
+    def test_json_points_rebuild_the_trials(self, capsys, kind, spec):
+        # Each envelope holds enough to rebuild its trial, from the points
+        # or from the trial seed.
+        argv = ["gen", "--kind", kind, "--d", str(spec.d), "--n", str(spec.n), "--k", "3", "--seed", "42"]
+        if spec.p is not None:
+            argv += ["--p", str(spec.p)]
+        code, out = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        want = gen_trials(SamplerConfig(spec, 42, SampleKind(kind)), 3)
+        docs = json.loads(out)["trials"]
+        for t, (doc, trial) in enumerate(zip(docs, want, strict=True), start=1):
+            points = tuple(tuple(row) for row in doc["points"])
+            assert Trial(DesignSpec(**doc["spec"]), points).points == trial.points
+            assert doc["seed"] == trial_seed(42, t)
+            cols = points_batch(spec, SampleKind(doc["kind"]), np.array([doc["seed"]], dtype=np.uint64))
+            assert trials_from_columns(spec, cols) == [trial]
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "trials.csv"
@@ -211,6 +248,16 @@ class TestSimulate:
         _, par = run_cli(capsys, *args, "--workers", "2")
         assert seq == par
 
+    def test_replicate_bytes_guard_refuses_before_drawing(self, capsys, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("trials were drawn")
+
+        monkeypatch.setattr(simulate, "trial_columns", no_draw)
+        code = main(["simulate", "--d", "16", "--n", "20000", "--k", "1000", "--reps", "1"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert "the largest k that fits is 419" in captured.err
+
 
 class TestOracleCommand:
     def test_intersect_match(self, capsys):
@@ -311,6 +358,32 @@ class TestSweepCommand:
                 assert k > 10**61
                 assert k * log_miss <= log_level < (k - 1) * log_miss
 
+    @pytest.mark.parametrize("level", ["nan", "inf"])
+    def test_non_finite_level_exits_2(self, capsys, level):
+        code, out = run_cli(
+            capsys, "sweep", "--mode", "simulated", "--d", "3", "--t", "2",
+            "--levels", level, "--n-grid", "8,27,64",
+        )
+        assert (code, out) == (2, "")
+
+    @pytest.mark.parametrize("level", ["0.5", "1.0"])
+    @pytest.mark.parametrize("reps", ["0", "-3"])
+    def test_simulated_needs_a_replicate(self, capsys, level, reps):
+        code, out = run_cli(
+            capsys, "sweep", "--mode", "simulated", "--d", "3", "--t", "2",
+            "--levels", level, "--n-grid", "8,27,64", "--reps", reps,
+        )
+        assert (code, out) == (2, "")
+
+    def test_one_distinct_n_has_no_slope(self, capsys):
+        # Every point has the same log10(n), so no line fits; the squared
+        # deviations of log10(8) still sum to a rounding-sized sxx.
+        code, out = run_cli(
+            capsys, "sweep", "--mode", "closed-form", "--d", "3", "--t", "2",
+            "--levels", "0.5", "--n-grid", "8,8,8",
+        )
+        assert (code, out) == (2, "")
+
     def test_file_mode_writes_summary_sibling(self, capsys, tmp_path):
         target = tmp_path / "sweep.csv"
         code, out = run_cli(
@@ -353,6 +426,25 @@ class TestConfigReplay:
         cfg.write_text(json.dumps({"subcommand": sub, "params": params}))
         code, _ = run_cli(capsys, sub, "--config", str(cfg))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv,params",
+        [
+            ("gen --d 2 --n 4", {"k": 2.7}),
+            ("gen --d 2 --n 4", {"k": 2.0}),
+            ("gen --d 2 --n 4", {"k": True}),
+            ("gen --d 2 --n 4", {"seed": 1.5}),
+            ("sweep --mode simulated --d 2 --t 2 --reps 2", {"levels": [True], "n_grid": [8, 16, 32]}),
+            ("sweep --mode closed-form --d 3 --t 2", {"levels": [0.5], "n_grid": [64, 128.0, 256]}),
+            ("sweep --mode closed-form --d 3 --t 2", {"levels": [10**400], "n_grid": [64, 128, 256]}),
+        ],
+    )
+    def test_config_values_meet_flag_types(self, capsys, tmp_path, argv, params):
+        # A config value no flag text could give is refused, not cast.
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"params": params}))
+        code, out = run_cli(capsys, *shlex.split(argv), "--config", str(cfg))
+        assert (code, out) == (2, "")
 
     def test_unknown_config_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "c.json"

@@ -1,7 +1,5 @@
 """Design containers, the sub-block codec, and trial classification."""
 
-import json
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +14,6 @@ from hypercov.design import (
     encode_subblock_value,
     is_latin,
     is_orthogonal,
-    trial_to_json,
 )
 from hypercov.errors import StructuralError, UnsupportedSpecError
 
@@ -211,21 +208,3 @@ class TestProjections:
                 bad.validate_for(spec)
         with pytest.raises(UnsupportedSpecError):
             Units(2, (1, 2), coarse=(1, 1)).validate_for(DesignSpec(3, 8))
-
-
-class TestSerialization:
-    def test_json_round_trip(self):
-        # The envelope holds everything needed to rebuild the trial.
-        spec = DesignSpec(2, 4, p=2)
-        t = Trial(spec, ((1, 3), (2, 1), (3, 4), (4, 2)))
-        doc = json.loads(trial_to_json(t, seed=42, kind="os"))
-        back = Trial(DesignSpec(**doc["spec"]), tuple(tuple(row) for row in doc["points"]))
-        assert back == t
-        assert doc["seed"] == 42
-        assert doc["kind"] == "os"
-
-    def test_json_envelope_shape(self):
-        t = Trial(DesignSpec(2, 2), ((1, 2), (2, 1)))
-        doc = json.loads(trial_to_json(t, seed=0, kind="lhs"))
-        assert set(doc) == {"spec", "seed", "kind", "points"}
-        assert doc["spec"] == {"d": 2, "n": 2}

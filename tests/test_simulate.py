@@ -5,8 +5,10 @@ covers a known number of cells), which pins the counting pipeline
 before any statistics enter.
 """
 
+import math
 import statistics
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -39,6 +41,29 @@ def columns(trials):
     """The sampler's 0-based (k, d, n) columns of these trials."""
     cols = [[t.column(j) for j in range(1, t.spec.d + 1)] for t in trials]
     return np.array(cols, dtype=np.int64) - 1
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Sizes of the process pools asked for; a fake executor runs the
+    chunks here, so no process is started whatever size is asked."""
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            return [fn(chunk) for chunk in chunks]
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
+    return sizes
 
 
 class TestTargets:
@@ -155,6 +180,35 @@ class TestStatisticalAgreement:
         want = 1 - (1 - 1 / 4) ** 2  # each fine pair lies in a trial with rate 1/n
         assert rep.ref_iid == pytest.approx(want)
         assert abs(rep.mean - want) < 4 * rep.se
+
+
+    @pytest.mark.parametrize("d,n,k", [(2, 4, 3), (2, 10, 10)])
+    def test_lhs_sd_matches_exact(self, d, n, k):
+        # U, the uncovered cells of N = n^d, has E[U] = N(1 - lam)^k. Two
+        # cells that share no coordinate lie in one Latin trial together
+        # with probability mu; two that share one never do. So
+        # E[U^2] = E[U] + N(n-1)^d (1 - 2lam + mu)^k
+        #                + (N(N-1) - N(n-1)^d)(1 - 2lam)^k,
+        # and the coverage fraction 1 - U/N has sd sd(U)/N.
+        big_n = n**d
+        lam, mu = Fraction(1, n ** (d - 1)), Fraction(1, (n * (n - 1)) ** (d - 1))
+        apart = big_n * (n - 1) ** d  # ordered pairs of cells sharing no coordinate
+        eu = big_n * (1 - lam) ** k
+        eu2 = (
+            eu
+            + apart * (1 - 2 * lam + mu) ** k
+            + (big_n * (big_n - 1) - apart) * (1 - 2 * lam) ** k
+        )
+        want = math.sqrt(eu2 - eu**2) / big_n
+        plan = SimPlan(DesignSpec(d, n), SampleKind.LHS, k=k, reps=4000, seed=SEED)
+        rep = simulate_coverage(plan)[0]
+        # The sample sd's standard error from the fourth central moment,
+        # which holds however the fraction is distributed, not only if normal.
+        x = np.array(rep.fractions)
+        r, dev = x.size, x - x.mean()
+        m2, m4 = np.mean(dev**2), np.mean(dev**4)
+        se = math.sqrt((m4 - m2**2 * (r - 3) / (r - 1)) / r) / (2 * rep.sd)
+        assert abs(rep.sd - want) < 4 * se
 
 
 class TestCurve:
@@ -352,6 +406,16 @@ class TestMemory:
             tracemalloc.stop()
         assert peak < 2 * k * spec.d * spec.n * 8
 
+    def test_replicate_bytes_guard_names_the_largest_k(self):
+        # k*n is within MAX_TRACKED_KEYS at both k; the columns are not.
+        spec = DesignSpec(16, 20_000)
+        fits = SimPlan(spec, SampleKind.LHS, k=419, reps=1)
+        assert fits.replicate_bytes == 419 * 16 * 20_000 * 8 <= simulate.MAX_REPLICATE_BYTES
+        with pytest.raises(GuardExceededError, match="largest k that fits is 419$"):
+            SimPlan(spec, SampleKind.LHS, k=420, reps=1)
+        with pytest.raises(GuardExceededError, match="2560000000 bytes"):
+            SimPlan(spec, SampleKind.LHS, k=1000, reps=1)
+
 
 class TestSummarize:
     def test_constant_series(self):
@@ -380,31 +444,23 @@ class TestWorkers:
             assert a.fractions == b.fractions
             assert a.mean == b.mean
 
-    def test_pool_never_exceeds_cpus(self, monkeypatch):
-        # A fake executor records the pool size and runs the chunks here,
-        # so no process is started whatever --workers asks for.
-        sizes = []
-
-        class FakePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, chunks):
-                return [fn(chunk) for chunk in chunks]
-
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
+    def test_pool_never_exceeds_cpus(self, monkeypatch, pool_sizes):
         monkeypatch.setattr(simulate.os, "cpu_count", lambda: 3)
         plan = SimPlan(DesignSpec(2, 6), SampleKind.LHS, k=4, reps=30, seed=SEED)
         seq = simulate_coverage(plan, workers=1)
         assert simulate_coverage(plan, workers=10_000)[0].fractions == seq[0].fractions
         assert simulate_coverage(plan, workers=2)[0].fractions == seq[0].fractions
-        assert sizes == [3, 2]
+        assert pool_sizes == [3, 2]
+
+    def test_pool_holds_no_more_replicates_than_the_byte_guard(self, monkeypatch, pool_sizes):
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 8)
+        plan = SimPlan(DesignSpec(2, 6), SampleKind.LHS, k=4, reps=30, seed=SEED)
+        seq = simulate_coverage(plan, workers=1)
+        monkeypatch.setattr(simulate, "MAX_REPLICATE_BYTES", 3 * plan.replicate_bytes + 1)
+        assert simulate_coverage(plan, workers=8)[0].fractions == seq[0].fractions
+        monkeypatch.setattr(simulate, "MAX_REPLICATE_BYTES", plan.replicate_bytes)
+        assert simulate_coverage(plan, workers=8)[0].fractions == seq[0].fractions
+        assert pool_sizes == [3]  # one replicate at a time runs without a pool
 
 
 class TestSubblockUniformity:

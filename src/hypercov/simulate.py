@@ -14,15 +14,16 @@ covered keys for each requested target, a `design.Units` family:
 
 Trials arrive from the sampler as 0-based columns (k, d, n), and each
 counted axis is read as a view of them. Keys are the counted axes packed
-base n (base p^(d-1) for fine offsets) into int64 codes, counted by
-sorting them and counting the places where adjacent keys differ. When
-the key space does not fit int64 (n^t > 2^63) the keys go into Latin
-buckets instead: every counted axis of a trial is a permutation of
-0..n-1, so bucket b, the keys with value b on the first counted axis,
-holds exactly one key of each trial. The other axes are packed into
-int64 words, each bucket is sorted on its own (np.lexsort when one word
-does not hold them), and the count is n plus the adjacent differences.
-Prefix curves take each distinct key's first trial from the same sort.
+base n (base p^(d-1) for fine offsets) into int64 codes. When the key
+space does not fit int64 (n^t > 2^63) the keys go into Latin buckets:
+every counted axis of a trial is a permutation of 0..n-1, so bucket b,
+the keys with value b on the first counted axis, holds one key of each
+trial, and the other axes are packed into int64 words. Counts and prefix
+curves share one sort per bucket; a distinct key starts where adjacent
+keys differ. A curve needs each key's earliest trial, which goes into
+the word's low bit_length(k-1) bits when they are free (the packed sort
+of rng.permutations_from_seeds). Else np.lexsort sorts the buckets: it
+is stable, so a bucket keeps its keys in trial order.
 Per-replicate coverage fractions are exact integer ratios converted to
 float once; aggregation is sequential in replicate order with math.fsum,
 so reports are bit-stable for a fixed seed regardless of worker count.
@@ -169,49 +170,48 @@ def _keys_for_target(
     return keys, counts
 
 
-def _sorted_flags(
-    words: Sequence[np.ndarray], with_order: bool = False
+def _distinct_keys(
+    keys: np.ndarray, counts: np.ndarray, tagged: bool = False
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Sort each bucket of keys and flag where a new distinct key starts.
-
-    words are int64 arrays of one shape (buckets, m): word w of the i-th
-    key of bucket b sits at [b, i], and a key is its bucket plus its
-    words. Returns the flags, in sorted order, and the sorting argsort
-    along axis 1 when with_order is set (otherwise None).
-    """
-    if len(words) == 1 and not with_order:
-        order, words = None, [np.sort(words[0], axis=1)]
+    """Sort `_keys_for_target`'s (keys, counts) in place. Returns flags on
+    the first copy of each distinct key, in sorted order, and when tagged
+    each sorted key's trial (else None); a first copy has the earliest."""
+    k = counts.size
+    if not keys.size:
+        return np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64) if tagged else None
+    if keys.ndim == 1:  # one bucket
+        words = [keys.reshape(1, -1)]
+    else:  # Latin buckets: trial i's key in bucket b is row b * k + i
+        words = [word.reshape(-1, k) for word in keys.T]
+    w, trial = words[0], None
+    if tagged:
+        trial = np.repeat(np.arange(k), counts) if keys.ndim == 1 else np.arange(k)
+        trial = np.broadcast_to(trial, w.shape)
+        bits = (k - 1).bit_length()
+        room = 2 ** (63 - bits)
+    if len(words) == 1 and (not tagged or -room <= int(w.min()) and int(w.max()) < room):
+        if tagged:
+            w <<= bits
+            w |= trial
+        w.sort(axis=1)
+        if tagged:
+            trial = w & ((1 << bits) - 1)
+            w >>= bits
     else:
-        if len(words) == 1:
-            order = np.argsort(words[0], axis=1)
-        else:
-            order = np.lexsort(words[::-1], axis=1)
-        words = [np.take_along_axis(w, order, axis=1) for w in words]
-    new = np.zeros(words[0].shape, dtype=bool)
+        order = np.lexsort(words[::-1], axis=1)
+        words = [np.take_along_axis(x, order, axis=1) for x in words]
+        if tagged:
+            trial = np.take_along_axis(trial, order, axis=1)
+    new = np.zeros(w.shape, dtype=bool)
     new[:, :1] = True
-    for w in words:
-        new[:, 1:] |= w[:, 1:] != w[:, :-1]
-    return new, order
-
-
-def _count_distinct(words: Sequence[np.ndarray]) -> int:
-    """Distinct keys in the bucket layout of `_sorted_flags`."""
-    return int(np.count_nonzero(_sorted_flags(words)[0]))
-
-
-def _bucket_words(keys: np.ndarray, k: int, n: int) -> list[np.ndarray]:
-    """The keys of k trials from `_keys_for_target`, laid out for
-    `_sorted_flags`: 1-D codes form one bucket, and rows, already in
-    Latin-bucket order, give one (n, k) array per word."""
-    if keys.ndim == 1:
-        return [keys.reshape(1, -1)]
-    return [word.reshape(n, k) for word in keys.T]
+    for x in words:
+        new[:, 1:] |= x[:, 1:] != x[:, :-1]
+    return new, trial
 
 
 def _covered_count(cols: np.ndarray, spec: DesignSpec, target: Units) -> int:
-    keys, _ = _keys_for_target(cols, spec, target)
-    # Rows come only from t-axis units (a coarse universe is below n^2).
-    return _count_distinct(_bucket_words(keys, cols.shape[0], spec.n))
+    new, _ = _distinct_keys(*_keys_for_target(cols, spec, target))
+    return int(np.count_nonzero(new))
 
 
 def coverage_curve(
@@ -224,14 +224,8 @@ def coverage_curve(
     """
     SimPlan(spec, kind, k, reps=1, targets=(target,))  # the plan's checks and key guard
     cols = trial_columns(spec, kind, rep_seed, k)
-    keys, counts = _keys_for_target(cols, spec, target)
-    new, order = _sorted_flags(_bucket_words(keys, k, spec.n), with_order=True)
-    # Each distinct key's first column: a key position for 1-D codes, a
-    # trial for row buckets.
-    first = np.minimum.reduceat(order.reshape(-1), np.flatnonzero(new))
-    if keys.ndim == 1:
-        first = np.searchsorted(np.cumsum(counts), first, side="right")
-    return np.cumsum(np.bincount(first, minlength=k), dtype=np.int64)
+    new, trial = _distinct_keys(*_keys_for_target(cols, spec, target), tagged=True)
+    return np.cumsum(np.bincount(trial[new], minlength=k), dtype=np.int64)
 
 
 def _replicate_counts(plan: SimPlan, rep_ids: Sequence[int]) -> list[tuple[int, list[int]]]:

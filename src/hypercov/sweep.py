@@ -193,12 +193,16 @@ class FitResult:
     residual: float  # L2 norm of log10 residuals
 
 
+def _check_grid(n_grid: Sequence[int]) -> None:
+    if len(n_grid) < 3:
+        raise StructuralError(f"need >= 3 grid points, got {len(n_grid)}")
+    if len(set(n_grid)) < 2:
+        raise StructuralError("all grid points share one n; slope undefined")
+
+
 def fit_slope(rows: Sequence[tuple[int, float]]) -> FitResult:
     """Least squares fit of log10(k*) against log10(n)."""
-    if len(rows) < 3:
-        raise StructuralError(f"need >= 3 grid points, got {len(rows)}")
-    if len({n for n, _ in rows}) < 2:
-        raise StructuralError("all grid points share one n; slope undefined")
+    _check_grid([n for n, _ in rows])
     xs = [math.log10(n) for n, _ in rows]
     ys = [math.log10(ks) for _, ks in rows]
     xm = math.fsum(xs) / len(xs)
@@ -253,11 +257,12 @@ def run_sweep(
     """One SweepResult per level, over the same n grid."""
     for level in levels:
         _check_cell(level, mode, reps)  # before any cell seed rounds the level
+    _check_grid(n_grid)
+    specs = [_spec_for(d, n, kind) for n in n_grid]
     results = []
     for level in levels:
         rows = []
-        for n in n_grid:
-            spec = _spec_for(d, n, kind)
+        for n, spec in zip(n_grid, specs):
             ks = find_k_for_target(
                 spec, kind, t, level, mode, reps=reps, seed=_cell_seed(seed, t, n, level)
             )

@@ -12,7 +12,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from hypercov import cli, oracle, simulate
+from hypercov import cli, oracle, simulate, sweep
 from hypercov.cli import (
     RunConfig,
     build_parser,
@@ -383,6 +383,34 @@ class TestSweepCommand:
             "--levels", "0.5", "--n-grid", "8,8,8",
         )
         assert (code, out) == (2, "")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["--mode", "simulated", "--d", "2", "--levels", "1.0", "--n-grid", "64,64,64", "--reps", "30"],
+                "all grid points share one n; slope undefined",
+            ),
+            (
+                ["--mode", "closed-form", "--d", "3", "--levels", "0.5", "--n-grid", "8,27"],
+                "need >= 3 grid points, got 2",
+            ),
+            (
+                ["--mode", "simulated", "--kind", "os", "--d", "3", "--levels", "0.5", "--n-grid", "8,27,30"],
+                "orthogonal sweep needs n = p**d, got n=30, d=3",
+            ),
+        ],
+    )
+    def test_grid_refused_before_any_cell(self, capsys, monkeypatch, argv, message):
+        def no_cell(*args, **kwargs):
+            raise AssertionError("a sweep cell was computed")
+
+        monkeypatch.setattr(sweep, "coverage_curve", no_cell)
+        monkeypatch.setattr(sweep, "closed_form_k", no_cell)
+        code = main(["sweep", "--t", "2", *argv])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: {message}\n"
 
     def test_file_mode_writes_summary_sibling(self, capsys, tmp_path):
         target = tmp_path / "sweep.csv"

@@ -283,6 +283,7 @@ class TestUnitEncoders:
             (DesignSpec(3, 8, p=2), SampleKind.OS, "proj:2"),
             (DesignSpec(2, 4, p=2), SampleKind.LHS, "edge:1,2,1,1"),
             (DesignSpec(4, 2**16), SampleKind.LHS, "full"),
+            (DesignSpec(5, 2**16), SampleKind.LHS, "full"),
         ],
     )
     def test_curve_entries_are_prefix_counts(self, spec, kind, text):
@@ -299,7 +300,19 @@ class TestUnitEncoders:
 
 
 class TestDistinctCount:
-    """The sort-based distinct count against Python sets."""
+    """The one sort behind counts and curves against Python sets, and its
+    tagged entries against a dict of each key's first trial."""
+
+    @staticmethod
+    def check(keys, counts, trial_keys):
+        """trial_keys lists (trial, key) for every key, in any order."""
+        first = {}
+        for i, key in trial_keys:
+            first[key] = min(i, first.get(key, i))
+        new, _ = simulate._distinct_keys(keys.copy(), counts)
+        assert np.count_nonzero(new) == len(first)
+        new, trial = simulate._distinct_keys(keys, counts, tagged=True)
+        assert trial[new].tolist() == [first[key] for key in sorted(first)]
 
     @given(
         st.lists(st.integers(0, 3) | st.integers(-(2**63), 2**63 - 1), max_size=40),
@@ -307,8 +320,9 @@ class TestDistinctCount:
     )
     @settings(max_examples=200)
     def test_codes_match_set(self, values, copies):
+        # One trial per code, so a key's first trial is its first index.
         codes = np.array(values * copies, dtype=np.int64)
-        assert simulate._count_distinct([codes.reshape(1, -1)]) == len(set(values))
+        self.check(codes, np.ones(codes.size, dtype=np.int64), list(enumerate(codes.tolist())))
 
     @given(
         buckets=st.integers(0, 5),
@@ -319,18 +333,15 @@ class TestDistinctCount:
     )
     @settings(max_examples=100)
     def test_bucketed_rows_match_set_of_tuples(self, buckets, per_bucket, n_words, high, data):
-        shape = (buckets, per_bucket)
+        # Row b * k + i is trial i's key in bucket b, k = per_bucket.
+        size = buckets * per_bucket
         words = [
-            np.array(
-                data.draw(st.lists(st.integers(0, high), min_size=buckets * per_bucket, max_size=buckets * per_bucket)),
-                dtype=np.int64,
-            ).reshape(shape)
+            np.array(data.draw(st.lists(st.integers(0, high), min_size=size, max_size=size)), dtype=np.int64)
             for _ in range(n_words)
         ]
-        rows = {
-            (b, *(int(w[b, i]) for w in words)) for b in range(buckets) for i in range(per_bucket)
-        }
-        assert simulate._count_distinct(words) == len(rows)
+        keys = np.stack(words, axis=1)
+        rows = [(r % per_bucket, (r // per_bucket, *keys[r].tolist())) for r in range(size)]
+        self.check(keys, np.full(per_bucket, buckets), rows)
 
     @given(
         d=st.integers(2, 4),
@@ -347,11 +358,11 @@ class TestDistinctCount:
             cols = np.concatenate([cols, cols])
         # A universe past 2^63 sends these small trials down the row path.
         with mock.patch.object(Units, "universe", return_value=2**64):
-            keys, _ = _keys_for_target(cols, spec, Units())
+            keys, counts = _keys_for_target(cols, spec, Units())
         assert keys.ndim == 2
-        words = simulate._bucket_words(keys, cols.shape[0], n)
-        rows = cols.transpose(0, 2, 1).reshape(-1, d)
-        assert simulate._count_distinct(words) == len(set(map(tuple, rows.tolist())))
+        trials = cols.transpose(0, 2, 1).tolist()  # trial i's rows
+        rows = [(i, tuple(row)) for i, trial in enumerate(trials) for row in trial]
+        self.check(keys, counts, rows)
 
 
 class TestKeyContract:
@@ -395,7 +406,8 @@ class TestKeyContract:
 class TestMemory:
     def test_replicate_peak_below_twice_its_columns(self):
         # One row-key replicate holds its (k, d, n) columns plus the key
-        # words and one sort copy, not a second layout of the trials.
+        # words and the packed digits they are filled from, not a second
+        # layout of the trials; the count sorts the key words in place.
         spec, k = DesignSpec(4, 2**16), 8
         plan = SimPlan(spec, SampleKind.LHS, k=k, reps=1, seed=SEED)
         tracemalloc.start()

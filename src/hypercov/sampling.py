@@ -104,10 +104,12 @@ def points_batch(spec: DesignSpec, kind: SampleKind, trial_seeds: np.ndarray) ->
     return os_points_batch(spec, trial_seeds)
 
 
-def trial_columns(spec: DesignSpec, kind: SampleKind, seed: int, k: int) -> np.ndarray:
-    """Columns of the k trials of a run or replicate; trial t (1-based)
-    is drawn from fold(seed, t)."""
-    return points_batch(spec, kind, rng.fold_array(seed, np.arange(1, k + 1)))
+def trial_columns(
+    spec: DesignSpec, kind: SampleKind, seed: int, k: int, first: int = 1
+) -> np.ndarray:
+    """Columns of trials first..first+k-1 of a run or replicate; trial t
+    (1-based) is drawn from fold(seed, t), so a run can be extended."""
+    return points_batch(spec, kind, rng.fold_array(seed, np.arange(first, first + k)))
 
 
 def trials_from_columns(spec: DesignSpec, cols: np.ndarray) -> list[Trial]:

@@ -46,6 +46,11 @@ from .sampling import SampleKind, replicate_seed, trial_columns
 
 MAX_TRACKED_KEYS = 20_000_000  # k * n per replicate
 MAX_REPLICATE_BYTES = 2**30  # k * d * n int64 column entries, times 8
+# reps * (k * n + REPLICATE_KEYS) per run. A replicate's fixed cost,
+# about 160 us, is worth 2,000 keys at the 1.4e7 keys/s of a 2-vCPU
+# x86 VM, where the cap is about 70 s of work.
+MAX_TOTAL_KEYS = 10**9
+REPLICATE_KEYS = 2_000
 
 Z99 = NormalDist().inv_cdf(0.995)
 
@@ -87,6 +92,12 @@ class SimPlan:
                 f"a replicate's columns take {self.replicate_bytes} bytes, over guard "
                 f"{MAX_REPLICATE_BYTES}; the largest k that fits is "
                 f"{MAX_REPLICATE_BYTES // (self.replicate_bytes // self.k)}"
+            )
+        per_rep = self.k * self.spec.n + REPLICATE_KEYS
+        if self.reps * per_rep > MAX_TOTAL_KEYS:
+            raise GuardExceededError(
+                f"reps*(k*n + {REPLICATE_KEYS}) = {self.reps * per_rep} keys exceed guard "
+                f"{MAX_TOTAL_KEYS}; the largest reps that fits is {MAX_TOTAL_KEYS // per_rep}"
             )
 
     @property
@@ -215,16 +226,31 @@ def _covered_count(cols: np.ndarray, spec: DesignSpec, target: Units) -> int:
 
 
 def coverage_curve(
-    spec: DesignSpec, kind: SampleKind, rep_seed: int, k: int, target: Units
+    spec: DesignSpec,
+    kind: SampleKind,
+    rep_seed: int,
+    k: int,
+    target: Units,
+    first: int = 1,
+    covered: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Distinct covered keys after each trial prefix 1..k (one replicate).
+    """Distinct covered keys after each trial prefix first..first+i, for
+    i < k (one replicate).
 
-    Nondecreasing by construction; entry k-1 equals the replicate's
-    final covered count.
+    With `covered`, a bool map of the target's universe holding the keys
+    of trials 1..first-1, only keys it does not hold are counted, and
+    this chunk's keys are then marked in it; a replicate is extended
+    chunk by chunk this way. Nondecreasing by construction.
     """
     SimPlan(spec, kind, k, reps=1, targets=(target,))  # the plan's checks and key guard
-    cols = trial_columns(spec, kind, rep_seed, k)
-    new, trial = _distinct_keys(*_keys_for_target(cols, spec, target), tagged=True)
+    cols = trial_columns(spec, kind, rep_seed, k, first)
+    keys, counts = _keys_for_target(cols, spec, target)
+    if covered is not None:  # a bool map implies 1-D codes: the universe is small
+        fresh = ~covered[keys]
+        covered[keys] = True
+        counts = np.bincount(np.repeat(np.arange(k), counts)[fresh], minlength=k)
+        keys = keys[fresh]
+    new, trial = _distinct_keys(keys, counts, tagged=True)
     return np.cumsum(np.bincount(trial[new], minlength=k), dtype=np.int64)
 
 

@@ -13,10 +13,16 @@ any float level below 1 (-ln(1 - level) <= 53 ln 2).
 
 Simulated mode estimates the mean coverage curve over replicates
 (nested trial prefixes, so one pass yields every k) and takes the first
-crossing; the curve length grows exponentially until it brackets the
-level. level = 1.0 is the coupon-collector regime: each replicate runs
-until its t-axis projection is fully covered and k* is the mean
-stopping count, a float.
+crossing. The simulator draws k i.i.d. trials, the model the closed form
+is exact for, so the curve starts at closed-form k* plus max(4, k*/16)
+and doubles only if the mean has not crossed by then. level = 1.0 is the
+coupon-collector regime: each replicate runs until its t-axis projection
+is fully covered and k* is the mean stopping count, a float. A replicate
+is extended in chunks, never redrawn: the first is the coupon-collector
+mean U (ln U + gamma) / n for a universe of U cells, each later one a
+fifth of it, and a bool map of the U cells carries the covered keys from
+chunk to chunk. Trial i is fold(rep_seed, i) whatever the chunking, so
+k* does not depend on it.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,10 +40,11 @@ from . import rng
 from .design import DesignSpec, Units
 from .errors import GuardExceededError, InvalidModeError, StructuralError
 from .sampling import SampleKind, replicate_seed
-from .simulate import coverage_curve
+from .simulate import SimPlan, coverage_curve
 
 EXACT_VERIFY_BITS = 200_000
 SIM_K_GUARD = 1_000_000
+EULER_GAMMA = 0.5772156649015329
 
 
 class SweepMode(str, Enum):
@@ -94,23 +101,33 @@ def closed_form_k(n: int, t: int, level: float) -> int:
 def _mean_curve(
     spec: DesignSpec, kind: SampleKind, t: int, k: int, reps: int, seed: int
 ) -> np.ndarray:
-    total = np.zeros(k, dtype=np.int64)
     target = Units(t)
+    SimPlan(spec, kind, k, reps, targets=(target,))  # the guards, total work included
+    total = np.zeros(k, dtype=np.int64)
     for r in range(1, reps + 1):
         total += coverage_curve(spec, kind, replicate_seed(seed, r), k, target)
     return total / (reps * target.universe(spec))
 
 
-def _first_k(curve_at: Callable[[int], np.ndarray], goal: float, k: int, what: str) -> int:
-    """First 1-based k at which curve_at(k) reaches goal, doubling the
-    curve length k until it does; refused past SIM_K_GUARD."""
-    while True:
-        hit = np.nonzero(curve_at(k) >= goal)[0]
-        if hit.size:
-            return int(hit[0]) + 1
-        k *= 2
-        if k > SIM_K_GUARD:
-            raise GuardExceededError(f"{what} passed guard {SIM_K_GUARD}")
+def _first_draw(spec: DesignSpec, kind: SampleKind, t: int, level: float, reps: int) -> int:
+    """Trials in a simulated cell's first curve (per replicate), after
+    SimPlan's guards accept reps of them: closed-form k* plus a margin
+    below full coverage, the coupon-collector mean at level 1.0."""
+    target = Units(t)
+    target.validate_for(spec)
+    if level < 1.0:
+        cf = closed_form_k(spec.n, t, level)
+        start = cf + max(4, cf // 16)
+    else:
+        universe = target.universe(spec)
+        # Exact arithmetic: a refused universe may pass any float's range.
+        start = math.ceil(Fraction(universe, spec.n) * Fraction(math.log(universe) + EULER_GAMMA))
+    SimPlan(spec, kind, start, reps, targets=(target,))
+    if level == 1.0 and start > SIM_K_GUARD:
+        raise GuardExceededError(
+            f"full coverage takes about {start} trials, past guard {SIM_K_GUARD}"
+        )
+    return start
 
 
 def simulated_k(
@@ -121,15 +138,38 @@ def simulated_k(
     reps: int,
     seed: int,
 ) -> int:
-    """Smallest k whose mean simulated coverage over reps reaches level."""
+    """Smallest k whose mean simulated coverage over reps reaches level.
+    The curve length doubles until the mean crosses; refused past
+    SIM_K_GUARD."""
     if not (0.0 < level < 1.0):
         raise InvalidModeError(f"threshold search needs level in (0, 1), got {level}")
-    return _first_k(
-        lambda k: _mean_curve(spec, kind, t, k, reps, seed),
-        level,
-        max(4, 2 * closed_form_k(spec.n, t, level)),
-        "k search",
-    )
+    k = _first_draw(spec, kind, t, level, reps)
+    while True:
+        hit = np.nonzero(_mean_curve(spec, kind, t, k, reps, seed) >= level)[0]
+        if hit.size:
+            return int(hit[0]) + 1
+        k *= 2
+        if k > SIM_K_GUARD:
+            raise GuardExceededError(f"k search passed guard {SIM_K_GUARD}")
+
+
+def _stop(spec: DesignSpec, kind: SampleKind, target: Units, rep_seed: int, start: int) -> int:
+    """Trials until one replicate covers the target's universe, drawn in
+    chunks of start, then of a fifth of it, up to SIM_K_GUARD in all."""
+    universe = target.universe(spec)
+    covered = np.zeros(universe, dtype=bool)
+    drawn = got = 0
+    chunk = start
+    while drawn < SIM_K_GUARD:
+        chunk = min(chunk, SIM_K_GUARD - drawn)
+        curve = coverage_curve(spec, kind, rep_seed, chunk, target, drawn + 1, covered)
+        hit = np.nonzero(curve >= universe - got)[0]
+        if hit.size:
+            return drawn + int(hit[0]) + 1
+        drawn += chunk
+        got += int(curve[-1])
+        chunk = -(-start // 5)
+    raise GuardExceededError(f"full coverage passed guard {SIM_K_GUARD}")
 
 
 def full_coverage_k(
@@ -140,19 +180,9 @@ def full_coverage_k(
     seed: int,
 ) -> float:
     """Mean number of trials until the t-axis projection is fully covered."""
+    start = _first_draw(spec, kind, t, 1.0, reps)  # before any bitmap: start * n >= U
     target = Units(t)
-    universe = target.universe(spec)
-    # coupon-collector scale estimate; doubled on demand per replicate
-    start = max(8, int(2 * universe * (math.log(universe) + 1) / spec.n) + 4)
-    stops = [
-        _first_k(
-            lambda k: coverage_curve(spec, kind, replicate_seed(seed, r), k, target),
-            universe,
-            start,
-            "full coverage",
-        )
-        for r in range(1, reps + 1)
-    ]
+    stops = [_stop(spec, kind, target, replicate_seed(seed, r), start) for r in range(1, reps + 1)]
     return math.fsum(stops) / len(stops)
 
 
@@ -259,6 +289,10 @@ def run_sweep(
         _check_cell(level, mode, reps)  # before any cell seed rounds the level
     _check_grid(n_grid)
     specs = [_spec_for(d, n, kind) for n in n_grid]
+    if mode is SweepMode.SIMULATED:
+        for level in levels:  # refuse a cell over a guard before any cell runs
+            for spec in specs:
+                _first_draw(spec, kind, t, level, reps)
     results = []
     for level in levels:
         rows = []

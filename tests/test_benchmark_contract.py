@@ -15,11 +15,11 @@ from pathlib import Path
 
 import pytest
 
-LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _load_layers():
-    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     # dataclasses look the module up in sys.modules while it executes.
     sys.modules[spec.name] = module
@@ -27,7 +27,9 @@ def _load_layers():
     return module
 
 
-WRAPPED = _load_layers().WRAPPED
+LAYERS = _load("layers")
+WORKLOADS = _load("workloads").WORKLOADS
+WRAPPED = LAYERS.WRAPPED
 
 
 def _arguments_read(hook) -> set[str]:
@@ -50,3 +52,22 @@ def test_hooks_read_the_known_arguments():
     # Keeps the source scan above from passing vacuously.
     read = set().union(*(_arguments_read(hook) for *_, hook in WRAPPED))
     assert read == {"n", "k", "reps"}
+
+
+@pytest.mark.parametrize("name", ["sim-t2", "full-coverage"])
+def test_sweep_draws_every_trial_through_the_curve(name, capsys):
+    # The tracer counts a sweep's drawn trials as the k of each
+    # coverage_curve call; a draw that bypassed it would go uncounted.
+    import hypercov.cli
+
+    (inv,) = [i for i in WORKLOADS["sweep-thresholds"].invocations if i.name == name]
+    tracer = LAYERS.Tracer()
+    tracer.install()
+    try:
+        assert hypercov.cli.main(inv.bind(20260819)) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    metrics = LAYERS.layer_metrics(tracer.spans)
+    assert metrics["sweep.trials_drawn"] == metrics["sampling.trials"]
+    assert metrics["sweep.trials_used"] >= 0.85 * metrics["sweep.trials_drawn"]

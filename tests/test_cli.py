@@ -5,6 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -258,6 +259,17 @@ class TestSimulate:
         assert (code, captured.out) == (3, "")
         assert "the largest k that fits is 419" in captured.err
 
+    def test_total_work_guard_refuses_before_any_replicate(self, capsys, monkeypatch):
+        # Only the plan is built: a broken guard fails here, not by running.
+        def no_run(*args, **kwargs):
+            raise AssertionError("replicates were run")
+
+        monkeypatch.setattr(cli, "simulate_coverage", no_run)
+        code = main(["simulate", "--d", "2", "--n", "100", "--k", "100", "--reps", "1000000000"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err.endswith("the largest reps that fits is 83333\n")
+
 
 class TestOracleCommand:
     def test_intersect_match(self, capsys):
@@ -411,6 +423,47 @@ class TestSweepCommand:
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["--d", "2", "--levels", "1.0", "--n-grid", "500,1000,2000", "--reps", "30"],
+                "k*n = 63118000 keys exceed guard 20000000",
+            ),
+            (
+                ["--d", "3", "--levels", "0.5", "--n-grid", "8,16,32", "--reps", "1000000"],
+                "reps*(k*n + 2000) = 2080000000 keys exceed guard 1000000000; "
+                "the largest reps that fits is 480769",
+            ),
+            (
+                # Every level-0.5 cell fits; full coverage at n=64 does not.
+                ["--d", "2", "--levels", "0.5,1.0", "--n-grid", "16,32,64", "--reps", "100000"],
+                "reps*(k*n + 2000) = 3848000000 keys exceed guard 1000000000; "
+                "the largest reps that fits is 25987",
+            ),
+        ],
+    )
+    def test_guard_refused_before_any_cell(self, capsys, monkeypatch, argv, message):
+        # The first draw of every simulated cell (start trials of reps
+        # replicates) is checked before the first cell runs.
+        def no_cell(*args, **kwargs):
+            raise AssertionError("a sweep cell was computed")
+
+        monkeypatch.setattr(sweep, "coverage_curve", no_cell)
+        code = main(["sweep", "--mode", "simulated", "--kind", "lhs", "--t", "2", *argv])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err == f"error: {message}\n"
+
+    def test_huge_full_coverage_cell_refused_at_once(self, capsys):
+        began = time.perf_counter()
+        code, out = run_cli(
+            capsys, "sweep", "--mode", "simulated", "--kind", "lhs", "--d", "3", "--t", "3",
+            "--levels", "1.0", "--n-grid", "100000,200000,400000",
+        )
+        assert (code, out) == (3, "")
+        assert time.perf_counter() - began < 1.0
 
     def test_file_mode_writes_summary_sibling(self, capsys, tmp_path):
         target = tmp_path / "sweep.csv"

@@ -14,6 +14,7 @@ from hypercov.sampling import (
     lh_points_batch,
     os_points_batch,
     points_batch,
+    trial_columns,
     trial_seed,
     trials_from_columns,
 )
@@ -150,6 +151,13 @@ class TestTrialStreams:
         assert len(run) == 4
         for t, trial in enumerate(run, start=1):
             assert trial == draw(spec, trial_seed(77, t))
+
+    @pytest.mark.parametrize("spec,kind", [(DesignSpec(3, 5), SampleKind.LHS), (DesignSpec(2, 9, p=3), SampleKind.OS)])
+    @pytest.mark.parametrize("first", [1, 2, 7])
+    def test_a_later_start_extends_the_run(self, spec, kind, first):
+        # Trial t is fold(seed, t) whatever the run's length or start.
+        run = trial_columns(spec, kind, 31, 12)
+        assert np.array_equal(trial_columns(spec, kind, 31, 4, first=first), run[first - 1 : first + 3])
 
     def test_gen_trials_empty(self):
         assert gen_trials(SamplerConfig(DesignSpec(2, 3), 0), 0) == []

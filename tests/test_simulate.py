@@ -230,6 +230,27 @@ class TestCurve:
             c = coverage_curve(spec, SampleKind.LHS, replicate_seed(SEED, r), 5, Units())
             assert c[-1] / 16 == rep.fractions[r - 1]
 
+    @pytest.mark.parametrize(
+        "spec,kind,target",
+        [
+            (DesignSpec(2, 4), SampleKind.LHS, Units()),
+            (DesignSpec(3, 8, p=2), SampleKind.OS, Units(2)),
+            (DesignSpec(3, 8, p=2), SampleKind.OS, edge(1, 3, 2, 1)),
+        ],
+    )
+    def test_chunks_with_a_covered_map_add_up_to_one_curve(self, spec, kind, target):
+        # Each chunk counts only keys the map does not hold yet, so the
+        # chunks' curves, stacked, are the curve of one long draw.
+        whole = coverage_curve(spec, kind, 5, 12, target)
+        covered = np.zeros(target.universe(spec), dtype=bool)
+        got, parts = 0, []
+        for first, k in [(1, 3), (4, 1), (5, 8)]:
+            part = coverage_curve(spec, kind, 5, k, target, first=first, covered=covered)
+            parts.append(got + part)
+            got += int(part[-1])
+        assert np.array_equal(np.concatenate(parts), whole)
+        assert np.count_nonzero(covered) == whole[-1]
+
 
 class TestUnitEncoders:
     """The oracle's per-trial projection (Units.cells) and the simulator's
@@ -427,6 +448,21 @@ class TestMemory:
             SimPlan(spec, SampleKind.LHS, k=420, reps=1)
         with pytest.raises(GuardExceededError, match="2560000000 bytes"):
             SimPlan(spec, SampleKind.LHS, k=1000, reps=1)
+
+
+    def test_total_work_guard_names_the_largest_reps(self):
+        # Only plans are built here; no replicate is drawn.
+        spec = DesignSpec(2, 100)
+        per_rep = 100 * 100 + simulate.REPLICATE_KEYS
+        most = simulate.MAX_TOTAL_KEYS // per_rep
+        SimPlan(spec, SampleKind.LHS, k=100, reps=most)
+        with pytest.raises(GuardExceededError, match=f"the largest reps that fits is {most}$"):
+            SimPlan(spec, SampleKind.LHS, k=100, reps=most + 1)
+        with pytest.raises(GuardExceededError, match=f"= {10**9 * per_rep} keys exceed"):
+            SimPlan(spec, SampleKind.LHS, k=100, reps=10**9)
+        # Tiny replicates still cost their fixed part.
+        with pytest.raises(GuardExceededError):
+            SimPlan(DesignSpec(2, 2), SampleKind.LHS, k=1, reps=10**9)
 
 
 class TestSummarize:

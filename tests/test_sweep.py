@@ -1,14 +1,16 @@
 """Threshold search and growth-rate fits for coverage targets."""
 
+import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from hypercov import sweep
-from hypercov.design import DesignSpec
+from hypercov.design import DesignSpec, Units
 from hypercov.errors import GuardExceededError, InvalidModeError, StructuralError
-from hypercov.sampling import SampleKind
+from hypercov.sampling import SampleKind, replicate_seed
 from hypercov.sweep import (
     SweepMode,
     closed_form_k,
@@ -18,6 +20,7 @@ from hypercov.sweep import (
     run_sweep,
     simulated_k,
 )
+from hypercov.simulate import coverage_curve
 
 
 class TestClosedFormThreshold:
@@ -85,6 +88,46 @@ class TestFullCoverage:
         assert got >= 4
         assert got == full_coverage_k(DesignSpec(2, 4), SampleKind.LHS, 2, reps=50, seed=1)
 
+    @pytest.mark.parametrize(
+        "spec,kind,t",
+        [
+            (DesignSpec(2, 4), SampleKind.LHS, 2),
+            (DesignSpec(2, 8), SampleKind.LHS, 2),
+            (DesignSpec(2, 4, p=2), SampleKind.OS, 2),
+            (DesignSpec(3, 4), SampleKind.LHS, 2),
+        ],
+    )
+    @pytest.mark.parametrize("start", [None, 1, 3])
+    def test_chunks_stop_where_one_long_curve_does(self, monkeypatch, spec, kind, t, start):
+        # The reference draws each replicate once, long enough to cover,
+        # and takes its first full index. A tiny start puts every stop in
+        # a later chunk; the coupon-collector start leaves some in the first.
+        target, reps, seed = Units(t), 12, 17
+        universe = target.universe(spec)
+        stops = []
+        for r in range(1, reps + 1):
+            curve = coverage_curve(spec, kind, replicate_seed(seed, r), 40 * spec.n ** (t - 1), target)
+            stops.append(int(np.argmax(curve == universe)) + 1)
+            assert curve[stops[-1] - 1] == universe
+        if start is not None:
+            monkeypatch.setattr(sweep, "_first_draw", lambda *args: start)
+        else:
+            first = sweep._first_draw(spec, kind, t, 1.0, reps)
+            assert min(stops) <= first < max(stops)
+        assert full_coverage_k(spec, kind, t, reps=reps, seed=seed) == math.fsum(stops) / reps
+
+    def test_huge_universe_refused_before_the_bitmap(self):
+        # U = 10^15 cells: the first chunk's key guard refuses the cell
+        # before a bool map of U cells (or any trial) is allocated.
+        tracemalloc.start()
+        try:
+            with pytest.raises(GuardExceededError, match="^k\\*n = "):
+                full_coverage_k(DesignSpec(3, 10**5), SampleKind.LHS, 3, reps=1, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_find_k_dispatch(self):
         got = find_k_for_target(DesignSpec(2, 4), SampleKind.LHS, 2, 1.0, SweepMode.SIMULATED, reps=30, seed=3)
         assert isinstance(got, float)
@@ -95,7 +138,7 @@ class TestFullCoverage:
 class TestDoublingSearch:
     def test_short_start_doubles_to_the_same_k(self, monkeypatch):
         # Curves of one seed agree on shared prefixes, so a start below
-        # k* doubles (4, 8, 16, 32) to the k* a start above it finds.
+        # k* doubles (5, 10, 20, 40) to the k* a start above it finds.
         spec = DesignSpec(2, 8)
         want = simulated_k(spec, SampleKind.LHS, 2, 0.9, reps=20, seed=4)
         assert want > 16
@@ -105,7 +148,7 @@ class TestDoublingSearch:
     def test_guard_stops_both_searches(self, monkeypatch):
         lengths = []
 
-        def never_covers(spec, kind, seed, k, target):
+        def never_covers(spec, kind, seed, k, target, first=1, covered=None):
             lengths.append(k)
             return np.zeros(k, np.int64)
 
@@ -113,13 +156,14 @@ class TestDoublingSearch:
         monkeypatch.setattr(sweep, "SIM_K_GUARD", 64)
         with pytest.raises(GuardExceededError, match="^k search passed guard 64$"):
             simulated_k(DesignSpec(2, 8), SampleKind.LHS, 2, 0.5, reps=2, seed=0)
-        # Starts at 2 * closed_form_k = 12 and doubles while within the guard.
-        assert lengths == [12, 12, 24, 24, 48, 48]
+        # Starts at closed_form_k + 4 = 10 and doubles while within the guard.
+        assert lengths == [10, 10, 20, 20, 40, 40]
         lengths.clear()
         with pytest.raises(GuardExceededError, match="^full coverage passed guard 64$"):
             full_coverage_k(DesignSpec(2, 4), SampleKind.LHS, 2, reps=2, seed=0)
-        # The coupon-collector start is 34; 68 is past the guard.
-        assert lengths == [34]
+        # The first replicate's coupon-collector chunk of 14 trials, then
+        # chunks of 3 and a last one that ends at the guard.
+        assert lengths == [14] + [3] * 16 + [2]
 
 
 class TestFitSlope:

@@ -17,6 +17,9 @@ The `gen`, row-key `simulate` and enumerated orthogonal `oracle` rows
 were recorded while the samplers returned 1-based (k, n, d) points and
 the orthogonal ensemble was assembled one trial at a time; keeping
 trials as 0-based columns must leave every one unchanged.
+The `-split` rows run rising products of 17 to 512 terms at the k cap
+and were recorded while each product was built one term at a time;
+building them as balanced product trees must leave every one unchanged.
 """
 
 import hashlib
@@ -90,6 +93,12 @@ GOLDEN = {
     "simulate-os-rows": ("simulate --kind os --d 4 --n 65536 --p 16 --k 2 --reps 2 --target full --seed 3", 0, "8075cd123a2d13b16429384b662607f9dfa5d6dc80568f2e5ebb55220cb06b7e"),
     "simulate-lhs-multi-word": ("simulate --kind lhs --d 5 --n 65536 --k 2 --reps 2 --target full --seed 3", 0, "0dbe8823e46359e19cdf87bf148c46503b3647e1b761e4fe5c7dcba183834caa"),
     "oracle-cover-os-enumerated": ("oracle --mode cover --kind os --d 2 --n 9 --p 3 --k 1", 0, "4227ef6fc0693b5b4728eb89783a06c17d9d143e8982b1cbdb48dd6bedb490db"),
+    "law-bracket-lhs-split": ("law --model bracket --kind lhs --d 2 --n 100 --k 17,64,256,512", 0, "d6a9bd8d4242a6b19ace3642ce8d4e3fc23b815256ac9fc9bf72b35389bf03b0"),
+    "law-bracket-os-split": ("law --model bracket --kind os --d 2 --n 100 --p 10 --k 17,64,256,512", 0, "76c62777ab83ef85bcc0f240d148c7360f9043811923ce3f1197f8faba6a6919"),
+    "law-bracket-edge-split": ("law --model bracket --kind edge --d 3 --n 50 --k 17,64,256,512", 0, "a407c32e11eb7f610d9723951447dc2c20d19e81257513f1b218403c14679fe7"),
+    "law-bracket-edge-subblock-split": ("law --model bracket --kind edge-subblock --d 2 --n 16 --p 4 --k 17,64,256,512", 0, "37d1ba43cab3708532b55271c329924ee1f1d2615e89ae37e54902c1b280b2d1"),
+    "exact-lhs-k-split": ("exact --kind lhs --d 2 --n 100 --k 17,512 --format rational", 0, "3fde9f54039f3a55af640a2780a936fa98058d1dbfb5866c1bae8c634a3cd4f5"),
+    "exact-lhs-m-split": ("exact --kind lhs --d 2 --n 100 --m 17,512 --format rational", 0, "5e3d6135c884db4b5cba30d82ccaecc0a3fadff0dbe9c47522453250eae38773"),
 }
 
 

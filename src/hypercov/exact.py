@@ -34,6 +34,23 @@ pair (equal to (n-1)! n!^(d-2)), and scale counts the pairs in play:
 all n^2 C(d,2) of them, or the p^(2d-2) pairs of a single coarse cell
 of one axis pair's quotient grid. Coverage is always reported against
 scale, so it lies in [0, 1].
+
+Both k-term products are built as balanced product trees: runs of
+PRODUCT_LEAF_TERMS factors are multiplied one by one, and halves of
+about equal size meet in each multiplication above them, which costs
+far less than growing one operand a term at a time. They are the same
+integers either way. miss_ratio returns the unreduced pair, and the
+rational payloads reduce it once, with one gcd. The bracket in the laws
+module reads its float from the unreduced quotient (den - miss) / den
+and skips that gcd. The float is bit-identical to float() of the
+reduced Fraction: CPython converts a Fraction by integer true division
+of its numerator and denominator, and that division is correctly
+rounded, so every pair with the same ratio gives the same float.
+
+One guard bounds every integer here: the factorials of kind_params by
+d*n*log2(n) bits, and the two q-term rising products by about
+q*bits(b), their size, both at BIGINT_GUARD_BITS. A product above it is
+refused before any multiplication, naming the largest q that fits.
 """
 
 from __future__ import annotations
@@ -46,8 +63,15 @@ from fractions import Fraction
 from .design import DesignSpec
 from .errors import CapExceededError, GuardExceededError, StructuralError
 
-# Refuse factorial work whose operands would exceed this many bits.
+# Refuse exact work whose integers would exceed this many bits. Near the
+# bound (lhs d=2 n=1000 k=117, 998,010 bits) the CLI took 0.75 s for
+# `law --model bracket`, which multiplies only, and 6.1 s for `exact
+# --format rational`, which also takes the gcd and prints both integers;
+# 10.4 s with the decimal column (2-vCPU Xeon VM, Python 3.11).
 BIGINT_GUARD_BITS = 1_000_000
+
+# Factors multiplied one by one at the leaves of a product tree.
+PRODUCT_LEAF_TERMS = 16
 
 # Term cap of both rising products; beyond it the closed-form laws apply.
 DEFAULT_COVERAGE_CAP = 512
@@ -109,38 +133,56 @@ def kind_params(kind: IntersectionKind, spec: DesignSpec) -> KindParams:
     raise StructuralError(f"unknown kind {kind!r}")
 
 
-def _rising_ratio(top: int, bottom: int, m: int) -> Fraction:
-    """prod_{i=0}^{m-1} (top+i)/(bottom+i), reduced once at the end."""
-    num = den = 1
-    for i in range(m):
-        num *= top + i
-        den *= bottom + i
-    return Fraction(num, den)
+def _rising_product(lo: int, m: int) -> int:
+    """prod_{i=0}^{m-1} (lo + i), as a balanced product tree."""
+    if m <= PRODUCT_LEAF_TERMS:
+        out = 1
+        for i in range(m):
+            out *= lo + i
+        return out
+    half = m // 2
+    return _rising_product(lo, half) * _rising_product(lo + half, m - half)
 
 
-def _check_terms(name: str, q: int, least: int) -> None:
-    """Both rising products take q terms; refuse q outside [least, cap]."""
+def _check_terms(
+    name: str, q: int, least: int, kind: IntersectionKind, spec: DesignSpec
+) -> KindParams:
+    """The kind's params for two q-term rising products; refuse q outside
+    [least, cap], or products above the bigint guard, before any
+    multiplication."""
     if q < least:
         raise StructuralError(f"{name} must be >= {least}, got {q}")
     if q > DEFAULT_COVERAGE_CAP:
         advice = "; use the closed-form coverage laws for large k" if name == "k" else ""
         raise CapExceededError(f"{name}={q} exceeds cap {DEFAULT_COVERAGE_CAP}{advice}")
+    kp = kind_params(kind, spec)
+    bits = kp.b.bit_length()
+    if q * bits > BIGINT_GUARD_BITS:
+        raise GuardExceededError(
+            f"{name}={q} needs rising products near {q * bits} bits, above the guard "
+            f"of {BIGINT_GUARD_BITS}; {name}={BIGINT_GUARD_BITS // bits} is the largest that fits"
+        )
+    return kp
+
+
+def miss_ratio(kind: IntersectionKind, spec: DesignSpec, k: int) -> tuple[int, int]:
+    """Unreduced (miss, den): a uniform k-multiset of trials misses a unit
+    with probability miss/den = prod_{i=0}^{k-1} (b-a+i)/(b+i)."""
+    kp = _check_terms("k", k, 0, kind, spec)
+    return _rising_product(kp.b - kp.a, k), _rising_product(kp.b, k)
 
 
 def expected_intersection(kind: IntersectionKind, spec: DesignSpec, m: int) -> Fraction:
     """Expected number of units common to an m-multiset of trials; m above
-    the cap is refused."""
-    _check_terms("m", m, 1)
-    kp = kind_params(kind, spec)
-    return kp.scale * _rising_ratio(kp.a, kp.b, m)
+    the cap or the bigint guard is refused."""
+    kp = _check_terms("m", m, 1, kind, spec)
+    return kp.scale * Fraction(_rising_product(kp.a, m), _rising_product(kp.b, m))
 
 
 def expected_coverage_multiset(kind: IntersectionKind, spec: DesignSpec, k: int) -> Fraction:
     """Expected fraction of units covered by at least one of k pooled trials.
 
-    Exact for a uniform k-multiset of trials. k above the cap is refused;
-    use the closed-form laws module for large k.
+    Exact for a uniform k-multiset of trials. k above the cap or the
+    bigint guard is refused; use the closed-form laws module for large k.
     """
-    _check_terms("k", k, 0)
-    kp = kind_params(kind, spec)
-    return 1 - _rising_ratio(kp.b - kp.a, kp.b, k)
+    return 1 - Fraction(*miss_ratio(kind, spec, k))

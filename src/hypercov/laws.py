@@ -40,7 +40,7 @@ from fractions import Fraction
 
 from .design import DesignSpec
 from .errors import StructuralError
-from .exact import IntersectionKind, expected_coverage_multiset, kind_params
+from .exact import IntersectionKind, kind_params, miss_ratio
 
 
 def lambda_fraction(kind: IntersectionKind, spec: DesignSpec) -> Fraction:
@@ -131,7 +131,9 @@ def bracket_exact_vs_asymptotic(
     sit inside e1_bound + e2_bound; within_bounds records the check.
     """
     lam = lambda_for(kind, spec)
-    p_multiset = float(expected_coverage_multiset(kind, spec, k))
+    # The float of the reduced Fraction, without its gcd (exact module).
+    miss, den = miss_ratio(kind, spec, k)
+    p_multiset = (den - miss) / den
     p_iid = iid_coverage(lam, k)
     p_asym = asymptotic_coverage(lam, k)
     eb = error_bounds(kind, spec, k)

@@ -166,6 +166,21 @@ class TestExact:
         code, _ = run_cli(capsys, "exact", "--kind", "lhs", "--d", "2", "--n", "1000000", "--m", "1")
         assert code == 3
 
+    def test_product_guard_exit(self, capsys):
+        # The parent ran this for minutes; the guard needs no product.
+        start = time.perf_counter()
+        code = main(["exact", "--kind", "lhs", "--d", "2", "--n", "1000", "--k", "512"])
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        fit = re.search(r"k=(\d+) is the largest that fits", captured.err).group(1)
+        # The bracket multiplies at the named k without a gcd.
+        code, out = run_cli(capsys, "law", "--model", "bracket", "--kind", "lhs", "--d", "2",
+                            "--n", "1000", "--k", fit)
+        assert code == 0
+        assert f"multiset,2,1000,,{fit}," in out
+
     @pytest.mark.parametrize("m", ["513", "2000", "8000"])
     def test_m_cap_exit(self, capsys, m):
         # --m shares the term cap of --k; uncapped, --m 2000 runs for seconds.

@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypercov.design import DesignSpec
@@ -20,12 +20,17 @@ from hypercov.errors import (
     StructuralError,
     UnsupportedSpecError,
 )
+from hypercov import exact
 from hypercov.exact import (
+    BIGINT_GUARD_BITS,
     DEFAULT_COVERAGE_CAP,
+    PRODUCT_LEAF_TERMS,
     IntersectionKind,
+    _rising_product,
     expected_coverage_multiset,
     expected_intersection,
     kind_params,
+    miss_ratio,
 )
 from hypercov.laws import lambda_fraction
 
@@ -214,6 +219,32 @@ class TestExpectedCoverage:
         assert 0 < v < 1
 
 
+class TestProductTree:
+    @given(
+        lo=st.integers(min_value=0, max_value=2**600),
+        m=st.integers(min_value=0, max_value=DEFAULT_COVERAGE_CAP),
+    )
+    @example(lo=7, m=0)
+    @example(lo=7, m=1)
+    @example(lo=2**525, m=PRODUCT_LEAF_TERMS)
+    @example(lo=2**525, m=PRODUCT_LEAF_TERMS + 1)
+    @example(lo=2**525 - 3, m=DEFAULT_COVERAGE_CAP)
+    @settings(max_examples=60, deadline=None)
+    def test_tree_equals_sequential_product(self, lo, m):
+        want = 1
+        for i in range(m):
+            want *= lo + i
+        assert _rising_product(lo, m) == want
+
+    def test_miss_ratio_is_the_unreduced_pair(self):
+        # 1 - miss/den is the coverage, and den is prod (b+i) unreduced.
+        spec = DesignSpec(2, 3)
+        kp = kind_params(IntersectionKind.LHS_TUPLE, spec)
+        miss, den = miss_ratio(IntersectionKind.LHS_TUPLE, spec, 3)
+        assert den == kp.b * (kp.b + 1) * (kp.b + 2)
+        assert 1 - F(miss, den) == expected_coverage_multiset(IntersectionKind.LHS_TUPLE, spec, 3)
+
+
 class TestEdgeTupleAgreement:
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -241,6 +272,31 @@ class TestGuards:
     def test_bigint_guard(self):
         with pytest.raises(GuardExceededError):
             kind_params(IntersectionKind.LHS_TUPLE, DesignSpec(2, 1_000_000))
+
+    @pytest.mark.parametrize("name", ["k", "m"])
+    def test_product_guard_names_the_largest_q(self, name):
+        # 512 terms of lhs d=2 n=1000 are 4.4M bits; the parent ran for
+        # minutes. The q named is the largest with q * bits(b) in the guard.
+        spec = DesignSpec(2, 1000)
+        bits = kind_params(IntersectionKind.LHS_TUPLE, spec).b.bit_length()
+        value_of = expected_coverage_multiset if name == "k" else expected_intersection
+        with pytest.raises(GuardExceededError) as info:
+            value_of(IntersectionKind.LHS_TUPLE, spec, DEFAULT_COVERAGE_CAP)
+        fit = BIGINT_GUARD_BITS // bits
+        assert f"{name}={fit} is the largest that fits" in str(info.value)
+        assert fit * bits <= BIGINT_GUARD_BITS < (fit + 1) * bits
+        with pytest.raises(GuardExceededError):
+            value_of(IntersectionKind.LHS_TUPLE, spec, fit + 1)
+
+    def test_product_guard_refuses_before_any_product(self, monkeypatch):
+        def no_product(lo, m):
+            raise AssertionError("product built before the guard")
+
+        monkeypatch.setattr(exact, "_rising_product", no_product)
+        spec = DesignSpec(2, 1000)
+        for value_of in (expected_coverage_multiset, expected_intersection, miss_ratio):
+            with pytest.raises(GuardExceededError):
+                value_of(IntersectionKind.LHS_TUPLE, spec, 118)
 
     def test_cap_error_is_guard_error(self):
         assert issubclass(CapExceededError, GuardExceededError)

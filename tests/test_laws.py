@@ -152,6 +152,22 @@ class TestBracket:
             rel=1e-15,
         )
 
+    @pytest.mark.parametrize(
+        "kind,spec",
+        [
+            (IntersectionKind.LHS_TUPLE, DesignSpec(2, 30)),
+            (IntersectionKind.OS_TUPLE, DesignSpec(2, 9, p=3)),
+            (IntersectionKind.LH_EDGE_ALL, DesignSpec(3, 8)),
+            (IntersectionKind.LH_EDGE_SUBBLOCK, DesignSpec(2, 16, p=4)),
+        ],
+    )
+    def test_multiset_float_is_the_reduced_fractions(self, kind, spec):
+        # The bracket divides the unreduced products; the float must be
+        # bit-identical to float() of the reduced Fraction.
+        for k in (0, 1, 16, 17, 64, 256, 512):
+            r = bracket_exact_vs_asymptotic(kind, spec, k)
+            assert r.p_multiset == float(expected_coverage_multiset(kind, spec, k))
+
     def test_multiset_converges_to_iid_as_trials_grow(self):
         # Fixed k, growing n: sampling without replacement looks more
         # and more like independent draws.

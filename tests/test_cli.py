@@ -167,7 +167,7 @@ class TestExact:
         assert code == 3
 
     def test_product_guard_exit(self, capsys):
-        # The parent ran this for minutes; the guard needs no product.
+        # Unguarded, this ran past 120 s; the guard refuses before any product.
         start = time.perf_counter()
         code = main(["exact", "--kind", "lhs", "--d", "2", "--n", "1000", "--k", "512"])
         assert time.perf_counter() - start < 1.0

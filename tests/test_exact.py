@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hypercov import exact
 from hypercov.design import DesignSpec
 from hypercov.errors import (
     CapExceededError,
@@ -20,7 +21,6 @@ from hypercov.errors import (
     StructuralError,
     UnsupportedSpecError,
 )
-from hypercov import exact
 from hypercov.exact import (
     BIGINT_GUARD_BITS,
     DEFAULT_COVERAGE_CAP,
@@ -275,8 +275,8 @@ class TestGuards:
 
     @pytest.mark.parametrize("name", ["k", "m"])
     def test_product_guard_names_the_largest_q(self, name):
-        # 512 terms of lhs d=2 n=1000 are 4.4M bits; the parent ran for
-        # minutes. The q named is the largest with q * bits(b) in the guard.
+        # 512 terms of lhs d=2 n=1000 are 4.4M bits, which unguarded ran past
+        # 120 s. The q named is the largest with q * bits(b) in the guard.
         spec = DesignSpec(2, 1000)
         bits = kind_params(IntersectionKind.LHS_TUPLE, spec).b.bit_length()
         value_of = expected_coverage_multiset if name == "k" else expected_intersection

@@ -7,15 +7,7 @@ threshold sweeps, with a CSV-first command line.
 
 __version__ = "0.1.0"
 
-from .design import (
-    DesignSpec,
-    Trial,
-    Units,
-    decode_subblock_value,
-    encode_subblock_value,
-    is_latin,
-    is_orthogonal,
-)
+from .design import DesignSpec, Units
 from .exact import (
     IntersectionKind,
     KindParams,
@@ -51,12 +43,7 @@ from .oracle import (
     oracle_expected_coverage,
     oracle_expected_intersection,
 )
-from .sampling import (
-    SampleKind,
-    SamplerConfig,
-    assemble_orthogonal,
-    gen_trials,
-)
+from .sampling import SampleKind, SamplerConfig, gen_trials
 from .simulate import (
     CoverageReport,
     SimPlan,

@@ -38,6 +38,7 @@ from .design import DesignSpec, Units
 from .errors import CapExceededError, GuardExceededError, HypercovError, StructuralError
 from .exact import (
     IntersectionKind,
+    check_terms,
     expected_coverage_multiset,
     expected_intersection,
     kind_params,
@@ -51,6 +52,7 @@ from .laws import (
 )
 from .oracle import (
     CheckResult,
+    check_walk,
     constant_count_check,
     default_verification_suite,
     enumerate_trials,
@@ -236,7 +238,8 @@ def _run_gen(config: RunConfig, out: str | None, workers: int) -> int:
     params = config.params
     kind = SampleKind(params["kind"])
     seed = params["seed"]
-    trials = gen_trials(SamplerConfig(_spec_from(params), seed, kind), params["k"])
+    cols = gen_trials(SamplerConfig(_spec_from(params), seed, kind), params["k"])
+    trials = (cols.transpose(0, 2, 1) + 1).tolist()  # 1-based point rows
     if params["format"] == "json":
         spec = {key: params[key] for key in ("d", "n", "p") if params[key] is not None}
         doc = {
@@ -247,16 +250,15 @@ def _run_gen(config: RunConfig, out: str | None, workers: int) -> int:
                 "config": {"subcommand": config.subcommand, "params": params},
             },
             "trials": [
-                {"spec": spec, "seed": trial_seed(seed, t), "kind": kind.value,
-                 "points": trial.points}
-                for t, trial in enumerate(trials, start=1)
+                {"spec": spec, "seed": trial_seed(seed, t), "kind": kind.value, "points": points}
+                for t, points in enumerate(trials, start=1)
             ],
         }
         _emit(out, [json.dumps(doc, sort_keys=True, separators=(",", ":"))])
         return 0
     lines = provenance_lines(config)
-    for t, trial in enumerate(trials, start=1):
-        lines += [f"# trial {t}", *_csv_lines(trial.points)]
+    for t, points in enumerate(trials, start=1):
+        lines += [f"# trial {t}", *_csv_lines(points)]
     _emit(out, lines)
     return 0
 
@@ -297,8 +299,10 @@ def _run_exact(config: RunConfig, out: str | None, workers: int) -> int:
     if (ms is None) == (ks is None):
         raise StructuralError("exactly one of --m and --k is required")
     value_of = expected_coverage_multiset if ms is None else expected_intersection
+    name, qs, least = ("k", ks, 0) if ms is None else ("m", ms, 1)
+    check_terms(name, qs, least, kind, spec)
     rows = []
-    for q in ks if ms is None else ms:
+    for q in qs:
         v = value_of(kind, spec, q)
         dec = None if digits is None else _decimal_str(v, digits)
         rows.append([kind.value, spec.d, spec.n, spec.p, q, v.numerator, v.denominator, dec])
@@ -330,6 +334,9 @@ def _run_law(config: RunConfig, out: str | None, workers: int) -> int:
             raise StructuralError("bracket needs --kind")
         kind = IntersectionKind(params["kind"])
         spec = _spec_from(params)
+        # The spec's own refusals come first, as in bracket_exact_vs_asymptotic.
+        kind_params(kind, spec)
+        check_terms("k", params["k"], 0, kind, spec)
         rows = []
         for k in params["k"]:
             rep = bracket_exact_vs_asymptotic(kind, spec, k)
@@ -414,6 +421,10 @@ def _run_oracle(config: RunConfig, out: str | None, workers: int) -> int:
     name = f"{mode} {kind.value} d={spec.d} n={spec.n}"
     if edge is not None:
         name += f" edge={params['edge']}"
+    # Refuse the first q that exact_check would refuse, before any product or walk.
+    for q in params[q_name]:
+        check_terms(q_name, (q,), 1 if mode == "intersect" else 0, exact_kind, spec)
+        check_walk(q_name, len(ts.trials), q)
     checks = [
         exact_check(f"{name} {q_name}={q}", ts, exact_kind, mode, q, units, divisor)
         for q in params[q_name]

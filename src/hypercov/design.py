@@ -1,8 +1,10 @@
-"""Domain model: design specs, trials, sub-block coordinates, unit families.
+"""Domain model: design specs, sub-block coordinates, unit families.
 
-A trial is an n x d matrix over [n] = {1..n} whose columns are each a
-permutation of [n] (the Latin property). When n = p^d for a coarse base
-p, each axis value v splits as
+A trial is n points in [n]^d whose coordinates on each axis form a
+permutation of [n] (the Latin property). Every module holds trials as
+0-based columns: k trials are an int64 array (k, d, n) whose entry
+[t, j] is axis j + 1 of trial t, a permutation of 0..n-1. When n = p^d
+for a coarse base p, each 1-based axis value v splits as
 
     v = (q - 1) * p^(d-1) + x,   q in [p], x in [p^(d-1)]
 
@@ -10,14 +12,13 @@ where q is the coarse band and x the fine offset. The coarse bands of a
 point's coordinates locate it in one of the p^d sub-blocks; a trial is
 orthogonal when every sub-block holds exactly one of its n points.
 
-External surfaces are 1-based throughout. Trials compare as point sets:
-equality and hashing use the rows sorted lexicographically.
+Axes, bands and cell values are 1-based on every external surface;
+1-based point rows appear only in `gen` output and the oracle's cells.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import StructuralError, UnsupportedSpecError
 
@@ -63,82 +64,6 @@ class DesignSpec:
 def band_width(p: int, d: int) -> int:
     """Number of fine values per coarse band: p^(d-1)."""
     return p ** (d - 1)
-
-
-def decode_subblock_value(value: int, p: int, d: int) -> tuple[int, int]:
-    """Split an axis value into (coarse band, fine offset), both 1-based."""
-    w = band_width(p, d)
-    if not (1 <= value <= p * w):
-        raise StructuralError(f"value {value} outside [1, {p * w}]")
-    return (value - 1) // w + 1, (value - 1) % w + 1
-
-
-def encode_subblock_value(coarse: int, fine: int, p: int, d: int) -> int:
-    """Inverse of decode_subblock_value."""
-    w = band_width(p, d)
-    if not (1 <= coarse <= p):
-        raise StructuralError(f"coarse band {coarse} outside [1, {p}]")
-    if not (1 <= fine <= w):
-        raise StructuralError(f"fine offset {fine} outside [1, {w}]")
-    return (coarse - 1) * w + fine
-
-
-def coarse_tuple(point: tuple[int, ...], spec: DesignSpec) -> tuple[int, ...]:
-    """Coarse band of each coordinate; identifies the point's sub-block."""
-    p = spec.require_p()
-    return tuple(decode_subblock_value(v, p, spec.d)[0] for v in point)
-
-
-@dataclass(frozen=True, eq=False)
-class Trial:
-    """n points in [n]^d, stored row-major in generation order."""
-
-    spec: DesignSpec
-    points: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        n, d = self.spec.n, self.spec.d
-        if len(self.points) != n:
-            raise StructuralError(f"expected {n} rows, got {len(self.points)}")
-        for row in self.points:
-            if len(row) != d:
-                raise StructuralError(f"expected width {d}, got row of {len(row)}")
-            for v in row:
-                if not (1 <= v <= n):
-                    raise StructuralError(f"entry {v} outside [1, {n}]")
-
-    @cached_property
-    def canonical_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Rows sorted lexicographically; the set-semantics identity."""
-        return tuple(sorted(self.points))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Trial):
-            return NotImplemented
-        return self.spec == other.spec and self.canonical_rows == other.canonical_rows
-
-    def __hash__(self) -> int:
-        return hash((self.spec, self.canonical_rows))
-
-    def column(self, j: int) -> tuple[int, ...]:
-        """Column j (1-based) across rows."""
-        return tuple(row[j - 1] for row in self.points)
-
-
-def is_latin(trial: Trial) -> bool:
-    """True when every column is a permutation of [n]."""
-    full = set(range(1, trial.spec.n + 1))
-    return all(set(trial.column(j)) == full for j in range(1, trial.spec.d + 1))
-
-
-def is_orthogonal(trial: Trial) -> bool:
-    """True when the trial is Latin and occupies every sub-block exactly once."""
-    spec = trial.spec
-    spec.require_p()
-    if not is_latin(trial):
-        return False
-    blocks = {coarse_tuple(pt, spec) for pt in trial.points}
-    return len(blocks) == spec.n
 
 
 @dataclass(frozen=True)
@@ -192,18 +117,3 @@ class Units:
         if self.coarse is not None:
             return band_width(spec.require_p(), spec.d) ** 2
         return spec.n ** len(self.axes(spec))
-
-    def cells(self, trial: Trial) -> frozenset[tuple[int, ...]]:
-        """Distinct cells of the family that the trial covers, as value
-        tuples on the projected axes.
-
-        Without coarse a Latin trial covers exactly n cells, because any
-        one axis already separates its rows.
-        """
-        spec = trial.spec
-        self.validate_for(spec)
-        axes = self.axes(spec)
-        cells = {tuple(row[v - 1] for v in axes) for row in trial.points}
-        if self.coarse is not None:
-            cells = {c for c in cells if coarse_tuple(c, spec) == self.coarse}
-        return frozenset(cells)

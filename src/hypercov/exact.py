@@ -50,7 +50,8 @@ rounded, so every pair with the same ratio gives the same float.
 One guard bounds every integer here: the factorials of kind_params by
 d*n*log2(n) bits, and the two q-term rising products by about
 q*bits(b), their size, both at BIGINT_GUARD_BITS. A product above it is
-refused before any multiplication, naming the largest q that fits.
+refused before any multiplication, naming the largest q that fits;
+check_terms refuses a whole list of q that way.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import Iterable
 
 from .design import DesignSpec
 from .errors import CapExceededError, GuardExceededError, StructuralError
@@ -144,38 +146,40 @@ def _rising_product(lo: int, m: int) -> int:
     return _rising_product(lo, half) * _rising_product(lo + half, m - half)
 
 
-def _check_terms(
-    name: str, q: int, least: int, kind: IntersectionKind, spec: DesignSpec
-) -> KindParams:
-    """The kind's params for two q-term rising products; refuse q outside
-    [least, cap], or products above the bigint guard, before any
-    multiplication."""
-    if q < least:
-        raise StructuralError(f"{name} must be >= {least}, got {q}")
-    if q > DEFAULT_COVERAGE_CAP:
-        advice = "; use the closed-form coverage laws for large k" if name == "k" else ""
-        raise CapExceededError(f"{name}={q} exceeds cap {DEFAULT_COVERAGE_CAP}{advice}")
-    kp = kind_params(kind, spec)
-    bits = kp.b.bit_length()
-    if q * bits > BIGINT_GUARD_BITS:
-        raise GuardExceededError(
-            f"{name}={q} needs rising products near {q * bits} bits, above the guard "
-            f"of {BIGINT_GUARD_BITS}; {name}={BIGINT_GUARD_BITS // bits} is the largest that fits"
-        )
+def check_terms(
+    name: str, qs: Iterable[int], least: int, kind: IntersectionKind, spec: DesignSpec
+) -> KindParams | None:
+    """The kind's params for two q-term rising products at every q of qs
+    (None when qs is empty). Refuse the first q outside [least, cap], or
+    whose products exceed the bigint guard, before any multiplication."""
+    kp = None
+    for q in qs:
+        if q < least:
+            raise StructuralError(f"{name} must be >= {least}, got {q}")
+        if q > DEFAULT_COVERAGE_CAP:
+            advice = "; use the closed-form coverage laws for large k" if name == "k" else ""
+            raise CapExceededError(f"{name}={q} exceeds cap {DEFAULT_COVERAGE_CAP}{advice}")
+        kp = kp or kind_params(kind, spec)
+        bits = kp.b.bit_length()
+        if q * bits > BIGINT_GUARD_BITS:
+            raise GuardExceededError(
+                f"{name}={q} needs rising products near {q * bits} bits, above the guard "
+                f"of {BIGINT_GUARD_BITS}; {name}={BIGINT_GUARD_BITS // bits} is the largest that fits"
+            )
     return kp
 
 
 def miss_ratio(kind: IntersectionKind, spec: DesignSpec, k: int) -> tuple[int, int]:
     """Unreduced (miss, den): a uniform k-multiset of trials misses a unit
     with probability miss/den = prod_{i=0}^{k-1} (b-a+i)/(b+i)."""
-    kp = _check_terms("k", k, 0, kind, spec)
+    kp = check_terms("k", (k,), 0, kind, spec)
     return _rising_product(kp.b - kp.a, k), _rising_product(kp.b, k)
 
 
 def expected_intersection(kind: IntersectionKind, spec: DesignSpec, m: int) -> Fraction:
     """Expected number of units common to an m-multiset of trials; m above
     the cap or the bigint guard is refused."""
-    kp = _check_terms("m", m, 1, kind, spec)
+    kp = check_terms("m", (m,), 1, kind, spec)
     return kp.scale * Fraction(_rising_product(kp.a, m), _rising_product(kp.b, m))
 
 

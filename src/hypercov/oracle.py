@@ -2,11 +2,13 @@
 
 Everything here is deliberately naive. Trials are enumerated outright,
 multisets of trials are iterated with itertools, and expectations are
-exact Fraction averages. The units counted are a `design.Units`
-family, projected trial by trial with `Units.cells`, or a tuple of
-families pooled together. Guards refuse anything that would not finish
-at a desk; the point of this module is to check the closed-form module
-on small instances, not to scale.
+exact Fraction averages. An ensemble is the sampler's 0-based (b, d, n)
+columns. The units counted are a `design.Units` family, or a tuple of
+families pooled together; `_cells` projects trials onto a family with
+plain tuple code on 1-based values, independently of the simulator's
+numpy key encoders. Guards refuse anything that would not finish at a
+desk; the point of this module is to check the closed-form module on
+small instances, not to scale.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from itertools import combinations, combinations_with_replacement, permutations,
 
 import numpy as np
 
-from .design import DesignSpec, Trial, Units, band_width
+from .design import DesignSpec, Units, band_width
 from .errors import GuardExceededError, StructuralError
 from .exact import (
     IntersectionKind,
@@ -27,7 +29,7 @@ from .exact import (
     expected_intersection,
     kind_params,
 )
-from .sampling import SampleKind, orthogonal_columns, trials_from_columns
+from .sampling import SampleKind, orthogonal_columns
 
 ENUM_GUARD = 100_000
 MULTISET_GUARD = 10_000_000
@@ -38,7 +40,7 @@ GRID_GUARD = 1_000_000
 class EnumeratedTrialSet:
     spec: DesignSpec
     kind: SampleKind
-    trials: tuple[Trial, ...]
+    trials: np.ndarray  # (b, d, n) 0-based columns, one trial per row
 
 
 def _choices(width: int, repeat: int) -> np.ndarray:
@@ -71,21 +73,41 @@ def enumerate_trials(spec: DesignSpec, kind: SampleKind, guard: int = ENUM_GUARD
         w = band_width(p, d)
         fines = _choices(w, d * p)
         cols = orthogonal_columns(fines.reshape(-1, d, p, w), p)
-    trials = tuple(trials_from_columns(spec, cols))
     # Both enumerations are bijections, so no duplicates can appear.
-    assert len(set(trials)) == total
-    return EnumeratedTrialSet(spec, kind, trials)
+    assert _distinct_point_sets(cols) == total
+    return EnumeratedTrialSet(spec, kind, cols)
+
+
+def _distinct_point_sets(cols: np.ndarray) -> int:
+    """Number of distinct point sets among trials (b, d, n). Axis 1 of a
+    trial is a permutation, so putting each point in the slot its axis-1
+    value names lists every point set in one canonical order."""
+    canonical = np.empty_like(cols)
+    np.put_along_axis(canonical, np.broadcast_to(cols[:, :1], cols.shape), cols, axis=2)
+    return len({trial.tobytes() for trial in canonical})
+
+
+def _cells(spec: DesignSpec, trials: np.ndarray, units: Units) -> list[frozenset[tuple[int, ...]]]:
+    """Each trial's distinct cells of the family, as 1-based value tuples
+    on the projected axes; with coarse bands, only the cells whose bands
+    are the coarse cell. Without coarse a Latin trial covers exactly n
+    cells, because any one axis already separates its points."""
+    units.validate_for(spec)
+    axes = [a - 1 for a in units.axes(spec)]
+    sets = [set(zip(*(trial[a] for a in axes))) for trial in (trials + 1).tolist()]
+    if units.coarse is not None:
+        w = band_width(spec.require_p(), spec.d)
+        sets = [{c for c in cells if tuple((v - 1) // w + 1 for v in c) == units.coarse} for cells in sets]
+    return [frozenset(cells) for cells in sets]
 
 
 def _unit_sets(ts: EnumeratedTrialSet, projection: Units | tuple[Units, ...]) -> list[frozenset]:
     """Each trial's covered units. A tuple of families pools them, each
     cell tagged with its family's place so the families stay disjoint."""
     if isinstance(projection, Units):
-        return [projection.cells(t) for t in ts.trials]
-    return [
-        frozenset((f, cell) for f, units in enumerate(projection) for cell in units.cells(t))
-        for t in ts.trials
-    ]
+        return _cells(ts.spec, ts.trials, projection)
+    rows = zip(*(_cells(ts.spec, ts.trials, units) for units in projection))
+    return [frozenset((f, cell) for f, cells in enumerate(row) for cell in cells) for row in rows]
 
 
 def _universe(ts: EnumeratedTrialSet, projection: Units | tuple[Units, ...]) -> int:
@@ -93,8 +115,11 @@ def _universe(ts: EnumeratedTrialSet, projection: Units | tuple[Units, ...]) -> 
     return sum(units.universe(ts.spec) for units in families)
 
 
-def _check_multiset_guard(b: int, m: int, guard: int) -> None:
-    # Walking one multiset costs O(m), so the guard bounds multisets * m.
+def check_walk(name: str, b: int, m: int, guard: int = MULTISET_GUARD) -> None:
+    """Refuse m < 1, or a walk over the m-multisets of b trials above the
+    guard. Walking one multiset costs O(m), so the guard bounds multisets * m."""
+    if m < 1:
+        raise StructuralError(f"{name} must be >= 1, got {m}")
     count = math.comb(b + m - 1, m)
     if count * m > guard:
         raise GuardExceededError(
@@ -109,9 +134,7 @@ def oracle_expected_intersection(
     guard: int = MULTISET_GUARD,
 ) -> Fraction:
     """Average number of units common to all trials of an m-multiset."""
-    if m < 1:
-        raise StructuralError(f"m must be >= 1, got {m}")
-    _check_multiset_guard(len(ts.trials), m, guard)
+    check_walk("m", len(ts.trials), m, guard)
     units = _unit_sets(ts, projection)
     total = 0
     count = 0
@@ -131,9 +154,7 @@ def oracle_expected_coverage(
     guard: int = MULTISET_GUARD,
 ) -> Fraction:
     """Average fraction of the unit universe covered by a k-multiset."""
-    if k < 1:
-        raise StructuralError(f"k must be >= 1, got {k}")
-    _check_multiset_guard(len(ts.trials), k, guard)
+    check_walk("k", len(ts.trials), k, guard)
     units = _unit_sets(ts, projection)
     universe = _universe(ts, projection)
     total = 0
@@ -156,8 +177,8 @@ def occurrence_counts(ts: EnumeratedTrialSet, units: Units) -> dict[tuple[int, .
     if n**t > GRID_GUARD:
         raise GuardExceededError(f"grid of {n**t} cells exceeds guard {GRID_GUARD}")
     counts: Counter = Counter()
-    for trial in ts.trials:
-        counts.update(units.cells(trial))
+    for cells in _cells(ts.spec, ts.trials, units):
+        counts.update(cells)
     return {cell: counts.get(cell, 0) for cell in product(range(1, n + 1), repeat=t)}
 
 

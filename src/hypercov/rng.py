@@ -20,7 +20,7 @@ which gives O(1) random access to any position, so batches vectorize.
 
 Substreams: fold(s, label) = mix64(s XOR mix64((label + GAMMA) mod 2^64))
 derives an independent stream per integer label; folds chain for nested
-labels. Trial t of a run uses fold(seed, t); column j inside a trial
+labels. Each trial t of a run uses fold(seed, t); column j inside a trial
 uses fold(trial_seed, j); replicate r of a simulation uses fold(seed, r).
 
 Permutations: a permutation of n items is the argsort of n distinct

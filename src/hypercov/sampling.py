@@ -17,8 +17,8 @@ output is uniform over all orthogonal trials.
 
 The samplers draw a batch at once, one trial per seed, as 0-based
 columns: an int64 array of shape (k, d, n) whose entry [t, j] is axis
-j + 1 of trial t, a permutation of 0..n-1. 1-based rows exist only in
-`design.Trial`, which `trials_from_columns` builds.
+j + 1 of trial t, a permutation of 0..n-1, the one form of a trial;
+1-based rows appear only in `gen` output and the oracle's cell tuples.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import rng
-from .design import DesignSpec, Trial, band_width
+from .design import DesignSpec, band_width
 from .errors import StructuralError, UnsupportedSpecError
 
 
@@ -112,25 +112,8 @@ def trial_columns(
     return points_batch(spec, kind, rng.fold_array(seed, np.arange(first, first + k)))
 
 
-def trials_from_columns(spec: DesignSpec, cols: np.ndarray) -> list[Trial]:
-    """One `Trial` (1-based rows) per trial of 0-based columns (k, d, n)."""
-    return [Trial(spec, tuple(map(tuple, rows))) for rows in (cols.transpose(0, 2, 1) + 1).tolist()]
-
-
-def gen_trials(cfg: SamplerConfig, k: int) -> list[Trial]:
-    """k i.i.d. trials; trial t uses fold(cfg.seed, t)."""
+def gen_trials(cfg: SamplerConfig, k: int) -> np.ndarray:
+    """Columns (k, d, n) of k i.i.d. trials; trial t uses fold(cfg.seed, t)."""
     if k < 0:
         raise StructuralError(f"k must be >= 0, got {k}")
-    return trials_from_columns(cfg.spec, trial_columns(cfg.spec, cfg.kind, cfg.seed, k))
-
-
-def assemble_orthogonal(spec: DesignSpec, fine_perms: dict[tuple[int, int], tuple[int, ...]]) -> Trial:
-    """Build the orthogonal trial determined by explicit fine permutations.
-
-    fine_perms[(i, j)] is a permutation of [p^(d-1)] (1-based) for axis i,
-    coarse band j. This is the same assembly rule the sampler uses.
-    """
-    p = spec.require_p()
-    axes, bands = range(1, spec.d + 1), range(1, p + 1)
-    fines = np.array([[fine_perms[(i, j)] for j in bands] for i in axes], dtype=np.int64) - 1
-    return trials_from_columns(spec, orthogonal_columns(fines[None], p))[0]
+    return trial_columns(cfg.spec, cfg.kind, cfg.seed, k)

@@ -21,7 +21,7 @@ is fully covered and k* is the mean stopping count, a float. A replicate
 is extended in chunks, never redrawn: the first is the coupon-collector
 mean U (ln U + gamma) / n for a universe of U cells, each later one a
 fifth of it, and a bool map of the U cells carries the covered keys from
-chunk to chunk. Trial i is fold(rep_seed, i) whatever the chunking, so
+chunk to chunk. Each trial i is fold(rep_seed, i) whatever the chunking, so
 k* does not depend on it.
 """
 

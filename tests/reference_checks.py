@@ -1,0 +1,47 @@
+"""Naive reference checks over trials held as 0-based columns.
+
+A trial is an array (d, n) whose row j is axis j + 1, as the samplers
+and the oracle hold it. These helpers walk it point by point with plain
+Python and import nothing from the package, so tests can hold the
+package's numpy paths against them.
+"""
+
+import numpy as np
+
+
+def is_latin(cols) -> bool:
+    """True when every axis of the trial is a permutation of 0..n-1."""
+    n = len(cols[0])
+    return all(sorted(int(v) for v in axis) == list(range(n)) for axis in cols)
+
+
+def is_orthogonal(cols, p: int) -> bool:
+    """True when the trial is Latin and its n = p^d points lie in n
+    distinct sub-blocks; a value v is in coarse band v // p^(d-1)."""
+    d, n = len(cols), len(cols[0])
+    if p**d != n:
+        raise ValueError(f"orthogonality needs n = p**d, got n={n}, p={p}, d={d}")
+    w = p ** (d - 1)
+    blocks = {tuple(int(axis[i]) // w for axis in cols) for i in range(n)}
+    return is_latin(cols) and len(blocks) == n
+
+
+def rows(cols) -> tuple[tuple[int, ...], ...]:
+    """The trial's points as 1-based rows, in column order."""
+    return tuple(tuple(int(axis[i]) + 1 for axis in cols) for i in range(len(cols[0])))
+
+
+def columns(points) -> np.ndarray:
+    """The 0-based (d, n) columns of a trial given as 1-based rows."""
+    return np.array(points, dtype=np.int64).T - 1
+
+
+def point_set(cols) -> frozenset[tuple[int, ...]]:
+    """The trial's points, ignoring their order."""
+    return frozenset(rows(cols))
+
+
+def trials_holding(trials, values) -> int:
+    """How many trials of (b, d, n) hold a point whose first len(values)
+    coordinates are these 1-based values."""
+    return sum(1 for cols in trials if any(row[: len(values)] == tuple(values) for row in rows(cols)))

@@ -16,6 +16,8 @@ from fractions import Fraction
 
 import pytest
 
+from reference_checks import trials_holding
+
 from hypercov.design import DesignSpec, Units
 from hypercov.exact import (
     IntersectionKind,
@@ -167,17 +169,17 @@ def test_criterion_03_counting_identities(report):
     per_tuple_lh = kind_params(IntersectionKind.LHS_TUPLE, DesignSpec(2, 3)).a
     per_tuple_os = kind_params(IntersectionKind.OS_TUPLE, DesignSpec(2, 4, p=2)).a
     per_edge = kind_params(IntersectionKind.LH_EDGE_ALL, DesignSpec(3, 2)).a
-    # Independent recount by enumeration: how many trials hold a fixed
-    # point or a fixed axis-pair value.
+    # Independent recount by enumeration: how many trials, as columns,
+    # hold a fixed point or a fixed value pair on axes (1, 2).
     lh_trials = enumerate_trials(DesignSpec(2, 3), SampleKind.LHS).trials
     os_trials = enumerate_trials(DesignSpec(2, 4, p=2), SampleKind.OS).trials
     d3_trials = enumerate_trials(DesignSpec(3, 2), SampleKind.LHS).trials
     ok = (
         c_os == 16
         and c_lh == len(lh_trials) == 6
-        and per_tuple_lh == sum(1 for t in lh_trials if (2, 3) in t.points) == 2
-        and per_tuple_os == sum(1 for t in os_trials if (1, 2) in t.points) == 4
-        and per_edge == sum(1 for t in d3_trials if (1, 2) in {(pt[0], pt[1]) for pt in t.points}) == 2
+        and per_tuple_lh == trials_holding(lh_trials, (2, 3)) == 2
+        and per_tuple_os == trials_holding(os_trials, (1, 2)) == 4
+        and per_edge == trials_holding(d3_trials, (1, 2)) == 2
         and len(os_trials) == 16
     )
     report(

@@ -13,7 +13,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from hypercov import cli, oracle, simulate, sweep
+from reference_checks import columns
+
+from hypercov import cli, exact, oracle, simulate, sweep
 from hypercov.cli import (
     RunConfig,
     build_parser,
@@ -22,7 +24,7 @@ from hypercov.cli import (
     main,
     resolve_params,
 )
-from hypercov.design import DesignSpec, Trial
+from hypercov.design import DesignSpec
 from hypercov.exact import IntersectionKind, expected_coverage_multiset
 from hypercov.sampling import (
     SampleKind,
@@ -30,7 +32,6 @@ from hypercov.sampling import (
     gen_trials,
     points_batch,
     trial_seed,
-    trials_from_columns,
 )
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -98,11 +99,11 @@ class TestGen:
         want = gen_trials(SamplerConfig(spec, 42, SampleKind(kind)), 3)
         docs = json.loads(out)["trials"]
         for t, (doc, trial) in enumerate(zip(docs, want, strict=True), start=1):
-            points = tuple(tuple(row) for row in doc["points"])
-            assert Trial(DesignSpec(**doc["spec"]), points).points == trial.points
+            assert DesignSpec(**doc["spec"]) == spec
+            assert np.array_equal(columns(doc["points"]), trial)
             assert doc["seed"] == trial_seed(42, t)
             cols = points_batch(spec, SampleKind(doc["kind"]), np.array([doc["seed"]], dtype=np.uint64))
-            assert trials_from_columns(spec, cols) == [trial]
+            assert np.array_equal(cols, trial[None])
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "trials.csv"
@@ -325,6 +326,35 @@ class TestOracleCommand:
         monkeypatch.setattr(oracle, "oracle_expected_intersection", walk)
         code, _ = run_cli(capsys, "oracle", "--kind", "lhs", "--d", "2", "--n", "2", *flags)
         assert code == 3
+
+
+class TestQLists:
+    """A list of k or m is refused before its first product or walk, with
+    the exit code and message of the refused value alone."""
+
+    @pytest.mark.parametrize(
+        "command,good,bad",
+        [
+            ("exact --kind lhs --d 2 --n 1000 --format rational --k", "117", "118"),  # product guard
+            ("exact --kind lhs --d 2 --n 100 --m", "1", "513"),  # term cap
+            ("law --model bracket --kind lhs --d 2 --n 1000 --k", "117", "118"),
+            ("oracle --mode cover --kind lhs --d 2 --n 2 --k", "1", "3000"),
+            ("oracle --mode intersect --kind lhs --d 2 --n 4 --m", "1", "50"),  # multiset guard
+        ],
+    )
+    def test_list_refused_before_any_product_or_walk(self, capsys, monkeypatch, command, good, bad):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a product or walk ran before the list was refused")
+
+        monkeypatch.setattr(exact, "_rising_product", no_work)
+        monkeypatch.setattr(oracle, "oracle_expected_coverage", no_work)
+        monkeypatch.setattr(oracle, "oracle_expected_intersection", no_work)
+        argv = shlex.split(command)
+        alone = main([*argv, bad]), capsys.readouterr()
+        listed = main([*argv, f"{good},{bad}"]), capsys.readouterr()
+        assert alone[0] == listed[0] == 3
+        assert alone[1].err == listed[1].err != ""
+        assert listed[1].out == ""
 
 
 class TestVerifyCommand:

@@ -1,26 +1,38 @@
-"""Design containers, the sub-block codec, and trial classification."""
+"""Design specs, the sub-block split, trials as columns, and the unit
+families the oracle projects them onto."""
 
+from itertools import product
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypercov.design import (
-    DesignSpec,
-    Trial,
-    Units,
-    band_width,
-    coarse_tuple,
-    decode_subblock_value,
-    encode_subblock_value,
-    is_latin,
-    is_orthogonal,
-)
+from reference_checks import columns, is_latin, is_orthogonal, point_set
+
+from hypercov import oracle, rng
+from hypercov.design import DesignSpec, Units, band_width
 from hypercov.errors import StructuralError, UnsupportedSpecError
+from hypercov.sampling import SampleKind, SamplerConfig, gen_trials, trial_columns
 
 # Two hand-checked 8-point designs on a 2x2x2 block structure: both are
 # Latin, only the second also lands one point in every sub-block.
 LATIN_ONLY = ((1, 2, 1), (2, 3, 3), (3, 1, 2), (4, 7, 8), (5, 8, 5), (6, 5, 4), (7, 4, 6), (8, 6, 7))
 ORTHOGONAL = ((1, 3, 2), (2, 4, 6), (3, 5, 3), (4, 7, 8), (5, 1, 1), (6, 2, 7), (7, 8, 4), (8, 6, 5))
+# A 4-point orthogonal design of d=2, p=2: one point per sub-block.
+SMALL_ORTHOGONAL = ((1, 3), (2, 1), (3, 4), (4, 2))
+
+
+def cells(spec, cols, units):
+    """The oracle's cells of the family on one trial of 0-based columns."""
+    return oracle._cells(spec, np.asarray(cols)[None], units)[0]
+
+
+def band(v, p, d):
+    """Coarse band of a 1-based axis value, read off the split
+    v = (q - 1) * p^(d-1) + x with x in [p^(d-1)]."""
+    w = band_width(p, d)
+    return next(q for q in range(1, p + 1) if (q - 1) * w < v <= q * w)
 
 
 class TestDesignSpec:
@@ -53,6 +65,10 @@ class TestDesignSpec:
 
 
 class TestSubblockCodec:
+    """The sub-block split of an axis value into a coarse band and a fine
+    offset. The orthogonal sampler writes each band and the oracle's
+    coarse filter reads it back; both must follow the split."""
+
     def test_band_width(self):
         assert band_width(2, 2) == 2
         assert band_width(2, 3) == 4
@@ -61,129 +77,135 @@ class TestSubblockCodec:
 
     @pytest.mark.parametrize("p,d", [(2, 2), (3, 2), (2, 3), (4, 2), (3, 3), (2, 4)])
     def test_round_trip_exhaustive(self, p, d):
-        n = p**d
-        w = band_width(p, d)
+        # An orthogonal trial puts p^(d-2) points in each coarse cell of
+        # an axis pair, and the coarse filter finds every one of them.
+        spec = DesignSpec(d, p**d, p)
+        cols = trial_columns(spec, SampleKind.OS, 3, 1)[0]
         seen = set()
-        for v in range(1, n + 1):
-            q, x = decode_subblock_value(v, p, d)
-            assert 1 <= q <= p
-            assert 1 <= x <= w
-            assert encode_subblock_value(q, x, p, d) == v
-            seen.add((q, x))
-        assert len(seen) == n
+        for bands in product(range(1, p + 1), repeat=2):
+            got = cells(spec, cols, Units(2, (1, 2), coarse=bands))
+            assert len(got) == p ** (d - 2)
+            assert all((band(a, p, d), band(b, p, d)) == bands for a, b in got)
+            seen |= got
+        assert seen == {pt[:2] for pt in point_set(cols)}
 
     def test_known_decodes(self):
-        # p=2, d=2: values 1..4 split into bands {1,2} and {3,4}.
-        assert decode_subblock_value(1, 2, 2) == (1, 1)
-        assert decode_subblock_value(2, 2, 2) == (1, 2)
-        assert decode_subblock_value(3, 2, 2) == (2, 1)
-        assert decode_subblock_value(4, 2, 2) == (2, 2)
+        # p=2, d=2: values 1, 2 form band 1 and values 3, 4 band 2.
+        spec, cols = DesignSpec(2, 4, p=2), columns(SMALL_ORTHOGONAL)
+        want = {(1, 1): {(2, 1)}, (1, 2): {(1, 3)}, (2, 1): {(4, 2)}, (2, 2): {(3, 4)}}
+        for bands, got in want.items():
+            assert cells(spec, cols, Units(2, (1, 2), coarse=bands)) == got
 
     @pytest.mark.parametrize("v", [0, 5, -1])
     def test_decode_out_of_range(self, v):
-        with pytest.raises(StructuralError):
-            decode_subblock_value(v, 2, 2)
+        # Bands lie in [1, p]; a coarse cell outside them is refused.
+        spec = DesignSpec(2, 4, p=2)
+        for bands in ((v, 1), (1, v)):
+            with pytest.raises(StructuralError):
+                Units(2, (1, 2), coarse=bands).validate_for(spec)
 
     @given(
-        p=st.integers(min_value=1, max_value=5),
-        d=st.integers(min_value=2, max_value=4),
-        data=st.data(),
+        p=st.integers(min_value=2, max_value=4),
+        d=st.integers(min_value=2, max_value=3),
+        seed=st.integers(min_value=0, max_value=2**32),
     )
-    @settings(max_examples=80)
-    def test_round_trip_property(self, p, d, data):
-        n = p**d
-        v = data.draw(st.integers(min_value=1, max_value=n))
-        q, x = decode_subblock_value(v, p, d)
-        assert encode_subblock_value(q, x, p, d) == v
+    @settings(max_examples=40, deadline=None)
+    def test_round_trip_property(self, p, d, seed):
+        # Each value has exactly one band, so the p^2 coarse cells of an
+        # axis pair split a Latin trial's cells on that pair.
+        spec = DesignSpec(d, p**d, p)
+        cols = trial_columns(spec, SampleKind.LHS, seed, 1)[0]
+        parts = [cells(spec, cols, Units(2, (1, 2), coarse=q)) for q in product(range(1, p + 1), repeat=2)]
+        assert sum(map(len, parts)) == spec.n
+        assert frozenset().union(*parts) == cells(spec, cols, Units(2, (1, 2)))
 
     def test_coarse_tuple(self):
-        spec = DesignSpec(2, 4, p=2)
-        assert coarse_tuple((1, 3), spec) == (1, 2)
-        assert coarse_tuple((4, 2), spec) == (2, 1)
+        # Each point's pair on axes (1, 3) lies in the coarse cell of its
+        # two values' bands, and in no other.
+        spec = DesignSpec(3, 8, p=2)
+        cols = columns(ORTHOGONAL)
+        for a, _, c in ORTHOGONAL:
+            bands = (band(a, 2, 3), band(c, 2, 3))
+            for q in product((1, 2), repeat=2):
+                assert ((a, c) in cells(spec, cols, Units(2, (1, 3), coarse=q))) == (q == bands)
 
 
 class TestTrial:
+    """A trial is an int64 array (d, n): row j is axis j + 1, a
+    permutation of 0..n-1 for the samplers' trials."""
+
     def test_shape_validation(self):
-        spec = DesignSpec(2, 3)
-        with pytest.raises(StructuralError):
-            Trial(spec, ((1, 2), (2, 3)))  # wrong row count
-        with pytest.raises(StructuralError):
-            Trial(spec, ((1, 2, 3), (2, 3, 1), (3, 1, 2)))  # wrong width
-        with pytest.raises(StructuralError):
-            Trial(spec, ((0, 2), (2, 3), (3, 1)))  # coordinate below 1
+        for spec, kind in ((DesignSpec(3, 5), SampleKind.LHS), (DesignSpec(2, 9, p=3), SampleKind.OS)):
+            trials = gen_trials(SamplerConfig(spec, 0, kind), 3)
+            assert trials.shape == (3, spec.d, spec.n)
+            assert trials.dtype == np.int64
+            assert trials.min() >= 0 and trials.max() < spec.n
 
     def test_trial_accepts_non_latin_points(self):
-        # The container stores any in-range point set; Latin-ness is a
-        # separate predicate.
-        spec = DesignSpec(2, 2)
-        t = Trial(spec, ((1, 1), (1, 1)))
-        assert not is_latin(t)
+        # The oracle projects any point set; Latin-ness is a separate
+        # predicate.
+        cols = columns(((1, 1), (1, 1)))
+        assert not is_latin(cols)
+        assert cells(DesignSpec(2, 2), cols, Units()) == {(1, 1)}
 
     def test_equality_ignores_row_order(self):
-        spec = DesignSpec(2, 3)
-        a = Trial(spec, ((1, 2), (2, 3), (3, 1)))
-        b = Trial(spec, ((3, 1), (1, 2), (2, 3)))
-        assert a == b
-        assert hash(a) == hash(b)
-
-    def test_inequality_across_specs(self):
-        a = Trial(DesignSpec(2, 4), ((1, 1), (2, 2), (3, 3), (4, 4)))
-        b = Trial(DesignSpec(2, 4, p=2), ((1, 1), (2, 2), (3, 3), (4, 4)))
-        assert a != b
+        # The oracle's duplicate check counts point sets, not arrays.
+        a = columns(((1, 2), (2, 3), (3, 1)))
+        b = columns(((3, 1), (1, 2), (2, 3)))
+        c = columns(((1, 3), (2, 1), (3, 2)))
+        assert point_set(a) == point_set(b) != point_set(c)
+        assert oracle._distinct_point_sets(np.stack([a, b])) == 1
+        assert oracle._distinct_point_sets(np.stack([a, b, c])) == 2
 
     def test_column(self):
-        t = Trial(DesignSpec(2, 3), ((1, 2), (2, 3), (3, 1)))
-        assert t.column(1) == (1, 2, 3)
-        assert t.column(2) == (2, 3, 1)
+        # Axis j of a Latin trial is the permutation drawn from
+        # fold(trial_seed, j).
+        spec = DesignSpec(3, 6)
+        cols = trial_columns(spec, SampleKind.LHS, 11, 2)
+        for t in (1, 2):
+            for j in (1, 2, 3):
+                want = rng.permutation(rng.fold(rng.fold(11, t), j), spec.n)
+                assert np.array_equal(cols[t - 1, j - 1], want)
 
 
 class TestClassification:
     def test_latin_only_example(self):
-        t = Trial(DesignSpec(3, 8, p=2), LATIN_ONLY)
+        t = columns(LATIN_ONLY)
         assert is_latin(t)
-        assert not is_orthogonal(t)
+        assert not is_orthogonal(t, 2)
 
     def test_orthogonal_example(self):
-        t = Trial(DesignSpec(3, 8, p=2), ORTHOGONAL)
+        t = columns(ORTHOGONAL)
         assert is_latin(t)
-        assert is_orthogonal(t)
+        assert is_orthogonal(t, 2)
 
     def test_small_orthogonal_example(self):
-        spec = DesignSpec(2, 4, p=2)
-        assert is_orthogonal(Trial(spec, ((1, 3), (2, 1), (3, 4), (4, 2))))
+        assert is_orthogonal(columns(SMALL_ORTHOGONAL), 2)
 
     def test_latin_but_not_orthogonal_small(self):
         # Both points of the low band share the right band of axis 2,
         # so one sub-block holds two points.
-        spec = DesignSpec(2, 4, p=2)
-        assert not is_orthogonal(Trial(spec, ((1, 3), (2, 4), (3, 1), (4, 2))))
+        assert not is_orthogonal(columns(((1, 3), (2, 4), (3, 1), (4, 2))), 2)
 
     def test_not_latin(self):
-        t = Trial(DesignSpec(2, 3), ((1, 1), (2, 1), (3, 2)))
-        assert not is_latin(t)
+        assert not is_latin(columns(((1, 1), (2, 1), (3, 2))))
 
     def test_orthogonal_requires_block_structure(self):
-        t = Trial(DesignSpec(2, 3), ((1, 2), (2, 3), (3, 1)))
-        with pytest.raises(UnsupportedSpecError):
-            is_orthogonal(t)
+        with pytest.raises(ValueError):
+            is_orthogonal(columns(((1, 2), (2, 3), (3, 1))), 2)
 
 
 class TestProjections:
     def test_project_edges_full(self):
-        t = Trial(DesignSpec(3, 2), ((1, 2, 1), (2, 1, 2)))
-        got = Units(2, (1, 3)).cells(t)
+        got = cells(DesignSpec(3, 2), columns(((1, 2, 1), (2, 1, 2))), Units(2, (1, 3)))
         assert got == frozenset({(1, 1), (2, 2)})
 
     def test_project_edges_with_coarse_filter(self):
         spec = DesignSpec(3, 8, p=2)
-        t = Trial(spec, ORTHOGONAL)
-        e = Units(2, (1, 2), coarse=(1, 1))
-        got = e.cells(t)
+        got = cells(spec, columns(ORTHOGONAL), Units(2, (1, 2), coarse=(1, 1)))
         # Orthogonal designs put exactly p^(d-2) = 2 points in each
         # coarse rectangle of an axis pair.
-        assert len(got) == 2
-        for a, b in got:
-            assert a <= 4 and b <= 4
+        assert got == {(1, 3), (2, 4)}
 
     def test_edge_projection_validation(self):
         spec = DesignSpec(3, 8, p=2)

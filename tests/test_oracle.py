@@ -9,7 +9,9 @@ from itertools import combinations
 
 import pytest
 
-from hypercov.design import DesignSpec, Units, is_latin, is_orthogonal
+from reference_checks import is_latin, is_orthogonal, point_set
+
+from hypercov.design import DesignSpec, Units
 from hypercov.errors import GuardExceededError
 from hypercov.exact import (
     IntersectionKind,
@@ -33,15 +35,15 @@ class TestEnumeration:
     @pytest.mark.parametrize("d,n,count", [(2, 2, 2), (2, 3, 6), (3, 2, 4), (2, 4, 24)])
     def test_lh_enumeration_count(self, d, n, count):
         ts = enumerate_trials(DesignSpec(d, n), SampleKind.LHS)
-        assert len(ts.trials) == count
+        assert ts.trials.shape == (count, d, n)
         assert all(is_latin(t) for t in ts.trials)
-        assert len(set(ts.trials)) == count
+        assert len({point_set(t) for t in ts.trials}) == count
 
     def test_os_enumeration_count(self):
         ts = enumerate_trials(DesignSpec(2, 4, p=2), SampleKind.OS)
-        assert len(ts.trials) == 16
-        assert all(is_orthogonal(t) for t in ts.trials)
-        assert len(set(ts.trials)) == 16
+        assert ts.trials.shape == (16, 2, 4)
+        assert all(is_orthogonal(t, 2) for t in ts.trials)
+        assert len({point_set(t) for t in ts.trials}) == 16
 
     def test_enumeration_guard(self):
         with pytest.raises(GuardExceededError):

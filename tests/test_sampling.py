@@ -4,19 +4,20 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from hypercov.design import DesignSpec, is_latin, is_orthogonal
+from reference_checks import columns, is_latin, is_orthogonal, point_set, rows
+
+from hypercov.design import DesignSpec
 from hypercov.errors import StructuralError, UnsupportedSpecError
 from hypercov.sampling import (
     SampleKind,
     SamplerConfig,
-    assemble_orthogonal,
     gen_trials,
     lh_points_batch,
+    orthogonal_columns,
     os_points_batch,
     points_batch,
     trial_columns,
     trial_seed,
-    trials_from_columns,
 )
 
 # Uniformity runs draw one trial per seed; batch generation keeps the
@@ -27,9 +28,18 @@ CHI2_ALPHA = 0.001
 
 
 def draw(spec, seed, kind=SampleKind.LHS):
-    """The trial the sampler draws at this seed, as a Trial."""
-    cols = points_batch(spec, kind, np.array([seed], dtype=np.uint64))
-    return trials_from_columns(spec, cols)[0]
+    """The 0-based (d, n) columns of the trial the sampler draws at this seed."""
+    return points_batch(spec, kind, np.array([seed], dtype=np.uint64))[0]
+
+
+def assemble(p, fine_perms):
+    """The orthogonal trial, as 1-based rows, that `orthogonal_columns`
+    assembles from explicit 1-based fine permutations: fine_perms[(i, j)]
+    is the permutation of axis i, coarse band j."""
+    d = max(i for i, _ in fine_perms)
+    axes, bands = range(1, d + 1), range(1, p + 1)
+    fines = np.array([[fine_perms[(i, j)] for j in bands] for i in axes], dtype=np.int64) - 1
+    return rows(orthogonal_columns(fines[None], p)[0])
 
 
 class TestLatinSampler:
@@ -41,26 +51,23 @@ class TestLatinSampler:
 
     def test_frozen_trial(self):
         t = draw(DesignSpec(2, 4), 42)
-        assert t.points == ((4, 3), (1, 4), (3, 1), (2, 2))
+        assert rows(t) == ((4, 3), (1, 4), (3, 1), (2, 2))
 
     def test_determinism(self):
         spec = DesignSpec(3, 6)
-        assert draw(spec, 99) == draw(spec, 99)
+        assert np.array_equal(draw(spec, 99), draw(spec, 99))
 
     def test_seed_sensitivity(self):
         spec = DesignSpec(3, 6)
-        a = draw(spec, 1)
-        b = draw(spec, 2)
-        assert a != b
+        assert point_set(draw(spec, 1)) != point_set(draw(spec, 2))
 
     def test_batch_matches_scalar(self):
         spec = DesignSpec(3, 5)
         seeds = np.array([0, 7, 123], dtype=np.uint64)
         batch = lh_points_batch(spec, seeds)
         assert batch.shape == (3, 3, 5)
-        for trial, s in zip(trials_from_columns(spec, batch), [0, 7, 123]):
-            want = draw(spec, s).points
-            assert trial.points == want
+        for trial, s in zip(batch, [0, 7, 123]):
+            assert np.array_equal(trial, draw(spec, s))
 
 
 class TestOrthogonalSampler:
@@ -70,13 +77,13 @@ class TestOrthogonalSampler:
         spec = DesignSpec(d, p**d, p=p)
         t = draw(spec, seed, SampleKind.OS)
         assert is_latin(t)
-        assert is_orthogonal(t)
+        assert is_orthogonal(t, p)
 
     def test_frozen_trials(self):
         t = draw(DesignSpec(2, 4, p=2), 42, SampleKind.OS)
-        assert t.points == ((1, 2), (2, 3), (3, 1), (4, 4))
+        assert rows(t) == ((1, 2), (2, 3), (3, 1), (4, 4))
         t3 = draw(DesignSpec(3, 8, p=2), 7, SampleKind.OS)
-        assert t3.points == (
+        assert rows(t3) == (
             (3, 3, 2), (4, 4, 8), (2, 7, 1), (1, 8, 5),
             (6, 1, 3), (7, 2, 7), (5, 6, 4), (8, 5, 6),
         )
@@ -89,19 +96,17 @@ class TestOrthogonalSampler:
         spec = DesignSpec(2, 9, p=3)
         seeds = np.array([3, 1000], dtype=np.uint64)
         batch = os_points_batch(spec, seeds)
-        for trial, s in zip(trials_from_columns(spec, batch), [3, 1000]):
-            want = draw(spec, s, SampleKind.OS).points
-            assert trial.points == want
+        for trial, s in zip(batch, [3, 1000]):
+            assert np.array_equal(trial, draw(spec, s, SampleKind.OS))
 
     def test_assemble_identity_permutations(self):
-        spec = DesignSpec(2, 4, p=2)
         ident = (1, 2)
         perms = {(i, j): ident for i in (1, 2) for j in (1, 2)}
-        t = assemble_orthogonal(spec, perms)
+        t = assemble(2, perms)
         # Sub-blocks in lex order, slot counters starting at the first
         # fine value: block (1,1) gets (1,1), block (1,2) gets (2,3)...
-        assert t.points == ((1, 1), (2, 3), (3, 2), (4, 4))
-        assert is_orthogonal(t)
+        assert t == ((1, 1), (2, 3), (3, 2), (4, 4))
+        assert is_orthogonal(columns(t), 2)
 
     @pytest.mark.parametrize("d,p", [(2, 3), (3, 2)])
     def test_assembly_follows_the_documented_rule(self, d, p):
@@ -117,23 +122,22 @@ class TestOrthogonalSampler:
             for j in range(1, p + 1)
         }
         used = dict.fromkeys(perms, 0)
-        rows = []
+        want = []
         for block in product(range(1, p + 1), repeat=d):
             row = []
             for i, j in enumerate(block, start=1):
                 row.append((j - 1) * w + perms[(i, j)][used[(i, j)]])
                 used[(i, j)] += 1
-            rows.append(tuple(row))
-        assert assemble_orthogonal(DesignSpec(d, p**d, p), perms).points == tuple(rows)
+            want.append(tuple(row))
+        assert assemble(p, perms) == tuple(want)
 
     def test_assemble_is_injective(self):
         from itertools import permutations, product
 
-        spec = DesignSpec(2, 4, p=2)
         keys = [(i, j) for i in (1, 2) for j in (1, 2)]
         seen = set()
         for combo in product(permutations((1, 2)), repeat=4):
-            seen.add(assemble_orthogonal(spec, dict(zip(keys, combo))))
+            seen.add(frozenset(assemble(2, dict(zip(keys, combo)))))
         assert len(seen) == 16
 
 
@@ -150,7 +154,7 @@ class TestTrialStreams:
         run = gen_trials(cfg, 4)
         assert len(run) == 4
         for t, trial in enumerate(run, start=1):
-            assert trial == draw(spec, trial_seed(77, t))
+            assert np.array_equal(trial, draw(spec, trial_seed(77, t)))
 
     @pytest.mark.parametrize("spec,kind", [(DesignSpec(3, 5), SampleKind.LHS), (DesignSpec(2, 9, p=3), SampleKind.OS)])
     @pytest.mark.parametrize("first", [1, 2, 7])
@@ -160,7 +164,7 @@ class TestTrialStreams:
         assert np.array_equal(trial_columns(spec, kind, 31, 4, first=first), run[first - 1 : first + 3])
 
     def test_gen_trials_empty(self):
-        assert gen_trials(SamplerConfig(DesignSpec(2, 3), 0), 0) == []
+        assert gen_trials(SamplerConfig(DesignSpec(2, 3), 0), 0).shape == (0, 2, 3)
 
     def test_gen_trials_negative(self):
         with pytest.raises(StructuralError):

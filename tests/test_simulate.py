@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypercov import simulate
+from hypercov import oracle, simulate
 from hypercov.cli import parse_target
 from hypercov.design import DesignSpec, Units
 from hypercov.errors import GuardExceededError, StructuralError, UnsupportedSpecError
@@ -35,12 +35,6 @@ SEED = 1106
 
 def edge(i, j, pi, pj):
     return Units(2, (i, j), coarse=(pi, pj))
-
-
-def columns(trials):
-    """The sampler's 0-based (k, d, n) columns of these trials."""
-    cols = [[t.column(j) for j in range(1, t.spec.d + 1)] for t in trials]
-    return np.array(cols, dtype=np.int64) - 1
 
 
 @pytest.fixture
@@ -253,17 +247,17 @@ class TestCurve:
 
 
 class TestUnitEncoders:
-    """The oracle's per-trial projection (Units.cells) and the simulator's
-    numpy key encoder count the same cells on the same trials."""
+    """The oracle's per-trial projection (`oracle._cells`) and the
+    simulator's numpy key encoder count the same cells on the same trials."""
 
     FORMS = ["full", "proj:1", "proj:2", "proj:3", "proj:2@1,3", "proj:2@3,2"]
     FORMS += ["edge:1,2,1,1", "edge:1,3,2,1", "edge:2,3,2,2"]
 
     @staticmethod
     def counts(spec, kind, units, seed, k):
-        trials = gen_trials(SamplerConfig(spec, seed, kind), k)
-        naive = frozenset().union(*(units.cells(t) for t in trials))
-        return len(naive), simulate._covered_count(columns(trials), spec, units)
+        cols = gen_trials(SamplerConfig(spec, seed, kind), k)
+        naive = frozenset().union(*oracle._cells(spec, cols, units))
+        return len(naive), simulate._covered_count(cols, spec, units)
 
     @pytest.mark.parametrize("kind", list(SampleKind))
     @pytest.mark.parametrize("text", FORMS)
@@ -290,7 +284,7 @@ class TestUnitEncoders:
 
     def test_edge_counts_agree_when_trials_add_no_key(self):
         spec, units = DesignSpec(2, 4, p=2), edge(1, 2, 1, 1)
-        cols = columns(gen_trials(SamplerConfig(spec, 2), 8))
+        cols = gen_trials(SamplerConfig(spec, 2), 8)
         _, per_trial = _keys_for_target(cols, spec, units)
         assert per_trial.tolist() == [0, 0, 0, 1, 1, 1, 1, 1]
         naive, fast = self.counts(spec, SampleKind.LHS, units, seed=2, k=8)
@@ -516,20 +510,19 @@ class TestSubblockUniformity:
     axis pair; the counts come from the edge target's per-trial keys."""
 
     @staticmethod
-    def rectangle_counts(trials):
-        spec = trials[0].spec
-        cols = columns(trials)
+    def rectangle_counts(spec, cols):
         cells = [edge(1, 2, pi, pj) for pi in range(1, spec.p + 1) for pj in range(1, spec.p + 1)]
         return tuple(int(_keys_for_target(cols, spec, e)[1].sum()) for e in cells)
 
     def test_single_orthogonal_trial_is_flat(self):
-        trials = gen_trials(SamplerConfig(DesignSpec(2, 4, p=2), 5, SampleKind.OS), 1)
-        assert self.rectangle_counts(trials) == (1, 1, 1, 1)
+        spec = DesignSpec(2, 4, p=2)
+        trials = gen_trials(SamplerConfig(spec, 5, SampleKind.OS), 1)
+        assert self.rectangle_counts(spec, trials) == (1, 1, 1, 1)
 
     def test_counts_pool_across_trials(self):
         spec = DesignSpec(2, 4, p=2)
         trials = gen_trials(SamplerConfig(spec, 5, SampleKind.OS), 3)
-        counts = self.rectangle_counts(trials)
+        counts = self.rectangle_counts(spec, trials)
         assert sum(counts) == 12
         assert counts == (3, 3, 3, 3)
 
@@ -540,7 +533,7 @@ class TestSubblockUniformity:
         reps = 400
 
         def chi_square(trials):
-            counts = np.array(self.rectangle_counts(trials))
+            counts = np.array(self.rectangle_counts(spec, trials))
             return float(((counts - counts.mean()) ** 2).sum() / counts.mean())
 
         chi_os = []

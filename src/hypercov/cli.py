@@ -41,13 +41,13 @@ from .exact import (
     check_terms,
     expected_coverage_multiset,
     expected_intersection,
+    kind_axes,
     kind_params,
 )
 from .laws import (
     asymptotic_coverage,
     bracket_exact_vs_asymptotic,
     iid_coverage,
-    lambda_for,
     projection_lambda,
 )
 from .oracle import (
@@ -193,6 +193,9 @@ def resolve_params(sub: str, args: argparse.Namespace) -> RunConfig:
 
 
 def _spec_from(params: dict) -> DesignSpec:
+    for name in ("d", "n"):  # optional for `law --t`, needed by every spec
+        if params[name] is None:
+            raise StructuralError(f"missing required parameter --{name}")
     return DesignSpec(params["d"], params["n"], params.get("p"))
 
 
@@ -312,18 +315,17 @@ def _run_exact(config: RunConfig, out: str | None, workers: int) -> int:
 
 def _law_lambda(params: dict) -> tuple[float, int | None, int | None, int | None]:
     """Resolve lambda; returns (lambda, d, n, t) with None for absent columns."""
-    t, n = params.get("t"), params.get("n")
-    if t is not None:
-        if n is None:
-            raise StructuralError("--t needs --n to fix lambda")
-        if t > 1 and n < 2:
-            raise StructuralError(f"n must be >= 2, got {n}")
-        return projection_lambda(n, t, params.get("d")), params.get("d"), n, t
-    if params.get("kind") is None:
-        raise StructuralError("need --kind or --t to fix lambda")
-    kind = IntersectionKind(params["kind"])
-    spec = _spec_from(params)
-    return lambda_for(kind, spec), spec.d, spec.n, None
+    t, d, n = params.get("t"), params.get("d"), params.get("n")
+    axes = t
+    if t is None:
+        if params.get("kind") is None:
+            raise StructuralError("need --kind or --t to fix lambda")
+        axes = kind_axes(IntersectionKind(params["kind"]), _spec_from(params))
+    elif n is None:
+        raise StructuralError("--t needs --n to fix lambda")
+    elif t > 1 and n < 2:
+        raise StructuralError(f"n must be >= 2, got {n}")
+    return projection_lambda(n, axes, d), d, n, t
 
 
 def _run_law(config: RunConfig, out: str | None, workers: int) -> int:

@@ -33,7 +33,8 @@ pairs on axis pairs: a is the number of Latin trials containing a fixed
 pair (equal to (n-1)! n!^(d-2)), and scale counts the pairs in play:
 all n^2 C(d,2) of them, or the p^(2d-2) pairs of a single coarse cell
 of one axis pair's quotient grid. Coverage is always reported against
-scale, so it lies in [0, 1].
+scale, so it lies in [0, 1]. Every a/b reduces to n^(1-t), t the
+units' axes (kind_axes); the laws module's rates need no factorial.
 
 Both k-term products are built as balanced product trees: runs of
 PRODUCT_LEAF_TERMS factors are multiplied one by one, and halves of
@@ -133,6 +134,13 @@ def kind_params(kind: IntersectionKind, spec: DesignSpec) -> KindParams:
             scale=p ** (2 * d - 2),
         )
     raise StructuralError(f"unknown kind {kind!r}")
+
+
+def kind_axes(kind: IntersectionKind, spec: DesignSpec) -> int:
+    """Axes t of the kind's units (d for cells, 2 for pairs): a/b = n^(1-t)."""
+    if kind in (IntersectionKind.OS_TUPLE, IntersectionKind.LH_EDGE_SUBBLOCK):
+        spec.require_p()
+    return spec.d if kind in (IntersectionKind.LHS_TUPLE, IntersectionKind.OS_TUPLE) else 2
 
 
 def _rising_product(lo: int, m: int) -> int:

@@ -10,7 +10,8 @@ the pooled trial count k:
 
 A cell of a t-axis projection lies in a fraction n^(1-t) of the trials,
 since each trial has one row per axis-1 value and that row's other
-coordinates are uniform; projection_lambda(n, t) is that rate. The
+coordinates are uniform; projection_lambda(n, t) is that rate, and every
+hit rate here, lambda_for's at the kind's t (exact.kind_axes) too. The
 paper's projection law (the CLI's `conjecture` model, a name kept so
 payloads and config hashes stay put) is iid_coverage at it, so it is
 exact for k i.i.d. trials at every t, by linearity, once the rate holds.
@@ -40,30 +41,35 @@ from fractions import Fraction
 
 from .design import DesignSpec
 from .errors import StructuralError
-from .exact import IntersectionKind, kind_params, miss_ratio
+from .exact import IntersectionKind, kind_axes, kind_params, miss_ratio
 
 
 def lambda_fraction(kind: IntersectionKind, spec: DesignSpec) -> Fraction:
-    """Exact per-unit hit rate a/b for the kind."""
+    """Exact per-unit hit rate a/b for the kind, from the counting side."""
     kp = kind_params(kind, spec)
     return Fraction(kp.a, kp.b)
 
 
 def lambda_for(kind: IntersectionKind, spec: DesignSpec) -> float:
-    return float(lambda_fraction(kind, spec))
+    """float(lambda_fraction) without its factorials: a/b = n^(1-t)."""
+    return projection_lambda(spec.n, kind_axes(kind, spec))
 
 
 def projection_lambda(n: int, t: int, d: int | None = None) -> float:
-    """Per-cell hit rate of one trial on a t-axis projection: n^(1-t)."""
+    """Per-cell hit rate of one trial on a t-axis projection: n^(1-t),
+    the correctly rounded double of the rational 1/n^(t-1)."""
     if t < 1:
         raise StructuralError(f"t must be >= 1, got {t}")
     if d is not None and t > d:
         raise StructuralError(f"t must be in [1, {d}], got {t}")
     try:
-        base = float(n)
+        float(n)
     except OverflowError:
         raise StructuralError(f"n must fit a float, got a {n.bit_length()}-bit n") from None
-    return base ** (1 - t)
+    # n^(t-1) >= 2^1075 rounds to 0.0, half the least subnormal or below.
+    if (n.bit_length() - 1) * (t - 1) >= 1075:
+        return 0.0
+    return float(Fraction(1, n ** (t - 1)))
 
 
 def _check_law(lam: float, k: int) -> None:

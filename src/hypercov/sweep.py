@@ -251,9 +251,6 @@ def fit_slope(rows: Sequence[tuple[int, float]]) -> FitResult:
 class SweepResult:
     level: float
     t: int
-    d: int
-    kind: SampleKind
-    mode: SweepMode
     rows: tuple[tuple[int, float], ...]  # (n, k_star)
     slope: float
     intercept: float
@@ -306,9 +303,6 @@ def run_sweep(
             SweepResult(
                 level=level,
                 t=t,
-                d=d,
-                kind=kind,
-                mode=mode,
                 rows=tuple(rows),
                 slope=fit.slope,
                 intercept=fit.intercept,

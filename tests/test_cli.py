@@ -231,6 +231,54 @@ class TestLaw:
         assert err.startswith("error: n must fit a float")
         assert "Traceback" not in err
 
+    def test_t_and_kind_give_one_lambda(self, capsys):
+        # libm pow gave ...332 for --t; the rounded 1/1923 is ...333.
+        rows = []
+        for flags in (["--t", "2"], ["--kind", "lhs", "--d", "2"]):
+            code, out = run_cli(capsys, "law", "--model", "iid", *flags, "--n", "1923", "--k", "1")
+            assert code == 0
+            rows.append(out.splitlines()[-1].split(","))
+        assert rows[0][5] == rows[1][5] == repr(float(Fraction(1, 1923)))
+
+    def test_kind_lambda_builds_no_factorial(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("kind_params called")
+
+        monkeypatch.setattr(exact, "kind_params", refuse)
+        monkeypatch.setattr(cli, "kind_params", refuse)
+        code, out = run_cli(
+            capsys, "law", "--model", "iid", "--kind", "lhs", "--d", "2", "--n", "100000", "--k", "10"
+        )
+        assert code == 0
+        assert out.splitlines()[-1].split(",")[5] == "1e-05"
+
+    def test_os_kind_without_p_exits_2(self, capsys):
+        code = main(["law", "--model", "iid", "--kind", "os", "--d", "2", "--n", "9", "--k", "1"])
+        assert code == 2
+        assert "needs a coarse base p" in capsys.readouterr().err
+
+    def test_huge_t_exits_2_at_once(self, capsys):
+        start = time.perf_counter()
+        code = main(["law", "--model", "iid", "--t", "1000000000", "--n", "10", "--k", "1"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert capsys.readouterr().err == "error: lambda must be in (0, 1], got 0.0\n"
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            ("--model iid --kind lhs --n 100 --k 100", "--d"),
+            ("--model iid --kind lhs --d 2 --k 100", "--n"),
+            ("--model asymptotic --kind lhs --n 100 --k 100", "--d"),
+            ("--model bracket --kind lhs --d 3 --k 4,8,16", "--n"),
+            ("--model bracket --kind lhs --n 8 --k 4,8,16", "--d"),
+        ],
+    )
+    def test_kind_without_d_or_n_exits_2(self, capsys, argv, flag):
+        code = main(["law", *argv.split()])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: missing required parameter {flag}\n"
+
     def test_conjecture_needs_t(self, capsys):
         code, _ = run_cli(capsys, "law", "--model", "conjecture", "--d", "3", "--n", "27", "--k", "27")
         assert code == 2
@@ -674,12 +722,35 @@ class TestFlagSurface:
             assert got == {**OPTIONS[name], "--config": None, "--out": None}, name
 
     def test_readme_commands_parse(self):
-        commands = re.findall(r"^hypercov (.+)$", README.read_text(), flags=re.MULTILINE)
+        commands = _readme_commands()
         assert len(commands) >= 18
         parser = build_parser()
         for command in commands:
             args = parser.parse_args(shlex.split(command))
             resolve_params(args.subcommand, args)
+
+
+def _readme_commands() -> list[str]:
+    return re.findall(r"^hypercov (.+)$", README.read_text(), flags=re.MULTILINE)
+
+
+def _drop_one_flag() -> list[list[str]]:
+    """Every README command with one flag (and its value) left out."""
+    cases = []
+    for command in _readme_commands():
+        words = shlex.split(command)
+        flags = [i for i, w in enumerate(words) if w.startswith("--")]
+        for i in flags:
+            has_value = i + 1 < len(words) and not words[i + 1].startswith("--")
+            cases.append(words[:i] + words[i + 1 + has_value :])
+    return cases
+
+
+@pytest.mark.parametrize("argv", _drop_one_flag(), ids=" ".join)
+def test_readme_command_without_one_flag_exits_cleanly(capsys, argv):
+    # A missing flag is a default or a refusal, never a traceback.
+    assert main(argv) in (0, 2, 3, 4, 5)
+    capsys.readouterr()
 
 
 class TestCanonicalConfig:

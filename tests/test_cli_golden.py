@@ -23,6 +23,9 @@ building them as balanced product trees must leave every one unchanged.
 The `gen` and `oracle` rows were recorded while trials passed through
 `design.Trial`, and they must not change now that the oracle and `gen`
 keep trials as column arrays.
+`law-conjecture-n1923` was re-recorded when every hit rate became the
+correctly rounded 1/n^(t-1): libm pow had rounded 1/1923 one ulp low,
+so its lambda column and its k=1 value went from ...332 to ...333.
 """
 
 import hashlib
@@ -67,7 +70,7 @@ GOLDEN = {
     "law-t3-d3": ("law --model iid --t 3 --d 3 --n 10 --k 1,100,1000", 0, "ca0be15dbf5539748d1ff59c82828e6c4922983d610f81c24504b9863e4ed3ea"),
     "law-asymptotic-t2": ("law --model asymptotic --t 2 --n 27 --k 0,27", 0, "fca0b436a9489efb08bde4fc0e108f5c6e35376c99e67b722985d6784fa1d7ec"),
     "law-conjecture-n27": ("law --model conjecture --t 2 --n 27 --k 1,27,100", 0, "246abbc45a233323216612beebdd3f3dc805d22ecf30925387b98f5e89c3eb54"),
-    "law-conjecture-n1923": ("law --model conjecture --t 2 --n 1923 --k 1,1923,10000", 0, "e89dd3d9079db6beee787261ced62365d14b51763b6060af27b27b0ef54836dd"),
+    "law-conjecture-n1923": ("law --model conjecture --t 2 --n 1923 --k 1,1923,10000", 0, "18ecfbb534463500cac27eb240bdf295dea25dc93e44e039d7e53fdde9346ac0"),
     "law-t1-n1": ("law --model iid --t 1 --n 1 --k 1", 0, "6be49721cb13fa72d0d5589f9b6ef80d99327b21a5861cf1ea2bc7ffd61a75e6"),
     "law-t2-n1": ("law --model iid --t 2 --n 1 --k 1", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "law-t0": ("law --model iid --t 0 --n 5 --k 1", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),

@@ -5,9 +5,15 @@ from fractions import Fraction
 
 import pytest
 
+from hypercov import exact
 from hypercov.design import DesignSpec
-from hypercov.errors import StructuralError
-from hypercov.exact import IntersectionKind, expected_coverage_multiset, kind_params
+from hypercov.errors import StructuralError, UnsupportedSpecError
+from hypercov.exact import (
+    IntersectionKind,
+    expected_coverage_multiset,
+    kind_axes,
+    kind_params,
+)
 from hypercov.laws import (
     asymptotic_coverage,
     bracket_exact_vs_asymptotic,
@@ -50,6 +56,56 @@ class TestLambda:
     def test_lambda_for_is_float_of_fraction(self):
         spec = DesignSpec(2, 7)
         assert lambda_for(IntersectionKind.LHS_TUPLE, spec) == float(Fraction(1, 7))
+
+    @pytest.mark.parametrize(
+        "kind,spec",
+        [(IntersectionKind.LHS_TUPLE, DesignSpec(d, n)) for d in (2, 3, 4) for n in range(2, 13)]
+        + [(IntersectionKind.OS_TUPLE, DesignSpec(d, p**d, p)) for d in (2, 3) for p in (2, 3, 4)]
+        + [(IntersectionKind.LH_EDGE_ALL, DesignSpec(d, n)) for d in (3, 4, 5) for n in (2, 3, 5)]
+        + [(IntersectionKind.LH_EDGE_SUBBLOCK, DesignSpec(d, p**d, p)) for d in (2, 3) for p in (2, 3)],
+    )
+    def test_every_kind_is_one_over_n_to_the_t_minus_1(self, kind, spec):
+        # The counting side's a/b and the closed form's float agree:
+        # a/b = 1/n^(t-1) exactly, and lambda_for is its rounded double.
+        t = kind_axes(kind, spec)
+        assert t == (spec.d if kind.value in ("lhs", "os") else 2)
+        assert lambda_fraction(kind, spec) == Fraction(1, spec.n ** (t - 1))
+        assert lambda_for(kind, spec) == float(lambda_fraction(kind, spec))
+
+    def test_lambda_for_builds_no_factorial(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("kind_params called")
+
+        monkeypatch.setattr(exact, "kind_params", refuse)
+        monkeypatch.setattr("hypercov.laws.kind_params", refuse)
+        assert lambda_for(IntersectionKind.LHS_TUPLE, DesignSpec(2, 100_000)) == 1e-05
+
+    @pytest.mark.parametrize(
+        "kind", [IntersectionKind.OS_TUPLE, IntersectionKind.LH_EDGE_SUBBLOCK]
+    )
+    def test_kinds_on_sub_blocks_need_p(self, kind):
+        with pytest.raises(UnsupportedSpecError, match="needs a coarse base p"):
+            lambda_for(kind, DesignSpec(2, 9))
+
+    def test_projection_lambda_is_correctly_rounded(self):
+        # libm pow misrounds n^(1-t) at 71 of these pairs, first at n=1923, t=2.
+        bad = [
+            (n, t)
+            for n in range(2, 5001)
+            for t in range(2, 17)
+            if projection_lambda(n, t) != float(Fraction(1, n ** (t - 1)))
+        ]
+        assert bad == []
+        assert projection_lambda(1923, 2) == 0.0005200208008320333
+
+    @pytest.mark.parametrize("n,t", [(2, 1075), (2, 1076), (3, 679), (3, 680), (10, 324), (10, 325)])
+    def test_projection_lambda_at_the_underflow_edge(self, n, t):
+        assert projection_lambda(n, t) == float(Fraction(1, n ** (t - 1)))
+
+    def test_projection_lambda_past_the_double_range_builds_no_power(self):
+        # 10^(10^9) would take seconds and hundreds of MB to build.
+        assert projection_lambda(10, 10**9) == 0.0
+        assert projection_lambda(2**1000, 3) == 0.0
 
 
 class TestClosedForms:

@@ -27,8 +27,8 @@ from hypercov.simulate import (
     coverage_curve,
     simulate_coverage,
     summarize,
-    target_lambda,
 )
+from hypercov.laws import projection_lambda
 
 SEED = 1106
 
@@ -75,11 +75,16 @@ class TestTargets:
         assert edge(1, 2, 1, 1).universe(bspec) == 16
 
     def test_lambda(self):
+        # A target's per-key rate is projection_lambda at its axis count;
+        # a coarse edge target has two axes.
+        def rate(spec, target):
+            return projection_lambda(spec.n, len(target.axes(spec)))
+
         spec = DesignSpec(3, 4)
-        assert target_lambda(spec, Units()) == pytest.approx(4.0**-2)
-        assert target_lambda(spec, Units(2)) == pytest.approx(0.25)
+        assert rate(spec, Units()) == pytest.approx(4.0**-2)
+        assert rate(spec, Units(2)) == pytest.approx(0.25)
         bspec = DesignSpec(3, 8, p=2)
-        assert target_lambda(bspec, edge(1, 2, 1, 1)) == pytest.approx(1 / 8)
+        assert rate(bspec, edge(1, 2, 1, 1)) == pytest.approx(1 / 8)
 
     def test_plan_validation(self):
         spec = DesignSpec(2, 4)

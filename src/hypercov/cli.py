@@ -287,10 +287,49 @@ def _parse_format(text: str) -> int | None:
     raise StructuralError(f"--format must be rational or decimal:<digits>, got {text!r}")
 
 
+def _rounded_quotient(num: int, den: int, digits: int) -> tuple[int, int]:
+    """(coeff, exp) of Decimal(num) / Decimal(den) at precision `digits`
+    (den > 0), from one integer quotient: num/den rounded half-even to
+    `digits` significant digits, and when that is exact, with trailing
+    zeros dropped while the exponent is below 0 (Decimal's ideal form)."""
+    if not num:
+        return 0, 0
+    mag, limit = abs(num), 10**digits
+    # 10^e <= mag/den < 10^(e+1); the bit lengths place e within one.
+    e = math.floor((mag.bit_length() - den.bit_length()) * math.log10(2))
+    while True:
+        shift = digits - 1 - e
+        top, rest = (mag * 10**shift, den) if shift >= 0 else (mag, den * 10**-shift)
+        coeff, rem = divmod(top, rest)
+        if coeff >= limit:
+            e += 1
+        elif coeff * 10 < limit:
+            e -= 1
+        else:
+            break
+    exp = -shift
+    if 2 * rem > rest or 2 * rem == rest and coeff % 2:
+        coeff += 1
+        if coeff == limit:
+            coeff, exp = coeff // 10, exp + 1
+    elif not rem:
+        while exp < 0 and not coeff % 10:
+            coeff, exp = coeff // 10, exp + 1
+    return (coeff if num > 0 else -coeff), exp
+
+
 def _decimal_str(value: Fraction, digits: int) -> str:
+    """str(Decimal(num) / Decimal(den)) at precision `digits`. Converting
+    an integer to Decimal takes time quadratic in its length, so when the
+    integers are longer than the digits asked for, only the rounded
+    quotient is converted."""
+    num, den = value.numerator, value.denominator
     with localcontext() as ctx:
         ctx.prec = digits
-        return str(Decimal(value.numerator) / Decimal(value.denominator))
+        if 10 * digits >= 3 * max(num.bit_length(), den.bit_length()):  # 10/3 > log2(10)
+            return str(Decimal(num) / Decimal(den))
+        coeff, exp = _rounded_quotient(num, den, digits)
+        return str(Decimal(coeff).scaleb(exp))
 
 
 def _run_exact(config: RunConfig, out: str | None, workers: int) -> int:
@@ -323,8 +362,10 @@ def _law_lambda(params: dict) -> tuple[float, int | None, int | None, int | None
         axes = kind_axes(IntersectionKind(params["kind"]), _spec_from(params))
     elif n is None:
         raise StructuralError("--t needs --n to fix lambda")
-    elif t > 1 and n < 2:
-        raise StructuralError(f"n must be >= 2, got {n}")
+    elif params.get("p") is not None:
+        raise StructuralError("--p is not read with --t; drop it")
+    elif n < (least := 1 if t == 1 else 2):  # at t = 1 one level is a cell every trial hits
+        raise StructuralError(f"n must be >= {least}, got {n}")
     return projection_lambda(n, axes, d), d, n, t
 
 
@@ -334,6 +375,8 @@ def _run_law(config: RunConfig, out: str | None, workers: int) -> int:
     if model == "bracket":
         if params.get("kind") is None:
             raise StructuralError("bracket needs --kind")
+        if params.get("t") is not None:
+            raise StructuralError("--t is not read by --model bracket; drop it")
         kind = IntersectionKind(params["kind"])
         spec = _spec_from(params)
         # The spec's own refusals come first, as in bracket_exact_vs_asymptotic.

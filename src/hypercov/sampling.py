@@ -19,6 +19,14 @@ The samplers draw a batch at once, one trial per seed, as 0-based
 columns: an int64 array of shape (k, d, n) whose entry [t, j] is axis
 j + 1 of trial t, a permutation of 0..n-1, the one form of a trial;
 1-based rows appear only in `gen` output and the oracle's cell tuples.
+
+Each axis has its own substreams (LHS axis j: fold(trial_seed, j); OS
+axis i: labels (i-1)*p + 1 .. i*p), so a batch can be drawn for a
+subset A of the axes: the samplers' `axes` argument, a sorted tuple of
+1-based axes, gives columns (k, len(A), n) equal to the full draw's
+columns A, without drawing the others. Simulation draws only the axes
+its targets count; `gen`, the oracle and every call without `axes`
+draw all d.
 """
 
 from __future__ import annotations
@@ -32,6 +40,10 @@ import numpy as np
 from . import rng
 from .design import DesignSpec, band_width
 from .errors import StructuralError, UnsupportedSpecError
+
+
+# 1-based axes to draw, sorted; None draws all d.
+Axes = tuple[int, ...] | None
 
 
 class SampleKind(str, Enum):
@@ -60,9 +72,14 @@ def replicate_seed(master: int, r: int) -> int:
     return rng.fold(master, r)
 
 
-def lh_points_batch(spec: DesignSpec, trial_seeds: np.ndarray) -> np.ndarray:
-    """Latin hypercube columns for each seed; shape (k, d, n), 0-based."""
-    col_seeds = rng.fold_grid(trial_seeds, np.arange(1, spec.d + 1))
+def _axis_labels(spec: DesignSpec, axes: Axes) -> np.ndarray:
+    """The 1-based axes to draw, all d when axes is None."""
+    return np.arange(1, spec.d + 1) if axes is None else np.array(axes)
+
+
+def lh_points_batch(spec: DesignSpec, trial_seeds: np.ndarray, axes: Axes = None) -> np.ndarray:
+    """Latin hypercube columns for each seed; shape (k, len(axes), n), 0-based."""
+    col_seeds = rng.fold_grid(trial_seeds, _axis_labels(spec, axes))
     return rng.permutations_from_seeds(col_seeds, spec.n)
 
 
@@ -80,36 +97,44 @@ def _coarse_tables(p: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     return r // scale % p, r // (scale * p) * scale + r % scale
 
 
-def orthogonal_columns(fines: np.ndarray, p: int) -> np.ndarray:
-    """0-based columns (k, d, n) of the orthogonal trials assembled from
-    fine permutations (k, d, p, w): fines[t, i, j] is the 0-based fine
-    permutation of axis i + 1, coarse band j + 1 in trial t."""
-    d, w = fines.shape[1], fines.shape[3]
-    band, slot = _coarse_tables(p, d)
-    cols = fines[:, np.arange(d)[:, None], band, slot]
-    cols += band * w
+def orthogonal_columns(fines: np.ndarray, p: int, axes: Axes = None, d: int | None = None) -> np.ndarray:
+    """0-based columns (k, a, n) of the orthogonal trials assembled from
+    fine permutations (k, a, p, w): fines[t, i, j] is the 0-based fine
+    permutation of coarse band j + 1 on the design's axis axes[i] in
+    trial t. axes are 1-based axes of a d-axis design; by default all
+    d = a of them."""
+    d = fines.shape[1] if d is None else d
+    rows = np.arange(d) if axes is None else np.array(axes) - 1
+    band, slot = (table[rows] for table in _coarse_tables(p, d))
+    cols = fines[:, np.arange(rows.size)[:, None], band, slot]
+    cols += band * fines.shape[3]
     return cols
 
 
-def os_points_batch(spec: DesignSpec, trial_seeds: np.ndarray) -> np.ndarray:
-    """Orthogonal columns for each seed; shape (k, d, n), 0-based."""
+def os_points_batch(spec: DesignSpec, trial_seeds: np.ndarray, axes: Axes = None) -> np.ndarray:
+    """Orthogonal columns for each seed; shape (k, len(axes), n), 0-based."""
     p = spec.require_p()
-    f_seeds = rng.fold_grid(trial_seeds, np.arange(1, spec.d * p + 1)).reshape(-1, spec.d, p)
-    return orthogonal_columns(rng.permutations_from_seeds(f_seeds, band_width(p, spec.d)), p)
+    labels = (_axis_labels(spec, axes)[:, None] - 1) * p + np.arange(1, p + 1)
+    f_seeds = rng.fold_grid(trial_seeds, labels.reshape(-1)).reshape(-1, *labels.shape)
+    fines = rng.permutations_from_seeds(f_seeds, band_width(p, spec.d))
+    return orthogonal_columns(fines, p, axes, spec.d)
 
 
-def points_batch(spec: DesignSpec, kind: SampleKind, trial_seeds: np.ndarray) -> np.ndarray:
+def points_batch(
+    spec: DesignSpec, kind: SampleKind, trial_seeds: np.ndarray, axes: Axes = None
+) -> np.ndarray:
     if kind is SampleKind.LHS:
-        return lh_points_batch(spec, trial_seeds)
-    return os_points_batch(spec, trial_seeds)
+        return lh_points_batch(spec, trial_seeds, axes)
+    return os_points_batch(spec, trial_seeds, axes)
 
 
 def trial_columns(
-    spec: DesignSpec, kind: SampleKind, seed: int, k: int, first: int = 1
+    spec: DesignSpec, kind: SampleKind, seed: int, k: int, first: int = 1, axes: Axes = None
 ) -> np.ndarray:
-    """Columns of trials first..first+k-1 of a run or replicate; trial t
-    (1-based) is drawn from fold(seed, t), so a run can be extended."""
-    return points_batch(spec, kind, rng.fold_array(seed, np.arange(first, first + k)))
+    """Columns of trials first..first+k-1 of a run or replicate, on the
+    sorted 1-based `axes` (all d by default); trial t (1-based) is drawn
+    from fold(seed, t), so a run can be extended."""
+    return points_batch(spec, kind, rng.fold_array(seed, np.arange(first, first + k)), axes)
 
 
 def gen_trials(cfg: SamplerConfig, k: int) -> np.ndarray:

@@ -12,18 +12,27 @@ covered keys for each requested target, a `design.Units` family:
                             (pi, pj) of axis pair (i, j)'s quotient grid,
                             universe p^(2(d-1))
 
-Trials arrive from the sampler as 0-based columns (k, d, n), and each
-counted axis is read as a view of them. Keys are the counted axes packed
-base n (base p^(d-1) for fine offsets) into int64 codes. When the key
-space does not fit int64 (n^t > 2^63) the keys go into Latin buckets:
-every counted axis of a trial is a permutation of 0..n-1, so bucket b,
-the keys with value b on the first counted axis, holds one key of each
-trial, and the other axes are packed into int64 words. Counts and prefix
-curves share one sort per bucket; a distinct key starts where adjacent
-keys differ. A curve needs each key's earliest trial, which goes into
-the word's low bit_length(k-1) bits when they are free (the packed sort
-of rng.permutations_from_seeds). Else np.lexsort sorts the buckets: it
-is stable, so a bucket keeps its keys in trial order.
+A replicate draws only the axes its targets count (the sampler's
+`axes`, the sorted union of the targets' axes), as 0-based columns
+(k, len(axes), n), and each counted axis is read as a view of them.
+Keys are the counted axes packed base n (base p^(d-1) for fine
+offsets) into int64 codes. When the key space does not fit int64
+(n^t > 2^63) the keys go into Latin buckets: every counted axis of a
+trial is a permutation of 0..n-1, so bucket b, the keys with value b on
+the first counted axis, holds one key of each trial, and the other axes
+are packed into int64 words.
+
+Distinct keys are counted one of two ways, with the same result. Codes
+whose universe U is at most DIRECT_RATIO times their number are counted
+by direct address: a count marks a bool map of U, and a prefix curve
+takes each cell's earliest trial with np.minimum.at (order-independent)
+and counts cells per trial. Every other case (larger universes, row
+keys, a chunk's keys thinned by a `covered` map) is sorted: counts and
+prefix curves share one sort per bucket, and a distinct key starts
+where adjacent keys differ. A curve needs each key's earliest trial,
+which goes into the word's low bit_length(k-1) bits when they are free
+(the packed sort of rng.permutations_from_seeds). Else np.lexsort sorts
+the buckets: it is stable, so a bucket keeps its keys in trial order.
 Per-replicate coverage fractions are exact integer ratios converted to
 float once; aggregation is sequential in replicate order with math.fsum,
 so reports are bit-stable for a fixed seed regardless of worker count.
@@ -42,7 +51,7 @@ import numpy as np
 from .design import DesignSpec, Units, band_width
 from .errors import GuardExceededError, StructuralError
 from .laws import asymptotic_coverage, iid_coverage, projection_lambda
-from .sampling import SampleKind, replicate_seed, trial_columns
+from .sampling import Axes, SampleKind, replicate_seed, trial_columns
 
 MAX_TRACKED_KEYS = 20_000_000  # k * n per replicate
 MAX_REPLICATE_BYTES = 2**30  # k * d * n int64 column entries, times 8
@@ -51,6 +60,14 @@ MAX_REPLICATE_BYTES = 2**30  # k * d * n int64 column entries, times 8
 # x86 VM, where the cap is about 70 s of work.
 MAX_TOTAL_KEYS = 10**9
 REPLICATE_KEYS = 2_000
+# 1-D codes are counted by direct address when their universe is at most
+# this many times the key count. On a 2-vCPU x86 VM at 10^4 and 10^6
+# keys, the map broke even with the sort near 7x for a count and near
+# 4x for a curve.
+DIRECT_RATIO = 4
+# Entries of a curve's first-trial map per bincount, whose intp copy
+# of its input then stays in cache and small.
+MAP_CHUNK = 1 << 16
 
 Z99 = NormalDist().inv_cdf(0.995)
 
@@ -97,6 +114,11 @@ class SimPlan:
         """Bytes of one replicate's int64 columns, shape (k, d, n)."""
         return self.k * self.spec.d * self.spec.n * 8
 
+    @property
+    def axes(self) -> tuple[int, ...]:
+        """The axes a replicate draws: those its targets count, sorted."""
+        return tuple(sorted(set().union(*(t.axes(self.spec) for t in self.targets))))
+
 
 @dataclass(frozen=True)
 class SummaryStats:
@@ -142,9 +164,10 @@ def _pack(digits: Sequence[np.ndarray], base: int) -> np.ndarray:
 
 
 def _keys_for_target(
-    cols: np.ndarray, spec: DesignSpec, target: Units
+    cols: np.ndarray, spec: DesignSpec, target: Units, axes: Axes = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(keys, per-trial key counts) of the trials' 0-based columns (k, d, n).
+    """(keys, per-trial key counts) of the trials' 0-based columns
+    (k, len(axes), n) on `axes` (all d by default).
 
     keys is 1-D codes, trial by trial, when the target's universe fits
     int64. Otherwise it is rows of shape (n * k, words): the counted axes
@@ -153,7 +176,8 @@ def _keys_for_target(
     is row b * k + i.
     """
     k, n = cols.shape[0], spec.n
-    digits = [cols[:, v - 1] for v in target.axes(spec)]  # views, (k, n) each
+    drawn = tuple(range(1, spec.d + 1)) if axes is None else axes
+    digits = [cols[:, drawn.index(v)] for v in target.axes(spec)]  # views, (k, n) each
     if target.coarse is not None:
         # Keep the keys inside the coarse cell, coded by fine offsets.
         base = band_width(spec.require_p(), spec.d)
@@ -210,9 +234,44 @@ def _distinct_keys(
     return new, trial
 
 
-def _covered_count(cols: np.ndarray, spec: DesignSpec, target: Units) -> int:
-    new, _ = _distinct_keys(*_keys_for_target(cols, spec, target))
+def _direct(keys: np.ndarray, universe: int) -> bool:
+    """Whether keys are counted by direct address rather than sorted."""
+    return keys.ndim == 1 and universe <= DIRECT_RATIO * keys.size
+
+
+def _covered_count(cols: np.ndarray, spec: DesignSpec, target: Units, axes: Axes = None) -> int:
+    keys, counts = _keys_for_target(cols, spec, target, axes)
+    universe = target.universe(spec)
+    if _direct(keys, universe):
+        seen = np.zeros(universe, dtype=bool)  # universe bytes, at most 4 per key
+        seen[keys] = True
+        return int(np.count_nonzero(seen))
+    new, _ = _distinct_keys(keys, counts)
     return int(np.count_nonzero(new))
+
+
+def _new_per_trial(keys: np.ndarray, counts: np.ndarray, universe: int) -> np.ndarray:
+    """Distinct keys whose earliest trial is i, for each of the k trials."""
+    k = counts.size
+    if not _direct(keys, universe):
+        new, trial = _distinct_keys(keys, counts, tagged=True)
+        return np.bincount(trial[new], minlength=k)
+    # first[c] is the earliest trial holding code c, k if none does.
+    # minimum.at is order-independent; a fancy assignment with repeated
+    # indices is not promised to keep any particular one. The map's type
+    # is the smallest that holds k, 32 bits at most as k * n is under
+    # MAX_TRACKED_KEYS. So with universe <= 4 keys it takes at most 16
+    # bytes per key, no more than the two int64 column entries a key of
+    # two or more axes is packed from (one axis has n <= keys cells), and
+    # MAX_REPLICATE_BYTES still bounds a replicate's memory.
+    dtype = np.min_scalar_type(k)
+    first = np.full(universe, k, dtype=dtype)
+    np.minimum.at(first, keys, np.repeat(np.arange(k, dtype=dtype), counts))
+    per_trial = np.zeros(k + 1, dtype=np.int64)
+    step = max(MAP_CHUNK, k)
+    for lo in range(0, universe, step):
+        per_trial += np.bincount(first[lo : lo + step], minlength=k + 1)
+    return per_trial[:k]
 
 
 def coverage_curve(
@@ -232,23 +291,22 @@ def coverage_curve(
     this chunk's keys are then marked in it; a replicate is extended
     chunk by chunk this way. Nondecreasing by construction.
     """
-    SimPlan(spec, kind, k, reps=1, targets=(target,))  # the plan's checks and key guard
-    cols = trial_columns(spec, kind, rep_seed, k, first)
-    keys, counts = _keys_for_target(cols, spec, target)
+    axes = SimPlan(spec, kind, k, reps=1, targets=(target,)).axes  # the plan's checks and key guard
+    cols = trial_columns(spec, kind, rep_seed, k, first, axes)
+    keys, counts = _keys_for_target(cols, spec, target, axes)
     if covered is not None:  # a bool map implies 1-D codes: the universe is small
         fresh = ~covered[keys]
         covered[keys] = True
         counts = np.bincount(np.repeat(np.arange(k), counts)[fresh], minlength=k)
         keys = keys[fresh]
-    new, trial = _distinct_keys(keys, counts, tagged=True)
-    return np.cumsum(np.bincount(trial[new], minlength=k), dtype=np.int64)
+    return np.cumsum(_new_per_trial(keys, counts, target.universe(spec)), dtype=np.int64)
 
 
 def _replicate_counts(plan: SimPlan, rep_ids: Sequence[int]) -> list[tuple[int, list[int]]]:
-    out = []
+    out, axes = [], plan.axes
     for r in rep_ids:
-        cols = trial_columns(plan.spec, plan.kind, replicate_seed(plan.seed, r), plan.k)
-        out.append((r, [_covered_count(cols, plan.spec, tgt) for tgt in plan.targets]))
+        cols = trial_columns(plan.spec, plan.kind, replicate_seed(plan.seed, r), plan.k, axes=axes)
+        out.append((r, [_covered_count(cols, plan.spec, tgt, axes) for tgt in plan.targets]))
     return out
 
 

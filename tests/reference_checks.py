@@ -3,8 +3,11 @@
 A trial is an array (d, n) whose row j is axis j + 1, as the samplers
 and the oracle hold it. These helpers walk it point by point with plain
 Python and import nothing from the package, so tests can hold the
-package's numpy paths against them.
+package's numpy paths against them. `decimal_quotient` is the decimal
+column of `exact` as first written.
 """
+
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -45,3 +48,11 @@ def trials_holding(trials, values) -> int:
     """How many trials of (b, d, n) hold a point whose first len(values)
     coordinates are these 1-based values."""
     return sum(1 for cols in trials if any(row[: len(values)] == tuple(values) for row in rows(cols)))
+
+
+def decimal_quotient(num: int, den: int, digits: int) -> str:
+    """num/den as Decimal division of the whole integers prints it at
+    precision `digits`."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        return str(Decimal(num) / Decimal(den))

@@ -6,14 +6,17 @@ import shlex
 import subprocess
 import sys
 import time
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from reference_checks import columns
+from reference_checks import columns, decimal_quotient
 
 from hypercov import cli, exact, oracle, simulate, sweep
 from hypercov.cli import (
@@ -157,6 +160,53 @@ class TestExact:
         assert code == 0
         assert len(out.splitlines()[-1].split(",")[-1]) == 1_000_001  # digits and the point
 
+    @staticmethod
+    @st.composite
+    def quotients(draw):
+        """(num, den, digits) for the decimal column."""
+        digits = draw(st.integers(1, 25))
+        pair = draw(
+            st.one_of(
+                # any quotient, with integers short or long against digits
+                st.tuples(st.integers(-(10**60), 10**60), st.integers(1, 10**60)),
+                # exact: a denominator of 2s and 5s, or an integer with trailing zeros
+                st.tuples(st.integers(0, 10**30), st.builds(lambda a, b: 2**a * 5**b, st.integers(0, 60), st.integers(0, 60))),
+                st.tuples(st.builds(lambda c, z: c * 10**z, st.integers(1, 10**20), st.integers(0, 30)), st.just(1)),
+                # halfway between two coefficients of `digits` digits
+                st.tuples(
+                    st.builds(lambda c: 10 * c + 5, st.integers(10 ** (digits - 1), 10**digits - 1)),
+                    st.builds(lambda j: 10**j, st.integers(0, 80)),
+                ),
+                # below 1e-6, printed with an exponent
+                st.tuples(st.integers(1, 10**6), st.integers(10**7, 10**90)),
+            )
+        )
+        return (*pair, digits)
+
+    @given(quotients())
+    @example((1, 4, 12))  # exact: 0.25, not 0.250000000000
+    @example((1, 10**7, 12))  # 1E-7
+    @example((2**200 + 1, 3**126, 12))  # integers longer than the digits
+    @settings(max_examples=300, deadline=None)
+    def test_decimal_column_matches_whole_integer_division(self, case):
+        num, den, digits = case
+        value = Fraction(num, den)
+        want = decimal_quotient(value.numerator, value.denominator, digits)
+        assert cli._decimal_str(value, digits) == want
+        # The integer quotient, also where _decimal_str divides Decimals.
+        coeff, exp = cli._rounded_quotient(value.numerator, value.denominator, digits)
+        with localcontext() as ctx:
+            ctx.prec = digits
+            assert str(Decimal(coeff).scaleb(exp)) == want
+
+    def test_decimal_column_near_the_bit_guard_converts_no_whole_integer(self, monkeypatch):
+        value = expected_coverage_multiset(IntersectionKind("lhs"), DesignSpec(2, 1000), 40)
+        assert value.denominator.bit_length() > 100_000
+        want = decimal_quotient(value.numerator, value.denominator, 12)
+        short = lambda x: Decimal(x) if abs(x) < 10**12 else pytest.fail("a whole integer became a Decimal")
+        monkeypatch.setattr(cli, "Decimal", short)
+        assert cli._decimal_str(value, 12) == want
+
     def test_needs_exactly_one_of_m_k(self, capsys):
         code, _ = run_cli(capsys, "exact", "--kind", "lhs", "--d", "2", "--n", "3")
         assert code == 2
@@ -278,6 +328,23 @@ class TestLaw:
         code = main(["law", *argv.split()])
         assert code == 2
         assert capsys.readouterr().err == f"error: missing required parameter {flag}\n"
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            ("--model iid --t 1 --n -5 --k 1", "n must be >= 1, got -5"),
+            ("--model iid --t 1 --n 0 --k 1", "n must be >= 1, got 0"),
+            ("--model iid --t 2 --n 100 --p 7 --k 1", "--p is not read with --t; drop it"),
+            ("--model conjecture --t 2 --n 27 --p 3 --k 1", "--p is not read with --t; drop it"),
+            ("--model bracket --kind lhs --d 2 --n 10 --t 2 --k 1", "--t is not read by --model bracket; drop it"),
+        ],
+    )
+    def test_refused_law_flags_exit_2(self, capsys, argv, err):
+        # Each used to exit 0: a nonsense n, or a flag its route ignored
+        # that still changed the config hash.
+        code = main(["law", *argv.split()])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
 
     def test_conjecture_needs_t(self, capsys):
         code, _ = run_cli(capsys, "law", "--model", "conjecture", "--d", "3", "--n", "27", "--k", "27")

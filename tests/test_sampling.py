@@ -163,6 +163,28 @@ class TestTrialStreams:
         run = trial_columns(spec, kind, 31, 12)
         assert np.array_equal(trial_columns(spec, kind, 31, 4, first=first), run[first - 1 : first + 3])
 
+    @pytest.mark.parametrize(
+        "spec,kind,axes",
+        [
+            (spec, kind, axes)
+            for spec, kind in [
+                (DesignSpec(4, 5), SampleKind.LHS),
+                (DesignSpec(4, 16, p=2), SampleKind.OS),
+                (DesignSpec(4, 1, p=1), SampleKind.LHS),
+                (DesignSpec(4, 1, p=1), SampleKind.OS),
+            ]
+            for axes in [(1,), (3,), (2, 3), (1, 3), (2, 4), (1, 2, 4), (1, 2, 3, 4)]
+        ]
+        + [(DesignSpec(3, 27, p=3), SampleKind.OS, axes) for axes in [(2,), (1, 3), (2, 3)]],
+    )
+    def test_an_axis_subset_is_those_columns_of_the_full_draw(self, spec, kind, axes):
+        # Each axis has its own substreams, so drawing a subset leaves
+        # every value the same, also for a run extended from a later trial.
+        full = trial_columns(spec, kind, 13, 6)
+        for first in (1, 4):
+            sub = trial_columns(spec, kind, 13, 3, first=first, axes=axes)
+            assert np.array_equal(sub, full[first - 1 : first + 2, np.array(axes) - 1])
+
     def test_gen_trials_empty(self):
         assert gen_trials(SamplerConfig(DesignSpec(2, 3), 0), 0).shape == (0, 2, 3)
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypercov import oracle, simulate
+from hypercov import oracle, rng, simulate
 from hypercov.cli import parse_target
 from hypercov.design import DesignSpec, Units
 from hypercov.errors import GuardExceededError, StructuralError, UnsupportedSpecError
@@ -383,6 +383,89 @@ class TestDistinctCount:
         trials = cols.transpose(0, 2, 1).tolist()  # trial i's rows
         rows = [(i, tuple(row)) for i, trial in enumerate(trials) for row in trial]
         self.check(keys, counts, rows)
+
+
+class TestDirectAddress:
+    """Codes counted by direct address (a map of the universe) and by the
+    sort give the same counts and curves, on both sides of DIRECT_RATIO."""
+
+    FORMS = ["full", "proj:1", "proj:2", "proj:2@3,1", "edge:1,3,2,1", "edge:2,3,1,1"]
+
+    @staticmethod
+    def both(monkeypatch, fn):
+        """fn() with every count sorted, then with every 1-D count mapped."""
+        out = []
+        for ratio in (0, 2**62):
+            monkeypatch.setattr(simulate, "DIRECT_RATIO", ratio)
+            out.append(fn())
+        return out
+
+    @pytest.mark.parametrize("kind", list(SampleKind))
+    @pytest.mark.parametrize("text", FORMS)
+    @pytest.mark.parametrize("k", [1, 5, 40])
+    def test_counts_and_curves_agree(self, monkeypatch, kind, text, k):
+        spec, units = DesignSpec(3, 8, p=2), parse_target(text)
+        cols = trial_columns(spec, kind, 6, k)
+        counts = self.both(monkeypatch, lambda: simulate._covered_count(cols, spec, units))
+        curves = self.both(monkeypatch, lambda: coverage_curve(spec, kind, 6, k, units).tolist())
+        assert counts[0] == counts[1] == curves[0][-1]
+        assert curves[0] == curves[1]
+
+    @pytest.mark.parametrize("kind", list(SampleKind))
+    @pytest.mark.parametrize("text", ["full", "proj:2", "edge:1,3,2,1"])
+    def test_chunked_curves_agree(self, monkeypatch, kind, text):
+        # The covered map thins later chunks below the ratio: those sort.
+        spec, units = DesignSpec(3, 8, p=2), parse_target(text)
+
+        def chunks():
+            covered = np.zeros(units.universe(spec), dtype=bool)
+            return [
+                coverage_curve(spec, kind, 5, k, units, first=first, covered=covered).tolist()
+                for first, k in [(1, 3), (4, 1), (5, 30)]
+            ]
+
+        sorted_, mapped = self.both(monkeypatch, chunks)
+        assert sorted_ == mapped
+
+    @pytest.mark.parametrize("k, direct", [(15, False), (16, True), (17, True)])
+    @pytest.mark.parametrize("kind", list(SampleKind))
+    def test_either_side_of_the_ratio_matches_sets(self, monkeypatch, k, direct, kind):
+        # Universe 8^3 = 512 against 8k keys: 4 keys per cell at k = 16.
+        spec, units = DesignSpec(3, 8, p=2), Units()
+        sorts = []
+        real = simulate._distinct_keys
+        monkeypatch.setattr(simulate, "_distinct_keys", lambda *a, **kw: sorts.append(1) or real(*a, **kw))
+        cols = trial_columns(spec, kind, 2, k)
+        curve = coverage_curve(spec, kind, 2, k, units)
+        prefix = [len(frozenset().union(*oracle._cells(spec, cols[:i], units))) for i in range(1, k + 1)]
+        assert curve.tolist() == prefix
+        assert simulate._covered_count(cols, spec, units) == prefix[-1]
+        assert sorts == ([] if direct else [1, 1])
+
+    def test_map_type_holds_k(self, monkeypatch):
+        # k = 300 needs 16 bits; an 8-bit map would wrap the trial index.
+        spec, units, k = DesignSpec(2, 2), Units(), 300
+        curves = self.both(monkeypatch, lambda: coverage_curve(spec, SampleKind.LHS, 4, k, units).tolist())
+        assert curves[0] == curves[1]
+
+    @pytest.mark.parametrize("curve", [False, True])
+    def test_os_proj2_draws_only_two_axes(self, monkeypatch, curve):
+        # d = 3, p = 3: two counted axes take 2 * p fine permutations per trial.
+        spec, k, perm_rows = DesignSpec(3, 27, p=3), 5, []
+        real = rng.permutations_from_seeds
+        monkeypatch.setattr(rng, "permutations_from_seeds", lambda s, n: perm_rows.append(np.size(s)) or real(s, n))
+        if curve:
+            coverage_curve(spec, SampleKind.OS, 9, k, Units(2))
+        else:
+            plan = SimPlan(spec, SampleKind.OS, k=k, reps=1, targets=(Units(2), parse_target("proj:2@2,1")))
+            simulate._replicate_counts(plan, [1])
+        assert perm_rows == [k * 2 * 3]
+
+    def test_plan_axes_are_the_union_of_the_targets(self):
+        spec = DesignSpec(4, 16, p=2)
+        targets = (parse_target("proj:2@4,2"), parse_target("edge:1,4,1,2"))
+        assert SimPlan(spec, SampleKind.OS, k=1, reps=1, targets=targets).axes == (1, 2, 4)
+        assert SimPlan(spec, SampleKind.OS, k=1, reps=1).axes == (1, 2, 3, 4)
 
 
 class TestKeyContract:

@@ -11,6 +11,9 @@ Feeding that JSON back through --config reproduces the artifact byte
 for byte. Flags always win over --config values; the seed falls back
 to the HYPERCOV_SEED environment variable, then to 0. Output paths and
 worker counts are routing, not content, so they stay out of the hash.
+The flag values pick one route of the subcommand (see Command). A flag
+the route does not read exits 2 when given, and otherwise takes its
+default, not a --config or HYPERCOV_SEED value.
 
 Every table cell prints by one rule (`_fmt`): bools as true/false,
 floats as their repr, None as an empty cell, ints in full whatever
@@ -28,7 +31,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -128,27 +131,31 @@ def _emit(out: str | None, lines: list[str]) -> None:
 
 
 # Element type of each type tag; a *_list tag holds a list of them.
-SCALARS: dict[str, type] = {"int": int, "seed": int, "str": str, "float": float}
+SCALARS: dict[str, type] = {"int": int, "str": str, "float": float}
 
 
-def _normalize(name: str, tag: str, value: Any) -> Any:
+def _normalize(name: str, flag: Flag, value: Any) -> Any:
+    """A flag or config-file value in the flag's type and among its choices."""
     if value is None:
         return None
-    scalar = SCALARS[tag.removesuffix("_list")]
+    scalar = SCALARS[flag.tag.removesuffix("_list")]
+    option = "--" + name.replace("_", "-")
 
     def cast(v: Any) -> Any:
         # No flag text parses to a bool, nor to a float where an int is due.
         if isinstance(v, bool) or (scalar is int and isinstance(v, float)):
-            flag = name.replace("_", "-")
-            raise StructuralError(f"--{flag} must be {scalar.__name__}, got {json.dumps(v)}")
+            raise StructuralError(f"{option} must be {scalar.__name__}, got {json.dumps(v)}")
         return scalar(v)
 
-    if not tag.endswith("_list"):
-        return cast(value)
-    if isinstance(value, str):
-        # Flag text is comma-separated, except a str_list's: one item per flag.
-        value = [value] if tag == "str_list" else value.split(",")
-    return [cast(v) for v in value]
+    if flag.tag.endswith("_list"):
+        if isinstance(value, str):
+            # Flag text is comma-separated, except a str_list's: one item per flag.
+            value = [value] if flag.tag == "str_list" else value.split(",")
+        return [cast(v) for v in value]
+    value = cast(value)
+    if flag.choices is not None and value not in flag.choices:
+        raise StructuralError(f"{option} must be one of {', '.join(flag.choices)}, got {value!r}")
+    return value
 
 
 def _load_config_file(path: str) -> dict:
@@ -162,41 +169,64 @@ def _load_config_file(path: str) -> dict:
     return obj
 
 
+def _route(sub: str, routes: dict[str, str], values: dict) -> tuple[str, str]:
+    """The label and flag list of the first route whose condition holds.
+    A condition names flags with the values they must take, then flags
+    that must be set: "model=iid|asymptotic t" holds when --model is iid
+    or asymptotic and --t is set; "" always holds."""
+    unset: dict[str, None] = {}
+    for key, reads in routes.items():
+        conds = [word.partition("=")[::2] for word in key.split()]
+        if any(want and values[n] not in (None, *want.split("|")) for n, want in conds):
+            continue
+        absent = [n for n, _ in conds if values[n] is None]
+        if not absent:
+            words = (f"--{n} {values[n]}" if want else f"--{n}" for n, want in conds)
+            return " ".join([sub, *words]), reads
+        unset[f"--{absent[0]}"] = None
+    raise StructuralError(f"{sub} needs {' or '.join(unset)}")
+
+
 def resolve_params(sub: str, args: argparse.Namespace) -> RunConfig:
     """Merge flags, --config values, defaults and HYPERCOV_SEED into the
-    run config; config-file values get the checks argparse gives flags."""
-    content = {name: f for name, f in COMMANDS[sub].flags.items() if not f.routing}
+    run config of the route the values pick; config-file values get the
+    checks argparse gives flags. A flag the route does not read is
+    refused if given, and otherwise takes its default."""
+    command = COMMANDS[sub]
+    content = {name: f for name, f in command.all_flags().items() if not f.routing}
     file_values: dict = {}
     if getattr(args, "config", None):
         file_values = _load_config_file(args.config)
         # A config file may carry any subcommand's routing keys; they are ignored.
-        routing = {n for c in COMMANDS.values() for n, f in c.all_flags().items() if f.routing}
-        unknown = set(file_values) - set(content) - (routing - {"config"})
-        if unknown:
+        if unknown := set(file_values) - set(content) - {"workers", "out"}:
             raise StructuralError(f"unknown config keys: {sorted(unknown)}")
+    given = {name for name in content if getattr(args, name, None) is not None}
+    values = {
+        name: _normalize(name, flag, getattr(args, name) if name in given else file_values.get(name))
+        for name, flag in content.items()
+    }
+    label, reads = _route(sub, command.routes, values)
+    read = {name.rstrip("!"): name.endswith("!") for name in reads.split()}
     params: dict = {}
     for name, flag in content.items():
-        value = getattr(args, name, None)
-        if value is None:
-            value = file_values.get(name)
-        if value is None:
-            if flag.default is REQUIRED:
-                raise StructuralError(f"missing required parameter --{name.replace('_', '-')}")
-            value = flag.default
-        if flag.tag == "seed" and value is None:
-            env = os.environ.get("HYPERCOV_SEED")
-            value = int(env) if env is not None else 0
-        value = params[name] = _normalize(name, flag.tag, value)
-        if flag.choices is not None and value is not None and value not in flag.choices:
-            raise StructuralError(f"--{name} must be one of {', '.join(flag.choices)}, got {value!r}")
+        option = "--" + name.replace("_", "-")
+        if name in given and name not in read:
+            raise StructuralError(f"{option} is not read by {label}")
+        value = values[name] if name in read else None
+        if value is None and read.get(name):
+            raise StructuralError(f"missing required parameter {option}")
+        if value is None and name == "seed" and name in read and "HYPERCOV_SEED" in os.environ:
+            env = os.environ["HYPERCOV_SEED"]
+            try:
+                value = int(env)
+            except ValueError:
+                raise StructuralError(f"HYPERCOV_SEED must be an integer, got {env!r}") from None
+        params[name] = _normalize(name, flag, flag.default) if value is None else value
     return RunConfig(sub, params)
 
 
 def _spec_from(params: dict) -> DesignSpec:
-    for name in ("d", "n"):  # optional for `law --t`, needed by every spec
-        if params[name] is None:
-            raise StructuralError(f"missing required parameter --{name}")
-    return DesignSpec(params["d"], params["n"], params.get("p"))
+    return DesignSpec(params["d"], params["n"], params["p"])
 
 
 def _int(text: str) -> int:
@@ -337,11 +367,10 @@ def _run_exact(config: RunConfig, out: str | None, workers: int) -> int:
     kind = IntersectionKind(params["kind"])
     spec = _spec_from(params)
     digits = _parse_format(params["format"])
-    ms, ks = params.get("m"), params.get("k")
-    if (ms is None) == (ks is None):
-        raise StructuralError("exactly one of --m and --k is required")
-    value_of = expected_coverage_multiset if ms is None else expected_intersection
-    name, qs, least = ("k", ks, 0) if ms is None else ("m", ms, 1)
+    # The route reads one of --m and --k; the other stays None.
+    value_of = expected_coverage_multiset if params["m"] is None else expected_intersection
+    name, least = ("k", 0) if params["m"] is None else ("m", 1)
+    qs = params[name]
     check_terms(name, qs, least, kind, spec)
     rows = []
     for q in qs:
@@ -352,31 +381,20 @@ def _run_exact(config: RunConfig, out: str | None, workers: int) -> int:
     return 0
 
 
-def _law_lambda(params: dict) -> tuple[float, int | None, int | None, int | None]:
-    """Resolve lambda; returns (lambda, d, n, t) with None for absent columns."""
-    t, d, n = params.get("t"), params.get("d"), params.get("n")
-    axes = t
+def _law_lambda(params: dict) -> float:
+    """lambda at --t axes, or at the axes of --kind's cells."""
+    t, n = params["t"], params["n"]
     if t is None:
-        if params.get("kind") is None:
-            raise StructuralError("need --kind or --t to fix lambda")
-        axes = kind_axes(IntersectionKind(params["kind"]), _spec_from(params))
-    elif n is None:
-        raise StructuralError("--t needs --n to fix lambda")
-    elif params.get("p") is not None:
-        raise StructuralError("--p is not read with --t; drop it")
+        t = kind_axes(IntersectionKind(params["kind"]), _spec_from(params))
     elif n < (least := 1 if t == 1 else 2):  # at t = 1 one level is a cell every trial hits
         raise StructuralError(f"n must be >= {least}, got {n}")
-    return projection_lambda(n, axes, d), d, n, t
+    return projection_lambda(n, t, params["d"])
 
 
 def _run_law(config: RunConfig, out: str | None, workers: int) -> int:
     params = config.params
     model = params["model"]
     if model == "bracket":
-        if params.get("kind") is None:
-            raise StructuralError("bracket needs --kind")
-        if params.get("t") is not None:
-            raise StructuralError("--t is not read by --model bracket; drop it")
         kind = IntersectionKind(params["kind"])
         spec = _spec_from(params)
         # The spec's own refusals come first, as in bracket_exact_vs_asymptotic.
@@ -392,10 +410,9 @@ def _run_law(config: RunConfig, out: str | None, workers: int) -> int:
             gap = abs(rep.p_multiset - rep.p_asym)
             rows.append(["bracket", *base, gap, rep.e1_bound, rep.e2_bound, rep.valid])
     else:
-        lam, d, n, t = _law_lambda(params)
-        if model == "conjecture" and t is None:
-            raise StructuralError("conjecture model needs --t")
+        lam = _law_lambda(params)
         law = asymptotic_coverage if model == "asymptotic" else iid_coverage
+        d, n, t = params["d"], params["n"], params["t"]
         rows = [[model, d, n, t, k, lam, law(lam, k), None, None, None] for k in params["k"]]
     _emit(out, _table(config, "model,d,n,t,k,lambda,value,e1_bound,e2_bound,valid", rows))
     return 0
@@ -406,10 +423,12 @@ def _run_simulate(config: RunConfig, out: str | None, workers: int) -> int:
     spec = _spec_from(params)
     kind = SampleKind(params["kind"])
     targets = [parse_target(s) for s in params["target"]]
-    if params.get("dims") is not None:
-        # --dims names the axes of every proj: target.
-        dims = tuple(params["dims"])
-        targets = [Units(u.t, dims) if u.t is not None and u.coarse is None else u for u in targets]
+    if params["dims"] is not None:
+        # --dims names the axes of every proj: target, and needs one.
+        proj = [u.t is not None and u.coarse is None for u in targets]
+        if not any(proj):
+            raise StructuralError("--dims is read only with a proj: target")
+        targets = [Units(u.t, tuple(params["dims"])) if is_proj else u for u, is_proj in zip(targets, proj)]
     plan = SimPlan(spec, kind, params["k"], params["reps"], tuple(targets), params["seed"])
     rows = [
         [t.label, spec.d, spec.n, spec.p, kind.value, plan.k, plan.reps,
@@ -452,17 +471,15 @@ def _run_oracle(config: RunConfig, out: str | None, workers: int) -> int:
     if mode == "occurrence":
         if edge is None:
             name = f"occurrence {kind.value} d={spec.d} n={spec.n}"
+        elif edge.coarse is not None:
+            raise StructuralError("occurrence mode takes --edge i,j without bands")
         else:
-            if edge.coarse is not None:
-                raise StructuralError("occurrence mode takes --edge i,j without bands")
             name = f"occurrence edges d={spec.d} n={spec.n} edge={params['edge']}"
         want = kind_params(exact_kind, spec).a
         counts = occurrence_counts(ts, units)
         return _emit_checks(config, out, [constant_count_check(name, counts, want)])
 
     q_name = "m" if mode == "intersect" else "k"
-    if params[q_name] is None:
-        raise StructuralError(f"mode {mode} needs --{q_name}")
     name = f"{mode} {kind.value} d={spec.d} n={spec.n}"
     if edge is not None:
         name += f" edge={params['edge']}"
@@ -523,13 +540,10 @@ def _emit_checks(config: RunConfig, out: str | None, checks: list[CheckResult]) 
 
 # --- the flag table ---------------------------------------------------------
 
-REQUIRED = object()
-
 
 @dataclass(frozen=True)
 class Flag:
-    """One option: its default (REQUIRED if it has none), its type tag and
-    its choices.
+    """One option: its default, its type tag and its choices.
 
     The type tag sets the argparse type and how a config-file value is
     normalized. Routing flags say where output goes and how the work is
@@ -544,93 +558,83 @@ class Flag:
     help: str | None = None
 
 
-@dataclass(frozen=True)
-class Command:
-    help: str
-    run: Callable[[RunConfig, str | None, int], int]
-    flags: dict[str, Flag]
-
-    def all_flags(self) -> dict[str, Flag]:
-        return {**self.flags, **COMMON_FLAGS}
-
-
-COMMON_FLAGS = {
+# Each flag's meaning wherever a command does not override it, in the
+# order --help lists them.
+FLAGS: dict[str, Flag] = {
+    "model": Flag(
+        choices=("iid", "asymptotic", "conjecture", "bracket"),
+        help="conjecture: the iid law at a t-axis cell's rate n^(1-t), exact for i.i.d. trials",
+    ),
+    "kind": Flag("lhs", choices=tuple(k.value for k in SampleKind)),
+    "d": Flag(tag="int"),
+    "n": Flag(tag="int"),
+    "p": Flag(tag="int"),
+    "t": Flag(tag="int"),
+    "levels": Flag(tag="float_list"),
+    "n_grid": Flag(tag="int_list"),
+    "mode": Flag(),  # each command that reads it gives its choices
+    "m": Flag(tag="int_list"),
+    "k": Flag(tag="int_list"),
+    "reps": Flag(tag="int"),
+    "target": Flag(["full"], "str_list"),
+    "dims": Flag(tag="int_list"),
+    "edge": Flag(),
+    "seed": Flag(0, "int"),
+    "format": Flag("decimal:12"),
+    "workers": Flag(tag="int", routing=True),
     "config": Flag(routing=True, help="JSON file of parameters; flags win"),
     "out": Flag(routing=True, help="output path, '-' for stdout"),
 }
 
-_INT = Flag(None, "int")
-_REQUIRED_INT = Flag(REQUIRED, "int")
-_INT_LIST = Flag(None, "int_list")
-_SEED = Flag(None, "seed")
-_SAMPLE_KIND = Flag("lhs", choices=tuple(k.value for k in SampleKind))
-_EXACT_KIND = tuple(k.value for k in IntersectionKind)
+
+@dataclass(frozen=True)
+class Command:
+    """A subcommand's runner and routes. Each route maps a condition on
+    the flag values (see _route) to the flags it reads, a trailing !
+    marking those it requires; the routes are the only place a command
+    names its flags. `flags` overrides FLAGS where a name means something
+    else here."""
+
+    help: str
+    run: Callable[[RunConfig, str | None, int], int]
+    routes: dict[str, str]
+    flags: dict[str, Flag] = field(default_factory=dict)
+
+    def all_flags(self) -> dict[str, Flag]:
+        names = {n.rstrip("!") for reads in self.routes.values() for n in reads.split()}
+        return {n: self.flags.get(n, f) for n, f in FLAGS.items() if n in names | {"config", "out"}}
+
+
+_EXACT_KIND = Flag(choices=tuple(k.value for k in IntersectionKind))
 
 COMMANDS: dict[str, Command] = {
-    "gen": Command("generate trials", _run_gen, {
-        "kind": _SAMPLE_KIND,
-        "d": _REQUIRED_INT,
-        "n": _REQUIRED_INT,
-        "p": _INT,
+    "gen": Command("generate trials", _run_gen, {"": "kind d! n! p k seed format"}, {
         "k": Flag(1, "int"),
-        "seed": _SEED,
         "format": Flag("csv", choices=("csv", "json")),
     }),
     "exact": Command("exact intersection/coverage values", _run_exact, {
-        "kind": Flag(REQUIRED, choices=_EXACT_KIND),
-        "d": _REQUIRED_INT,
-        "n": _REQUIRED_INT,
-        "p": _INT,
-        "m": _INT_LIST,
-        "k": _INT_LIST,
-        "format": Flag("decimal:12"),
-    }),
+        "m": "kind! d! n! p m! format",
+        "k": "kind! d! n! p k! format",
+    }, {"kind": _EXACT_KIND}),
     "law": Command("closed-form coverage laws", _run_law, {
-        "model": Flag(
-            REQUIRED,
-            choices=("iid", "asymptotic", "conjecture", "bracket"),
-            help="conjecture: the iid law at a t-axis cell's rate n^(1-t), exact for i.i.d. trials",
-        ),
-        "kind": Flag(None, choices=_EXACT_KIND),
-        "d": _INT,
-        "n": _INT,
-        "p": _INT,
-        "t": _INT,
-        "k": Flag(REQUIRED, "int_list"),
-    }),
+        "model=bracket": "model! kind! d! n! p k!",
+        "model=iid|asymptotic t": "model! d n! t! k!",
+        "model=iid|asymptotic kind": "model! kind! d! n! p k!",
+        "model=conjecture": "model! d n! t! k!",
+    }, {"kind": _EXACT_KIND}),
     "simulate": Command("Monte Carlo coverage", _run_simulate, {
-        "kind": _SAMPLE_KIND,
-        "d": _REQUIRED_INT,
-        "n": _REQUIRED_INT,
-        "p": _INT,
-        "k": _REQUIRED_INT,
-        "reps": _REQUIRED_INT,
-        "target": Flag(["full"], "str_list"),
-        "dims": _INT_LIST,
-        "seed": _SEED,
-        "workers": Flag(None, "int", routing=True),
-    }),
+        "": "kind d! n! p k! reps! target dims seed workers",
+    }, {"k": Flag(tag="int")}),
     "oracle": Command("brute-force enumeration checks", _run_oracle, {
-        "kind": _SAMPLE_KIND,
-        "d": _REQUIRED_INT,
-        "n": _REQUIRED_INT,
-        "p": _INT,
-        "mode": Flag(REQUIRED, choices=("intersect", "cover", "occurrence")),
-        "m": _INT_LIST,
-        "k": _INT_LIST,
-        "edge": Flag(None),
-    }),
+        "mode=intersect": "kind d! n! p mode! m! edge",
+        "mode=cover": "kind d! n! p mode! k! edge",
+        "mode=occurrence": "kind d! n! p mode! edge",
+    }, {"mode": Flag(choices=("intersect", "cover", "occurrence"))}),
     "sweep": Command("k* threshold sweeps over n", _run_sweep, {
-        "kind": _SAMPLE_KIND,
-        "d": _REQUIRED_INT,
-        "t": _REQUIRED_INT,
-        "levels": Flag(REQUIRED, "float_list"),
-        "n_grid": Flag(REQUIRED, "int_list"),
-        "mode": Flag(REQUIRED, choices=tuple(m.value for m in SweepMode)),
-        "reps": Flag(400, "int"),
-        "seed": _SEED,
-    }),
-    "verify": Command("oracle vs exact-count suite", _run_verify, {}),
+        "mode=closed-form": "kind d! t! levels! n_grid! mode!",
+        "mode=simulated": "kind d! t! levels! n_grid! mode! reps seed",
+    }, {"mode": Flag(choices=tuple(m.value for m in SweepMode)), "reps": Flag(400, "int")}),
+    "verify": Command("oracle vs exact-count suite", _run_verify, {"": ""}),
 }
 
 
@@ -649,6 +653,14 @@ def _all_int_digits() -> Iterator[None]:
             sys.set_int_max_str_digits(limit)
 
 
+def _refuse(exc: Exception) -> int:
+    """Print why a run stopped; return its exit code."""
+    print(f"error: {exc}", file=sys.stderr)
+    if isinstance(exc, GuardExceededError):  # includes cap violations
+        return 3
+    return 5 if isinstance(exc, OSError) else 2
+
+
 def run(config: RunConfig, out: str | None = None, workers: int = 1) -> int:
     """Execute a resolved run configuration; returns the exit code."""
     try:
@@ -656,15 +668,8 @@ def run(config: RunConfig, out: str | None = None, workers: int = 1) -> int:
             raise StructuralError(f"unknown subcommand {config.subcommand!r}")
         with _all_int_digits():
             return COMMANDS[config.subcommand].run(config, out, workers)
-    except GuardExceededError as exc:  # includes cap violations
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except HypercovError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
+    except (HypercovError, OSError) as exc:
+        return _refuse(exc)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -687,20 +692,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
-        code = exc.code
-        return 0 if code in (0, None) else 2
+        return 0 if exc.code in (0, None) else 2
     try:
         config = resolve_params(args.subcommand, args)
-    except (HypercovError, ValueError, TypeError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
+    except (HypercovError, OSError, ValueError, TypeError, OverflowError) as exc:
+        return _refuse(exc)
     workers = getattr(args, "workers", None) or 1
     return run(config, out=args.out, workers=workers)
 

@@ -43,7 +43,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
@@ -68,9 +67,6 @@ DIRECT_RATIO = 4
 # Entries of a curve's first-trial map per bincount, whose intp copy
 # of its input then stays in cache and small.
 MAP_CHUNK = 1 << 16
-
-Z99 = NormalDist().inv_cdf(0.995)
-
 
 @dataclass(frozen=True)
 class SimPlan:
@@ -125,12 +121,10 @@ class SummaryStats:
     mean: float
     sd: float
     se: float
-    ci_low: float
-    ci_high: float
 
 
 def summarize(values: Sequence[float]) -> SummaryStats:
-    """Mean, sample sd (n-1), standard error, 99% normal interval."""
+    """Mean, sample sd (n-1) and standard error."""
     vals = [float(v) for v in values]
     if not vals:
         raise StructuralError("cannot summarize an empty sequence")
@@ -140,7 +134,7 @@ def summarize(values: Sequence[float]) -> SummaryStats:
     else:
         sd = 0.0
     se = sd / math.sqrt(len(vals))
-    return SummaryStats(m, sd, se, m - Z99 * se, m + Z99 * se)
+    return SummaryStats(m, sd, se)
 
 
 @dataclass(frozen=True)

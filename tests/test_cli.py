@@ -28,6 +28,7 @@ from hypercov.cli import (
     resolve_params,
 )
 from hypercov.design import DesignSpec
+from hypercov.errors import StructuralError
 from hypercov.exact import IntersectionKind, expected_coverage_multiset
 from hypercov.sampling import (
     SampleKind,
@@ -38,6 +39,7 @@ from hypercov.sampling import (
 )
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+CLOSED_FORM = "sweep --mode closed-form --kind lhs --d 3 --t 2 --levels 0.5 --n-grid 64,128,256"
 
 GOLDEN_GEN = """\
 # hypercov 0.1.0
@@ -334,9 +336,9 @@ class TestLaw:
         [
             ("--model iid --t 1 --n -5 --k 1", "n must be >= 1, got -5"),
             ("--model iid --t 1 --n 0 --k 1", "n must be >= 1, got 0"),
-            ("--model iid --t 2 --n 100 --p 7 --k 1", "--p is not read with --t; drop it"),
-            ("--model conjecture --t 2 --n 27 --p 3 --k 1", "--p is not read with --t; drop it"),
-            ("--model bracket --kind lhs --d 2 --n 10 --t 2 --k 1", "--t is not read by --model bracket; drop it"),
+            ("--model iid --t 2 --n 100 --p 7 --k 1", "--p is not read by law --model iid --t"),
+            ("--model conjecture --t 2 --n 27 --p 3 --k 1", "--p is not read by law --model conjecture"),
+            ("--model bracket --kind lhs --d 2 --n 10 --t 2 --k 1", "--t is not read by law --model bracket"),
         ],
     )
     def test_refused_law_flags_exit_2(self, capsys, argv, err):
@@ -345,6 +347,12 @@ class TestLaw:
         code = main(["law", *argv.split()])
         assert code == 2
         assert capsys.readouterr().err == f"error: {err}\n"
+
+    @pytest.mark.parametrize("model", ["iid", "asymptotic"])
+    def test_lambda_needs_t_or_kind(self, capsys, model):
+        code = main(["law", "--model", model, "--d", "2", "--n", "100", "--k", "1"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: law needs --t or --kind\n"
 
     def test_conjecture_needs_t(self, capsys):
         code, _ = run_cli(capsys, "law", "--model", "conjecture", "--d", "3", "--n", "27", "--k", "27")
@@ -379,6 +387,18 @@ class TestSimulate:
         _, seq = run_cli(capsys, *args)
         _, par = run_cli(capsys, *args, "--workers", "2")
         assert seq == par
+
+    def test_dims_needs_a_proj_target(self, capsys):
+        # With no proj: target, --dims used to change only the config hash.
+        argv = ["simulate", "--d", "2", "--n", "9", "--k", "3", "--reps", "2", "--dims", "2,1"]
+        code = main([*argv, "--target", "full", "--target", "edge:1,2,1,1"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: --dims is read only with a proj: target\n"
+        code, out = run_cli(capsys, *argv, "--target", "full", "--target", "proj:2")
+        assert code == 0
+        full, proj = out.splitlines()[-2:]
+        assert full.startswith("full,") and proj.startswith('"proj:2@2,1",')
 
     def test_replicate_bytes_guard_refuses_before_drawing(self, capsys, monkeypatch):
         def no_draw(*args):
@@ -697,6 +717,18 @@ class TestConfigReplay:
         code, _ = run_cli(capsys, "gen", "--config", "/no/such/file.json")
         assert code == 5
 
+    def test_closed_form_sweep_ignores_unread_seed_and_reps(self, capsys, monkeypatch, tmp_path):
+        # Under HYPERCOV_SEED=5 the hash used to be 58578e0a8577.
+        monkeypatch.delenv("HYPERCOV_SEED", raising=False)
+        code, plain = run_cli(capsys, *shlex.split(CLOSED_FORM))
+        assert code == 0
+        assert "# config_hash=7097769466b3\n" in plain
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"subcommand": "sweep", "params": {"seed": 5, "reps": 7}}))
+        assert run_cli(capsys, *shlex.split(CLOSED_FORM), "--config", str(cfg)) == (0, plain)
+        monkeypatch.setenv("HYPERCOV_SEED", "5")
+        assert run_cli(capsys, *shlex.split(CLOSED_FORM)) == (0, plain)
+
     def test_hash_ignores_out_and_workers(self, capsys, tmp_path):
         _, plain = run_cli(capsys, "gen", "--d", "2", "--n", "4", "--kind", "lhs", "--k", "1", "--seed", "0")
         target = tmp_path / "o.csv"
@@ -718,6 +750,22 @@ class TestSeedResolution:
     def test_default_seed_zero(self, capsys, monkeypatch):
         monkeypatch.delenv("HYPERCOV_SEED", raising=False)
         _, out = run_cli(capsys, "gen", "--d", "2", "--n", "4", "--kind", "lhs", "--k", "1")
+        assert "# seed=0" in out
+
+    @pytest.mark.parametrize("env", ["", "abc", "1.5", "0x10"])
+    def test_env_seed_not_an_integer_exits_2(self, capsys, monkeypatch, env):
+        # An empty value used to print only "invalid literal for int()".
+        monkeypatch.setenv("HYPERCOV_SEED", env)
+        code = main(["gen", "--d", "2", "--n", "4", "--k", "1"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: HYPERCOV_SEED must be an integer, got {env!r}\n"
+
+    def test_env_seed_unread_by_closed_form_sweep(self, capsys, monkeypatch):
+        # A closed-form sweep reads no seed, so even a bad value is not looked at.
+        monkeypatch.setenv("HYPERCOV_SEED", "abc")
+        code, out = run_cli(capsys, *shlex.split(CLOSED_FORM))
+        assert code == 0
         assert "# seed=0" in out
 
 
@@ -774,19 +822,131 @@ OPTIONS = {
     "verify": {},
 }
 
+# The routes of each subcommand, in the order they are tried: the flags
+# (and values) that pick one, then the flags it reads, "!" marking those
+# it requires. Written out here, not read from cli.py's table.
+ROUTES = {
+    "gen": {"": "kind d! n! p k seed format"},
+    "exact": {"--m": "kind! d! n! p m! format", "--k": "kind! d! n! p k! format"},
+    "law": {
+        "--model bracket": "model! kind! d! n! p k!",
+        "--model iid --t": "model! d n! t! k!",
+        "--model asymptotic --t": "model! d n! t! k!",
+        "--model iid --kind": "model! kind! d! n! p k!",
+        "--model asymptotic --kind": "model! kind! d! n! p k!",
+        "--model conjecture": "model! d n! t! k!",
+    },
+    "simulate": {"": "kind d! n! p k! reps! target dims seed workers"},
+    "oracle": {
+        "--mode intersect": "kind d! n! p mode! m! edge",
+        "--mode cover": "kind d! n! p mode! k! edge",
+        "--mode occurrence": "kind d! n! p mode! edge",
+    },
+    "sweep": {
+        "--mode closed-form": "kind d! t! levels! n-grid! mode!",
+        "--mode simulated": "kind d! t! levels! n-grid! mode! reps seed",
+    },
+    "verify": {"": ""},
+}
+
+# A value each flag takes on every subcommand that has it.
+VALUES = {
+    "--kind": "lhs", "--d": "2", "--n": "4", "--p": "2", "--t": "2", "--m": "1", "--k": "1",
+    "--reps": "2", "--levels": "0.5", "--n-grid": "8,27,64", "--target": "full", "--dims": "1,2",
+    "--edge": "1,2", "--seed": "1", "--format": "csv", "--workers": "1",
+}
+
+
+def _reads(sub, route):
+    """(every option the route reads, those it requires)."""
+    words = ROUTES[sub][route].split()
+    return {f"--{w.rstrip('!')}" for w in words}, [f"--{w[:-1]}" for w in words if w.endswith("!")]
+
+
+def _route_values(route):
+    """The values a route's words give their flags."""
+    words = route.split()
+    return {w: v for w, v in zip(words, words[1:] + [""]) if w.startswith("--") and not v.startswith("--")}
+
+
+def _route_of(words):
+    """The first route whose words the command line holds."""
+    given = _route_values(" ".join(words))
+    for route in ROUTES[words[0]]:
+        if all(flag in given and value in ("", given[flag]) for flag, value in _route_values(route).items()):
+            return route
+
+
+def _names(option, text):
+    return re.search(rf"{re.escape(option)}(?![\w-])", text) is not None
+
 
 class TestFlagSurface:
     def test_options_and_choices(self):
+        # --help lists each subcommand's options in this order.
         subparsers = build_parser()._subparsers._group_actions[0].choices
         assert list(subparsers) == list(OPTIONS)
         for name, sp in subparsers.items():
-            got = {
-                opt: list(action.choices) if action.choices else None
+            got = [
+                (opt, list(action.choices) if action.choices else None)
                 for action in sp._actions
                 for opt in action.option_strings
                 if opt not in ("-h", "--help")
-            }
-            assert got == {**OPTIONS[name], "--config": None, "--out": None}, name
+            ]
+            assert got == list({**OPTIONS[name], "--config": None, "--out": None}.items()), name
+
+    @pytest.mark.parametrize("sub", list(OPTIONS))
+    def test_help_exits_0(self, capsys, sub):
+        assert main([sub, "--help"]) == 0
+        assert capsys.readouterr().out.startswith(f"usage: hypercov {sub}")
+
+    def test_routes_name_every_option(self):
+        for sub, routes in ROUTES.items():
+            assert set().union(*(_reads(sub, r)[0] for r in routes)) == set(OPTIONS[sub]), sub
+
+    def test_readme_route_table(self):
+        # The README's table lists each route's flags apart from --model or --mode.
+        cells = [
+            [c.strip().strip("`") for c in re.split(r"(?<!\\)\|", line)[1:-1]]
+            for line in README.read_text().splitlines()
+            if line.startswith("| `")
+        ]
+        got = {}
+        for route, required, optional in cells:
+            sub, _, words = route.partition(" ")
+            for model in ("iid", "asymptotic"):
+                got[(sub, words.replace("iid\\|asymptotic", model))] = (set(required.split()), set(optional.split()))
+        want = {}
+        for sub, routes in ROUTES.items():
+            for route in routes:
+                read, required = _reads(sub, route)
+                chosen = {flag for flag, value in _route_values(route).items() if value}
+                want[(sub, route)] = (set(required) - chosen, read - set(required))
+        assert got == want
+
+    @pytest.mark.parametrize("sub,route", [(s, r) for s, routes in ROUTES.items() for r in routes])
+    def test_route_reads_and_requires(self, sub, route):
+        read, required = _reads(sub, route)
+        picked = _route_values(route)
+        base = [sub] + [w for opt in required for w in (opt, picked.get(opt) or VALUES[opt])]
+        parser = build_parser()
+        label = " ".join([sub, route]).strip()
+        resolve_params(sub, parser.parse_args(base))
+        for opt in sorted(read - set(required)):
+            resolve_params(sub, parser.parse_args(base + [opt, VALUES[opt]]))
+        for opt in required:
+            i = base.index(opt)
+            with pytest.raises(StructuralError) as refused:
+                resolve_params(sub, parser.parse_args(base[:i] + base[i + 2 :]))
+            assert _names(opt, str(refused.value)), (opt, str(refused.value))
+        for opt in sorted(set(OPTIONS[sub]) - read):
+            with pytest.raises(StructuralError) as refused:
+                resolve_params(sub, parser.parse_args(base + [opt, VALUES[opt]]))
+            message = str(refused.value)
+            # A flag that picks another route is named in that route's label.
+            assert _names(opt, message) and " is not read by " in message, (opt, message)
+            if message.startswith(f"{opt} "):
+                assert message == f"{opt} is not read by {label}"
 
     def test_readme_commands_parse(self):
         commands = _readme_commands()
@@ -818,6 +978,44 @@ def test_readme_command_without_one_flag_exits_cleanly(capsys, argv):
     # A missing flag is a default or a refusal, never a traceback.
     assert main(argv) in (0, 2, 3, 4, 5)
     capsys.readouterr()
+
+
+def _add_one_unread_flag() -> list[tuple[list[str], str]]:
+    """Every README command with one flag its route does not read added."""
+    cases = []
+    for command in _readme_commands():
+        words = shlex.split(command)
+        read, _ = _reads(words[0], _route_of(words))
+        cases += [(words + [opt, VALUES[opt]], opt) for opt in OPTIONS[words[0]] if opt not in read]
+    return cases
+
+
+@pytest.mark.parametrize("argv,flag", _add_one_unread_flag(), ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_readme_command_with_an_unread_flag_exits_2(capsys, argv, flag):
+    # An unread flag would otherwise change the config hash and nothing else.
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert _names(flag, captured.err), captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        ("law --model iid --kind os --t 2 --n 100 --k 1", "--kind"),
+        ("law --model conjecture --kind lhs --t 2 --n 100 --k 1", "--kind"),
+        ("oracle --kind lhs --d 2 --n 3 --mode cover --k 2 --m 5", "--m"),
+        ("oracle --kind lhs --d 2 --n 3 --mode occurrence --k 2", "--k"),
+        (f"{CLOSED_FORM} --reps 7 --seed 3", "--reps"),
+    ],
+)
+def test_unread_flag_exits_2(capsys, argv, flag):
+    # Each exited 0 with the payload of the run without the flag, under
+    # another config hash.
+    code = main(shlex.split(argv))
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith(f"error: {flag} is not read by ")
 
 
 class TestCanonicalConfig:

@@ -36,7 +36,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from . import __version__
+from . import __version__, rng
 from .design import DesignSpec, Units
 from .errors import CapExceededError, GuardExceededError, HypercovError, StructuralError
 from .exact import (
@@ -62,7 +62,7 @@ from .oracle import (
     exact_check,
     occurrence_counts,
 )
-from .sampling import SampleKind, SamplerConfig, gen_trials, trial_seed
+from .sampling import SampleKind, trial_columns
 from .simulate import SimPlan, simulate_coverage
 from .sweep import SweepMode, run_sweep as sweep_run
 
@@ -271,7 +271,7 @@ def _run_gen(config: RunConfig, out: str | None, workers: int) -> int:
     params = config.params
     kind = SampleKind(params["kind"])
     seed = params["seed"]
-    cols = gen_trials(SamplerConfig(_spec_from(params), seed, kind), params["k"])
+    cols = trial_columns(_spec_from(params), kind, seed, params["k"])
     trials = (cols.transpose(0, 2, 1) + 1).tolist()  # 1-based point rows
     if params["format"] == "json":
         spec = {key: params[key] for key in ("d", "n", "p") if params[key] is not None}
@@ -283,7 +283,7 @@ def _run_gen(config: RunConfig, out: str | None, workers: int) -> int:
                 "config": {"subcommand": config.subcommand, "params": params},
             },
             "trials": [
-                {"spec": spec, "seed": trial_seed(seed, t), "kind": kind.value, "points": points}
+                {"spec": spec, "seed": rng.fold(seed, t), "kind": kind.value, "points": points}
                 for t, points in enumerate(trials, start=1)
             ],
         }

@@ -115,15 +115,15 @@ def _universe(ts: EnumeratedTrialSet, projection: Units | tuple[Units, ...]) -> 
     return sum(units.universe(ts.spec) for units in families)
 
 
-def check_walk(name: str, b: int, m: int, guard: int = MULTISET_GUARD) -> None:
-    """Refuse m < 1, or a walk over the m-multisets of b trials above the
-    guard. Walking one multiset costs O(m), so the guard bounds multisets * m."""
+def check_walk(name: str, b: int, m: int) -> None:
+    """Refuse m < 1, or a walk over the m-multisets of b trials above
+    MULTISET_GUARD, which bounds multisets * m: each costs O(m) to walk."""
     if m < 1:
         raise StructuralError(f"{name} must be >= 1, got {m}")
     count = math.comb(b + m - 1, m)
-    if count * m > guard:
+    if count * m > MULTISET_GUARD:
         raise GuardExceededError(
-            f"{count} multisets of {m} trials exceed guard {guard} on multisets * m"
+            f"{count} multisets of {m} trials exceed guard {MULTISET_GUARD} on multisets * m"
         )
 
 
@@ -131,10 +131,9 @@ def oracle_expected_intersection(
     ts: EnumeratedTrialSet,
     m: int,
     projection: Units | tuple[Units, ...] = Units(),
-    guard: int = MULTISET_GUARD,
 ) -> Fraction:
     """Average number of units common to all trials of an m-multiset."""
-    check_walk("m", len(ts.trials), m, guard)
+    check_walk("m", len(ts.trials), m)
     units = _unit_sets(ts, projection)
     total = 0
     count = 0
@@ -151,10 +150,9 @@ def oracle_expected_coverage(
     ts: EnumeratedTrialSet,
     k: int,
     projection: Units | tuple[Units, ...] = Units(),
-    guard: int = MULTISET_GUARD,
 ) -> Fraction:
     """Average fraction of the unit universe covered by a k-multiset."""
-    check_walk("k", len(ts.trials), k, guard)
+    check_walk("k", len(ts.trials), k)
     units = _unit_sets(ts, projection)
     universe = _universe(ts, projection)
     total = 0

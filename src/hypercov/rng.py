@@ -20,8 +20,8 @@ which gives O(1) random access to any position, so batches vectorize.
 
 Substreams: fold(s, label) = mix64(s XOR mix64((label + GAMMA) mod 2^64))
 derives an independent stream per integer label; folds chain for nested
-labels. Each trial t of a run uses fold(seed, t); column j inside a trial
-uses fold(trial_seed, j); replicate r of a simulation uses fold(seed, r).
+labels. Trial t of a run uses fold(seed, t), and its column j uses
+fold(fold(seed, t), j); replicate r of a simulation uses fold(seed, r).
 
 Permutations: a permutation of n items is the argsort of n distinct
 consecutive uint64 draws (blocks with a tie are redrawn). Distinct keys

@@ -1,11 +1,12 @@
 """Uniform samplers for Latin hypercube and orthogonal trials.
 
-Latin hypercube trial: column j of the matrix is an independent uniform
-permutation of [n], drawn from substream fold(trial_seed, j).
+A trial is drawn from its own seed s. Latin hypercube trial: column j
+of the matrix is an independent uniform permutation of [n], drawn from
+substream fold(s, j).
 
 Orthogonal trial (needs n = p^d): for each axis i and coarse band j an
 independent uniform permutation f_ij of [p^(d-1)] is drawn from
-substream fold(trial_seed, (i-1)*p + j). Sub-blocks (coarse tuples) are
+substream fold(s, (i-1)*p + j). Sub-blocks (coarse tuples) are
 visited in lexicographic order; the point placed in sub-block
 (c_1..c_d) takes axis-i value
 
@@ -15,23 +16,24 @@ Every choice of the d*p permutations yields a distinct orthogonal trial
 and every orthogonal trial arises from exactly one choice, so the
 output is uniform over all orthogonal trials.
 
-The samplers draw a batch at once, one trial per seed, as 0-based
-columns: an int64 array of shape (k, d, n) whose entry [t, j] is axis
-j + 1 of trial t, a permutation of 0..n-1, the one form of a trial;
-1-based rows appear only in `gen` output and the oracle's cell tuples.
+Trials are drawn through two entries, in a batch, one trial per seed:
+`points_batch` draws either sampler's trials for given seeds, and
+`trial_columns` draws trials first..first+k-1 of a run, trial t from
+seed fold(seed, t). Both give 0-based columns: an int64 array of shape
+(k, d, n) whose entry [t, j] is axis j + 1 of trial t, a permutation of
+0..n-1, the one form of a trial; 1-based rows appear only in `gen`
+output and the oracle's cell tuples.
 
-Each axis has its own substreams (LHS axis j: fold(trial_seed, j); OS
-axis i: labels (i-1)*p + 1 .. i*p), so a batch can be drawn for a
-subset A of the axes: the samplers' `axes` argument, a sorted tuple of
-1-based axes, gives columns (k, len(A), n) equal to the full draw's
-columns A, without drawing the others. Simulation draws only the axes
-its targets count; `gen`, the oracle and every call without `axes`
-draw all d.
+Each axis has its own substreams (LHS axis j: fold(s, j); OS axis i:
+labels (i-1)*p + 1 .. i*p), so a batch can be drawn for a subset A of
+the axes: the `axes` argument, a sorted tuple of 1-based axes, gives
+columns (k, len(A), n) equal to the full draw's columns A, without
+drawing the others. Simulation draws only the axes its targets count;
+`gen`, the oracle and every call without `axes` draw all d.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -39,7 +41,7 @@ import numpy as np
 
 from . import rng
 from .design import DesignSpec, band_width
-from .errors import StructuralError, UnsupportedSpecError
+from .errors import StructuralError
 
 
 # 1-based axes to draw, sorted; None draws all d.
@@ -49,38 +51,6 @@ Axes = tuple[int, ...] | None
 class SampleKind(str, Enum):
     LHS = "lhs"
     OS = "os"
-
-
-@dataclass(frozen=True)
-class SamplerConfig:
-    spec: DesignSpec
-    seed: int
-    kind: SampleKind = SampleKind.LHS
-
-    def __post_init__(self) -> None:
-        if self.kind is SampleKind.OS and self.spec.p is None:
-            raise UnsupportedSpecError("orthogonal sampling needs n = p**d")
-
-
-def trial_seed(master: int, t: int) -> int:
-    """Seed of trial t (1-based) within a k-trial run."""
-    return rng.fold(master, t)
-
-
-def replicate_seed(master: int, r: int) -> int:
-    """Seed of replicate r (1-based) within a simulation."""
-    return rng.fold(master, r)
-
-
-def _axis_labels(spec: DesignSpec, axes: Axes) -> np.ndarray:
-    """The 1-based axes to draw, all d when axes is None."""
-    return np.arange(1, spec.d + 1) if axes is None else np.array(axes)
-
-
-def lh_points_batch(spec: DesignSpec, trial_seeds: np.ndarray, axes: Axes = None) -> np.ndarray:
-    """Latin hypercube columns for each seed; shape (k, len(axes), n), 0-based."""
-    col_seeds = rng.fold_grid(trial_seeds, _axis_labels(spec, axes))
-    return rng.permutations_from_seeds(col_seeds, spec.n)
 
 
 @lru_cache(maxsize=64)
@@ -111,21 +81,16 @@ def orthogonal_columns(fines: np.ndarray, p: int, axes: Axes = None, d: int | No
     return cols
 
 
-def os_points_batch(spec: DesignSpec, trial_seeds: np.ndarray, axes: Axes = None) -> np.ndarray:
-    """Orthogonal columns for each seed; shape (k, len(axes), n), 0-based."""
+def points_batch(spec: DesignSpec, kind: SampleKind, seeds: np.ndarray, axes: Axes = None) -> np.ndarray:
+    """Columns (k, len(axes), n), 0-based, of one trial per seed."""
+    labels = np.arange(1, spec.d + 1) if axes is None else np.array(axes)
+    if kind is SampleKind.LHS:
+        return rng.permutations_from_seeds(rng.fold_grid(seeds, labels), spec.n)
     p = spec.require_p()
-    labels = (_axis_labels(spec, axes)[:, None] - 1) * p + np.arange(1, p + 1)
-    f_seeds = rng.fold_grid(trial_seeds, labels.reshape(-1)).reshape(-1, *labels.shape)
+    labels = (labels[:, None] - 1) * p + np.arange(1, p + 1)
+    f_seeds = rng.fold_grid(seeds, labels.reshape(-1)).reshape(-1, *labels.shape)
     fines = rng.permutations_from_seeds(f_seeds, band_width(p, spec.d))
     return orthogonal_columns(fines, p, axes, spec.d)
-
-
-def points_batch(
-    spec: DesignSpec, kind: SampleKind, trial_seeds: np.ndarray, axes: Axes = None
-) -> np.ndarray:
-    if kind is SampleKind.LHS:
-        return lh_points_batch(spec, trial_seeds, axes)
-    return os_points_batch(spec, trial_seeds, axes)
 
 
 def trial_columns(
@@ -134,11 +99,6 @@ def trial_columns(
     """Columns of trials first..first+k-1 of a run or replicate, on the
     sorted 1-based `axes` (all d by default); trial t (1-based) is drawn
     from fold(seed, t), so a run can be extended."""
-    return points_batch(spec, kind, rng.fold_array(seed, np.arange(first, first + k)), axes)
-
-
-def gen_trials(cfg: SamplerConfig, k: int) -> np.ndarray:
-    """Columns (k, d, n) of k i.i.d. trials; trial t uses fold(cfg.seed, t)."""
     if k < 0:
         raise StructuralError(f"k must be >= 0, got {k}")
-    return trial_columns(cfg.spec, cfg.kind, cfg.seed, k)
+    return points_batch(spec, kind, rng.fold_array(seed, np.arange(first, first + k)), axes)

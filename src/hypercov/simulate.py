@@ -47,13 +47,14 @@ from typing import Sequence
 
 import numpy as np
 
+from . import rng
 from .design import DesignSpec, Units, band_width
 from .errors import GuardExceededError, StructuralError
 from .laws import asymptotic_coverage, iid_coverage, projection_lambda
-from .sampling import Axes, SampleKind, replicate_seed, trial_columns
+from .sampling import Axes, SampleKind, trial_columns
 
 MAX_TRACKED_KEYS = 20_000_000  # k * n per replicate
-MAX_REPLICATE_BYTES = 2**30  # k * d * n int64 column entries, times 8
+MAX_REPLICATE_BYTES = 2**30  # k * len(axes) * n int64 column entries, times 8
 # reps * (k * n + REPLICATE_KEYS) per run. A replicate's fixed cost,
 # about 160 us, is worth 2,000 keys at the 1.4e7 keys/s of a 2-vCPU
 # x86 VM, where the cap is about 70 s of work.
@@ -107,8 +108,8 @@ class SimPlan:
 
     @property
     def replicate_bytes(self) -> int:
-        """Bytes of one replicate's int64 columns, shape (k, d, n)."""
-        return self.k * self.spec.d * self.spec.n * 8
+        """Bytes of one replicate's int64 columns, shape (k, len(axes), n)."""
+        return self.k * len(self.axes) * self.spec.n * 8
 
     @property
     def axes(self) -> tuple[int, ...]:
@@ -299,7 +300,7 @@ def coverage_curve(
 def _replicate_counts(plan: SimPlan, rep_ids: Sequence[int]) -> list[tuple[int, list[int]]]:
     out, axes = [], plan.axes
     for r in rep_ids:
-        cols = trial_columns(plan.spec, plan.kind, replicate_seed(plan.seed, r), plan.k, axes=axes)
+        cols = trial_columns(plan.spec, plan.kind, rng.fold(plan.seed, r), plan.k, axes=axes)
         out.append((r, [_covered_count(cols, plan.spec, tgt, axes) for tgt in plan.targets]))
     return out
 

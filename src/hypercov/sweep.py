@@ -37,9 +37,9 @@ from typing import Sequence
 import numpy as np
 
 from . import rng
-from .design import DesignSpec, Units
+from .design import MAX_D, MAX_N, DesignSpec, Units
 from .errors import GuardExceededError, InvalidModeError, StructuralError
-from .sampling import SampleKind, replicate_seed
+from .sampling import SampleKind
 from .simulate import SimPlan, coverage_curve
 
 EXACT_VERIFY_BITS = 200_000
@@ -105,7 +105,7 @@ def _mean_curve(
     SimPlan(spec, kind, k, reps, targets=(target,))  # the guards, total work included
     total = np.zeros(k, dtype=np.int64)
     for r in range(1, reps + 1):
-        total += coverage_curve(spec, kind, replicate_seed(seed, r), k, target)
+        total += coverage_curve(spec, kind, rng.fold(seed, r), k, target)
     return total / (reps * target.universe(spec))
 
 
@@ -182,7 +182,7 @@ def full_coverage_k(
     """Mean number of trials until the t-axis projection is fully covered."""
     start = _first_draw(spec, kind, t, 1.0, reps)  # before any bitmap: start * n >= U
     target = Units(t)
-    stops = [_stop(spec, kind, target, replicate_seed(seed, r), start) for r in range(1, reps + 1)]
+    stops = [_stop(spec, kind, target, rng.fold(seed, r), start) for r in range(1, reps + 1)]
     return math.fsum(stops) / len(stops)
 
 
@@ -192,28 +192,6 @@ def _check_cell(level: float, mode: SweepMode, reps: int) -> None:
         raise StructuralError(f"level must be in (0, 1], got {level}")
     if mode is SweepMode.SIMULATED and reps < 1:
         raise StructuralError(f"reps must be >= 1, got {reps}")
-
-
-def find_k_for_target(
-    spec: DesignSpec,
-    kind: SampleKind,
-    t: int,
-    level: float,
-    mode: SweepMode,
-    reps: int = 400,
-    seed: int = 0,
-) -> int | float:
-    """k* for one (spec, t, level) cell. Full coverage (level = 1.0) is
-    simulation-only and returns the mean stopping count as a float."""
-    Units(t).validate_for(spec)
-    _check_cell(level, mode, reps)
-    if level == 1.0:
-        if mode is SweepMode.CLOSED_FORM:
-            raise InvalidModeError("full coverage has no closed form; use simulated mode")
-        return full_coverage_k(spec, kind, t, reps, seed)
-    if mode is SweepMode.CLOSED_FORM:
-        return closed_form_k(spec.n, t, level)
-    return simulated_k(spec, kind, t, level, reps, seed)
 
 
 @dataclass(frozen=True)
@@ -262,13 +240,13 @@ def _cell_seed(seed: int, t: int, n: int, level: float) -> int:
 
 
 def _spec_for(d: int, n: int, kind: SampleKind) -> DesignSpec:
-    if kind is SampleKind.OS:
-        p = round(n ** (1.0 / d))
-        for cand in (p - 1, p, p + 1):
-            if cand >= 1 and cand**d == n:
-                return DesignSpec(d, n, cand)
-        raise StructuralError(f"orthogonal sweep needs n = p**d, got n={n}, d={d}")
-    return DesignSpec(d, n)
+    if kind is SampleKind.LHS or not (2 <= d <= MAX_D and 1 <= n <= MAX_N):
+        return DesignSpec(d, n)  # refuses a d or n no design admits, naming it
+    p = round(n ** (1.0 / d))
+    for cand in (p - 1, p, p + 1):
+        if cand >= 1 and cand**d == n:
+            return DesignSpec(d, n, cand)
+    raise StructuralError(f"orthogonal sweep needs n = p**d, got n={n}, d={d}")
 
 
 def run_sweep(
@@ -286,6 +264,10 @@ def run_sweep(
         _check_cell(level, mode, reps)  # before any cell seed rounds the level
     _check_grid(n_grid)
     specs = [_spec_for(d, n, kind) for n in n_grid]
+    for spec in specs:
+        Units(t).validate_for(spec)
+    if mode is SweepMode.CLOSED_FORM and 1.0 in levels:
+        raise InvalidModeError("full coverage has no closed form; use simulated mode")
     if mode is SweepMode.SIMULATED:
         for level in levels:  # refuse a cell over a guard before any cell runs
             for spec in specs:
@@ -294,10 +276,13 @@ def run_sweep(
     for level in levels:
         rows = []
         for n, spec in zip(n_grid, specs):
-            ks = find_k_for_target(
-                spec, kind, t, level, mode, reps=reps, seed=_cell_seed(seed, t, n, level)
-            )
-            rows.append((n, float(ks) if isinstance(ks, float) else ks))
+            cell_seed = _cell_seed(seed, t, n, level)
+            if mode is SweepMode.CLOSED_FORM:
+                rows.append((n, closed_form_k(n, t, level)))
+            elif level == 1.0:
+                rows.append((n, full_coverage_k(spec, kind, t, reps, cell_seed)))
+            else:
+                rows.append((n, simulated_k(spec, kind, t, level, reps, cell_seed)))
         fit = fit_slope(rows)
         results.append(
             SweepResult(

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from reference_checks import columns, decimal_quotient
 
-from hypercov import cli, exact, oracle, simulate, sweep
+from hypercov import cli, exact, oracle, rng, simulate, sweep
 from hypercov.cli import (
     RunConfig,
     build_parser,
@@ -30,13 +30,7 @@ from hypercov.cli import (
 from hypercov.design import DesignSpec
 from hypercov.errors import StructuralError
 from hypercov.exact import IntersectionKind, expected_coverage_multiset
-from hypercov.sampling import (
-    SampleKind,
-    SamplerConfig,
-    gen_trials,
-    points_batch,
-    trial_seed,
-)
+from hypercov.sampling import SampleKind, points_batch, trial_columns
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 CLOSED_FORM = "sweep --mode closed-form --kind lhs --d 3 --t 2 --levels 0.5 --n-grid 64,128,256"
@@ -92,6 +86,19 @@ class TestGen:
             assert trial["spec"] == {"d": 2, "n": 4}  # no p for an lhs spec
             assert trial["kind"] == "lhs"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--d", "2", "--n", "4", "--k", "-1"], "k must be >= 0, got -1"),
+            (["--kind", "os", "--d", "2", "--n", "4"], "operation needs a coarse base p (n = p**d)"),
+        ],
+    )
+    def test_refused_gen_exits_2(self, capsys, argv, message):
+        code = main(["gen", *argv])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: {message}\n"
+
     @pytest.mark.parametrize("kind,spec", [("lhs", DesignSpec(3, 5)), ("os", DesignSpec(2, 4, 2))])
     def test_json_points_rebuild_the_trials(self, capsys, kind, spec):
         # Each envelope holds enough to rebuild its trial, from the points
@@ -101,12 +108,12 @@ class TestGen:
             argv += ["--p", str(spec.p)]
         code, out = run_cli(capsys, *argv, "--format", "json")
         assert code == 0
-        want = gen_trials(SamplerConfig(spec, 42, SampleKind(kind)), 3)
+        want = trial_columns(spec, SampleKind(kind), 42, 3)
         docs = json.loads(out)["trials"]
         for t, (doc, trial) in enumerate(zip(docs, want, strict=True), start=1):
             assert DesignSpec(**doc["spec"]) == spec
             assert np.array_equal(columns(doc["points"]), trial)
-            assert doc["seed"] == trial_seed(42, t)
+            assert doc["seed"] == rng.fold(42, t)
             cols = points_batch(spec, SampleKind(doc["kind"]), np.array([doc["seed"]], dtype=np.uint64))
             assert np.array_equal(cols, trial[None])
 
@@ -590,6 +597,22 @@ class TestSweepCommand:
             (
                 ["--mode", "simulated", "--kind", "os", "--d", "3", "--levels", "0.5", "--n-grid", "8,27,30"],
                 "orthogonal sweep needs n = p**d, got n=30, d=3",
+            ),
+            (
+                ["--mode", "closed-form", "--kind", "os", "--d", "2", "--levels", "0.5", "--n-grid=-4,9,16"],
+                "n must be >= 2, got -4",
+            ),
+            (
+                ["--mode", "closed-form", "--kind", "os", "--d", "2", "--levels", "0.5", f"--n-grid={'9' * 400},9,16"],
+                f"n must be <= 1048576, got {'9' * 400}",
+            ),
+            (
+                ["--mode", "closed-form", "--kind", "os", "--d", "0", "--levels", "0.5", "--n-grid", "4,9,16"],
+                "d must be in [2, 16], got 0",
+            ),
+            (
+                ["--mode", "closed-form", "--d", "2", "--levels", "0.5,1.0", "--n-grid", "4,9,16"],
+                "full coverage has no closed form; use simulated mode",
             ),
         ],
     )

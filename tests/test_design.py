@@ -13,7 +13,7 @@ from reference_checks import columns, is_latin, is_orthogonal, point_set
 from hypercov import oracle, rng
 from hypercov.design import DesignSpec, Units, band_width
 from hypercov.errors import StructuralError, UnsupportedSpecError
-from hypercov.sampling import SampleKind, SamplerConfig, gen_trials, trial_columns
+from hypercov.sampling import SampleKind, trial_columns
 
 # Two hand-checked 8-point designs on a 2x2x2 block structure: both are
 # Latin, only the second also lands one point in every sub-block.
@@ -136,7 +136,7 @@ class TestTrial:
 
     def test_shape_validation(self):
         for spec, kind in ((DesignSpec(3, 5), SampleKind.LHS), (DesignSpec(2, 9, p=3), SampleKind.OS)):
-            trials = gen_trials(SamplerConfig(spec, 0, kind), 3)
+            trials = trial_columns(spec, kind, 0, 3)
             assert trials.shape == (3, spec.d, spec.n)
             assert trials.dtype == np.int64
             assert trials.min() >= 0 and trials.max() < spec.n
@@ -158,8 +158,8 @@ class TestTrial:
         assert oracle._distinct_point_sets(np.stack([a, b, c])) == 2
 
     def test_column(self):
-        # Axis j of a Latin trial is the permutation drawn from
-        # fold(trial_seed, j).
+        # Axis j of Latin trial t is the permutation drawn from
+        # fold(fold(seed, t), j).
         spec = DesignSpec(3, 6)
         cols = trial_columns(spec, SampleKind.LHS, 11, 2)
         for t in (1, 2):

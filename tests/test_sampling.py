@@ -6,19 +6,10 @@ from scipy.stats import chi2
 
 from reference_checks import columns, is_latin, is_orthogonal, point_set, rows
 
+from hypercov import rng
 from hypercov.design import DesignSpec
 from hypercov.errors import StructuralError, UnsupportedSpecError
-from hypercov.sampling import (
-    SampleKind,
-    SamplerConfig,
-    gen_trials,
-    lh_points_batch,
-    orthogonal_columns,
-    os_points_batch,
-    points_batch,
-    trial_columns,
-    trial_seed,
-)
+from hypercov.sampling import SampleKind, orthogonal_columns, points_batch, trial_columns
 
 # Uniformity runs draw one trial per seed; batch generation keeps the
 # 10k and 32k draws below a second each.
@@ -64,7 +55,7 @@ class TestLatinSampler:
     def test_batch_matches_scalar(self):
         spec = DesignSpec(3, 5)
         seeds = np.array([0, 7, 123], dtype=np.uint64)
-        batch = lh_points_batch(spec, seeds)
+        batch = points_batch(spec, SampleKind.LHS, seeds)
         assert batch.shape == (3, 3, 5)
         for trial, s in zip(batch, [0, 7, 123]):
             assert np.array_equal(trial, draw(spec, s))
@@ -89,13 +80,14 @@ class TestOrthogonalSampler:
         )
 
     def test_requires_block_structure(self):
-        with pytest.raises(UnsupportedSpecError):
-            SamplerConfig(DesignSpec(2, 4), 0, SampleKind.OS)
+        for k in (0, 1):
+            with pytest.raises(UnsupportedSpecError, match="needs a coarse base p"):
+                trial_columns(DesignSpec(2, 4), SampleKind.OS, 0, k)
 
     def test_batch_matches_scalar(self):
         spec = DesignSpec(2, 9, p=3)
         seeds = np.array([3, 1000], dtype=np.uint64)
-        batch = os_points_batch(spec, seeds)
+        batch = points_batch(spec, SampleKind.OS, seeds)
         for trial, s in zip(batch, [3, 1000]):
             assert np.array_equal(trial, draw(spec, s, SampleKind.OS))
 
@@ -142,19 +134,12 @@ class TestOrthogonalSampler:
 
 
 class TestTrialStreams:
-    def test_gen_trial_dispatch(self):
-        spec = DesignSpec(2, 4, p=2)
-        seeds = np.array([5, 6], dtype=np.uint64)
-        assert np.array_equal(points_batch(spec, SampleKind.LHS, seeds), lh_points_batch(spec, seeds))
-        assert np.array_equal(points_batch(spec, SampleKind.OS, seeds), os_points_batch(spec, seeds))
-
-    def test_gen_trials_uses_folded_seeds(self):
+    def test_run_uses_folded_seeds(self):
         spec = DesignSpec(2, 5)
-        cfg = SamplerConfig(spec, 77)
-        run = gen_trials(cfg, 4)
+        run = trial_columns(spec, SampleKind.LHS, 77, 4)
         assert len(run) == 4
         for t, trial in enumerate(run, start=1):
-            assert np.array_equal(trial, draw(spec, trial_seed(77, t)))
+            assert np.array_equal(trial, draw(spec, rng.fold(77, t)))
 
     @pytest.mark.parametrize("spec,kind", [(DesignSpec(3, 5), SampleKind.LHS), (DesignSpec(2, 9, p=3), SampleKind.OS)])
     @pytest.mark.parametrize("first", [1, 2, 7])
@@ -185,12 +170,12 @@ class TestTrialStreams:
             sub = trial_columns(spec, kind, 13, 3, first=first, axes=axes)
             assert np.array_equal(sub, full[first - 1 : first + 2, np.array(axes) - 1])
 
-    def test_gen_trials_empty(self):
-        assert gen_trials(SamplerConfig(DesignSpec(2, 3), 0), 0).shape == (0, 2, 3)
+    def test_empty_run(self):
+        assert trial_columns(DesignSpec(2, 3), SampleKind.LHS, 0, 0).shape == (0, 2, 3)
 
-    def test_gen_trials_negative(self):
-        with pytest.raises(StructuralError):
-            gen_trials(SamplerConfig(DesignSpec(2, 3), 0), -1)
+    def test_negative_k_refused(self):
+        with pytest.raises(StructuralError, match="k must be >= 0, got -1"):
+            trial_columns(DesignSpec(2, 3), SampleKind.LHS, 0, -1)
 
 
 class TestUniformity:
@@ -198,7 +183,7 @@ class TestUniformity:
         # d=2, n=2 has exactly two Latin trials; each should appear
         # about half the time over many seeds.
         spec = DesignSpec(2, 2)
-        cols = lh_points_batch(spec, np.arange(LH_UNIFORMITY_DRAWS, dtype=np.uint64))
+        cols = points_batch(spec, SampleKind.LHS, np.arange(LH_UNIFORMITY_DRAWS, dtype=np.uint64))
         # Column 1 is always the identity after sorting rows; the trial
         # is determined by the axis-2 value paired with axis-1 value 0.
         first = cols[:, 1][np.arange(len(cols)), np.argmax(cols[:, 0] == 0, axis=1)]
@@ -207,7 +192,7 @@ class TestUniformity:
 
     def test_os_all_sixteen_trials_uniform(self):
         spec = DesignSpec(2, 4, p=2)
-        cols = os_points_batch(spec, np.arange(OS_UNIFORMITY_DRAWS, dtype=np.uint64))
+        cols = points_batch(spec, SampleKind.OS, np.arange(OS_UNIFORMITY_DRAWS, dtype=np.uint64))
         order = np.argsort(cols[:, 0], axis=1)
         col2 = np.take_along_axis(cols[:, 1], order, axis=1)
         codes = (col2 * (4 ** np.arange(4))[::-1]).sum(axis=1)
@@ -224,7 +209,7 @@ class TestUniformity:
         # probability 1/n.
         spec = DesignSpec(2, 4)
         draws = 8_000
-        cols = lh_points_batch(spec, np.arange(draws, dtype=np.uint64))
+        cols = points_batch(spec, SampleKind.LHS, np.arange(draws, dtype=np.uint64))
         codes = cols[:, 0] * 4 + cols[:, 1]
         counts = np.bincount(codes.ravel(), minlength=16)
         expected = draws * 4 / 16

@@ -20,7 +20,7 @@ from hypercov import oracle, rng, simulate
 from hypercov.cli import parse_target
 from hypercov.design import DesignSpec, Units
 from hypercov.errors import GuardExceededError, StructuralError, UnsupportedSpecError
-from hypercov.sampling import SampleKind, SamplerConfig, gen_trials, trial_columns
+from hypercov.sampling import SampleKind, trial_columns
 from hypercov.simulate import (
     SimPlan,
     _keys_for_target,
@@ -223,10 +223,8 @@ class TestCurve:
         spec = DesignSpec(2, 4)
         plan = SimPlan(spec, SampleKind.LHS, k=5, reps=3, seed=SEED)
         rep = simulate_coverage(plan)[0]
-        from hypercov.sampling import replicate_seed
-
         for r in range(1, 4):
-            c = coverage_curve(spec, SampleKind.LHS, replicate_seed(SEED, r), 5, Units())
+            c = coverage_curve(spec, SampleKind.LHS, rng.fold(SEED, r), 5, Units())
             assert c[-1] / 16 == rep.fractions[r - 1]
 
     @pytest.mark.parametrize(
@@ -260,7 +258,7 @@ class TestUnitEncoders:
 
     @staticmethod
     def counts(spec, kind, units, seed, k):
-        cols = gen_trials(SamplerConfig(spec, seed, kind), k)
+        cols = trial_columns(spec, kind, seed, k)
         naive = frozenset().union(*oracle._cells(spec, cols, units))
         return len(naive), simulate._covered_count(cols, spec, units)
 
@@ -289,7 +287,7 @@ class TestUnitEncoders:
 
     def test_edge_counts_agree_when_trials_add_no_key(self):
         spec, units = DesignSpec(2, 4, p=2), edge(1, 2, 1, 1)
-        cols = gen_trials(SamplerConfig(spec, 2), 8)
+        cols = trial_columns(spec, SampleKind.LHS, 2, 8)
         _, per_trial = _keys_for_target(cols, spec, units)
         assert per_trial.tolist() == [0, 0, 0, 1, 1, 1, 1, 1]
         naive, fast = self.counts(spec, SampleKind.LHS, units, seed=2, k=8)
@@ -531,6 +529,13 @@ class TestMemory:
         with pytest.raises(GuardExceededError, match="2560000000 bytes"):
             SimPlan(spec, SampleKind.LHS, k=1000, reps=1)
 
+    def test_replicate_bytes_count_only_the_drawn_axes(self):
+        # A proj:2 replicate draws 2 of the 16 axes, so only those count.
+        spec = DesignSpec(16, 4096)
+        plan = SimPlan(spec, SampleKind.LHS, k=2049, reps=1, targets=(Units(2),))
+        assert plan.replicate_bytes == 2049 * 2 * 4096 * 8
+        with pytest.raises(GuardExceededError, match="1074266112 bytes"):
+            SimPlan(spec, SampleKind.LHS, k=2049, reps=1)
 
     def test_total_work_guard_names_the_largest_reps(self):
         # Only plans are built here; no replicate is drawn.
@@ -601,12 +606,12 @@ class TestSubblockUniformity:
 
     def test_single_orthogonal_trial_is_flat(self):
         spec = DesignSpec(2, 4, p=2)
-        trials = gen_trials(SamplerConfig(spec, 5, SampleKind.OS), 1)
+        trials = trial_columns(spec, SampleKind.OS, 5, 1)
         assert self.rectangle_counts(spec, trials) == (1, 1, 1, 1)
 
     def test_counts_pool_across_trials(self):
         spec = DesignSpec(2, 4, p=2)
-        trials = gen_trials(SamplerConfig(spec, 5, SampleKind.OS), 3)
+        trials = trial_columns(spec, SampleKind.OS, 5, 3)
         counts = self.rectangle_counts(spec, trials)
         assert sum(counts) == 12
         assert counts == (3, 3, 3, 3)
@@ -624,7 +629,7 @@ class TestSubblockUniformity:
         chi_os = []
         chi_lh = []
         for r in range(reps):
-            chi_os.append(chi_square(gen_trials(SamplerConfig(spec, 1000 + r, SampleKind.OS), 1)))
-            chi_lh.append(chi_square(gen_trials(SamplerConfig(spec, 1000 + r, SampleKind.LHS), 1)))
+            chi_os.append(chi_square(trial_columns(spec, SampleKind.OS, 1000 + r, 1)))
+            chi_lh.append(chi_square(trial_columns(spec, SampleKind.LHS, 1000 + r, 1)))
         assert statistics.mean(chi_os) < statistics.mean(chi_lh)
         assert statistics.mean(chi_os) == 0.0

@@ -7,14 +7,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hypercov import sweep
+from hypercov import rng, sweep
 from hypercov.design import DesignSpec, Units
 from hypercov.errors import GuardExceededError, InvalidModeError, StructuralError
-from hypercov.sampling import SampleKind, replicate_seed
+from hypercov.sampling import SampleKind
 from hypercov.sweep import (
     SweepMode,
     closed_form_k,
-    find_k_for_target,
     fit_slope,
     full_coverage_k,
     run_sweep,
@@ -106,7 +105,7 @@ class TestFullCoverage:
         universe = target.universe(spec)
         stops = []
         for r in range(1, reps + 1):
-            curve = coverage_curve(spec, kind, replicate_seed(seed, r), 40 * spec.n ** (t - 1), target)
+            curve = coverage_curve(spec, kind, rng.fold(seed, r), 40 * spec.n ** (t - 1), target)
             stops.append(int(np.argmax(curve == universe)) + 1)
             assert curve[stops[-1] - 1] == universe
         if start is not None:
@@ -129,10 +128,15 @@ class TestFullCoverage:
         assert peak < 2**20
 
     def test_find_k_dispatch(self):
-        got = find_k_for_target(DesignSpec(2, 4), SampleKind.LHS, 2, 1.0, SweepMode.SIMULATED, reps=30, seed=3)
-        assert isinstance(got, float)
-        with pytest.raises(InvalidModeError):
-            find_k_for_target(DesignSpec(2, 4), SampleKind.LHS, 2, 1.0, SweepMode.CLOSED_FORM)
+        # Full coverage rows are mean stopping counts; the others count trials.
+        grid = [4, 5, 6]
+        full, half = run_sweep(2, 2, SampleKind.LHS, [1.0, 0.5], grid, SweepMode.SIMULATED, reps=30, seed=3)
+        assert [type(ks) for _, ks in full.rows] == [float] * 3
+        assert [type(ks) for _, ks in half.rows] == [int] * 3
+        (closed,) = run_sweep(2, 2, SampleKind.LHS, [0.5], grid, SweepMode.CLOSED_FORM)
+        assert closed.rows == tuple((n, closed_form_k(n, 2, 0.5)) for n in grid)
+        with pytest.raises(InvalidModeError, match="^full coverage has no closed form; use simulated mode$"):
+            run_sweep(2, 2, SampleKind.LHS, [0.5, 1.0], grid, SweepMode.CLOSED_FORM)
 
 
 class TestDoublingSearch:

@@ -36,35 +36,16 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from . import __version__, rng
-from .design import DesignSpec, Units
+from . import __version__, lazy
+from .design import DesignSpec, SampleKind, SweepMode, Units
 from .errors import CapExceededError, GuardExceededError, HypercovError, StructuralError
 from .exact import (
-    IntersectionKind,
-    check_terms,
-    expected_coverage_multiset,
-    expected_intersection,
-    kind_axes,
-    kind_params,
+    IntersectionKind, check_terms, expected_coverage_multiset, expected_intersection, kind_axes, kind_params,
 )
-from .laws import (
-    asymptotic_coverage,
-    bracket_exact_vs_asymptotic,
-    iid_coverage,
-    projection_lambda,
-)
-from .oracle import (
-    CheckResult,
-    check_walk,
-    constant_count_check,
-    default_verification_suite,
-    enumerate_trials,
-    exact_check,
-    occurrence_counts,
-)
-from .sampling import SampleKind, trial_columns
-from .simulate import SimPlan, simulate_coverage
-from .sweep import SweepMode, run_sweep as sweep_run
+from .laws import asymptotic_coverage, bracket_exact_vs_asymptotic, iid_coverage, projection_lambda
+
+# Each loads when a run first uses it, so runs that draw no trials never import numpy.
+oracle, rng, sampling, simulate, sweep = map(lazy, ("oracle", "rng", "sampling", "simulate", "sweep"))
 
 
 @dataclass(frozen=True)
@@ -271,7 +252,7 @@ def _run_gen(config: RunConfig, out: str | None, workers: int) -> int:
     params = config.params
     kind = SampleKind(params["kind"])
     seed = params["seed"]
-    cols = trial_columns(_spec_from(params), kind, seed, params["k"])
+    cols = sampling.trial_columns(_spec_from(params), kind, seed, params["k"])
     trials = (cols.transpose(0, 2, 1) + 1).tolist()  # 1-based point rows
     if params["format"] == "json":
         spec = {key: params[key] for key in ("d", "n", "p") if params[key] is not None}
@@ -429,11 +410,11 @@ def _run_simulate(config: RunConfig, out: str | None, workers: int) -> int:
         if not any(proj):
             raise StructuralError("--dims is read only with a proj: target")
         targets = [Units(u.t, tuple(params["dims"])) if is_proj else u for u, is_proj in zip(targets, proj)]
-    plan = SimPlan(spec, kind, params["k"], params["reps"], tuple(targets), params["seed"])
+    plan = simulate.SimPlan(spec, kind, params["k"], params["reps"], tuple(targets), params["seed"])
     rows = [
         [t.label, spec.d, spec.n, spec.p, kind.value, plan.k, plan.reps,
          r.mean, r.sd, r.se, r.ref_iid, r.ref_asym]
-        for t, r in zip(targets, simulate_coverage(plan, workers=workers))
+        for t, r in zip(targets, simulate.simulate_coverage(plan, workers=workers))
     ]
     _emit(out, _table(config, "target,d,n,p,kind,k,reps,mean,sd,se,ref_iid,ref_asym", rows))
     return 0
@@ -463,7 +444,7 @@ def _run_oracle(config: RunConfig, out: str | None, workers: int) -> int:
         edge.validate_for(spec)
         if kind is not SampleKind.LHS:
             raise StructuralError("edge comparisons are defined for the lhs ensemble")
-    ts = enumerate_trials(spec, kind)
+    ts = oracle.enumerate_trials(spec, kind)
     exact_kind, divisor = _exact_kind(kind, edge, spec.d)
 
     units = Units() if edge is None else edge
@@ -476,8 +457,8 @@ def _run_oracle(config: RunConfig, out: str | None, workers: int) -> int:
         else:
             name = f"occurrence edges d={spec.d} n={spec.n} edge={params['edge']}"
         want = kind_params(exact_kind, spec).a
-        counts = occurrence_counts(ts, units)
-        return _emit_checks(config, out, [constant_count_check(name, counts, want)])
+        counts = oracle.occurrence_counts(ts, units)
+        return _emit_checks(config, out, [oracle.constant_count_check(name, counts, want)])
 
     q_name = "m" if mode == "intersect" else "k"
     name = f"{mode} {kind.value} d={spec.d} n={spec.n}"
@@ -486,9 +467,9 @@ def _run_oracle(config: RunConfig, out: str | None, workers: int) -> int:
     # Refuse the first q that exact_check would refuse, before any product or walk.
     for q in params[q_name]:
         check_terms(q_name, (q,), 1 if mode == "intersect" else 0, exact_kind, spec)
-        check_walk(q_name, len(ts.trials), q)
+        oracle.check_walk(q_name, len(ts.trials), q)
     checks = [
-        exact_check(f"{name} {q_name}={q}", ts, exact_kind, mode, q, units, divisor)
+        oracle.exact_check(f"{name} {q_name}={q}", ts, exact_kind, mode, q, units, divisor)
         for q in params[q_name]
     ]
     return _emit_checks(config, out, checks)
@@ -498,7 +479,7 @@ def _run_sweep(config: RunConfig, out: str | None, workers: int) -> int:
     params = config.params
     kind = SampleKind(params["kind"])
     mode = SweepMode(params["mode"])
-    results = sweep_run(
+    results = sweep.run_sweep(
         params["d"], params["t"], kind, params["levels"], params["n_grid"], mode,
         reps=params["reps"], seed=params["seed"],
     )
@@ -522,10 +503,10 @@ def _run_sweep(config: RunConfig, out: str | None, workers: int) -> int:
 
 
 def _run_verify(config: RunConfig, out: str | None, workers: int) -> int:
-    return _emit_checks(config, out, default_verification_suite())
+    return _emit_checks(config, out, oracle.default_verification_suite())
 
 
-def _emit_checks(config: RunConfig, out: str | None, checks: list[CheckResult]) -> int:
+def _emit_checks(config: RunConfig, out: str | None, checks: list[oracle.CheckResult]) -> int:
     """The MATCH table of an oracle or verify run; exit 4 on any mismatch."""
     lines = _table(config, "check,oracle,expected,verdict", [
         [c.name, c.oracle, c.expected, "MATCH" if c.match else "MISMATCH"] for c in checks
@@ -696,12 +677,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
+    workers = getattr(args, "workers", None)
     try:
         config = resolve_params(args.subcommand, args)
+        if workers is not None and workers < 1:
+            raise StructuralError(f"--workers must be >= 1, got {workers}")
     except (HypercovError, OSError, ValueError, TypeError, OverflowError) as exc:
         return _refuse(exc)
-    workers = getattr(args, "workers", None) or 1
-    return run(config, out=args.out, workers=workers)
+    return run(config, out=args.out, workers=workers or 1)
 
 
 def entry() -> None:

@@ -1,4 +1,5 @@
-"""Domain model: design specs, sub-block coordinates, unit families.
+"""Domain model: design specs, sub-block coordinates, unit families,
+sampler kinds and sweep modes.
 
 A trial is n points in [n]^d whose coordinates on each axis form a
 permutation of [n] (the Latin property). Every module holds trials as
@@ -19,11 +20,22 @@ Axes, bands and cell values are 1-based on every external surface;
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 
 from .errors import StructuralError, UnsupportedSpecError
 
 MAX_D = 16
 MAX_N = 2**20
+
+
+class SampleKind(str, Enum):
+    LHS = "lhs"
+    OS = "os"
+
+
+class SweepMode(str, Enum):
+    CLOSED_FORM = "closed-form"
+    SIMULATED = "simulated"
 
 
 @dataclass(frozen=True)

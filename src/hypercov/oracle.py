@@ -21,7 +21,7 @@ from itertools import combinations, combinations_with_replacement, permutations,
 
 import numpy as np
 
-from .design import DesignSpec, Units, band_width
+from .design import DesignSpec, SampleKind, Units, band_width
 from .errors import GuardExceededError, StructuralError
 from .exact import (
     IntersectionKind,
@@ -29,7 +29,7 @@ from .exact import (
     expected_intersection,
     kind_params,
 )
-from .sampling import SampleKind, orthogonal_columns
+from .sampling import orthogonal_columns
 
 ENUM_GUARD = 100_000
 MULTISET_GUARD = 10_000_000

@@ -34,23 +34,17 @@ drawing the others. Simulation draws only the axes its targets count;
 
 from __future__ import annotations
 
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
 
 from . import rng
-from .design import DesignSpec, band_width
+from .design import DesignSpec, SampleKind, band_width
 from .errors import StructuralError
 
 
 # 1-based axes to draw, sorted; None draws all d.
 Axes = tuple[int, ...] | None
-
-
-class SampleKind(str, Enum):
-    LHS = "lhs"
-    OS = "os"
 
 
 @lru_cache(maxsize=64)

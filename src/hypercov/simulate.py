@@ -48,10 +48,10 @@ from typing import Sequence
 import numpy as np
 
 from . import rng
-from .design import DesignSpec, Units, band_width
+from .design import DesignSpec, SampleKind, Units, band_width
 from .errors import GuardExceededError, StructuralError
 from .laws import asymptotic_coverage, iid_coverage, projection_lambda
-from .sampling import Axes, SampleKind, trial_columns
+from .sampling import Axes, trial_columns
 
 MAX_TRACKED_KEYS = 20_000_000  # k * n per replicate
 MAX_REPLICATE_BYTES = 2**30  # k * len(axes) * n int64 column entries, times 8

@@ -30,26 +30,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
-from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
-from . import rng
-from .design import MAX_D, MAX_N, DesignSpec, Units
+from . import lazy
+from .design import MAX_D, MAX_N, DesignSpec, SampleKind, SweepMode, Units
 from .errors import GuardExceededError, InvalidModeError, StructuralError
-from .sampling import SampleKind
-from .simulate import SimPlan, coverage_curve
+
+# Only simulated cells use these; a closed-form sweep never imports numpy.
+rng = lazy("rng")
+simulate = lazy("simulate")
 
 EXACT_VERIFY_BITS = 200_000
 SIM_K_GUARD = 1_000_000
 EULER_GAMMA = 0.5772156649015329
-
-
-class SweepMode(str, Enum):
-    CLOSED_FORM = "closed-form"
-    SIMULATED = "simulated"
 
 
 def _crossing(base: int, level: float, k: int) -> Decimal:
@@ -101,11 +95,13 @@ def closed_form_k(n: int, t: int, level: float) -> int:
 def _mean_curve(
     spec: DesignSpec, kind: SampleKind, t: int, k: int, reps: int, seed: int
 ) -> np.ndarray:
+    import numpy as np
+
     target = Units(t)
-    SimPlan(spec, kind, k, reps, targets=(target,))  # the guards, total work included
+    simulate.SimPlan(spec, kind, k, reps, targets=(target,))  # the guards, total work included
     total = np.zeros(k, dtype=np.int64)
     for r in range(1, reps + 1):
-        total += coverage_curve(spec, kind, rng.fold(seed, r), k, target)
+        total += simulate.coverage_curve(spec, kind, rng.fold(seed, r), k, target)
     return total / (reps * target.universe(spec))
 
 
@@ -122,7 +118,7 @@ def _first_draw(spec: DesignSpec, kind: SampleKind, t: int, level: float, reps: 
         universe = target.universe(spec)
         # Exact arithmetic: a refused universe may pass any float's range.
         start = math.ceil(Fraction(universe, spec.n) * Fraction(math.log(universe) + EULER_GAMMA))
-    SimPlan(spec, kind, start, reps, targets=(target,))
+    simulate.SimPlan(spec, kind, start, reps, targets=(target,))
     if level == 1.0 and start > SIM_K_GUARD:
         raise GuardExceededError(
             f"full coverage takes about {start} trials, past guard {SIM_K_GUARD}"
@@ -141,6 +137,8 @@ def simulated_k(
     """Smallest k whose mean simulated coverage over reps reaches level.
     The curve length doubles until the mean crosses; refused past
     SIM_K_GUARD."""
+    import numpy as np
+
     if not (0.0 < level < 1.0):
         raise InvalidModeError(f"threshold search needs level in (0, 1), got {level}")
     k = _first_draw(spec, kind, t, level, reps)
@@ -156,13 +154,15 @@ def simulated_k(
 def _stop(spec: DesignSpec, kind: SampleKind, target: Units, rep_seed: int, start: int) -> int:
     """Trials until one replicate covers the target's universe, drawn in
     chunks of start, then of a fifth of it, up to SIM_K_GUARD in all."""
+    import numpy as np
+
     universe = target.universe(spec)
     covered = np.zeros(universe, dtype=bool)
     drawn = got = 0
     chunk = start
     while drawn < SIM_K_GUARD:
         chunk = min(chunk, SIM_K_GUARD - drawn)
-        curve = coverage_curve(spec, kind, rep_seed, chunk, target, drawn + 1, covered)
+        curve = simulate.coverage_curve(spec, kind, rep_seed, chunk, target, drawn + 1, covered)
         hit = np.nonzero(curve >= universe - got)[0]
         if hit.size:
             return drawn + int(hit[0]) + 1
@@ -276,22 +276,12 @@ def run_sweep(
     for level in levels:
         rows = []
         for n, spec in zip(n_grid, specs):
-            cell_seed = _cell_seed(seed, t, n, level)
             if mode is SweepMode.CLOSED_FORM:
                 rows.append((n, closed_form_k(n, t, level)))
             elif level == 1.0:
-                rows.append((n, full_coverage_k(spec, kind, t, reps, cell_seed)))
+                rows.append((n, full_coverage_k(spec, kind, t, reps, _cell_seed(seed, t, n, level))))
             else:
-                rows.append((n, simulated_k(spec, kind, t, level, reps, cell_seed)))
+                rows.append((n, simulated_k(spec, kind, t, level, reps, _cell_seed(seed, t, n, level))))
         fit = fit_slope(rows)
-        results.append(
-            SweepResult(
-                level=level,
-                t=t,
-                rows=tuple(rows),
-                slope=fit.slope,
-                intercept=fit.intercept,
-                residual=fit.residual,
-            )
-        )
+        results.append(SweepResult(level, t, tuple(rows), fit.slope, fit.intercept, fit.residual))
     return results

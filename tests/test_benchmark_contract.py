@@ -10,6 +10,7 @@ import importlib
 import importlib.util
 import inspect
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -52,6 +53,43 @@ def test_hooks_read_the_known_arguments():
     # Keeps the source scan above from passing vacuously.
     read = set().union(*(_arguments_read(hook) for *_, hook in WRAPPED))
     assert read == {"n", "k", "reps"}
+
+
+WARM_UP_THEN_TRACE = """
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+import layers, workloads
+import hypercov.cli as cli
+
+def has_run(m):  # a module whose body has not run holds none of its functions
+    names = object.__getattribute__(sys.modules[f"hypercov.{m}"], "__dict__")
+    return all(f in names for mod, f, *_ in layers.WRAPPED if mod == m)
+
+def bound():
+    return [getattr(sys.modules[f"hypercov.{m}"], f).__qualname__ for m, f, *_ in layers.WRAPPED]
+
+with contextlib.redirect_stdout(io.StringIO()):
+    for inv in workloads.WORKLOADS["exact-bracket"].smoke:
+        assert cli.main(inv.bind(0)) == 0, inv.name
+unused = [m for m in ("simulate", "sweep") if not has_run(m)]
+tracer = layers.Tracer()
+tracer.install()
+wrapped = bound()
+tracer.uninstall()
+print(unused, set(wrapped), bound() == [f for _, f, *_ in layers.WRAPPED])
+"""
+
+
+def test_tracer_installs_after_a_warm_up_that_leaves_modules_unused():
+    # A benchmark process imports only hypercov.cli, and exact-bracket's
+    # warm-up never runs simulate or sweep; the tracer still looks every
+    # wrapped module up in sys.modules, and must wrap and then restore
+    # each function.
+    proc = subprocess.run(
+        [sys.executable, "-c", WARM_UP_THEN_TRACE, str(PERFBENCH)], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['simulate', 'sweep'] {'Tracer._wrap.<locals>.wrapper'} True"
 
 
 @pytest.mark.parametrize("name", ["sim-t2", "full-coverage"])

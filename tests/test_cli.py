@@ -395,6 +395,17 @@ class TestSimulate:
         _, par = run_cli(capsys, *args, "--workers", "2")
         assert seq == par
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_refused(self, capsys, monkeypatch, workers):
+        def no_run(*args, **kwargs):
+            raise AssertionError("replicates were run")
+
+        monkeypatch.setattr(simulate, "simulate_coverage", no_run)
+        code = main(["simulate", "--d", "2", "--n", "8", "--k", "4", "--reps", "3", "--workers", workers])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: --workers must be >= 1, got {workers}\n"
+
     def test_dims_needs_a_proj_target(self, capsys):
         # With no proj: target, --dims used to change only the config hash.
         argv = ["simulate", "--d", "2", "--n", "9", "--k", "3", "--reps", "2", "--dims", "2,1"]
@@ -422,7 +433,7 @@ class TestSimulate:
         def no_run(*args, **kwargs):
             raise AssertionError("replicates were run")
 
-        monkeypatch.setattr(cli, "simulate_coverage", no_run)
+        monkeypatch.setattr(simulate, "simulate_coverage", no_run)
         code = main(["simulate", "--d", "2", "--n", "100", "--k", "100", "--reps", "1000000000"])
         captured = capsys.readouterr()
         assert (code, captured.out) == (3, "")
@@ -620,7 +631,7 @@ class TestSweepCommand:
         def no_cell(*args, **kwargs):
             raise AssertionError("a sweep cell was computed")
 
-        monkeypatch.setattr(sweep, "coverage_curve", no_cell)
+        monkeypatch.setattr(simulate, "coverage_curve", no_cell)
         monkeypatch.setattr(sweep, "closed_form_k", no_cell)
         code = main(["sweep", "--t", "2", *argv])
         captured = capsys.readouterr()
@@ -653,7 +664,7 @@ class TestSweepCommand:
         def no_cell(*args, **kwargs):
             raise AssertionError("a sweep cell was computed")
 
-        monkeypatch.setattr(sweep, "coverage_curve", no_cell)
+        monkeypatch.setattr(simulate, "coverage_curve", no_cell)
         code = main(["sweep", "--mode", "simulated", "--kind", "lhs", "--t", "2", *argv])
         captured = capsys.readouterr()
         assert (code, captured.out) == (3, "")
@@ -1075,3 +1086,33 @@ def test_cli_import_loads_neither_mpmath_nor_the_process_pool():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+NUMPY_FREE_RUNS = [
+    "exact --kind lhs --d 2 --n 10 --k 4",
+    "law --model iid --t 2 --n 100 --k 1",
+    "law --model bracket --kind lhs --d 2 --n 100 --k 64,128",
+    CLOSED_FORM,
+]
+
+
+def test_counting_runs_never_import_numpy():
+    # Start-up, exact values, the laws and closed-form sweeps use ints and
+    # Fractions only; numpy comes in with the first run that draws trials.
+    code = """
+import contextlib, io, shlex, sys
+from hypercov.cli import build_parser, main
+build_parser()
+loaded = ["numpy" in sys.modules]
+for argv in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(shlex.split(argv)) == 0, argv
+    loaded.append("numpy" in sys.modules)
+print(loaded)
+"""
+    simulate_run = "simulate --d 2 --n 10 --k 3 --reps 2"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *NUMPY_FREE_RUNS, simulate_run], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str([False] * (1 + len(NUMPY_FREE_RUNS)) + [True])

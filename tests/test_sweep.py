@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hypercov import rng, sweep
+from hypercov import rng, simulate, sweep
 from hypercov.design import DesignSpec, Units
 from hypercov.errors import GuardExceededError, InvalidModeError, StructuralError
 from hypercov.sampling import SampleKind
@@ -156,7 +156,7 @@ class TestDoublingSearch:
             lengths.append(k)
             return np.zeros(k, np.int64)
 
-        monkeypatch.setattr(sweep, "coverage_curve", never_covers)
+        monkeypatch.setattr(simulate, "coverage_curve", never_covers)
         monkeypatch.setattr(sweep, "SIM_K_GUARD", 64)
         with pytest.raises(GuardExceededError, match="^k search passed guard 64$"):
             simulated_k(DesignSpec(2, 8), SampleKind.LHS, 2, 0.5, reps=2, seed=0)

@@ -35,10 +35,12 @@ That argsort is computed by a packed sort. With b = bit_length(n - 1),
 the low b bits of each key are replaced by its column index and the row
 is sorted as plain integers; where the top 64 - b bits of the row are
 distinct they alone decide the order, so the low bits of the sorted row
-are the argsort. A row in which two top parts tie takes the definition
-literally: argsort of the full keys, duplicate check and redraw. Rows
-are drawn in chunks of about CHUNK_KEYS keys (one row when n is larger),
-so the temporaries have a fixed size however many rows are asked for.
+are the argsort. For n <= NARROW_N the same is done on the top 32 bits
+of each key, as uint32: distinct top 32 - b bits order the full keys
+too. A row in which two top parts tie takes the definition literally:
+argsort of the full keys, duplicate check and redraw. Rows are drawn in
+chunks of about CHUNK_KEYS keys (one row when n is larger), so the
+temporaries have a fixed size however many rows are asked for.
 """
 
 from __future__ import annotations
@@ -55,6 +57,10 @@ _G = np.uint64(GAMMA)
 # uint64 array a chunk's keys and temporaries stay in a core's L2 cache,
 # which made the draw up to twice as fast as chunks of 2^22 keys.
 CHUNK_KEYS = 1 << 16
+# Rows of at most this many keys sort the top 32 bits of each key, up to
+# 20% faster on a 2-vCPU x86 VM; at n = 512 one row in 64 ties in its top
+# 23 bits and falls back, and from n = 800 on the ties made it slower.
+NARROW_N = 512
 
 
 def mix64(z: int) -> int:
@@ -141,12 +147,16 @@ def permutations_from_seeds(seeds: np.ndarray, n: int) -> np.ndarray:
     shape = np.shape(seeds)
     s = np.asarray(seeds, dtype=np.uint64).reshape(-1)
     out = np.empty((s.size, n), dtype=np.int64)
-    low = np.uint64((1 << (n - 1).bit_length()) - 1)
-    cols = np.arange(n, dtype=np.uint64)
-    steps = (cols + np.uint64(1)) * _G
+    word = np.uint32 if n <= NARROW_N else np.uint64
+    low = word((1 << (n - 1).bit_length()) - 1)
+    cols = np.arange(n, dtype=word)
+    steps = np.arange(1, n + 1, dtype=np.uint64) * _G
     rows = max(1, CHUNK_KEYS // n)
     for lo in range(0, s.size, rows):
         keys = _mix64_arr(s[lo : lo + rows, None] + steps)
+        if word is np.uint32:  # the top 32 bits of each key
+            np.right_shift(keys, np.uint64(32), out=keys)
+            keys = keys.astype(np.uint32)
         keys &= ~low
         keys |= cols
         keys.sort(axis=1)

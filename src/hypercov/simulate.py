@@ -33,6 +33,10 @@ where adjacent keys differ. A curve needs each key's earliest trial,
 which goes into the word's low bit_length(k-1) bits when they are free
 (the packed sort of rng.permutations_from_seeds). Else np.lexsort sorts
 the buckets: it is stable, so a bucket keeps its keys in trial order.
+Replicates are drawn in batches of up to BATCH_ENTRIES column entries,
+each trial from its own seed fold(fold(seed, r), t); the i-th codes of a
+batch are offset by i * U, so one map or one sort counts every replicate
+in it. Row keys go one replicate at a time.
 Per-replicate coverage fractions are exact integer ratios converted to
 float once; aggregation is sequential in replicate order with math.fsum,
 so reports are bit-stable for a fixed seed regardless of worker count.
@@ -51,13 +55,14 @@ from . import rng
 from .design import DesignSpec, SampleKind, Units, band_width
 from .errors import GuardExceededError, StructuralError
 from .laws import asymptotic_coverage, iid_coverage, projection_lambda
-from .sampling import Axes, trial_columns
+from .sampling import Axes, points_batch, trial_columns
 
 MAX_TRACKED_KEYS = 20_000_000  # k * n per replicate
 MAX_REPLICATE_BYTES = 2**30  # k * len(axes) * n int64 column entries, times 8
-# reps * (k * n + REPLICATE_KEYS) per run. A replicate's fixed cost,
-# about 160 us, is worth 2,000 keys at the 1.4e7 keys/s of a 2-vCPU
-# x86 VM, where the cap is about 70 s of work.
+# reps * (k * n + REPLICATE_KEYS) per run. A replicate drawn alone has a
+# fixed cost of about 160 us, 2,000 keys at the 1.4e7 keys/s of a 2-vCPU
+# x86 VM, where the cap is about 70 s of work; in a batch of tiny ones a
+# replicate costs under 1 us, but the guard charges each the same.
 MAX_TOTAL_KEYS = 10**9
 REPLICATE_KEYS = 2_000
 # 1-D codes are counted by direct address when their universe is at most
@@ -65,6 +70,11 @@ REPLICATE_KEYS = 2_000
 # keys, the map broke even with the sort near 7x for a count and near
 # 4x for a curve.
 DIRECT_RATIO = 4
+# Int64 column entries of a batch of replicates (a larger one is drawn
+# alone). At 2^16, 300 replicates of os d=2 n=100 k=100, three a batch,
+# took 215 ms against 175 ms alone: their larger arrays are mapped
+# afresh on every call (20,000 minor page faults against 124).
+BATCH_ENTRIES = 1 << 14
 # Entries of a curve's first-trial map per bincount, whose intp copy
 # of its input then stays in cache and small.
 MAP_CHUNK = 1 << 16
@@ -115,6 +125,14 @@ class SimPlan:
     def axes(self) -> tuple[int, ...]:
         """The axes a replicate draws: those its targets count, sorted."""
         return tuple(sorted(set().union(*(t.axes(self.spec) for t in self.targets))))
+
+    @property
+    def batch(self) -> int:
+        """Replicates drawn and counted together: as many as BATCH_ENTRIES
+        column entries hold, at least one, and few enough that their
+        offset codes fit int64 (so row keys go one replicate at a time)."""
+        fit = min(2**63 // t.universe(self.spec) for t in self.targets)
+        return max(1, min(BATCH_ENTRIES // (self.replicate_bytes // 8), fit))
 
 
 @dataclass(frozen=True)
@@ -234,15 +252,28 @@ def _direct(keys: np.ndarray, universe: int) -> bool:
     return keys.ndim == 1 and universe <= DIRECT_RATIO * keys.size
 
 
-def _covered_count(cols: np.ndarray, spec: DesignSpec, target: Units, axes: Axes = None) -> int:
+def _covered_counts(
+    cols: np.ndarray, spec: DesignSpec, target: Units, axes: Axes = None, reps: int = 1
+) -> list[int]:
+    """Distinct keys of each of `reps` replicates, whose trials are equal
+    consecutive slices of cols (their codes offset by replicate). One
+    replicate takes a flat count, several times faster than a row sum."""
     keys, counts = _keys_for_target(cols, spec, target, axes)
     universe = target.universe(spec)
-    if _direct(keys, universe):
-        seen = np.zeros(universe, dtype=bool)  # universe bytes, at most 4 per key
-        seen[keys] = True
-        return int(np.count_nonzero(seen))
-    new, _ = _distinct_keys(keys, counts)
-    return int(np.count_nonzero(new))
+    if reps > 1:  # SimPlan.batch keeps reps * universe within int64
+        keys += np.repeat(np.arange(reps) * universe, counts.reshape(reps, -1).sum(axis=1))
+    if _direct(keys, reps * universe):
+        seen = np.zeros((reps, universe), dtype=bool)  # universe bytes, at most 4 per key
+        seen.reshape(-1)[keys] = True
+        return [int(np.count_nonzero(seen))] if reps == 1 else seen.sum(axis=1).tolist()
+    new, _ = _distinct_keys(keys, counts)  # sorts 1-D keys in place
+    if reps == 1:
+        return [int(np.count_nonzero(new))]
+    return np.bincount(keys[new[0]] // universe, minlength=reps).tolist()
+
+
+def _covered_count(cols: np.ndarray, spec: DesignSpec, target: Units, axes: Axes = None) -> int:
+    return _covered_counts(cols, spec, target, axes)[0]
 
 
 def _new_per_trial(keys: np.ndarray, counts: np.ndarray, universe: int) -> np.ndarray:
@@ -297,15 +328,19 @@ def coverage_curve(
     return np.cumsum(_new_per_trial(keys, counts, target.universe(spec)), dtype=np.int64)
 
 
-def _replicate_counts(plan: SimPlan, rep_ids: Sequence[int]) -> list[tuple[int, list[int]]]:
-    out, axes = [], plan.axes
-    for r in rep_ids:
-        cols = trial_columns(plan.spec, plan.kind, rng.fold(plan.seed, r), plan.k, axes=axes)
-        out.append((r, [_covered_count(cols, plan.spec, tgt, axes) for tgt in plan.targets]))
+def _replicate_counts(plan: SimPlan, rep_ids: Sequence[int]) -> list[tuple[int, tuple[int, ...]]]:
+    out, axes, batch, trials = [], plan.axes, plan.batch, np.arange(1, plan.k + 1)
+    for lo in range(0, len(rep_ids), batch):
+        reps = rep_ids[lo : lo + batch]
+        # fold(fold(seed, r), t); rng.fold takes 2 us a replicate, fold_array 25 us a call
+        seeds = rng.fold_grid([rng.fold(plan.seed, r) for r in reps], trials)
+        cols = points_batch(plan.spec, plan.kind, seeds.reshape(-1), axes)
+        counts = [_covered_counts(cols, plan.spec, t, axes, len(reps)) for t in plan.targets]
+        out.extend(zip(reps, zip(*counts)))
     return out
 
 
-def _worker(args: tuple[SimPlan, list[int]]) -> list[tuple[int, list[int]]]:
+def _worker(args: tuple[SimPlan, list[int]]) -> list[tuple[int, tuple[int, ...]]]:
     return _replicate_counts(*args)
 
 
@@ -313,10 +348,9 @@ def simulate_coverage(plan: SimPlan, workers: int = 1) -> list[CoverageReport]:
     """One CoverageReport per target, in plan order."""
     rep_ids = list(range(1, plan.reps + 1))
     # Never more processes than CPUs or replicates, whatever was asked, nor
-    # more replicates in memory at once than MAX_REPLICATE_BYTES holds.
-    pool_size = min(
-        workers, plan.reps, os.cpu_count() or 1, max(1, MAX_REPLICATE_BYTES // plan.replicate_bytes)
-    )
+    # more batches in memory at once than MAX_REPLICATE_BYTES holds.
+    batch_bytes = plan.batch * plan.replicate_bytes
+    pool_size = min(workers, plan.reps, os.cpu_count() or 1, max(1, MAX_REPLICATE_BYTES // batch_bytes))
     if pool_size <= 1 or plan.reps < 4:
         rows = _replicate_counts(plan, rep_ids)
     else:

@@ -145,11 +145,13 @@ def test_redrawn_rows_match_a_stable_argsort_reference(monkeypatch):
     assert redrawn >= 1
 
 
-def _reference_permutation(seed: int, n: int) -> tuple[np.ndarray, str]:
+def _reference_permutation(seed: int, n: int, low_bits: int | None = None) -> tuple[np.ndarray, str]:
     """Stable argsort of the first block of distinct keys, and how the
     packed sort meets the first block: top parts distinct ("fast"),
-    tied but keys distinct ("tied"), or keys repeated ("redrawn")."""
-    b = (n - 1).bit_length()
+    tied but keys distinct ("tied"), or keys repeated ("redrawn"). The
+    top part is what is left above the low bit_length(n - 1) bits, or
+    above `low_bits`."""
+    b = (n - 1).bit_length() if low_bits is None else low_bits
     keys = raw_block(seed, 0, n)
     if len(set((keys >> np.uint64(b)).tolist())) == n:
         path = "fast"
@@ -183,6 +185,43 @@ def test_packed_sort_matches_the_reference_on_every_path(monkeypatch, n):
         paths.append(path)
         assert np.array_equal(row, want), (int(s), path)
     assert {"fast", "tied", "redrawn"} <= set(paths)
+
+
+@pytest.mark.parametrize("n", [3, 5, 9])
+def test_narrow_sort_matches_the_reference_on_every_path(monkeypatch, n):
+    # At n <= NARROW_N the sort sees the top 32 bits of each key. Keys
+    # of (x mod 2**(b+4)) << 32 give those 16 top parts above the column
+    # bits, so fast, tied and redrawn rows all occur, in different chunks.
+    b = (n - 1).bit_length()
+    assert n <= rng.NARROW_N
+    wide = rng._mix64_arr
+    monkeypatch.setattr(rng, "_mix64_arr", lambda z: (wide(z) % np.uint64(2 ** (b + 4))) << np.uint64(32))
+    monkeypatch.setattr(rng, "CHUNK_KEYS", 4 * n)
+    seeds = np.array([fold(29, t) for t in range(1, 301)], dtype=np.uint64)
+
+    got = permutations_from_seeds(seeds, n)
+
+    paths = []
+    for row, s in zip(got, seeds):
+        want, path = _reference_permutation(int(s), n, low_bits=32 + b)
+        paths.append(path)
+        assert np.array_equal(row, want), (int(s), path)
+    assert {"fast", "tied", "redrawn"} <= set(paths)
+
+
+@pytest.mark.parametrize("n", [rng.NARROW_N, rng.NARROW_N + 1])
+def test_narrow_and_wide_sorts_agree_at_the_threshold(monkeypatch, n):
+    seeds = rng.fold_array(37, np.arange(1, 301))
+    tied = []
+    real = rng._argsort_redraw
+    monkeypatch.setattr(rng, "_argsort_redraw", lambda s, n: tied.append(s.size) or real(s, n))
+    got = permutations_from_seeds(seeds, n)
+    # Only the 32-bit sort sees ties here: 23 bits decide a row of 512.
+    assert (sum(tied) > 0) == (n <= rng.NARROW_N)
+    monkeypatch.setattr(rng, "NARROW_N", 0)
+    assert np.array_equal(got, permutations_from_seeds(seeds, n))
+    for row, s in zip(got, seeds):
+        assert np.array_equal(row, np.argsort(raw_block(int(s), 0, n), kind="stable"))
 
 
 @pytest.mark.parametrize("n", [1000, 2**17])

@@ -5,6 +5,7 @@ covers a known number of cells), which pins the counting pipeline
 before any statistics enter.
 """
 
+import dataclasses
 import math
 import statistics
 import tracemalloc
@@ -466,6 +467,85 @@ class TestDirectAddress:
         assert SimPlan(spec, SampleKind.OS, k=1, reps=1).axes == (1, 2, 3, 4)
 
 
+class TestBatches:
+    """A batch of replicates, drawn in one call and counted with offset
+    codes, gives each replicate the count of its own trials drawn alone:
+    trial t of replicate r from fold(fold(seed, r), t)."""
+
+    TARGETS = [("full",), ("proj:2",), ("proj:2@3,1",), ("edge:1,3,2,1",), ("full", "proj:1", "edge:2,3,1,1")]
+
+    @staticmethod
+    def plan(spec, kind, texts, k, reps):
+        return SimPlan(spec, kind, k=k, reps=reps, targets=tuple(map(parse_target, texts)), seed=SEED)
+
+    @staticmethod
+    def alone(plan, r):
+        cols = trial_columns(plan.spec, plan.kind, rng.fold(plan.seed, r), plan.k, axes=plan.axes)
+        return tuple(simulate._covered_count(cols, plan.spec, t, plan.axes) for t in plan.targets)
+
+    def check(self, plan, rep_ids):
+        got = simulate._replicate_counts(plan, rep_ids)
+        assert got == [(r, self.alone(plan, r)) for r in rep_ids]
+
+    @pytest.mark.parametrize("kind", list(SampleKind))
+    @pytest.mark.parametrize("texts", TARGETS)
+    @pytest.mark.parametrize("ratio", [0, 2**62], ids=["sorted", "direct"])
+    @pytest.mark.parametrize("reps", [1, 3, 4, 5])  # a batch holds 4
+    def test_counts_are_each_replicates_own(self, monkeypatch, kind, texts, ratio, reps):
+        monkeypatch.setattr(simulate, "DIRECT_RATIO", ratio)
+        plan = self.plan(DesignSpec(3, 8, p=2), kind, texts, 3, reps)
+        monkeypatch.setattr(simulate, "BATCH_ENTRIES", 4 * plan.replicate_bytes // 8)
+        assert plan.batch == 4
+        self.check(plan, list(range(1, reps + 1)))
+        self.check(plan, list(range(2, 3 * reps + 2, 3)))  # a worker's stride
+
+    @pytest.mark.parametrize("kind", list(SampleKind))
+    def test_last_batch_at_the_real_budget(self, kind):
+        plan = self.plan(DesignSpec(3, 8, p=2), kind, ("full", "proj:2"), 3, 1)
+        plan = dataclasses.replace(plan, reps=plan.batch + 1)
+        assert plan.batch == simulate.BATCH_ENTRIES // (3 * 3 * 8)
+        self.check(plan, list(range(1, plan.reps + 1)))
+
+    @pytest.mark.parametrize(
+        "spec, kind, k",
+        [(DesignSpec(16, 16), SampleKind.LHS, 2), (DesignSpec(4, 2**16, p=16), SampleKind.OS, 1)],
+    )
+    def test_row_keys_go_one_replicate_at_a_time(self, spec, kind, k):
+        # n^d > 2^63: offset codes would not fit int64, however small the
+        # replicate's columns (16 * 16 * 2 entries at d = n = 16).
+        plan = self.plan(spec, kind, ("full", "proj:2"), k, 3)
+        assert plan.batch == 1
+        self.check(plan, [1, 2, 3])
+
+    def test_draws_and_keys_total_what_single_replicates_did(self, monkeypatch):
+        # The counts perfbench takes from these calls: permutation rows,
+        # trials and keys. Two counted axes of p = 3 bands each per trial.
+        totals = {}
+
+        def spy(module, name, count):
+            real = getattr(module, name)
+
+            def wrapper(*args):
+                out = real(*args)
+                totals[name] = totals.get(name, 0) + count(out)
+                return out
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        spy(rng, "permutations_from_seeds", lambda out: out.size // out.shape[-1])
+        spy(simulate, "points_batch", lambda out: out.shape[0])
+        spy(simulate, "_keys_for_target", lambda out: out[0].shape[0])
+        k, reps = 5, 7
+        plan = SimPlan(DesignSpec(3, 27, p=3), SampleKind.OS, k=k, reps=reps, targets=(Units(2),), seed=SEED)
+        assert plan.batch >= reps
+        simulate._replicate_counts(plan, list(range(1, reps + 1)))
+        assert totals == {
+            "permutations_from_seeds": reps * k * 2 * 3,
+            "points_batch": reps * k,
+            "_keys_for_target": reps * k * 27,
+        }
+
+
 class TestKeyContract:
     """What the traced run's key counters assume of `_keys_for_target`:
     one key per row of `keys`, and 2-D keys exactly when the universe
@@ -584,15 +664,25 @@ class TestWorkers:
         assert simulate_coverage(plan, workers=2)[0].fractions == seq[0].fractions
         assert pool_sizes == [3, 2]
 
+    def test_pool_of_batches_equals_one_process(self):
+        # Neither the run nor either worker's stride is whole batches.
+        plan = SimPlan(DesignSpec(2, 6), SampleKind.LHS, k=4, reps=1, targets=(Units(), Units(1)), seed=SEED)
+        plan = dataclasses.replace(plan, reps=2 * plan.batch + 3)
+        assert plan.batch > 1
+        seq = simulate_coverage(plan, workers=1)
+        par = simulate_coverage(plan, workers=2)
+        assert [a.fractions for a in seq] == [b.fractions for b in par]
+
     def test_pool_holds_no_more_replicates_than_the_byte_guard(self, monkeypatch, pool_sizes):
         monkeypatch.setattr(simulate.os, "cpu_count", lambda: 8)
         plan = SimPlan(DesignSpec(2, 6), SampleKind.LHS, k=4, reps=30, seed=SEED)
         seq = simulate_coverage(plan, workers=1)
-        monkeypatch.setattr(simulate, "MAX_REPLICATE_BYTES", 3 * plan.replicate_bytes + 1)
+        batch_bytes = plan.batch * plan.replicate_bytes  # a worker holds a batch
+        monkeypatch.setattr(simulate, "MAX_REPLICATE_BYTES", 3 * batch_bytes + 1)
         assert simulate_coverage(plan, workers=8)[0].fractions == seq[0].fractions
-        monkeypatch.setattr(simulate, "MAX_REPLICATE_BYTES", plan.replicate_bytes)
+        monkeypatch.setattr(simulate, "MAX_REPLICATE_BYTES", batch_bytes)
         assert simulate_coverage(plan, workers=8)[0].fractions == seq[0].fractions
-        assert pool_sizes == [3]  # one replicate at a time runs without a pool
+        assert pool_sizes == [3]  # one batch at a time runs without a pool
 
 
 class TestSubblockUniformity:

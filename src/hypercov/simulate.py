@@ -269,11 +269,8 @@ def _covered_counts(
     new, _ = _distinct_keys(keys, counts)  # sorts 1-D keys in place
     if reps == 1:
         return [int(np.count_nonzero(new))]
-    return np.bincount(keys[new[0]] // universe, minlength=reps).tolist()
-
-
-def _covered_count(cols: np.ndarray, spec: DesignSpec, target: Units, axes: Axes = None) -> int:
-    return _covered_counts(cols, spec, target, axes)[0]
+    # new is (1, keys) flags, or (0,) when no trial holds a key
+    return np.bincount(keys[new.reshape(-1)] // universe, minlength=reps).tolist()
 
 
 def _new_per_trial(keys: np.ndarray, counts: np.ndarray, universe: int) -> np.ndarray:

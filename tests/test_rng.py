@@ -174,6 +174,7 @@ def test_packed_sort_matches_the_reference_on_every_path(monkeypatch, n):
     b = (n - 1).bit_length()
     wide = rng._mix64_arr
     monkeypatch.setattr(rng, "_mix64_arr", lambda z: wide(z) % np.uint64(2 ** (b + 4)))
+    monkeypatch.setattr(rng, "NARROW_N", 0)  # the 64-bit sort; its 32-bit twin is below
     monkeypatch.setattr(rng, "CHUNK_KEYS", 4 * n)
     seeds = np.array([fold(23, t) for t in range(1, 301)], dtype=np.uint64)
 

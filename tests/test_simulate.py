@@ -261,7 +261,7 @@ class TestUnitEncoders:
     def counts(spec, kind, units, seed, k):
         cols = trial_columns(spec, kind, seed, k)
         naive = frozenset().union(*oracle._cells(spec, cols, units))
-        return len(naive), simulate._covered_count(cols, spec, units)
+        return len(naive), simulate._covered_counts(cols, spec, units)[0]
 
     @pytest.mark.parametrize("kind", list(SampleKind))
     @pytest.mark.parametrize("text", FORMS)
@@ -293,7 +293,9 @@ class TestUnitEncoders:
         assert per_trial.tolist() == [0, 0, 0, 1, 1, 1, 1, 1]
         naive, fast = self.counts(spec, SampleKind.LHS, units, seed=2, k=8)
         assert naive == fast
-        assert simulate._covered_count(cols[:3], spec, units) == 0
+        assert simulate._covered_counts(cols[:3], spec, units) == [0]
+        # Two replicates of one keyless trial each: a batch with no key.
+        assert simulate._covered_counts(cols[:2], spec, units, reps=2) == [0, 0]
 
     @pytest.mark.parametrize(
         "spec, kind, text",
@@ -310,7 +312,7 @@ class TestUnitEncoders:
         units, k = parse_target(text), 6
         curve = coverage_curve(spec, kind, rep_seed=2, k=k, target=units)
         cols = trial_columns(spec, kind, 2, k)
-        prefix = [simulate._covered_count(cols[:i], spec, units) for i in range(1, k + 1)]
+        prefix = [simulate._covered_counts(cols[:i], spec, units)[0] for i in range(1, k + 1)]
         assert curve.tolist() == prefix
 
     @pytest.mark.parametrize("text", ["full", "proj:2", "proj:2@1,3", "edge:1,2,1,1"])
@@ -405,7 +407,7 @@ class TestDirectAddress:
     def test_counts_and_curves_agree(self, monkeypatch, kind, text, k):
         spec, units = DesignSpec(3, 8, p=2), parse_target(text)
         cols = trial_columns(spec, kind, 6, k)
-        counts = self.both(monkeypatch, lambda: simulate._covered_count(cols, spec, units))
+        counts = self.both(monkeypatch, lambda: simulate._covered_counts(cols, spec, units)[0])
         curves = self.both(monkeypatch, lambda: coverage_curve(spec, kind, 6, k, units).tolist())
         assert counts[0] == counts[1] == curves[0][-1]
         assert curves[0] == curves[1]
@@ -438,7 +440,7 @@ class TestDirectAddress:
         curve = coverage_curve(spec, kind, 2, k, units)
         prefix = [len(frozenset().union(*oracle._cells(spec, cols[:i], units))) for i in range(1, k + 1)]
         assert curve.tolist() == prefix
-        assert simulate._covered_count(cols, spec, units) == prefix[-1]
+        assert simulate._covered_counts(cols, spec, units)[0] == prefix[-1]
         assert sorts == ([] if direct else [1, 1])
 
     def test_map_type_holds_k(self, monkeypatch):
@@ -481,7 +483,7 @@ class TestBatches:
     @staticmethod
     def alone(plan, r):
         cols = trial_columns(plan.spec, plan.kind, rng.fold(plan.seed, r), plan.k, axes=plan.axes)
-        return tuple(simulate._covered_count(cols, plan.spec, t, plan.axes) for t in plan.targets)
+        return tuple(simulate._covered_counts(cols, plan.spec, t, plan.axes)[0] for t in plan.targets)
 
     def check(self, plan, rep_ids):
         got = simulate._replicate_counts(plan, rep_ids)

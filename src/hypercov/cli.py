@@ -40,9 +40,9 @@ from . import __version__, lazy
 from .design import DesignSpec, SampleKind, SweepMode, Units
 from .errors import CapExceededError, GuardExceededError, HypercovError, StructuralError
 from .exact import (
-    IntersectionKind, check_terms, expected_coverage_multiset, expected_intersection, kind_axes, kind_params,
+    IntersectionKind, check_terms, expected_coverage_multiset, expected_intersection, kind_params,
 )
-from .laws import asymptotic_coverage, bracket_exact_vs_asymptotic, iid_coverage, projection_lambda
+from .laws import asymptotic_coverage, bracket_exact_vs_asymptotic, iid_coverage, lambda_for, projection_lambda
 
 # Each loads when a run first uses it, so runs that draw no trials never import numpy.
 oracle, rng, sampling, simulate, sweep = map(lazy, ("oracle", "rng", "sampling", "simulate", "sweep"))
@@ -331,15 +331,12 @@ def _rounded_quotient(num: int, den: int, digits: int) -> tuple[int, int]:
 
 def _decimal_str(value: Fraction, digits: int) -> str:
     """str(Decimal(num) / Decimal(den)) at precision `digits`. Converting
-    an integer to Decimal takes time quadratic in its length, so when the
-    integers are longer than the digits asked for, only the rounded
-    quotient is converted."""
-    num, den = value.numerator, value.denominator
+    an integer to Decimal takes time quadratic in its length, so only the
+    rounded quotient is converted; scaleb rounds to the context's
+    precision, which is `digits`."""
     with localcontext() as ctx:
         ctx.prec = digits
-        if 10 * digits >= 3 * max(num.bit_length(), den.bit_length()):  # 10/3 > log2(10)
-            return str(Decimal(num) / Decimal(den))
-        coeff, exp = _rounded_quotient(num, den, digits)
+        coeff, exp = _rounded_quotient(value.numerator, value.denominator, digits)
         return str(Decimal(coeff).scaleb(exp))
 
 
@@ -366,8 +363,8 @@ def _law_lambda(params: dict) -> float:
     """lambda at --t axes, or at the axes of --kind's cells."""
     t, n = params["t"], params["n"]
     if t is None:
-        t = kind_axes(IntersectionKind(params["kind"]), _spec_from(params))
-    elif n < (least := 1 if t == 1 else 2):  # at t = 1 one level is a cell every trial hits
+        return lambda_for(IntersectionKind(params["kind"]), _spec_from(params))
+    if n < (least := 1 if t == 1 else 2):  # at t = 1 one level is a cell every trial hits
         raise StructuralError(f"n must be >= {least}, got {n}")
     return projection_lambda(n, t, params["d"])
 

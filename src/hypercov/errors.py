@@ -27,4 +27,4 @@ class GuardExceededError(HypercovError, RuntimeError):
 
 
 class CapExceededError(GuardExceededError):
-    """A configurable cap was exceeded; the message points at the alternative."""
+    """A fixed cap was exceeded; the message points at the alternative."""

@@ -19,22 +19,23 @@ the unit, so the expected fraction of units covered is
 
     P(k) = 1 - prod_{i=0}^{k-1} (b - a + i) / (b + i)
 
-Parameter table (n levels, d axes, coarse base p where n = p^d):
+Parameters (n levels, d axes, coarse base p where n = p^d). b counts
+the sampler's trials alone: n!^(d-1) Latin trials for lhs, edge and
+edge-subblock, and (p^(d-1))!^(dp) orthogonal trials for os. The units
+are design.Units families, each of t axes:
 
-    kind               a                                b              scale
-    LHS_TUPLE          (n-1)!^(d-1)                     n!^(d-1)       n^d
-    OS_TUPLE           p^(d(d-1)(p-1)) (p^(d-1)-1)!^(dp) (p^(d-1))!^(dp) p^(d^2)
-    LH_EDGE_ALL        (n-1)!^(d-1) n^(d-2)             n!^(d-1)       n^2 C(d,2)
-    LH_EDGE_SUBBLOCK   (p^d-1)!^(d-1) p^(d^2-2d)        (p^d)!^(d-1)   p^(2d-2)
+    kind               families                               t
+    LHS_TUPLE          Units(), the n^d cells of the grid     d
+    OS_TUPLE           Units(), the n^d cells of the grid     d
+    LH_EDGE_ALL        Units(2, (i, j)) for every i < j       2
+    LH_EDGE_SUBBLOCK   Units(2, (1, 2), (1, 1))               2
 
-For the tuple kinds, a is the number of trials containing a fixed grid
-cell and scale the number of cells. For the edge kinds, units are value
-pairs on axis pairs: a is the number of Latin trials containing a fixed
-pair (equal to (n-1)! n!^(d-2)), and scale counts the pairs in play:
-all n^2 C(d,2) of them, or the p^(2d-2) pairs of a single coarse cell
-of one axis pair's quotient grid. Coverage is always reported against
-scale, so it lies in [0, 1]. Every a/b reduces to n^(1-t), t the
-units' axes (kind_axes); the laws module's rates need no factorial.
+The last is the p^(2d-2) value pairs of one coarse cell of axes (1, 2).
+scale is the sum of the families' universes, and a follows from the
+paper's equal-rate result: a cell of a t-axis projection lies in the
+same share n^(1-t) of Latin and of orthogonal trials, so a = b / n^(t-1),
+an exact division. Coverage is always reported against scale, so it
+lies in [0, 1]; the laws module's rates (kind_axes) need no factorial.
 
 Both k-term products are built as balanced product trees: runs of
 PRODUCT_LEAF_TERMS factors are multiplied one by one, and halves of
@@ -57,13 +58,14 @@ check_terms refuses a whole list of q that way.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable
 
-from .design import DesignSpec
+from .design import DesignSpec, Units, band_width
 from .errors import CapExceededError, GuardExceededError, StructuralError
 
 # Refuse exact work whose integers would exceed this many bits. Near the
@@ -102,45 +104,30 @@ def _check_bigint_guard(spec: DesignSpec) -> None:
         )
 
 
-def kind_params(kind: IntersectionKind, spec: DesignSpec) -> KindParams:
-    """(a, b, scale) for the kind; see the module docstring table."""
-    _check_bigint_guard(spec)
-    n, d = spec.n, spec.d
-    if kind is IntersectionKind.LHS_TUPLE:
-        return KindParams(
-            a=math.factorial(n - 1) ** (d - 1),
-            b=math.factorial(n) ** (d - 1),
-            scale=n**d,
-        )
-    if kind is IntersectionKind.OS_TUPLE:
-        p = spec.require_p()
-        w = p ** (d - 1)
-        return KindParams(
-            a=p ** (d * (d - 1) * (p - 1)) * math.factorial(w - 1) ** (d * p),
-            b=math.factorial(w) ** (d * p),
-            scale=p ** (d * d),
-        )
+def _families(kind: IntersectionKind, spec: DesignSpec) -> tuple[Units, ...]:
+    """The unit families the kind counts; the kinds on sub-blocks need p."""
     if kind is IntersectionKind.LH_EDGE_ALL:
-        return KindParams(
-            a=math.factorial(n - 1) ** (d - 1) * n ** (d - 2),
-            b=math.factorial(n) ** (d - 1),
-            scale=n * n * math.comb(d, 2),
-        )
-    if kind is IntersectionKind.LH_EDGE_SUBBLOCK:
-        p = spec.require_p()
-        return KindParams(
-            a=math.factorial(p**d - 1) ** (d - 1) * p ** (d * d - 2 * d),
-            b=math.factorial(p**d) ** (d - 1),
-            scale=p ** (2 * d - 2),
-        )
-    raise StructuralError(f"unknown kind {kind!r}")
+        return tuple(Units(2, pair) for pair in itertools.combinations(range(1, spec.d + 1), 2))
+    if kind is not IntersectionKind.LHS_TUPLE:
+        spec.require_p()
+    return (Units(2, (1, 2), (1, 1)),) if kind is IntersectionKind.LH_EDGE_SUBBLOCK else (Units(),)
+
+
+def kind_params(kind: IntersectionKind, spec: DesignSpec) -> KindParams:
+    """(a, b, scale) for the kind, by the module docstring's rule."""
+    _check_bigint_guard(spec)
+    families = _families(kind, spec)
+    if kind is IntersectionKind.OS_TUPLE:
+        b = math.factorial(band_width(spec.p, spec.d)) ** (spec.d * spec.p)
+    else:
+        b = math.factorial(spec.n) ** (spec.d - 1)
+    t = len(families[0].axes(spec))
+    return KindParams(a=b // spec.n ** (t - 1), b=b, scale=sum(u.universe(spec) for u in families))
 
 
 def kind_axes(kind: IntersectionKind, spec: DesignSpec) -> int:
     """Axes t of the kind's units (d for cells, 2 for pairs): a/b = n^(1-t)."""
-    if kind in (IntersectionKind.OS_TUPLE, IntersectionKind.LH_EDGE_SUBBLOCK):
-        spec.require_p()
-    return spec.d if kind in (IntersectionKind.LHS_TUPLE, IntersectionKind.OS_TUPLE) else 2
+    return len(_families(kind, spec)[0].axes(spec))
 
 
 def _rising_product(lo: int, m: int) -> int:

@@ -44,14 +44,9 @@ from .errors import StructuralError
 from .exact import IntersectionKind, kind_axes, kind_params, miss_ratio
 
 
-def lambda_fraction(kind: IntersectionKind, spec: DesignSpec) -> Fraction:
-    """Exact per-unit hit rate a/b for the kind, from the counting side."""
-    kp = kind_params(kind, spec)
-    return Fraction(kp.a, kp.b)
-
-
 def lambda_for(kind: IntersectionKind, spec: DesignSpec) -> float:
-    """float(lambda_fraction) without its factorials: a/b = n^(1-t)."""
+    """The kind's per-unit hit rate a/b = n^(1-t), t its units' axes,
+    as a float, without kind_params' factorials."""
     return projection_lambda(spec.n, kind_axes(kind, spec))
 
 

@@ -39,7 +39,6 @@ GRID_GUARD = 1_000_000
 @dataclass(frozen=True)
 class EnumeratedTrialSet:
     spec: DesignSpec
-    kind: SampleKind
     trials: np.ndarray  # (b, d, n) 0-based columns, one trial per row
 
 
@@ -75,7 +74,7 @@ def enumerate_trials(spec: DesignSpec, kind: SampleKind, guard: int = ENUM_GUARD
         cols = orthogonal_columns(fines.reshape(-1, d, p, w), p)
     # Both enumerations are bijections, so no duplicates can appear.
     assert _distinct_point_sets(cols) == total
-    return EnumeratedTrialSet(spec, kind, cols)
+    return EnumeratedTrialSet(spec, cols)
 
 
 def _distinct_point_sets(cols: np.ndarray) -> int:

@@ -100,14 +100,6 @@ def raw_block(seed: int, start: int, count: int) -> np.ndarray:
     return _mix64_arr(z)
 
 
-def fold_array(seed: int, labels: np.ndarray) -> np.ndarray:
-    """Vectorized fold(seed, label) over an array of labels."""
-    lab = np.asarray(labels, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        inner = _mix64_arr(lab + _G)
-        return _mix64_arr(np.uint64(seed & MASK64) ^ inner)
-
-
 def fold_grid(seeds: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """fold(seed, label) for every (seed, label) pair; shape (len(seeds), len(labels))."""
     s = np.asarray(seeds, dtype=np.uint64)

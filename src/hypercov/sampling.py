@@ -95,4 +95,6 @@ def trial_columns(
     from fold(seed, t), so a run can be extended."""
     if k < 0:
         raise StructuralError(f"k must be >= 0, got {k}")
-    return points_batch(spec, kind, rng.fold_array(seed, np.arange(first, first + k)), axes)
+    # Masked as rng.fold masks, so a negative seed or one past 64 bits runs.
+    seeds = rng.fold_grid([seed & rng.MASK64], np.arange(first, first + k))[0]
+    return points_batch(spec, kind, seeds, axes)

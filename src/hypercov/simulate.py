@@ -158,7 +158,6 @@ def summarize(values: Sequence[float]) -> SummaryStats:
 
 @dataclass(frozen=True)
 class CoverageReport:
-    target: Units
     fractions: tuple[float, ...]
     mean: float
     sd: float
@@ -329,7 +328,7 @@ def _replicate_counts(plan: SimPlan, rep_ids: Sequence[int]) -> list[tuple[int, 
     out, axes, batch, trials = [], plan.axes, plan.batch, np.arange(1, plan.k + 1)
     for lo in range(0, len(rep_ids), batch):
         reps = rep_ids[lo : lo + batch]
-        # fold(fold(seed, r), t); rng.fold takes 2 us a replicate, fold_array 25 us a call
+        # fold(fold(seed, r), t); rng.fold takes 2 us a replicate, fold_grid of one seed 25 us a call
         seeds = rng.fold_grid([rng.fold(plan.seed, r) for r in reps], trials)
         cols = points_batch(plan.spec, plan.kind, seeds.reshape(-1), axes)
         counts = [_covered_counts(cols, plan.spec, t, axes, len(reps)) for t in plan.targets]
@@ -370,7 +369,6 @@ def simulate_coverage(plan: SimPlan, workers: int = 1) -> list[CoverageReport]:
         lam = projection_lambda(plan.spec.n, len(target.axes(plan.spec)))
         reports.append(
             CoverageReport(
-                target=target,
                 fractions=fracs,
                 mean=stats.mean,
                 sd=stats.sd,

@@ -56,11 +56,9 @@ def _crossing(base: int, level: float, k: int) -> Decimal:
 
 
 def _meets_level(n: int, t: int, k: int, level: float) -> bool:
-    """Does 1 - (1 - n^-(t-1))^k reach level? Exact or high-precision."""
+    """Does 1 - (1 - n^-(t-1))^k reach level, t >= 2? Exact or high-precision."""
     if k <= 0:
         return False
-    if t == 1:
-        return True  # lambda = 1, one trial covers everything
     base = n ** (t - 1)
     bits = k * (t - 1) * math.log2(n)
     if bits <= EXACT_VERIFY_BITS:

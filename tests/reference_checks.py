@@ -4,9 +4,11 @@ A trial is an array (d, n) whose row j is axis j + 1, as the samplers
 and the oracle hold it. These helpers walk it point by point with plain
 Python and import nothing from the package, so tests can hold the
 package's numpy paths against them. `decimal_quotient` is the decimal
-column of `exact` as first written.
+column of `exact` as first written, and `paper_kind_params` the paper's
+four counting formulas.
 """
 
+import math
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -56,3 +58,22 @@ def decimal_quotient(num: int, den: int, digits: int) -> str:
     with localcontext() as ctx:
         ctx.prec = digits
         return str(Decimal(num) / Decimal(den))
+
+
+def paper_kind_params(kind: str, d: int, n: int, p: int | None = None) -> tuple[int, int, int]:
+    """(a, b, scale) of an exact kind by the paper's formulas, n = p^d
+    where p is given: b trials, a of them holding a fixed unit, scale
+    units. A unit is a grid cell (lhs, os), a value pair on one of the
+    C(d,2) axis pairs (edge), or one on axes (1, 2) inside coarse cell
+    (1, 1) (edge-subblock)."""
+    f = math.factorial
+    if kind == "lhs":
+        return f(n - 1) ** (d - 1), f(n) ** (d - 1), n**d
+    if kind == "os":
+        w = p ** (d - 1)
+        return p ** (d * (d - 1) * (p - 1)) * f(w - 1) ** (d * p), f(w) ** (d * p), p ** (d * d)
+    if kind == "edge":
+        return f(n - 1) ** (d - 1) * n ** (d - 2), f(n) ** (d - 1), n * n * math.comb(d, 2)
+    if kind == "edge-subblock":
+        return f(p**d - 1) ** (d - 1) * p ** (d * d - 2 * d), f(p**d) ** (d - 1), p ** (2 * d - 2)
+    raise ValueError(f"unknown kind {kind!r}")

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from reference_checks import trials_holding
+from reference_checks import paper_kind_params, trials_holding
 
 from hypercov.design import DesignSpec, Units
 from hypercov.exact import (
@@ -25,7 +25,7 @@ from hypercov.exact import (
     expected_intersection,
     kind_params,
 )
-from hypercov.laws import bracket_exact_vs_asymptotic, lambda_fraction
+from hypercov.laws import bracket_exact_vs_asymptotic
 from hypercov.oracle import (
     enumerate_trials,
     oracle_expected_coverage,
@@ -190,21 +190,27 @@ def test_criterion_03_counting_identities(report):
 
 
 def test_criterion_04_rate_equivalence(report):
+    # a/b from the paper's counting formulas, which kind_params is checked
+    # against (test_exact); kind_params itself takes a = b / n^(t-1).
+    def rate(kind, spec):
+        a, b, _ = paper_kind_params(kind.value, spec.d, spec.n, spec.p)
+        return Fraction(a, b)
+
     checked = 0
     for p in (2, 3):
         for d in (2, 3):
             spec = DesignSpec(d, p**d, p=p)
             want = Fraction(1, spec.n ** (d - 1))
-            assert lambda_fraction(IntersectionKind.LHS_TUPLE, spec) == want
-            assert lambda_fraction(IntersectionKind.OS_TUPLE, spec) == want
+            assert rate(IntersectionKind.LHS_TUPLE, spec) == want
+            assert rate(IntersectionKind.OS_TUPLE, spec) == want
             checked += 1
     for d in (2, 3, 4):
         for n in (3, 5, 8):
-            assert lambda_fraction(IntersectionKind.LH_EDGE_ALL, DesignSpec(d, n)) == Fraction(1, n)
+            assert rate(IntersectionKind.LH_EDGE_ALL, DesignSpec(d, n)) == Fraction(1, n)
             checked += 1
     for p, d in ((2, 2), (3, 2), (2, 3), (2, 4)):
         spec = DesignSpec(d, p**d, p=p)
-        assert lambda_fraction(IntersectionKind.LH_EDGE_SUBBLOCK, spec) == Fraction(1, spec.n)
+        assert rate(IntersectionKind.LH_EDGE_SUBBLOCK, spec) == Fraction(1, spec.n)
         checked += 1
     report(
         "04 per-cell rate equivalence",

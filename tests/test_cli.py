@@ -99,6 +99,15 @@ class TestGen:
         assert (code, captured.out) == (2, "")
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("flags", [["--d", "3", "--n", "5"], ["--kind", "os", "--d", "2", "--n", "4", "--p", "2"]])
+    def test_negative_seed_draws_as_its_64_bit_residue(self, capsys, flags):
+        # Seeds fold mod 2^64, so -5 and 2^64 - 5 draw the same trials.
+        argv = ["gen", *flags, "--k", "3", "--seed"]
+        trials = [run_cli(capsys, *argv, seed) for seed in ("-5", "18446744073709551611")]
+        assert [code for code, _ in trials] == [0, 0]
+        neg, pos = (out.split("# trial 1\n", 1)[1] for _, out in trials)
+        assert neg == pos
+
     @pytest.mark.parametrize("kind,spec", [("lhs", DesignSpec(3, 5)), ("os", DesignSpec(2, 4, 2))])
     def test_json_points_rebuild_the_trials(self, capsys, kind, spec):
         # Each envelope holds enough to rebuild its trial, from the points
@@ -202,7 +211,7 @@ class TestExact:
         value = Fraction(num, den)
         want = decimal_quotient(value.numerator, value.denominator, digits)
         assert cli._decimal_str(value, digits) == want
-        # The integer quotient, also where _decimal_str divides Decimals.
+        # The integer quotient that _decimal_str converts, scaled at the same precision.
         coeff, exp = cli._rounded_quotient(value.numerator, value.denominator, digits)
         with localcontext() as ctx:
             ctx.prec = digits
@@ -825,6 +834,34 @@ class TestUsageErrors:
             "--k", "1", "--reps", "1", "--target", target,
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            ("sweep --mode simulated --kind lhs --d 12 --t 12 --levels 1.0 --n-grid 3,4,5 --reps 1", 3,
+             "full coverage takes about 2437643 trials, past guard 1000000"),
+            ("oracle --mode cover --kind os --d 2 --n 4 --p 2 --k 1 --edge 1,2", 2,
+             "edge comparisons are defined for the lhs ensemble"),
+            ("sweep --mode closed-form --kind os --d 2 --t 2 --levels 0.5 --n-grid 1,4,9", 2,
+             "n must be >= 2, got 1"),
+            ("oracle --mode cover --kind lhs --d 2 --n 3 --k 1 --edge 1", 2,
+             "an edge needs i,j or i,j,pi,pj, got '1'"),
+            ("oracle --mode cover --kind lhs --d 2 --n 3 --k 1 --edge 2,1", 2, "need 1 <= i < j, got (2, 1)"),
+            ("oracle --mode cover --kind lhs --d 2 --n 3 --k 1 --edge 1,2,0,1", 2, "coarse bands must be >= 1"),
+            ("exact --kind lhs --d 2 --n 3 --k 1 --format decimal:0", 2, "decimal digits must be >= 1"),
+            ("exact --kind lhs --d 2 --n 3 --k 1 --format hex", 2,
+             "--format must be rational or decimal:<digits>, got 'hex'"),
+            ("simulate --kind lhs --d 2 --n 4 --p 2 --k 1 --reps 1 --target edge:1", 2,
+             "an edge needs i,j or i,j,pi,pj, got '1'"),
+            ("exact --kind lhs --d 2 --n 3 --k 1 --config LIST", 2, "config file must hold a JSON object"),
+        ],
+    )
+    def test_refusal(self, capsys, tmp_path, argv, code, message):
+        listed = tmp_path / "list.json"
+        listed.write_text("[1, 2]")
+        got = main(argv.replace("LIST", str(listed)).split())
+        captured = capsys.readouterr()
+        assert (got, captured.out, captured.err) == (code, "", f"error: {message}\n")
 
     def test_io_error_exit(self, capsys):
         code, _ = run_cli(

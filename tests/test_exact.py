@@ -13,6 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from reference_checks import paper_kind_params
+
 from hypercov import exact
 from hypercov.design import DesignSpec
 from hypercov.errors import (
@@ -32,9 +34,12 @@ from hypercov.exact import (
     kind_params,
     miss_ratio,
 )
-from hypercov.laws import lambda_fraction
 
 F = Fraction
+
+# Shapes for the paper's formulas, most of them past the oracle's ENUM_GUARD.
+LATIN_SHAPES = [DesignSpec(d, n) for d in range(2, 7) for n in range(2, 41)]
+SUBBLOCK_SHAPES = [DesignSpec(d, p**d, p) for d in (2, 3) for p in range(1, 6)]
 
 
 class TestCounting:
@@ -82,6 +87,15 @@ class TestKindParams:
     def test_frozen_params(self, kind, spec, a, b, scale):
         kp = kind_params(kind, spec)
         assert (kp.a, kp.b, kp.scale) == (a, b, scale)
+
+    @pytest.mark.parametrize("kind", list(IntersectionKind), ids=lambda k: k.value)
+    def test_rule_matches_the_paper_formulas(self, kind):
+        # kind_params derives a from b and the units' axes; the paper
+        # counts each kind's a, b and scale on its own.
+        on_sub_blocks = kind in (IntersectionKind.OS_TUPLE, IntersectionKind.LH_EDGE_SUBBLOCK)
+        for spec in SUBBLOCK_SHAPES if on_sub_blocks else LATIN_SHAPES:
+            kp = kind_params(kind, spec)
+            assert (kp.a, kp.b, kp.scale) == paper_kind_params(kind.value, spec.d, spec.n, spec.p), spec
 
     def test_os_kinds_require_p(self):
         with pytest.raises(UnsupportedSpecError):
@@ -170,7 +184,8 @@ class TestExpectedCoverage:
             (IntersectionKind.OS_TUPLE, DesignSpec(2, 9, p=3)),
             (IntersectionKind.LH_EDGE_ALL, DesignSpec(3, 4)),
         ]:
-            assert expected_coverage_multiset(kind, spec, 1) == lambda_fraction(kind, spec)
+            kp = kind_params(kind, spec)
+            assert expected_coverage_multiset(kind, spec, 1) == F(kp.a, kp.b)
 
     def test_increasing_in_k(self):
         spec = DesignSpec(2, 3)

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from reference_checks import paper_kind_params
+
 from hypercov import exact
 from hypercov.design import DesignSpec
 from hypercov.errors import StructuralError, UnsupportedSpecError
@@ -20,9 +22,14 @@ from hypercov.laws import (
     error_bounds,
     iid_coverage,
     lambda_for,
-    lambda_fraction,
     projection_lambda,
 )
+
+
+def paper_rate(kind: IntersectionKind, spec: DesignSpec) -> Fraction:
+    """a/b of the kind by the paper's counting formulas."""
+    a, b, _ = paper_kind_params(kind.value, spec.d, spec.n, spec.p)
+    return Fraction(a, b)
 
 
 class TestLambda:
@@ -41,7 +48,7 @@ class TestLambda:
         # a/b collapses to the single-cell hit rate: n^-(d-1) for full
         # tuples, 1/n for axis pairs. Exact rational equality, so the
         # factorial towers in a and b must cancel perfectly.
-        assert lambda_fraction(kind, spec) == value
+        assert paper_rate(kind, spec) == value
         kp = kind_params(kind, spec)
         assert Fraction(kp.a, kp.b) == value
 
@@ -49,8 +56,8 @@ class TestLambda:
     @pytest.mark.parametrize("d", [2, 3])
     def test_lh_and_os_rates_match_on_shared_grid(self, p, d):
         spec = DesignSpec(d, p**d, p=p)
-        lh = lambda_fraction(IntersectionKind.LHS_TUPLE, spec)
-        os_ = lambda_fraction(IntersectionKind.OS_TUPLE, spec)
+        lh = paper_rate(IntersectionKind.LHS_TUPLE, spec)
+        os_ = paper_rate(IntersectionKind.OS_TUPLE, spec)
         assert lh == os_ == Fraction(1, spec.n ** (d - 1))
 
     def test_lambda_for_is_float_of_fraction(self):
@@ -69,8 +76,8 @@ class TestLambda:
         # a/b = 1/n^(t-1) exactly, and lambda_for is its rounded double.
         t = kind_axes(kind, spec)
         assert t == (spec.d if kind.value in ("lhs", "os") else 2)
-        assert lambda_fraction(kind, spec) == Fraction(1, spec.n ** (t - 1))
-        assert lambda_for(kind, spec) == float(lambda_fraction(kind, spec))
+        assert paper_rate(kind, spec) == Fraction(1, spec.n ** (t - 1))
+        assert lambda_for(kind, spec) == float(paper_rate(kind, spec))
 
     def test_lambda_for_builds_no_factorial(self, monkeypatch):
         def refuse(*args):

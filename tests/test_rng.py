@@ -15,7 +15,6 @@ from hypercov.rng import (
     GAMMA,
     MASK64,
     fold,
-    fold_array,
     fold_grid,
     mix64,
     permutation,
@@ -80,10 +79,12 @@ def test_fold_stays_in_64_bits(seed, labels):
     assert 0 <= out <= MASK64
 
 
-def test_fold_array_matches_scalar_fold():
+@pytest.mark.parametrize("seed", [977, -5])
+def test_fold_grid_row_matches_scalar_fold(seed):
+    # One seed's row, as sampling.trial_columns folds it: masked to 64 bits first.
     labels = np.arange(1, 33, dtype=np.uint64)
-    arr = fold_array(977, labels)
-    assert [int(v) for v in arr] == [fold(977, int(j)) for j in range(1, 33)]
+    row = fold_grid([seed & MASK64], labels)[0]
+    assert [int(v) for v in row] == [fold(seed, int(j)) for j in range(1, 33)]
 
 
 def test_fold_grid_matches_scalar_fold():
@@ -212,7 +213,7 @@ def test_narrow_sort_matches_the_reference_on_every_path(monkeypatch, n):
 
 @pytest.mark.parametrize("n", [rng.NARROW_N, rng.NARROW_N + 1])
 def test_narrow_and_wide_sorts_agree_at_the_threshold(monkeypatch, n):
-    seeds = rng.fold_array(37, np.arange(1, 301))
+    seeds = fold_grid([37], np.arange(1, 301))[0]
     tied = []
     real = rng._argsort_redraw
     monkeypatch.setattr(rng, "_argsort_redraw", lambda s, n: tied.append(s.size) or real(s, n))
@@ -231,7 +232,7 @@ def test_chunked_rows_match_rows_drawn_one_seed_at_a_time(n):
     # passes CHUNK_KEYS).
     per_chunk = max(1, rng.CHUNK_KEYS // n)
     count = 2 * per_chunk + (per_chunk + 1) // 2
-    seeds = rng.fold_array(31, np.arange(1, count + 1))
+    seeds = fold_grid([31], np.arange(1, count + 1))[0]
 
     got = permutations_from_seeds(seeds, n)
 

@@ -42,18 +42,26 @@ PRODUCT_LEAF_TERMS factors are multiplied one by one, and halves of
 about equal size meet in each multiplication above them, which costs
 far less than growing one operand a term at a time. They are the same
 integers either way. miss_ratio returns the unreduced pair, and the
-rational payloads reduce it once, with one gcd. The bracket in the laws
-module reads its float from the unreduced quotient (den - miss) / den
-and skips that gcd. The float is bit-identical to float() of the
-reduced Fraction: CPython converts a Fraction by integer true division
-of its numerator and denominator, and that division is correctly
-rounded, so every pair with the same ratio gives the same float.
+rational payloads reduce it once, with one gcd.
+
+The bracket in the laws module prints only the float of P(k), and
+coverage_float gives it without either product. It carries a floor and
+a ceiling of 2^P * r, r = miss/den, through the k steps, each one small
+multiply and one division by b + i, and converts both bounds of 1 - r
+by integer true division, which is correctly rounded. Rounding is
+monotone, so when the two floats are equal that float is the correctly
+rounded P(k): the float() of the reduced Fraction, which CPython also
+takes by integer true division. P = INTERVAL_BITS + bits(k) + bits(b//a)
+covers the k roundings and the cancellation in 1 - r >= a/b. Bounds
+that straddle a rounding boundary double P; a P(k) at or next to a
+midpoint of two floats uses up INTERVAL_TRIES, and the products decide.
 
 One guard bounds every integer here: the factorials of kind_params by
 d*n*log2(n) bits, and the two q-term rising products by about
 q*bits(b), their size, both at BIGINT_GUARD_BITS. A product above it is
 refused before any multiplication, naming the largest q that fits;
-check_terms refuses a whole list of q that way.
+check_terms refuses a whole list of q that way. coverage_float builds
+neither product but keeps the same refusals.
 """
 
 from __future__ import annotations
@@ -69,11 +77,17 @@ from .design import DesignSpec, Units, band_width
 from .errors import CapExceededError, GuardExceededError, StructuralError
 
 # Refuse exact work whose integers would exceed this many bits. Near the
-# bound (lhs d=2 n=1000 k=117, 998,010 bits) the CLI took 0.75 s for
-# `law --model bracket`, which multiplies only, and 6.1 s for `exact
-# --format rational`, which also takes the gcd and prints both integers;
-# 10.4 s with the decimal column (2-vCPU Xeon VM, Python 3.11).
+# bound (lhs d=2 n=1000 k=117, 998,010 bits) the CLI took 6.1 s for
+# `exact --format rational`, which builds both products, takes the gcd
+# and prints both integers; 10.4 s with the decimal column (2-vCPU Xeon
+# VM, Python 3.11); `law --model bracket`, which builds no product, took
+# 0.1 s and keeps the guard all the same.
 BIGINT_GUARD_BITS = 1_000_000
+
+# Working bits of coverage_float's first try, past bits(k) + bits(b//a),
+# and its tries, each at twice the bits, before it builds the products.
+INTERVAL_BITS = 80
+INTERVAL_TRIES = 3
 
 # Factors multiplied one by one at the leaves of a product tree.
 PRODUCT_LEAF_TERMS = 16
@@ -185,3 +199,20 @@ def expected_coverage_multiset(kind: IntersectionKind, spec: DesignSpec, k: int)
     bigint guard is refused; use the closed-form laws module for large k.
     """
     return 1 - Fraction(*miss_ratio(kind, spec, k))
+
+
+def coverage_float(kind: IntersectionKind, spec: DesignSpec, k: int) -> float:
+    """The correctly rounded float of expected_coverage_multiset, equal to
+    (den - miss) / den of miss_ratio, by interval rounding (docstring)."""
+    kp = check_terms("k", (k,), 0, kind, spec)
+    bits = INTERVAL_BITS + k.bit_length() + (kp.b // kp.a).bit_length()
+    for _ in range(INTERVAL_TRIES):
+        one = lo = hi = 1 << bits
+        for i in range(k):
+            lo = lo * (kp.b - kp.a + i) // (kp.b + i)
+            hi = -(-hi * (kp.b - kp.a + i) // (kp.b + i))
+        if (one - hi) / one == (one - lo) / one:
+            return (one - lo) / one
+        bits *= 2
+    miss, den = miss_ratio(kind, spec, k)
+    return (den - miss) / den

@@ -41,7 +41,7 @@ from fractions import Fraction
 
 from .design import DesignSpec
 from .errors import StructuralError
-from .exact import IntersectionKind, kind_axes, kind_params, miss_ratio
+from .exact import IntersectionKind, coverage_float, kind_axes, kind_params
 
 
 def lambda_for(kind: IntersectionKind, spec: DesignSpec) -> float:
@@ -132,9 +132,8 @@ def bracket_exact_vs_asymptotic(
     sit inside e1_bound + e2_bound; within_bounds records the check.
     """
     lam = lambda_for(kind, spec)
-    # The float of the reduced Fraction, without its gcd (exact module).
-    miss, den = miss_ratio(kind, spec, k)
-    p_multiset = (den - miss) / den
+    # The float of the reduced Fraction, without its products (exact module).
+    p_multiset = coverage_float(kind, spec, k)
     p_iid = iid_coverage(lam, k)
     p_asym = asymptotic_coverage(lam, k)
     eb = error_bounds(kind, spec, k)

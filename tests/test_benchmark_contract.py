@@ -6,9 +6,13 @@ rename or deletion under `src/` would only show when the traced
 benchmark runs; these tests make it fail here first.
 """
 
+import contextlib
+import hashlib
 import importlib
 import importlib.util
 import inspect
+import io
+import json
 import re
 import subprocess
 import sys
@@ -109,3 +113,24 @@ def test_sweep_draws_every_trial_through_the_curve(name, capsys):
     metrics = LAYERS.layer_metrics(tracer.spans)
     assert metrics["sweep.trials_drawn"] == metrics["sampling.trials"]
     assert metrics["sweep.trials_used"] >= 0.85 * metrics["sweep.trials_drawn"]
+
+
+@pytest.mark.parametrize(
+    "inv",
+    [inv for inv in WORKLOADS["exact-bracket"].invocations if inv.argv[:3] == ("law", "--model", "bracket")],
+    ids=lambda inv: inv.name,
+)
+def test_bracket_rows_keep_their_golden_bytes_without_products(inv, monkeypatch):
+    # The bracket reads its multiset float by interval rounding; the
+    # benchmark's payload hash (perfbench/run.py payload_hash) must not move.
+    from hypercov import cli, exact
+
+    def no_product(lo, m):
+        raise AssertionError("a rising product was built")
+
+    monkeypatch.setattr(exact, "_rising_product", no_product)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(inv.bind(0)) == 0
+    body = "\n".join(l for l in out.getvalue().splitlines() if not l.startswith("#"))
+    golden = json.loads((PERFBENCH / "golden.json").read_text())["hashes"]["full"]["exact-bracket"]
+    assert hashlib.sha256(body.encode()).hexdigest() == golden[inv.name]["*"]

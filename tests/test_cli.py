@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from reference_checks import columns, decimal_quotient
 
-from hypercov import cli, exact, oracle, rng, simulate, sweep
+from hypercov import cli, exact, laws, oracle, rng, simulate, sweep
 from hypercov.cli import (
     RunConfig,
     build_parser,
@@ -509,6 +509,8 @@ class TestQLists:
             raise AssertionError("a product or walk ran before the list was refused")
 
         monkeypatch.setattr(exact, "_rising_product", no_work)
+        # The bracket builds no product; its interval rounding must not run either.
+        monkeypatch.setattr(laws, "coverage_float", no_work)
         monkeypatch.setattr(oracle, "oracle_expected_coverage", no_work)
         monkeypatch.setattr(oracle, "oracle_expected_intersection", no_work)
         argv = shlex.split(command)

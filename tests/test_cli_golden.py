@@ -33,6 +33,7 @@ import shlex
 
 import pytest
 
+from hypercov import exact
 from hypercov.cli import main
 
 SIM = "simulate --d 4 --n 16 --p 2 --k 8 --reps 50 --seed 11"
@@ -118,3 +119,20 @@ def test_payload_hash(name, capsys):
     command, code, digest = GOLDEN[name]
     assert main(shlex.split(command)) == code
     assert payload_digest(capsys.readouterr().out) == digest
+
+
+def no_product(lo, m):
+    raise AssertionError("a rising product was built")
+
+
+@pytest.mark.parametrize("name", [name for name in GOLDEN if name.startswith("law-bracket")])
+def test_bracket_builds_no_product(name, capsys, monkeypatch):
+    # The bracket's multiset float comes from interval rounding alone.
+    monkeypatch.setattr(exact, "_rising_product", no_product)
+    test_payload_hash(name, capsys)
+
+
+def test_exact_still_builds_the_products(monkeypatch):
+    monkeypatch.setattr(exact, "_rising_product", no_product)
+    with pytest.raises(AssertionError, match="rising product"):
+        main(shlex.split(GOLDEN["exact-lhs-k-split"][0]))

@@ -20,6 +20,7 @@ from hypercov.design import DesignSpec
 from hypercov.errors import (
     CapExceededError,
     GuardExceededError,
+    HypercovError,
     StructuralError,
     UnsupportedSpecError,
 )
@@ -29,6 +30,7 @@ from hypercov.exact import (
     PRODUCT_LEAF_TERMS,
     IntersectionKind,
     _rising_product,
+    coverage_float,
     expected_coverage_multiset,
     expected_intersection,
     kind_params,
@@ -258,6 +260,98 @@ class TestProductTree:
         miss, den = miss_ratio(IntersectionKind.LHS_TUPLE, spec, 3)
         assert den == kp.b * (kp.b + 1) * (kp.b + 2)
         assert 1 - F(miss, den) == expected_coverage_multiset(IntersectionKind.LHS_TUPLE, spec, 3)
+
+
+def product_float(kind, spec, k):
+    """(den - miss) / den of both rising products, the float to match."""
+    miss, den = miss_ratio(kind, spec, k)
+    return (den - miss) / den
+
+
+FLOAT_SHAPES = [
+    (IntersectionKind.LHS_TUPLE, DesignSpec(2, 30)),
+    (IntersectionKind.OS_TUPLE, DesignSpec(2, 9, p=3)),
+    (IntersectionKind.LH_EDGE_ALL, DesignSpec(3, 8)),
+    (IntersectionKind.LH_EDGE_SUBBLOCK, DesignSpec(2, 16, p=4)),
+    (IntersectionKind.OS_TUPLE, DesignSpec(2, 1, p=1)),  # a = b: every k >= 1 covers all
+    (IntersectionKind.LHS_TUPLE, DesignSpec(16, 2)),  # a/b = 2^-15
+]
+FLOAT_KS = [0, 1, 16, 17, 64, 256, 512]
+
+
+class TestCoverageFloat:
+    @pytest.mark.parametrize("kind,spec", FLOAT_SHAPES)
+    @pytest.mark.parametrize("k", FLOAT_KS)
+    def test_equals_the_products_float(self, kind, spec, k):
+        assert coverage_float(kind, spec, k) == product_float(kind, spec, k)
+
+    def test_equals_the_products_float_at_the_guard(self):
+        # b has 8,530 bits, so the products of k = 117 are just under the guard.
+        spec = DesignSpec(2, 1000)
+        assert coverage_float(IntersectionKind.LHS_TUPLE, spec, 117) == product_float(
+            IntersectionKind.LHS_TUPLE, spec, 117
+        )
+
+    @given(
+        kind=st.sampled_from(list(IntersectionKind)),
+        d=st.integers(min_value=2, max_value=4),
+        size=st.integers(min_value=1, max_value=20),
+        k=st.integers(min_value=0, max_value=300),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_products_float_on_random_shapes(self, kind, d, size, k):
+        if kind in (IntersectionKind.OS_TUPLE, IntersectionKind.LH_EDGE_SUBBLOCK):
+            p = 1 + size % (3 if d == 2 else 2)
+            spec = DesignSpec(d, p**d, p)
+        else:
+            spec = DesignSpec(d, 1 + size if d == 2 else 2 + size % 6)
+        assert coverage_float(kind, spec, k) == product_float(kind, spec, k)
+
+    @pytest.mark.parametrize(
+        "kind,spec,k",
+        [
+            (IntersectionKind.OS_TUPLE, DesignSpec(2, 4), 1),  # os needs p: kind_params first
+            (IntersectionKind.LHS_TUPLE, DesignSpec(2, 3), -1),
+            (IntersectionKind.LHS_TUPLE, DesignSpec(2, 3), DEFAULT_COVERAGE_CAP + 1),
+            (IntersectionKind.LHS_TUPLE, DesignSpec(2, 1000), 118),
+            (IntersectionKind.LHS_TUPLE, DesignSpec(2, 1_000_000), 1),
+        ],
+    )
+    def test_refuses_as_the_products_do(self, kind, spec, k):
+        with pytest.raises(HypercovError) as want:
+            miss_ratio(kind, spec, k)
+        with pytest.raises(type(want.value)) as got:
+            coverage_float(kind, spec, k)
+        assert str(got.value) == str(want.value)
+
+    def test_retries_then_builds_the_products(self, monkeypatch):
+        # Without INTERVAL_BITS, lhs d=2 n=30 k=64 starts at 12 working
+        # bits, too few to tell its float; so do 24 and 48, while 96 are
+        # enough. One try must fall back to the products, four must not,
+        # and every path must give the products' float.
+        kind, spec, k = IntersectionKind.LHS_TUPLE, DesignSpec(2, 30), 64
+        want = product_float(kind, spec, k)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return miss_ratio(*args)
+
+        monkeypatch.setattr(exact, "miss_ratio", counted)
+        monkeypatch.setattr(exact, "INTERVAL_BITS", 0)
+        for tries, products in ((1, 1), (3, 1), (4, 0)):
+            calls.clear()
+            monkeypatch.setattr(exact, "INTERVAL_TRIES", tries)
+            assert coverage_float(kind, spec, k) == want
+            assert len(calls) == products, tries
+
+    @pytest.mark.parametrize("kind,spec", FLOAT_SHAPES)
+    @pytest.mark.parametrize("tries", [1, 2])
+    def test_few_working_bits_give_the_same_float(self, monkeypatch, kind, spec, tries):
+        monkeypatch.setattr(exact, "INTERVAL_BITS", 0)
+        monkeypatch.setattr(exact, "INTERVAL_TRIES", tries)
+        for k in FLOAT_KS:
+            assert coverage_float(kind, spec, k) == product_float(kind, spec, k), k
 
 
 class TestEdgeTupleAgreement:

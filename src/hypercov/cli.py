@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -44,7 +45,7 @@ from .exact import (
 )
 from .laws import asymptotic_coverage, bracket_exact_vs_asymptotic, iid_coverage, lambda_for, projection_lambda
 
-# Each loads when a run first uses it, so runs that draw no trials never import numpy.
+# Each loads on first use: numpy only with runs that draw trials, the oracle only with oracle and verify.
 oracle, rng, sampling, simulate, sweep = map(lazy, ("oracle", "rng", "sampling", "simulate", "sweep"))
 
 
@@ -441,7 +442,6 @@ def _run_oracle(config: RunConfig, out: str | None, workers: int) -> int:
         edge.validate_for(spec)
         if kind is not SampleKind.LHS:
             raise StructuralError("edge comparisons are defined for the lhs ensemble")
-    ts = oracle.enumerate_trials(spec, kind)
     exact_kind, divisor = _exact_kind(kind, edge, spec.d)
 
     units = Units() if edge is None else edge
@@ -454,17 +454,19 @@ def _run_oracle(config: RunConfig, out: str | None, workers: int) -> int:
         else:
             name = f"occurrence edges d={spec.d} n={spec.n} edge={params['edge']}"
         want = kind_params(exact_kind, spec).a
-        counts = oracle.occurrence_counts(ts, units)
+        counts = oracle.occurrence_counts(oracle.enumerate_trials(spec, kind), units)
         return _emit_checks(config, out, [oracle.constant_count_check(name, counts, want)])
 
     q_name = "m" if mode == "intersect" else "k"
     name = f"{mode} {kind.value} d={spec.d} n={spec.n}"
     if edge is not None:
         name += f" edge={params['edge']}"
-    # Refuse the first q that exact_check would refuse, before any product or walk.
+    # Refuse the first q that exact_check would refuse, before enumerating
+    # or any product or walk. Every exact kind's b counts the sampler's trials.
     for q in params[q_name]:
-        check_terms(q_name, (q,), 1 if mode == "intersect" else 0, exact_kind, spec)
-        oracle.check_walk(q_name, len(ts.trials), q)
+        kp = check_terms(q_name, (q,), 1 if mode == "intersect" else 0, exact_kind, spec)
+        oracle.check_walk(q_name, kp.b, q)
+    ts = oracle.enumerate_trials(spec, kind)
     checks = [
         oracle.exact_check(f"{name} {q_name}={q}", ts, exact_kind, mode, q, units, divisor)
         for q in params[q_name]
@@ -650,6 +652,7 @@ def run(config: RunConfig, out: str | None = None, workers: int = 1) -> int:
         return _refuse(exc)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hypercov",

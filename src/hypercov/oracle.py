@@ -1,14 +1,15 @@
 """Brute-force oracles: enumerate whole trial ensembles and average.
 
-Everything here is deliberately naive. Trials are enumerated outright,
-multisets of trials are iterated with itertools, and expectations are
-exact Fraction averages. An ensemble is the sampler's 0-based (b, d, n)
-columns. The units counted are a `design.Units` family, or a tuple of
-families pooled together; `_cells` projects trials onto a family with
-plain tuple code on 1-based values, independently of the simulator's
-numpy key encoders. Guards refuse anything that would not finish at a
-desk; the point of this module is to check the closed-form module on
-small instances, not to scale.
+Everything here is deliberately naive: trials and multisets of trials
+are enumerated outright with itertools, and expectations are exact
+Fraction averages. The oracle checks the sampler's ensembles and the
+closed-form module, so it shares no code with the sampler and imports
+no numpy; it keeps a second form of a trial on purpose, d tuples of
+0-based values (the sampler's (b, d, n) columns as nested tuples).
+The units counted are a `design.Units` family, or a tuple of families
+pooled together; `_cells` projects trials onto them with plain tuple
+code on 1-based values. Guards refuse anything that would not finish
+at a desk: the point is small instances, not scale.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
 
-import numpy as np
-
 from .design import DesignSpec, SampleKind, Units, band_width
 from .errors import GuardExceededError, StructuralError
 from .exact import (
@@ -29,33 +28,31 @@ from .exact import (
     expected_intersection,
     kind_params,
 )
-from .sampling import orthogonal_columns
 
 ENUM_GUARD = 100_000
 MULTISET_GUARD = 10_000_000
 GRID_GUARD = 1_000_000
 
+# d axes of 0-based values, axis j + 1 at place j.
+Trial = tuple[tuple[int, ...], ...]
+
 
 @dataclass(frozen=True)
 class EnumeratedTrialSet:
     spec: DesignSpec
-    trials: np.ndarray  # (b, d, n) 0-based columns, one trial per row
-
-
-def _choices(width: int, repeat: int) -> np.ndarray:
-    """Every choice of `repeat` permutations of 0..width-1, in
-    itertools.product order; shape (width! ** repeat, repeat, width)."""
-    perms = np.array(list(permutations(range(width))))
-    return perms[np.indices((len(perms),) * repeat).reshape(repeat, -1).T]
+    trials: tuple[Trial, ...]
 
 
 def enumerate_trials(spec: DesignSpec, kind: SampleKind, guard: int = ENUM_GUARD) -> EnumeratedTrialSet:
-    """Every distinct trial of the ensemble, exactly once.
+    """Every distinct trial of the ensemble, exactly once: the product of
+    each axis's choices of column, in itertools order.
 
-    Latin trials are enumerated in canonical form: rows sorted by the
-    first coordinate, which pins column 1 to (1..n) and leaves columns
-    2..d as free permutations. Orthogonal trials are enumerated through
-    the fine-permutation assembly bijection, every choice at once.
+    Latin trials are in canonical form: sorting rows by the first
+    coordinate pins axis 1 to 0..n-1 and leaves axes 2..d free. An
+    orthogonal axis i takes one column per choice of its p fine
+    permutations, put together by the sampling docstring's rule: row r
+    lies in coarse band digit i of r in base p, and takes slot (r with
+    digit i removed) of that band's fine permutation.
     """
     if kind is SampleKind.OS:
         p = spec.require_p()
@@ -65,39 +62,32 @@ def enumerate_trials(spec: DesignSpec, kind: SampleKind, guard: int = ENUM_GUARD
         raise GuardExceededError(f"{total} trials exceed enumeration guard {guard}")
     d, n = spec.d, spec.n
     if kind is SampleKind.LHS:
-        rest = _choices(n, d - 1)
-        first = np.broadcast_to(np.arange(n), (len(rest), 1, n))
-        cols = np.concatenate([first, rest], axis=1)
+        choices = [[tuple(range(n))]] + [list(permutations(range(n)))] * (d - 1)
     else:
         w = band_width(p, d)
-        fines = _choices(w, d * p)
-        cols = orthogonal_columns(fines.reshape(-1, d, p, w), p)
-    # Both enumerations are bijections, so no duplicates can appear.
-    assert _distinct_point_sets(cols) == total
-    return EnumeratedTrialSet(spec, cols)
+        choices = []
+        for i in range(d):
+            s = p ** (d - 1 - i)  # place value of digit i
+            band_slot = [(r // s % p, r // (s * p) * s + r % s) for r in range(n)]
+            choices.append([
+                tuple(q * w + fines[q][slot] for q, slot in band_slot)
+                for fines in product(permutations(range(w)), repeat=p)
+            ])
+    return EnumeratedTrialSet(spec, tuple(product(*choices)))
 
 
-def _distinct_point_sets(cols: np.ndarray) -> int:
-    """Number of distinct point sets among trials (b, d, n). Axis 1 of a
-    trial is a permutation, so putting each point in the slot its axis-1
-    value names lists every point set in one canonical order."""
-    canonical = np.empty_like(cols)
-    np.put_along_axis(canonical, np.broadcast_to(cols[:, :1], cols.shape), cols, axis=2)
-    return len({trial.tobytes() for trial in canonical})
-
-
-def _cells(spec: DesignSpec, trials: np.ndarray, units: Units) -> list[frozenset[tuple[int, ...]]]:
+def _cells(spec: DesignSpec, trials: tuple[Trial, ...], units: Units) -> list[frozenset[tuple[int, ...]]]:
     """Each trial's distinct cells of the family, as 1-based value tuples
     on the projected axes; with coarse bands, only the cells whose bands
     are the coarse cell. Without coarse a Latin trial covers exactly n
     cells, because any one axis already separates its points."""
     units.validate_for(spec)
     axes = [a - 1 for a in units.axes(spec)]
-    sets = [set(zip(*(trial[a] for a in axes))) for trial in (trials + 1).tolist()]
+    sets = [frozenset(zip(*([v + 1 for v in trial[a]] for a in axes))) for trial in trials]
     if units.coarse is not None:
         w = band_width(spec.require_p(), spec.d)
-        sets = [{c for c in cells if tuple((v - 1) // w + 1 for v in c) == units.coarse} for cells in sets]
-    return [frozenset(cells) for cells in sets]
+        sets = [frozenset(c for c in s if tuple((v - 1) // w + 1 for v in c) == units.coarse) for s in sets]
+    return sets
 
 
 def _unit_sets(ts: EnumeratedTrialSet, projection: Units | tuple[Units, ...]) -> list[frozenset]:

@@ -21,15 +21,15 @@ Trials are drawn through two entries, in a batch, one trial per seed:
 `trial_columns` draws trials first..first+k-1 of a run, trial t from
 seed fold(seed, t). Both give 0-based columns: an int64 array of shape
 (k, d, n) whose entry [t, j] is axis j + 1 of trial t, a permutation of
-0..n-1, the one form of a trial; 1-based rows appear only in `gen`
-output and the oracle's cell tuples.
+0..n-1, the one form of a trial outside the oracle; 1-based rows
+appear only in `gen` output and the oracle's cell tuples.
 
 Each axis has its own substreams (LHS axis j: fold(s, j); OS axis i:
 labels (i-1)*p + 1 .. i*p), so a batch can be drawn for a subset A of
 the axes: the `axes` argument, a sorted tuple of 1-based axes, gives
 columns (k, len(A), n) equal to the full draw's columns A, without
 drawing the others. Simulation draws only the axes its targets count;
-`gen`, the oracle and every call without `axes` draw all d.
+`gen` and every call without `axes` draw all d.
 """
 
 from __future__ import annotations
@@ -61,13 +61,11 @@ def _coarse_tables(p: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     return r // scale % p, r // (scale * p) * scale + r % scale
 
 
-def orthogonal_columns(fines: np.ndarray, p: int, axes: Axes = None, d: int | None = None) -> np.ndarray:
+def orthogonal_columns(fines: np.ndarray, p: int, axes: Axes, d: int) -> np.ndarray:
     """0-based columns (k, a, n) of the orthogonal trials assembled from
     fine permutations (k, a, p, w): fines[t, i, j] is the 0-based fine
     permutation of coarse band j + 1 on the design's axis axes[i] in
-    trial t. axes are 1-based axes of a d-axis design; by default all
-    d = a of them."""
-    d = fines.shape[1] if d is None else d
+    trial t. axes are 1-based axes of a d-axis design; None is all d."""
     rows = np.arange(d) if axes is None else np.array(axes) - 1
     band, slot = (table[rows] for table in _coarse_tables(p, d))
     cols = fines[:, np.arange(rows.size)[:, None], band, slot]

@@ -1,5 +1,6 @@
 """Command line surface: formats, provenance, exit codes, config replay."""
 
+import ast
 import json
 import re
 import shlex
@@ -415,6 +416,15 @@ class TestSimulate:
         assert (code, captured.out) == (2, "")
         assert captured.err == f"error: --workers must be >= 1, got {workers}\n"
 
+    def test_runs_in_one_process_share_no_target_list(self, capsys):
+        # The parser is built once per process; each run appends to its own list.
+        argv = ["simulate", "--d", "2", "--n", "4", "--k", "2", "--reps", "2", "--target", "full"]
+        runs = [run_cli(capsys, *argv, *extra) for extra in (["--target", "proj:1"], [], ["--target", "proj:1"])]
+        labels = [[row.split(",")[0] for row in out.splitlines() if not row.startswith("#")][1:] for _, out in runs]
+        assert [code for code, _ in runs] == [0, 0, 0]
+        assert labels == [["full", "proj:1"], ["full"], ["full", "proj:1"]]
+        assert runs[0] == runs[2]
+
     def test_dims_needs_a_proj_target(self, capsys):
         # With no proj: target, --dims used to change only the config hash.
         argv = ["simulate", "--d", "2", "--n", "9", "--k", "3", "--reps", "2", "--dims", "2,1"]
@@ -519,6 +529,29 @@ class TestQLists:
         assert alone[0] == listed[0] == 3
         assert alone[1].err == listed[1].err != ""
         assert listed[1].out == ""
+
+
+class TestOracleRefusals:
+    @pytest.mark.parametrize(
+        "command,code",
+        [
+            ("oracle --mode cover --kind os --d 2 --n 9 --p 3 --k 600", 3),  # term cap
+            ("oracle --mode intersect --kind lhs --d 2 --n 8 --m 0", 2),
+            ("oracle --mode intersect --kind lhs --d 2 --n 4 --m 50", 3),  # multiset guard
+            # A q refusal comes before the enumeration guard (10! trials).
+            ("oracle --mode intersect --kind lhs --d 2 --n 10 --m 0", 2),
+            # So does a banded edge in occurrence mode (9! trials).
+            ("oracle --mode occurrence --kind lhs --d 2 --n 9 --p 3 --edge 1,2,1,1", 2),
+        ],
+    )
+    def test_refused_before_enumerating(self, capsys, monkeypatch, command, code):
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("trials were enumerated before the run was refused")
+
+        monkeypatch.setattr(oracle, "enumerate_trials", no_enumeration)
+        assert main(shlex.split(command)) == code
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
 
 
 class TestVerifyCommand:
@@ -955,6 +988,9 @@ def _names(option, text):
 
 
 class TestFlagSurface:
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
     def test_options_and_choices(self):
         # --help lists each subcommand's options in this order.
         subparsers = build_parser()._subparsers._group_actions[0].choices
@@ -1132,12 +1168,15 @@ NUMPY_FREE_RUNS = [
     "law --model iid --t 2 --n 100 --k 1",
     "law --model bracket --kind lhs --d 2 --n 100 --k 64,128",
     CLOSED_FORM,
+    "verify",
+    "oracle --mode cover --kind os --d 2 --n 4 --p 2 --k 2",
 ]
 
 
 def test_counting_runs_never_import_numpy():
-    # Start-up, exact values, the laws and closed-form sweeps use ints and
-    # Fractions only; numpy comes in with the first run that draws trials.
+    # Start-up, exact values, the laws, closed-form sweeps and the oracle
+    # use ints and Fractions only; numpy comes in with the first run that
+    # draws trials.
     code = """
 import contextlib, io, shlex, sys
 from hypercov.cli import build_parser, main
@@ -1155,3 +1194,23 @@ print(loaded)
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == str([False] * (1 + len(NUMPY_FREE_RUNS)) + [True])
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """Modules a source file imports anywhere in its body; relative ones
+    keep their leading dot."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add("." * node.level + (node.module or ""))
+    return names
+
+
+def test_only_the_modules_that_draw_trials_import_numpy():
+    # The oracle checks the sampler, so it must not share its code.
+    imports = {path.stem: _imported_modules(path) for path in Path(cli.__file__).parent.glob("*.py")}
+    numpy_users = {name for name, mods in imports.items() if any(m.split(".")[0] == "numpy" for m in mods)}
+    assert numpy_users == {"rng", "sampling", "simulate", "sweep"}
+    assert not imports["oracle"] & {".sampling", ".rng", ".simulate", ".sweep"}

@@ -17,6 +17,7 @@ from hypercov.exact import (
     IntersectionKind,
     expected_coverage_multiset,
     expected_intersection,
+    kind_params,
 )
 from hypercov.oracle import (
     default_verification_suite,
@@ -31,19 +32,44 @@ from hypercov.sampling import SampleKind
 ALL_PAIRS_D3 = (Units(2, (1, 2)), Units(2, (1, 3)), Units(2, (2, 3)))
 
 
+def shape(trials):
+    """(b, d, n) of trials held as nested tuples of 0-based values,
+    which must have that one shape throughout."""
+    b, d, n = len(trials), len(trials[0]), len(trials[0][0])
+    assert all(len(t) == d and all(len(axis) == n for axis in t) for t in trials)
+    return b, d, n
+
+
 class TestEnumeration:
     @pytest.mark.parametrize("d,n,count", [(2, 2, 2), (2, 3, 6), (3, 2, 4), (2, 4, 24)])
     def test_lh_enumeration_count(self, d, n, count):
         ts = enumerate_trials(DesignSpec(d, n), SampleKind.LHS)
-        assert ts.trials.shape == (count, d, n)
+        assert shape(ts.trials) == (count, d, n)
         assert all(is_latin(t) for t in ts.trials)
         assert len({point_set(t) for t in ts.trials}) == count
 
     def test_os_enumeration_count(self):
         ts = enumerate_trials(DesignSpec(2, 4, p=2), SampleKind.OS)
-        assert ts.trials.shape == (16, 2, 4)
+        assert shape(ts.trials) == (16, 2, 4)
         assert all(is_orthogonal(t, 2) for t in ts.trials)
         assert len({point_set(t) for t in ts.trials}) == 16
+
+    @pytest.mark.parametrize("d,p", [(2, 2), (2, 1), (3, 1)])
+    def test_os_enumeration_is_the_orthogonal_latin_trials(self, d, p):
+        # The definition, independent of any assembly: the Latin trials
+        # that put one point in every sub-block.
+        spec = DesignSpec(d, p**d, p)
+        latin = enumerate_trials(spec, SampleKind.LHS).trials
+        want = {point_set(t) for t in latin if is_orthogonal(t, p)}
+        assert {point_set(t) for t in enumerate_trials(spec, SampleKind.OS).trials} == want
+
+    @pytest.mark.parametrize("p,b", [(2, 16), (3, 46656)])
+    def test_os_trials_are_distinct_point_sets(self, p, b):
+        spec = DesignSpec(2, p**2, p)
+        ts = enumerate_trials(spec, SampleKind.OS)
+        assert kind_params(IntersectionKind.OS_TUPLE, spec).b == b
+        assert shape(ts.trials) == (b, 2, p**2)
+        assert len({point_set(t) for t in ts.trials}) == b
 
     def test_enumeration_guard(self):
         with pytest.raises(GuardExceededError):

@@ -30,7 +30,7 @@ def assemble(p, fine_perms):
     d = max(i for i, _ in fine_perms)
     axes, bands = range(1, d + 1), range(1, p + 1)
     fines = np.array([[fine_perms[(i, j)] for j in bands] for i in axes], dtype=np.int64) - 1
-    return rows(orthogonal_columns(fines[None], p)[0])
+    return rows(orthogonal_columns(fines[None], p, None, d)[0])
 
 
 class TestLatinSampler:

@@ -260,7 +260,7 @@ class TestUnitEncoders:
     @staticmethod
     def counts(spec, kind, units, seed, k):
         cols = trial_columns(spec, kind, seed, k)
-        naive = frozenset().union(*oracle._cells(spec, cols, units))
+        naive = frozenset().union(*oracle._cells(spec, cols.tolist(), units))
         return len(naive), simulate._covered_counts(cols, spec, units)[0]
 
     @pytest.mark.parametrize("kind", list(SampleKind))
@@ -438,7 +438,7 @@ class TestDirectAddress:
         monkeypatch.setattr(simulate, "_distinct_keys", lambda *a, **kw: sorts.append(1) or real(*a, **kw))
         cols = trial_columns(spec, kind, 2, k)
         curve = coverage_curve(spec, kind, 2, k, units)
-        prefix = [len(frozenset().union(*oracle._cells(spec, cols[:i], units))) for i in range(1, k + 1)]
+        prefix = [len(frozenset().union(*oracle._cells(spec, cols[:i].tolist(), units))) for i in range(1, k + 1)]
         assert curve.tolist() == prefix
         assert simulate._covered_counts(cols, spec, units)[0] == prefix[-1]
         assert sorts == ([] if direct else [1, 1])

@@ -623,14 +623,12 @@ def _all_int_digits() -> Iterator[None]:
     """Lift the interpreter's int-to-str digit limit while a run prints
     exact values, which run to tens of thousands of digits near the k cap;
     restore it afterwards, since callers may share the interpreter."""
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    if limit:
-        sys.set_int_max_str_digits(0)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         yield
     finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
+        sys.set_int_max_str_digits(limit)
 
 
 def _refuse(exc: Exception) -> int:

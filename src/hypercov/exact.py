@@ -37,11 +37,7 @@ same share n^(1-t) of Latin and of orthogonal trials, so a = b / n^(t-1),
 an exact division. Coverage is always reported against scale, so it
 lies in [0, 1]; the laws module's rates (kind_axes) need no factorial.
 
-Both k-term products are built as balanced product trees: runs of
-PRODUCT_LEAF_TERMS factors are multiplied one by one, and halves of
-about equal size meet in each multiplication above them, which costs
-far less than growing one operand a term at a time. They are the same
-integers either way. miss_ratio returns the unreduced pair, and the
+miss_ratio returns both k-term products as the unreduced pair, and the
 rational payloads reduce it once, with one gcd.
 
 The bracket in the laws module prints only the float of P(k), and
@@ -61,7 +57,8 @@ d*n*log2(n) bits, and the two q-term rising products by about
 q*bits(b), their size, both at BIGINT_GUARD_BITS. A product above it is
 refused before any multiplication, naming the largest q that fits;
 check_terms refuses a whole list of q that way. coverage_float builds
-neither product but keeps the same refusals.
+both products only when its INTERVAL_TRIES fail, and the guard bounds
+exactly that fallback.
 """
 
 from __future__ import annotations
@@ -77,20 +74,18 @@ from .design import DesignSpec, Units, band_width
 from .errors import CapExceededError, GuardExceededError, StructuralError
 
 # Refuse exact work whose integers would exceed this many bits. Near the
-# bound (lhs d=2 n=1000 k=117, 998,010 bits) the CLI took 6.1 s for
-# `exact --format rational`, which builds both products, takes the gcd
-# and prints both integers; 10.4 s with the decimal column (2-vCPU Xeon
-# VM, Python 3.11); `law --model bracket`, which builds no product, took
-# 0.1 s and keeps the guard all the same.
+# bound (lhs d=2 n=1000 k=117, 998,010 bits) the CLI took 5.5 s for
+# `exact --format rational`, which builds both products (0.4 s), takes
+# the gcd (1.8 s) and prints both integers, and as long with the decimal
+# column (2-vCPU VM, Python 3.11.7); `law --model bracket` took 0.15 s,
+# since its interval rounding settles before the products it would fall
+# back to, which the guard bounds.
 BIGINT_GUARD_BITS = 1_000_000
 
 # Working bits of coverage_float's first try, past bits(k) + bits(b//a),
 # and its tries, each at twice the bits, before it builds the products.
 INTERVAL_BITS = 80
 INTERVAL_TRIES = 3
-
-# Factors multiplied one by one at the leaves of a product tree.
-PRODUCT_LEAF_TERMS = 16
 
 # Term cap of both rising products; beyond it the closed-form laws apply.
 DEFAULT_COVERAGE_CAP = 512
@@ -145,14 +140,9 @@ def kind_axes(kind: IntersectionKind, spec: DesignSpec) -> int:
 
 
 def _rising_product(lo: int, m: int) -> int:
-    """prod_{i=0}^{m-1} (lo + i), as a balanced product tree."""
-    if m <= PRODUCT_LEAF_TERMS:
-        out = 1
-        for i in range(m):
-            out *= lo + i
-        return out
-    half = m // 2
-    return _rising_product(lo, half) * _rising_product(lo + half, m - half)
+    """prod_{i=0}^{m-1} (lo + i). math.perm splits the product into
+    balanced halves; it refuses perm(-1, 0), which lo = 0 (a = b) asks."""
+    return math.perm(lo + m - 1, m) if m else 1
 
 
 def check_terms(

@@ -96,7 +96,6 @@ def asymptotic_coverage(lam: float, k: int) -> float:
 class ErrorBounds:
     e1_bound: float
     e2_bound: float
-    a: int
     valid: bool  # k(k-1) <= a, the hypothesis behind e1_bound
 
 
@@ -108,7 +107,7 @@ def error_bounds(kind: IntersectionKind, spec: DesignSpec, k: int) -> ErrorBound
     klam = float(k * lam)
     e1 = math.exp(klam) * float(Fraction(k * (k - 1), kp.a))
     e2 = math.exp(-klam) * k * float(lam * lam)
-    return ErrorBounds(e1_bound=e1, e2_bound=e2, a=kp.a, valid=k * (k - 1) <= kp.a)
+    return ErrorBounds(e1_bound=e1, e2_bound=e2, valid=k * (k - 1) <= kp.a)
 
 
 @dataclass(frozen=True)
@@ -120,7 +119,6 @@ class BracketReport:
     e1_bound: float
     e2_bound: float
     valid: bool
-    within_bounds: bool | None  # None when the validity flag is off
 
 
 def bracket_exact_vs_asymptotic(
@@ -129,17 +127,14 @@ def bracket_exact_vs_asymptotic(
     """Exact multiset coverage next to both closed forms, with bounds.
 
     When the validity flag holds, |p_multiset - p_asym| is guaranteed to
-    sit inside e1_bound + e2_bound; within_bounds records the check.
+    sit inside e1_bound + e2_bound.
     """
     lam = lambda_for(kind, spec)
-    # The float of the reduced Fraction, without its products (exact module).
+    # The float of the reduced Fraction, mostly without its products (exact module).
     p_multiset = coverage_float(kind, spec, k)
     p_iid = iid_coverage(lam, k)
     p_asym = asymptotic_coverage(lam, k)
     eb = error_bounds(kind, spec, k)
-    within = None
-    if eb.valid:
-        within = abs(p_multiset - p_asym) <= eb.e1_bound + eb.e2_bound
     return BracketReport(
         lam=lam,
         p_multiset=p_multiset,
@@ -148,5 +143,4 @@ def bracket_exact_vs_asymptotic(
         e1_bound=eb.e1_bound,
         e2_bound=eb.e2_bound,
         valid=eb.valid,
-        within_bounds=within,
     )

@@ -43,7 +43,7 @@ class EnumeratedTrialSet:
     trials: tuple[Trial, ...]
 
 
-def enumerate_trials(spec: DesignSpec, kind: SampleKind, guard: int = ENUM_GUARD) -> EnumeratedTrialSet:
+def enumerate_trials(spec: DesignSpec, kind: SampleKind) -> EnumeratedTrialSet:
     """Every distinct trial of the ensemble, exactly once: the product of
     each axis's choices of column, in itertools order.
 
@@ -58,8 +58,8 @@ def enumerate_trials(spec: DesignSpec, kind: SampleKind, guard: int = ENUM_GUARD
         p = spec.require_p()
     # The tuple kinds share their sampler's value; b counts the trials.
     total = kind_params(IntersectionKind(kind.value), spec).b
-    if total > guard:
-        raise GuardExceededError(f"{total} trials exceed enumeration guard {guard}")
+    if total > ENUM_GUARD:
+        raise GuardExceededError(f"{total} trials exceed enumeration guard {ENUM_GUARD}")
     d, n = spec.d, spec.n
     if kind is SampleKind.LHS:
         choices = [[tuple(range(n))]] + [list(permutations(range(n)))] * (d - 1)
@@ -169,6 +169,23 @@ def occurrence_counts(ts: EnumeratedTrialSet, units: Units) -> dict[tuple[int, .
     return {cell: counts.get(cell, 0) for cell in product(range(1, n + 1), repeat=t)}
 
 
+def _valid_trial_count(ts: EnumeratedTrialSet, orthogonal: bool) -> int:
+    """Distinct trials of the ensemble, as point sets, that are Latin
+    (each axis a permutation of 0..n-1) and, if orthogonal, hold one
+    point in each of the n sub-blocks."""
+    n = ts.spec.n
+    w = band_width(ts.spec.require_p(), ts.spec.d) if orthogonal else 0
+    valid = set()
+    for trial in ts.trials:
+        points = frozenset(zip(*trial))
+        if any(sorted(axis) != list(range(n)) for axis in trial):
+            continue
+        if orthogonal and len({tuple(v // w for v in point) for point in points}) != n:
+            continue
+        valid.add(points)
+    return len(valid)
+
+
 # --- verification suite -----------------------------------------------------
 
 
@@ -243,24 +260,14 @@ def default_verification_suite() -> list[CheckResult]:
         checks.append(exact_check(f"coverage lhs d=2 n=2 k={k}", lhs_d2n2, lhs, "cover", k))
     checks.append(exact_check("coverage os d=2 p=2 k=2", os_d2p2, os_, "cover", 2))
     checks.append(exact_check("coverage sub-block edge d=2 p=2 k=2", lhs_d2p2, band, "cover", 2, cell))
-    os_b = kind_params(IntersectionKind.OS_TUPLE, d2p2).b
-    lhs_b = kind_params(IntersectionKind.LHS_TUPLE, d2n3).b
-    checks.append(
-        CheckResult(
-            "count os d=2 p=2",
-            str(len(os_d2p2.trials)),
-            str(os_b),
-            len(os_d2p2.trials) == os_b == 16,
-        )
-    )
-    checks.append(
-        CheckResult(
-            "count lhs d=2 n=3",
-            str(len(lhs_d2n3.trials)),
-            str(lhs_b),
-            len(lhs_d2n3.trials) == lhs_b == 6,
-        )
-    )
+    for label, ts, kind, orthogonal, want in (
+        ("count os d=2 p=2", os_d2p2, os_, True, 16),
+        ("count lhs d=2 n=3", lhs_d2n3, lhs, False, 6),
+    ):
+        # "v of t" when only v of the t enumerated trials are valid and distinct.
+        valid, b = _valid_trial_count(ts, orthogonal), kind_params(kind, ts.spec).b
+        got = str(valid) if valid == len(ts.trials) else f"{valid} of {len(ts.trials)}"
+        checks.append(CheckResult(label, got, str(b), got == str(b) and b == want))
     checks.append(
         constant_count_check(
             "cell occurrence lhs d=2 n=3",

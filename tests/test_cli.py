@@ -1,6 +1,7 @@
 """Command line surface: formats, provenance, exit codes, config replay."""
 
 import ast
+import itertools
 import json
 import re
 import shlex
@@ -388,6 +389,14 @@ class TestSimulate:
         mean = float(row[7])
         assert 0 < mean < 1
 
+    def test_one_replicate_prints_zero_spread(self, capsys):
+        # One replicate has no sample spread: sd and se print as 0.0.
+        code, out = run_cli(capsys, "simulate", "--d", "2", "--n", "10", "--k", "3", "--reps", "1")
+        assert code == 0
+        header, row = (line.split(",") for line in out.splitlines()[-2:])
+        assert header[6:10] == ["reps", "mean", "sd", "se"]
+        assert row[6] == "1" and row[8:10] == ["0.0", "0.0"]
+
     def test_edge_target_is_quoted(self, capsys):
         code, out = run_cli(
             capsys, "simulate", "--kind", "os", "--d", "3", "--n", "8", "--p", "2",
@@ -560,6 +569,57 @@ class TestVerifyCommand:
         assert code == 0
         assert "# all 25 checks MATCH" in out
         assert out.count("MATCH") >= 25
+
+    def test_out_file_takes_the_table(self, capsys, tmp_path):
+        path = tmp_path / "verify.csv"
+        code, out = run_cli(capsys, "verify", "--out", str(path))
+        assert (code, out) == (0, "all 25 checks MATCH\n")
+        table = path.read_text()
+        assert table.startswith("# hypercov ") and table.endswith("# all 25 checks MATCH\n")
+
+    def test_broken_orthogonal_ensemble_is_a_mismatch(self, capsys, monkeypatch):
+        # The orthogonal assembly with the slot's low digits dropped,
+        # r // (s * p) * s: rows 0 and 1 of every d=2 p=2 trial share
+        # their axis-1 value, so no trial is Latin, while every moment of
+        # coverage and intersection the suite checks still matches.
+        real = oracle.enumerate_trials
+
+        def broken(spec, kind):
+            if kind is not SampleKind.OS:
+                return real(spec, kind)
+            p, d, n = spec.p, spec.d, spec.n
+            w = p ** (d - 1)
+            choices = []
+            for i in range(d):
+                s = p ** (d - 1 - i)
+                choices.append([
+                    tuple(r // s % p * w + fines[r // s % p][r // (s * p) * s] for r in range(n))
+                    for fines in itertools.product(itertools.permutations(range(w)), repeat=p)
+                ])
+            return oracle.EnumeratedTrialSet(spec, tuple(itertools.product(*choices)))
+
+        monkeypatch.setattr(oracle, "enumerate_trials", broken)
+        code, out = run_cli(capsys, "verify")
+        assert code == 4
+        assert "count os d=2 p=2,0 of 16,16,MISMATCH" in out
+        assert out.endswith("# 1 of 25 checks MISMATCH\n")
+
+    def test_repeated_latin_trials_are_a_mismatch(self, capsys, monkeypatch):
+        # Each d=2 n=3 trial listed twice, the second time with its rows
+        # reversed: the count row names 6 distinct trials of the 12.
+        real = oracle.enumerate_trials
+
+        def twice(spec, kind):
+            ts = real(spec, kind)
+            if spec != DesignSpec(2, 3):
+                return ts
+            again = tuple(tuple(axis[::-1] for axis in trial) for trial in ts.trials)
+            return oracle.EnumeratedTrialSet(spec, ts.trials + again)
+
+        monkeypatch.setattr(oracle, "enumerate_trials", twice)
+        code, out = run_cli(capsys, "verify")
+        assert code == 4
+        assert "count lhs d=2 n=3,6 of 12,6,MISMATCH" in out
 
 
 class TestSweepCommand:

@@ -19,7 +19,8 @@ the orthogonal ensemble was assembled one trial at a time; keeping
 trials as 0-based columns must leave every one unchanged.
 The `-split` rows run rising products of 17 to 512 terms at the k cap
 and were recorded while each product was built one term at a time;
-building them as balanced product trees must leave every one unchanged.
+building them as balanced product trees, and later with math.perm, must
+leave every one unchanged.
 The `gen` and `oracle` rows were recorded while trials passed through
 `design.Trial`, and they must not change now that the oracle and `gen`
 keep trials as column arrays.

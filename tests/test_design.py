@@ -162,7 +162,8 @@ class TestTrial:
         cols = trial_columns(spec, SampleKind.LHS, 11, 2)
         for t in (1, 2):
             for j in (1, 2, 3):
-                want = rng.permutation(rng.fold(rng.fold(11, t), j), spec.n)
+                seed = np.array([rng.fold(rng.fold(11, t), j)], dtype=np.uint64)
+                want = rng.permutations_from_seeds(seed, spec.n)[0]
                 assert np.array_equal(cols[t - 1, j - 1], want)
 
 

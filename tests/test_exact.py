@@ -27,7 +27,6 @@ from hypercov.errors import (
 from hypercov.exact import (
     BIGINT_GUARD_BITS,
     DEFAULT_COVERAGE_CAP,
-    PRODUCT_LEAF_TERMS,
     IntersectionKind,
     _rising_product,
     coverage_float,
@@ -236,18 +235,19 @@ class TestExpectedCoverage:
         assert 0 < v < 1
 
 
-class TestProductTree:
+class TestRisingProduct:
     @given(
         lo=st.integers(min_value=0, max_value=2**600),
         m=st.integers(min_value=0, max_value=DEFAULT_COVERAGE_CAP),
     )
+    @example(lo=0, m=0)  # math.perm(-1, 0) would raise
+    @example(lo=0, m=3)  # a = b: the miss product is 0
     @example(lo=7, m=0)
     @example(lo=7, m=1)
-    @example(lo=2**525, m=PRODUCT_LEAF_TERMS)
-    @example(lo=2**525, m=PRODUCT_LEAF_TERMS + 1)
     @example(lo=2**525 - 3, m=DEFAULT_COVERAGE_CAP)
+    @example(lo=2**600, m=DEFAULT_COVERAGE_CAP)
     @settings(max_examples=60, deadline=None)
-    def test_tree_equals_sequential_product(self, lo, m):
+    def test_perm_equals_sequential_product(self, lo, m):
         want = 1
         for i in range(m):
             want *= lo + i

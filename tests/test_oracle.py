@@ -11,6 +11,7 @@ import pytest
 
 from reference_checks import is_latin, is_orthogonal, point_set
 
+from hypercov import oracle
 from hypercov.design import DesignSpec, Units
 from hypercov.errors import GuardExceededError
 from hypercov.exact import (
@@ -75,8 +76,13 @@ class TestEnumeration:
         with pytest.raises(GuardExceededError):
             enumerate_trials(DesignSpec(2, 10), SampleKind.LHS)
 
-    def test_enumeration_guard_override(self):
-        ts = enumerate_trials(DesignSpec(2, 5), SampleKind.LHS, guard=200)
+    def test_enumeration_guard_override(self, monkeypatch):
+        # d=2 n=5 has 120 trials: a guard of 119 refuses them, 120 admits.
+        monkeypatch.setattr(oracle, "ENUM_GUARD", 119)
+        with pytest.raises(GuardExceededError, match="120 trials exceed enumeration guard 119"):
+            enumerate_trials(DesignSpec(2, 5), SampleKind.LHS)
+        monkeypatch.setattr(oracle, "ENUM_GUARD", 120)
+        ts = enumerate_trials(DesignSpec(2, 5), SampleKind.LHS)
         assert len(ts.trials) == 120
 
 

@@ -17,10 +17,14 @@ from hypercov.rng import (
     fold,
     fold_grid,
     mix64,
-    permutation,
     permutations_from_seeds,
     raw_block,
 )
+
+
+def permutation(seed, n):
+    """The permutation of 0..n-1 drawn from one seed."""
+    return permutations_from_seeds(np.array([seed], dtype=np.uint64), n)[0]
 
 # Reference outputs of splitmix64 from seed 0, widely reproduced.
 SPLITMIX64_SEED0 = [

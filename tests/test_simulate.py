@@ -54,8 +54,8 @@ def pool_sizes(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, chunks):
-            return [fn(chunk) for chunk in chunks]
+        def map(self, fn, *iterables):
+            return list(map(fn, *iterables))
 
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
     return sizes

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from decimal import localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -57,6 +58,24 @@ class TestClosedFormThreshold:
         # Doubling n should about double k at fixed level.
         assert 1.8 < ks[1] / ks[0] < 2.2
         assert 1.8 < ks[2] / ks[1] < 2.2
+
+    @pytest.mark.parametrize("shift", [-3, 0, 3])
+    def test_walk_settles_from_any_start(self, monkeypatch, shift):
+        # level = 1 - (3/4)^5 exactly, so k* = 5 is a tie that the
+        # decimal crossing overshoots by a hair: the walk starts at 6 and
+        # steps down. Starts 3 below and above walk up and down to it.
+        real, starts = sweep._crossing, []
+
+        def shifted(base, level, k):
+            with localcontext() as ctx:
+                ctx.prec = 100  # the default 28 digits would round the hair away
+                x = real(base, level, k) + shift
+            starts.append(math.ceil(x))
+            return x
+
+        monkeypatch.setattr(sweep, "_crossing", shifted)
+        assert closed_form_k(4, 2, 0.7626953125) == 5
+        assert starts == [6 + shift]
 
     def test_level_validation(self):
         with pytest.raises(InvalidModeError):

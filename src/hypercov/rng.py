@@ -41,9 +41,19 @@ too. A row in which two top parts tie takes the definition literally:
 argsort of the full keys, duplicate check and redraw. Rows are drawn in
 chunks of about CHUNK_KEYS keys (one row when n is larger), so the
 temporaries have a fixed size however many rows are asked for.
+
+A call that draws at least 2 * PARALLEL_KEYS keys shares its chunks
+among threads: one per usable CPU, at most one per chunk and one per
+PARALLEL_KEYS keys. numpy's ufuncs and sorts release the GIL, so the
+threads run at once. Each chunk draws its own keys from its own seeds,
+sorts, checks and redraws them, and writes only its own rows of the
+output, so the output is the same bytes whatever the thread count. The
+threads live for one call and are joined before it returns or raises.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 
@@ -61,6 +71,18 @@ CHUNK_KEYS = 1 << 16
 # 20% faster on a 2-vCPU x86 VM; at n = 512 one row in 64 ties in its top
 # 23 bits and falls back, and from n = 800 on the ties made it slower.
 NARROW_N = 512
+# Fewest keys a thread draws: a call of fewer than 2 * PARALLEL_KEYS keys
+# runs on the caller's thread alone.
+PARALLEL_KEYS = 1 << 20
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has
+    one (as under taskset), else the machine's CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def mix64(z: int) -> int:
@@ -82,31 +104,27 @@ def fold(seed: int, *labels: int) -> int:
 def _mix64_arr(z: np.ndarray) -> np.ndarray:
     """SplitMix64 finalizer on a uint64 array, in place; returns z."""
     tmp = np.empty_like(z)
-    with np.errstate(over="ignore"):
-        for shift, mult in ((30, _M1), (27, _M2)):
-            np.right_shift(z, np.uint64(shift), out=tmp)
-            z ^= tmp
-            z *= np.uint64(mult)
-        np.right_shift(z, np.uint64(31), out=tmp)
+    for shift, mult in ((30, _M1), (27, _M2)):
+        np.right_shift(z, np.uint64(shift), out=tmp)
         z ^= tmp
+        z *= np.uint64(mult)
+    np.right_shift(z, np.uint64(31), out=tmp)
+    z ^= tmp
     return z
 
 
 def raw_block(seed: int, start: int, count: int) -> np.ndarray:
     """Draws start+1 .. start+count of the stream, as a uint64 array."""
     idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        z = np.uint64(seed & MASK64) + idx * _G
-    return _mix64_arr(z)
+    return _mix64_arr(np.uint64(seed & MASK64) + idx * _G)
 
 
 def fold_grid(seeds: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """fold(seed, label) for every (seed, label) pair; shape (len(seeds), len(labels))."""
     s = np.asarray(seeds, dtype=np.uint64)
     lab = np.asarray(labels, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        inner = _mix64_arr(lab + _G)
-        return _mix64_arr(s[:, None] ^ inner[None, :])
+    inner = _mix64_arr(lab + _G)
+    return _mix64_arr(s[:, None] ^ inner[None, :])
 
 
 def _argsort_redraw(s: np.ndarray, n: int) -> np.ndarray:
@@ -117,8 +135,7 @@ def _argsort_redraw(s: np.ndarray, n: int) -> np.ndarray:
     rnd = 0
     while pending.size:
         idx = np.arange(rnd * n + 1, rnd * n + n + 1, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            keys = _mix64_arr(s[pending][:, None] + idx[None, :] * _G)
+        keys = _mix64_arr(s[pending][:, None] + idx[None, :] * _G)
         order = np.argsort(keys, axis=1)
         ks = np.take_along_axis(keys, order, axis=1)
         dup = (ks[:, 1:] == ks[:, :-1]).any(axis=1)
@@ -134,7 +151,7 @@ def permutations_from_seeds(seeds: np.ndarray, n: int) -> np.ndarray:
     The argsort of n distinct consecutive stream draws per seed (blocks
     with a tie are redrawn from the next block of the same stream until
     the keys are distinct), computed by the packed sort of the module
-    docstring.
+    docstring, in chunks shared among threads when the call is large.
     """
     shape = np.shape(seeds)
     s = np.asarray(seeds, dtype=np.uint64).reshape(-1)
@@ -144,22 +161,37 @@ def permutations_from_seeds(seeds: np.ndarray, n: int) -> np.ndarray:
     cols = np.arange(n, dtype=word)
     steps = np.arange(1, n + 1, dtype=np.uint64) * _G
     rows = max(1, CHUNK_KEYS // n)
-    for lo in range(0, s.size, rows):
-        keys = _mix64_arr(s[lo : lo + rows, None] + steps)
-        if word is np.uint32:  # the top 32 bits of each key
-            np.right_shift(keys, np.uint64(32), out=keys)
-            keys = keys.astype(np.uint32)
-        keys &= ~low
-        keys |= cols
-        keys.sort(axis=1)
-        np.bitwise_and(keys, low, out=out[lo : lo + rows].view(np.uint64))
-        # Top parts tie where adjacent keys differ only in the low bits;
-        # one min over the chunk rules that out before any per-row scan.
-        gaps = keys[:, 1:] ^ keys[:, :-1]
-        if gaps.size and gaps.min() <= low:
-            tied = np.flatnonzero((gaps <= low).any(axis=1))
-            out[lo + tied] = _argsort_redraw(s[lo + tied], n)
-        # Freed before the next chunk draws, so that it gets the same
-        # memory back, still in cache: 4-12% faster on a 2-vCPU x86 VM.
-        del keys, gaps
+    starts = range(0, s.size, rows)
+
+    def draw(chunks: range) -> None:
+        for lo in chunks:
+            keys = _mix64_arr(s[lo : lo + rows, None] + steps)
+            if word is np.uint32:  # the top 32 bits of each key
+                np.right_shift(keys, np.uint64(32), out=keys)
+                keys = keys.astype(np.uint32)
+            keys &= ~low
+            keys |= cols
+            keys.sort(axis=1)
+            np.bitwise_and(keys, low, out=out[lo : lo + rows].view(np.uint64))
+            # Top parts tie where adjacent keys differ only in the low bits;
+            # one min over the chunk rules that out before any per-row scan.
+            gaps = keys[:, 1:] ^ keys[:, :-1]
+            if gaps.size and gaps.min() <= low:
+                tied = np.flatnonzero((gaps <= low).any(axis=1))
+                out[lo + tied] = _argsort_redraw(s[lo + tied], n)
+            # Freed before this thread's next chunk draws, so that it gets
+            # the same memory back, still in cache: 4-12% faster on a
+            # 2-vCPU x86 VM.
+            del keys, gaps
+
+    threads = max(1, min(usable_cpus(), len(starts), s.size * n // PARALLEL_KEYS))
+    if threads == 1:
+        draw(starts)
+    else:
+        # Imported here: a call below the threshold never pays for it.
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            # list() re-raises a chunk's error; leaving the with joins every thread.
+            list(pool.map(draw, [starts[t::threads] for t in range(threads)]))
     return out.reshape(*shape, n)

@@ -45,7 +45,6 @@ so reports are bit-stable for a fixed seed regardless of worker count.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -339,10 +338,10 @@ def _replicate_counts(plan: SimPlan, rep_ids: Sequence[int]) -> list[tuple[int, 
 def simulate_coverage(plan: SimPlan, workers: int = 1) -> list[CoverageReport]:
     """One CoverageReport per target, in plan order."""
     rep_ids = list(range(1, plan.reps + 1))
-    # Never more processes than CPUs or replicates, whatever was asked, nor
-    # more batches in memory at once than MAX_REPLICATE_BYTES holds.
+    # Never more processes than usable CPUs or replicates, whatever was
+    # asked, nor more batches in memory at once than MAX_REPLICATE_BYTES holds.
     batch_bytes = plan.batch * plan.replicate_bytes
-    pool_size = min(workers, plan.reps, os.cpu_count() or 1, max(1, MAX_REPLICATE_BYTES // batch_bytes))
+    pool_size = min(workers, plan.reps, rng.usable_cpus(), max(1, MAX_REPLICATE_BYTES // batch_bytes))
     if pool_size <= 1 or plan.reps < 4:
         rows = _replicate_counts(plan, rep_ids)
     else:

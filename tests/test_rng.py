@@ -5,6 +5,12 @@ the splitmix64 sequence, so a failure here means the core mixer drifted
 from the pinned algorithm.
 """
 
+import concurrent.futures
+import os
+import sys
+import threading
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -244,6 +250,112 @@ def test_chunked_rows_match_rows_drawn_one_seed_at_a_time(n):
     for row, s in zip(got, seeds):
         assert np.array_equal(row, permutation(int(s), n))
         assert np.array_equal(row, np.argsort(raw_block(int(s), 0, n), kind="stable"))
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Thread counts of the pools that permutations_from_seeds starts."""
+    sizes = []
+    real = concurrent.futures.ThreadPoolExecutor
+
+    class Counted(real):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
+    return sizes
+
+
+def tied_keys(monkeypatch, n):
+    """Narrow the mixer so that rows of n keys often tie and are redrawn."""
+    wide = rng._mix64_arr
+    monkeypatch.setattr(rng, "_mix64_arr", lambda z: wide(z) % np.uint64(2 ** ((n - 1).bit_length() + 4)))
+
+
+@pytest.mark.parametrize("n, tied", [(5, False), (5, True), (700, False), (2**17, False)])
+def test_any_thread_count_gives_the_same_bytes(monkeypatch, pools, n, tied):
+    if tied:
+        tied_keys(monkeypatch, n)
+        monkeypatch.setattr(rng, "CHUNK_KEYS", 4 * n)  # so that ties land in many chunks
+    # Twelve full chunks and a partial one.
+    seeds = fold_grid([41], np.arange(1, 12 * max(1, rng.CHUNK_KEYS // n) + 4))[0]
+    redrawn = []
+    real = rng._argsort_redraw
+    monkeypatch.setattr(rng, "_argsort_redraw", lambda s, n: redrawn.append(s.size) or real(s, n))
+    monkeypatch.setattr(rng, "usable_cpus", lambda: 1)
+    want = permutations_from_seeds(seeds, n)
+    monkeypatch.setattr(rng, "PARALLEL_KEYS", 1)
+    got, interval = [], sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads switch often, more of them than cores
+    try:
+        for cpus in (1, 2, 3, 8):
+            monkeypatch.setattr(rng, "usable_cpus", lambda: cpus)
+            got.append(permutations_from_seeds(seeds, n))  # kept, so no call reuses another's rows
+            assert np.array_equal(got[-1], want)
+    finally:
+        sys.setswitchinterval(interval)
+    assert pools == [2, 3, 8]
+    assert (sum(redrawn) > 0) == tied
+    # The rule: one thread per CPU, chunk and PARALLEL_KEYS keys.
+    monkeypatch.setattr(rng, "PARALLEL_KEYS", seeds.size * n // 2)
+    assert np.array_equal(permutations_from_seeds(seeds, n), want)
+    monkeypatch.setattr(rng, "PARALLEL_KEYS", seeds.size * n // 2 + 1)
+    assert np.array_equal(permutations_from_seeds(seeds, n), want)
+    assert pools == [2, 3, 8, 2]
+
+
+def test_threads_need_two_thresholds_of_keys_and_a_chunk_each(monkeypatch, pools):
+    monkeypatch.setattr(rng, "usable_cpus", lambda: 8)
+    n = 1000
+    keys = 2 * rng.PARALLEL_KEYS
+    permutations_from_seeds(np.arange(keys // n, dtype=np.uint64), n)
+    assert pools == []
+    permutations_from_seeds(np.arange(keys // n + 1, dtype=np.uint64), n)
+    assert pools == [2]
+    monkeypatch.setattr(rng, "PARALLEL_KEYS", 1)
+    permutations_from_seeds(np.arange(3, dtype=np.uint64), rng.CHUNK_KEYS)  # three chunks of one row
+    assert pools == [2, 3]
+
+
+def test_a_failing_chunk_raises_and_leaves_no_thread(monkeypatch, pools):
+    n = 5
+    tied_keys(monkeypatch, n)
+    monkeypatch.setattr(rng, "CHUNK_KEYS", 4 * n)
+    monkeypatch.setattr(rng, "PARALLEL_KEYS", 1)
+    monkeypatch.setattr(rng, "usable_cpus", lambda: 3)
+
+    def broken(s, n):
+        raise ValueError("chunk failed")
+
+    monkeypatch.setattr(rng, "_argsort_redraw", broken)
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="chunk failed"):
+        permutations_from_seeds(fold_grid([43], np.arange(1, 301))[0], n)
+    assert pools == [3]
+    assert threading.active_count() == before
+
+
+def test_usable_cpus_reads_the_affinity_mask(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert rng.usable_cpus() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert rng.usable_cpus() == 5
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert rng.usable_cpus() == 1
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_wrapping_arithmetic_raises_no_warning(seed):
+    # uint64 array arithmetic wraps mod 2^64 without a warning; only
+    # numpy scalars would warn, and none of these functions uses them.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert rng._mix64_arr(np.array([seed], dtype=np.uint64))[0] == mix64(seed)
+        assert int(fold_grid([seed], [1, 2**64 - 1])[0, 1]) == fold(seed, 2**64 - 1)
+        assert int(raw_block(seed, 2**64 - 3, 2)[1]) == mix64(seed + (2**64 - 1) * GAMMA)
+        assert sorted(permutations_from_seeds(np.array([seed], dtype=np.uint64), 9)[0]) == list(range(9))
 
 
 def test_mix64_arr_works_in_place():

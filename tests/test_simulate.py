@@ -8,6 +8,8 @@ before any statistics enter.
 import dataclasses
 import math
 import statistics
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -659,12 +661,37 @@ class TestWorkers:
             assert a.mean == b.mean
 
     def test_pool_never_exceeds_cpus(self, monkeypatch, pool_sizes):
-        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(rng, "usable_cpus", lambda: 3)
         plan = SimPlan(DesignSpec(2, 6), SampleKind.LHS, k=4, reps=30, seed=SEED)
         seq = simulate_coverage(plan, workers=1)
         assert simulate_coverage(plan, workers=10_000)[0].fractions == seq[0].fractions
         assert simulate_coverage(plan, workers=2)[0].fractions == seq[0].fractions
         assert pool_sizes == [3, 2]
+
+    def test_one_usable_cpu_starts_no_pool(self, monkeypatch, pool_sizes):
+        monkeypatch.setattr(rng, "usable_cpus", lambda: 1)
+        plan = SimPlan(DesignSpec(2, 6), SampleKind.LHS, k=4, reps=30, seed=SEED)
+        seq = simulate_coverage(plan, workers=1)
+        assert simulate_coverage(plan, workers=2)[0].fractions == seq[0].fractions
+        assert pool_sizes == []
+
+    def test_workers_split_draws_that_use_threads(self):
+        # Each replicate draws d = 2 rows of PARALLEL_KEYS keys in one call,
+        # so each worker process shares that draw among threads when it has
+        # 2 CPUs. A pool forked while a thread holds a lock would hang; the
+        # timeout turns that into a failure.
+        n = rng.PARALLEL_KEYS
+        argv = f"simulate --kind lhs --d 2 --n {n} --k 1 --reps 4 --seed {SEED} --target full".split()
+
+        def run(workers):
+            proc = subprocess.run(
+                [sys.executable, "-m", "hypercov.cli", *argv, "--workers", str(workers)],
+                capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            return proc.stdout
+
+        assert run(2) == run(1)
 
     def test_pool_of_batches_equals_one_process(self):
         # Neither the run nor either worker's stride is whole batches.
@@ -676,7 +703,7 @@ class TestWorkers:
         assert [a.fractions for a in seq] == [b.fractions for b in par]
 
     def test_pool_holds_no_more_replicates_than_the_byte_guard(self, monkeypatch, pool_sizes):
-        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(rng, "usable_cpus", lambda: 8)
         plan = SimPlan(DesignSpec(2, 6), SampleKind.LHS, k=4, reps=30, seed=SEED)
         seq = simulate_coverage(plan, workers=1)
         batch_bytes = plan.batch * plan.replicate_bytes  # a worker holds a batch

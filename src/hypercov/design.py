@@ -3,10 +3,10 @@ sampler kinds and sweep modes.
 
 A trial is n points in [n]^d whose coordinates on each axis form a
 permutation of [n] (the Latin property). Trials are held as 0-based
-columns: k trials are an int64 array (k, d, n) whose entry [t, j] is
-axis j + 1 of trial t, a permutation of 0..n-1 (in the oracle, the
-same values as nested tuples). When n = p^d for a coarse base p, each
-1-based axis value v splits as
+columns: k trials are an int32 array (k, d, n) whose entry [t, j] is
+axis j + 1 of trial t, a permutation of 0..n-1 (n <= MAX_N, so every
+value fits); in the oracle, the same values as nested tuples. When
+n = p^d for a coarse base p, each 1-based axis value v splits as
 
     v = (q - 1) * p^(d-1) + x,   q in [p], x in [p^(d-1)]
 

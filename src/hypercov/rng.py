@@ -35,9 +35,9 @@ That argsort is computed by a packed sort. With b = bit_length(n - 1),
 the low b bits of each key are replaced by its column index and the row
 is sorted as plain integers; where the top 64 - b bits of the row are
 distinct they alone decide the order, so the low bits of the sorted row
-are the argsort. For n <= NARROW_N the same is done on the top 32 bits
-of each key, as uint32: distinct top 32 - b bits order the full keys
-too. A row in which two top parts tie takes the definition literally:
+are the argsort, written out as int32. For n <= NARROW_N the same is
+done on the top 32 bits of each key, as uint32: distinct top 32 - b
+bits order the full keys too. A row in which two top parts tie takes the definition literally:
 argsort of the full keys, duplicate check and redraw. Rows are drawn in
 chunks of about CHUNK_KEYS keys (one row when n is larger), so the
 temporaries have a fixed size however many rows are asked for.
@@ -130,7 +130,7 @@ def fold_grid(seeds: np.ndarray, labels: np.ndarray) -> np.ndarray:
 def _argsort_redraw(s: np.ndarray, n: int) -> np.ndarray:
     """The definition itself: argsort of each seed's first block of n
     draws, redrawn from the next block while its keys are not distinct."""
-    out = np.empty((s.size, n), dtype=np.int64)
+    out = np.empty((s.size, n), dtype=np.int32)
     pending = np.arange(s.size)
     rnd = 0
     while pending.size:
@@ -146,7 +146,8 @@ def _argsort_redraw(s: np.ndarray, n: int) -> np.ndarray:
 
 
 def permutations_from_seeds(seeds: np.ndarray, n: int) -> np.ndarray:
-    """One uniform permutation of {0..n-1} per seed; shape (*seeds.shape, n).
+    """One uniform permutation of {0..n-1} per seed, as int32 (n is at
+    most design.MAX_N = 2^20); shape (*seeds.shape, n).
 
     The argsort of n distinct consecutive stream draws per seed (blocks
     with a tie are redrawn from the next block of the same stream until
@@ -155,7 +156,7 @@ def permutations_from_seeds(seeds: np.ndarray, n: int) -> np.ndarray:
     """
     shape = np.shape(seeds)
     s = np.asarray(seeds, dtype=np.uint64).reshape(-1)
-    out = np.empty((s.size, n), dtype=np.int64)
+    out = np.empty((s.size, n), dtype=np.int32)
     word = np.uint32 if n <= NARROW_N else np.uint64
     low = word((1 << (n - 1).bit_length()) - 1)
     cols = np.arange(n, dtype=word)
@@ -172,7 +173,8 @@ def permutations_from_seeds(seeds: np.ndarray, n: int) -> np.ndarray:
             keys &= ~low
             keys |= cols
             keys.sort(axis=1)
-            np.bitwise_and(keys, low, out=out[lo : lo + rows].view(np.uint64))
+            # The low bits are the argsort, < n: a uint64 word narrows on the way out.
+            np.bitwise_and(keys, low, out=out[lo : lo + rows].view(np.uint32))
             # Top parts tie where adjacent keys differ only in the low bits;
             # one min over the chunk rules that out before any per-row scan.
             gaps = keys[:, 1:] ^ keys[:, :-1]

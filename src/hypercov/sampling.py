@@ -19,10 +19,11 @@ output is uniform over all orthogonal trials.
 Trials are drawn through two entries, in a batch, one trial per seed:
 `points_batch` draws either sampler's trials for given seeds, and
 `trial_columns` draws trials first..first+k-1 of a run, trial t from
-seed fold(seed, t). Both give 0-based columns: an int64 array of shape
-(k, d, n) whose entry [t, j] is axis j + 1 of trial t, a permutation of
-0..n-1, the one form of a trial outside the oracle; 1-based rows
-appear only in `gen` output and the oracle's cell tuples.
+seed fold(seed, t). Both give 0-based columns: an int32 array of shape
+(k, d, n) (n <= design.MAX_N = 2^20) whose entry [t, j] is axis j + 1
+of trial t, a permutation of 0..n-1, the one form of a trial outside
+the oracle; 1-based rows appear only in `gen` output and the oracle's
+cell tuples.
 
 Each axis has its own substreams (LHS axis j: fold(s, j); OS axis i:
 labels (i-1)*p + 1 .. i*p), so a batch can be drawn for a subset A of
@@ -48,17 +49,25 @@ Axes = tuple[int, ...] | None
 
 
 @lru_cache(maxsize=64)
-def _coarse_tables(p: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """0-based coarse band (d, n) and fine slot (d, n) of each row.
+def _assembly_tables(p: int, d: int, axes: Axes) -> tuple[np.ndarray, np.ndarray]:
+    """Flat index (a, n) into a trial's fine permutations (a, p, w), and
+    int32 band offsets (a, n), of the orthogonal rows on `axes`.
 
     Row r visits the sub-block whose coarse bands are the base-p digits
-    of r, most significant first (lexicographic order). slot[i, r] is
-    the consumption index into that band's fine permutation: the number
-    of earlier rows sharing band[i, r], which is r with digit i removed.
+    of r, most significant first (lexicographic order). On axis i it
+    takes band[i, r] and slot[i, r] of that band's fine permutation: the
+    number of earlier rows sharing band[i, r], which is r with digit i
+    removed. Its value is the fine entry plus band[i, r] * w.
     """
-    r = np.arange(p**d)
-    scale = p ** np.arange(d - 1, -1, -1)[:, None]  # p^(d-1-i) for axis i
-    return r // scale % p, r // (scale * p) * scale + r % scale
+    w = band_width(p, d)
+    rows = np.arange(d) if axes is None else np.array(axes) - 1
+    r = np.arange(p * w)
+    scale = p ** (d - 1 - rows[:, None])  # p^(d-1-i) for axis i
+    band, slot = r // scale % p, r // (scale * p) * scale + r % scale
+    tables = (np.arange(rows.size)[:, None] * p + band) * w + slot, (band * w).astype(np.int32)
+    for table in tables:  # cached, so shared by every caller
+        table.flags.writeable = False
+    return tables
 
 
 def orthogonal_columns(fines: np.ndarray, p: int, axes: Axes, d: int) -> np.ndarray:
@@ -66,10 +75,10 @@ def orthogonal_columns(fines: np.ndarray, p: int, axes: Axes, d: int) -> np.ndar
     fine permutations (k, a, p, w): fines[t, i, j] is the 0-based fine
     permutation of coarse band j + 1 on the design's axis axes[i] in
     trial t. axes are 1-based axes of a d-axis design; None is all d."""
-    rows = np.arange(d) if axes is None else np.array(axes) - 1
-    band, slot = (table[rows] for table in _coarse_tables(p, d))
-    cols = fines[:, np.arange(rows.size)[:, None], band, slot]
-    cols += band * fines.shape[3]
+    index, offset = _assembly_tables(p, d, axes)
+    k, a, _, w = fines.shape
+    cols = np.take(fines.reshape(k, a * p * w), index, axis=1)
+    cols += offset
     return cols
 
 

@@ -13,9 +13,9 @@ covered keys for each requested target, a `design.Units` family:
                             universe p^(2(d-1))
 
 A replicate draws only the axes its targets count (the sampler's
-`axes`, the sorted union of the targets' axes), as 0-based columns
-(k, len(axes), n), and each counted axis is read as a view of them.
-Keys are the counted axes packed base n (base p^(d-1) for fine
+`axes`, the sorted union of the targets' axes), as 0-based int32
+columns (k, len(axes), n), and each counted axis is read as a view of
+them. Keys are the counted axes packed base n (base p^(d-1) for fine
 offsets) into int64 codes. When the key space does not fit int64
 (n^t > 2^63) the keys go into Latin buckets: every counted axis of a
 trial is a permutation of 0..n-1, so bucket b, the keys with value b on
@@ -57,7 +57,10 @@ from .laws import asymptotic_coverage, iid_coverage, projection_lambda
 from .sampling import Axes, points_batch, trial_columns
 
 MAX_TRACKED_KEYS = 20_000_000  # k * n per replicate
-MAX_REPLICATE_BYTES = 2**30  # k * len(axes) * n int64 column entries, times 8
+# k * len(axes) * n column entries, charged 8 bytes each: 4 for the int32
+# entry and 4 for its share of the int64 key it is packed into with the
+# entries of the key's other axes.
+MAX_REPLICATE_BYTES = 2**30
 # reps * (k * n + REPLICATE_KEYS) per run. A replicate drawn alone has a
 # fixed cost of about 160 us, 2,000 keys at the 1.4e7 keys/s of a 2-vCPU
 # x86 VM, where the cap is about 70 s of work; in a batch of tiny ones a
@@ -69,10 +72,10 @@ REPLICATE_KEYS = 2_000
 # keys, the map broke even with the sort near 7x for a count and near
 # 4x for a curve.
 DIRECT_RATIO = 4
-# Int64 column entries of a batch of replicates (a larger one is drawn
-# alone). At 2^16, 300 replicates of os d=2 n=100 k=100, three a batch,
-# took 215 ms against 175 ms alone: their larger arrays are mapped
-# afresh on every call (20,000 minor page faults against 124).
+# Column entries of a batch of replicates (a larger one is drawn alone).
+# At 2^16, with int64 columns, 300 replicates of os d=2 n=100 k=100,
+# three a batch, took 215 ms against 175 ms alone: their larger arrays
+# are mapped afresh on every call (20,000 minor page faults against 124).
 BATCH_ENTRIES = 1 << 14
 # Entries of a curve's first-trial map per bincount, whose intp copy
 # of its input then stays in cache and small.
@@ -117,7 +120,8 @@ class SimPlan:
 
     @property
     def replicate_bytes(self) -> int:
-        """Bytes of one replicate's int64 columns, shape (k, len(axes), n)."""
+        """Bytes charged for one replicate's columns (k, len(axes), n): 8 a
+        column entry, its int32 value and its share of the int64 keys."""
         return self.k * len(self.axes) * self.spec.n * 8
 
     @property
@@ -200,10 +204,16 @@ def _keys_for_target(
     first, rest = digits[0], digits[1:]
     per_word = max(q for q in range(1, len(rest) + 1) if n**q <= 2**63)
     groups = [rest[lo : lo + per_word] for lo in range(0, len(rest), per_word)]
-    keys = np.empty((len(groups), n * k), dtype=np.int64).T  # each word contiguous
-    for word, group in zip(keys.T, groups):
-        word.reshape(n, k)[first, np.arange(k)[:, None]] = _pack(group, n)
-    return keys, counts
+    keys = np.empty((len(groups), n * k), dtype=np.int64)  # each word contiguous
+    # Each trial's keys are scattered within its own row (n words, 512 KiB
+    # at n = 2^16; first is a permutation, so every word is rewritten) and
+    # the rows then copied to bucket order at once: 30 ms against 45 ms for
+    # one scatter over the word at k = 40 on a 2-vCPU VM.
+    by_trial = np.empty((k, n), dtype=np.int64)
+    for word, group in zip(keys, groups):
+        np.put_along_axis(by_trial, first, _pack(group, n), axis=1)
+        word.reshape(n, k)[...] = by_trial.T
+    return keys.T, counts
 
 
 def _distinct_keys(
@@ -282,9 +292,10 @@ def _new_per_trial(keys: np.ndarray, counts: np.ndarray, universe: int) -> np.nd
     # indices is not promised to keep any particular one. The map's type
     # is the smallest that holds k, 32 bits at most as k * n is under
     # MAX_TRACKED_KEYS. So with universe <= 4 keys it takes at most 16
-    # bytes per key, no more than the two int64 column entries a key of
-    # two or more axes is packed from (one axis has n <= keys cells), and
-    # MAX_REPLICATE_BYTES still bounds a replicate's memory.
+    # bytes per key, no more than MAX_REPLICATE_BYTES charges for the two
+    # or more column entries (8 bytes each) a key of two or more axes is
+    # packed from (one axis has n <= keys cells), and the guard still
+    # bounds a replicate's memory.
     dtype = np.min_scalar_type(k)
     first = np.full(universe, k, dtype=dtype)
     np.minimum.at(first, keys, np.repeat(np.arange(k, dtype=dtype), counts))

@@ -131,15 +131,16 @@ class TestSubblockCodec:
 
 
 class TestTrial:
-    """A trial is an int64 array (d, n): row j is axis j + 1, a
-    permutation of 0..n-1 for the samplers' trials."""
+    """A trial is an array (d, n): row j is axis j + 1, a permutation
+    of 0..n-1 for the samplers' trials, which draw int32 (n <= MAX_N)."""
 
     def test_shape_validation(self):
         for spec, kind in ((DesignSpec(3, 5), SampleKind.LHS), (DesignSpec(2, 9, p=3), SampleKind.OS)):
-            trials = trial_columns(spec, kind, 0, 3)
-            assert trials.shape == (3, spec.d, spec.n)
-            assert trials.dtype == np.int64
-            assert trials.min() >= 0 and trials.max() < spec.n
+            for axes in (None, (1, 2)):
+                trials = trial_columns(spec, kind, 0, 3, axes=axes)
+                assert trials.shape == (3, spec.d if axes is None else len(axes), spec.n)
+                assert trials.dtype == np.int32
+                assert trials.min() >= 0 and trials.max() < spec.n
 
     def test_trial_accepts_non_latin_points(self):
         # The oracle projects any point set; Latin-ness is a separate

@@ -171,7 +171,18 @@ class TestTrialStreams:
             assert np.array_equal(sub, full[first - 1 : first + 2, np.array(axes) - 1])
 
     def test_empty_run(self):
-        assert trial_columns(DesignSpec(2, 3), SampleKind.LHS, 0, 0).shape == (0, 2, 3)
+        # k = 0 gives no trials, in the shape and type of any other draw,
+        # for either sampler and for a subset of the axes.
+        cases = [
+            (DesignSpec(2, 3), SampleKind.LHS, None, (0, 2, 3)),
+            (DesignSpec(3, 4), SampleKind.LHS, (1, 3), (0, 2, 4)),
+            (DesignSpec(2, 9, p=3), SampleKind.OS, None, (0, 2, 9)),
+            (DesignSpec(3, 8, p=2), SampleKind.OS, (2,), (0, 1, 8)),
+        ]
+        for spec, kind, axes, shape in cases:
+            cols = trial_columns(spec, kind, 0, 0, axes=axes)
+            assert cols.shape == shape
+            assert cols.dtype == np.int32
 
     def test_negative_k_refused(self):
         with pytest.raises(StructuralError, match="k must be >= 0, got -1"):

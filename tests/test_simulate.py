@@ -589,10 +589,11 @@ class TestKeyContract:
 
 
 class TestMemory:
-    def test_replicate_peak_below_twice_its_columns(self):
-        # One row-key replicate holds its (k, d, n) columns plus the key
-        # words and the packed digits they are filled from, not a second
-        # layout of the trials; the count sorts the key words in place.
+    def test_replicate_peak_below_one_and_a_half_times_its_charge(self):
+        # One row-key replicate holds its (k, d, n) int32 columns, the key
+        # words, the packed digits and the one trial-major buffer the words
+        # are filled from, 1.29 times the k * d * n * 8 bytes that
+        # MAX_REPLICATE_BYTES charges. The count sorts the key words in place.
         spec, k = DesignSpec(4, 2**16), 8
         plan = SimPlan(spec, SampleKind.LHS, k=k, reps=1, seed=SEED)
         tracemalloc.start()
@@ -601,7 +602,7 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * k * spec.d * spec.n * 8
+        assert peak < 1.5 * k * spec.d * spec.n * 8
 
     def test_replicate_bytes_guard_names_the_largest_k(self):
         # k*n is within MAX_TRACKED_KEYS at both k; the columns are not.

@@ -43,17 +43,20 @@ chunks of about CHUNK_KEYS keys (one row when n is larger), so the
 temporaries have a fixed size however many rows are asked for.
 
 A call that draws at least 2 * PARALLEL_KEYS keys shares its chunks
-among threads: one per usable CPU, at most one per chunk and one per
-PARALLEL_KEYS keys. numpy's ufuncs and sorts release the GIL, so the
-threads run at once. Each chunk draws its own keys from its own seeds,
-sorts, checks and redraws them, and writes only its own rows of the
-output, so the output is the same bytes whatever the thread count. The
-threads live for one call and are joined before it returns or raises.
+among threads by the rule of `share`: one per usable CPU, at most one
+per chunk and one per PARALLEL_KEYS keys. numpy's ufuncs and sorts
+release the GIL, so the threads run at once. Each chunk draws its own
+keys from its own seeds, sorts, checks and redraws them, and writes only
+its own rows of the output, so the output is the same bytes whatever the
+thread count. The threads live for one call and are joined before it
+returns or raises. `simulate` shares the trials and bucket blocks of its
+Latin-bucket row keys by the same rule.
 """
 
 from __future__ import annotations
 
 import os
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -83,6 +86,29 @@ def usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
+
+
+def share(job: Callable[[Sequence], object], parts: Sequence, keys: int) -> None:
+    """Run job over parts, a call's independent shares of `keys` keys of
+    work: on the caller's thread alone, or on one thread per usable CPU,
+    at most one per part and one per PARALLEL_KEYS keys, thread t taking
+    parts[t::threads]. Each job must write only what its own parts own.
+    The threads are joined before this returns or re-raises a job's error.
+
+    A job may call numpy and plain helpers such as simulate._pack, never
+    a function that perfbench's tracer wraps (WRAPPED in
+    perfbench/layers.py): its span stack is not thread-safe.
+    """
+    threads = max(1, min(usable_cpus(), len(parts), keys // PARALLEL_KEYS))
+    if threads == 1:
+        job(parts)
+        return
+    # Imported here: a call below the threshold never pays for it.
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        # list() re-raises a share's error; leaving the with joins every thread.
+        list(pool.map(job, [parts[t::threads] for t in range(threads)]))
 
 
 def mix64(z: int) -> int:
@@ -186,14 +212,5 @@ def permutations_from_seeds(seeds: np.ndarray, n: int) -> np.ndarray:
             # 2-vCPU x86 VM.
             del keys, gaps
 
-    threads = max(1, min(usable_cpus(), len(starts), s.size * n // PARALLEL_KEYS))
-    if threads == 1:
-        draw(starts)
-    else:
-        # Imported here: a call below the threshold never pays for it.
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            # list() re-raises a chunk's error; leaving the with joins every thread.
-            list(pool.map(draw, [starts[t::threads] for t in range(threads)]))
+    share(draw, starts, s.size * n)
     return out.reshape(*shape, n)

@@ -36,7 +36,10 @@ the buckets: it is stable, so a bucket keeps its keys in trial order.
 Replicates are drawn in batches of up to BATCH_ENTRIES column entries,
 each trial from its own seed fold(fold(seed, r), t); the i-th codes of a
 batch are offset by i * U, so one map or one sort counts every replicate
-in it. Row keys go one replicate at a time.
+in it. Row keys go one replicate at a time, and from 2 * rng.PARALLEL_KEYS
+keys on they are built and counted on threads by the rule of rng.share,
+each thread writing only its own trials or blocks of buckets, so no byte
+depends on the thread count.
 Per-replicate coverage fractions are exact integer ratios converted to
 float once; aggregation is sequential in replicate order with math.fsum,
 so reports are bit-stable for a fixed seed regardless of worker count.
@@ -205,15 +208,55 @@ def _keys_for_target(
     per_word = max(q for q in range(1, len(rest) + 1) if n**q <= 2**63)
     groups = [rest[lo : lo + per_word] for lo in range(0, len(rest), per_word)]
     keys = np.empty((len(groups), n * k), dtype=np.int64)  # each word contiguous
-    # Each trial's keys are scattered within its own row (n words, 512 KiB
-    # at n = 2^16; first is a permutation, so every word is rewritten) and
-    # the rows then copied to bucket order at once: 30 ms against 45 ms for
-    # one scatter over the word at k = 40 on a 2-vCPU VM.
+    # Threads share the trials, each packed and scattered within its own
+    # row (n words, 512 KiB at n = 2^16; first is a permutation, so every
+    # word is rewritten), then the blocks of buckets, copied to bucket
+    # order. A fancy assignment with an intp index scatters faster than
+    # np.put_along_axis, which builds broadcast index arrays: at k = 40 on
+    # a 2-vCPU VM the keys took 48 ms on one thread and 34 ms on two,
+    # against 79 ms for one put_along_axis over the whole buffer.
     by_trial = np.empty((k, n), dtype=np.int64)
+    step = max(1, rng.CHUNK_KEYS // max(k, 1))  # buckets per block
     for word, group in zip(keys, groups):
-        np.put_along_axis(by_trial, first, _pack(group, n), axis=1)
-        word.reshape(n, k)[...] = by_trial.T
+
+        def scatter(trials: range) -> None:
+            for i in trials:
+                by_trial[i][first[i].astype(np.intp)] = _pack([x[i] for x in group], n)
+
+        def gather(starts: range) -> None:
+            for lo in starts:
+                word.reshape(n, k)[lo : lo + step] = by_trial[:, lo : lo + step].T
+
+        rng.share(scatter, range(k), n * k)
+        rng.share(gather, range(0, n, step), n * k)
     return keys.T, counts
+
+
+def _sort_rows(
+    words: list[np.ndarray], new: np.ndarray, trial: np.ndarray | None, bits: int | None
+) -> None:
+    """Sort each row of keys in place, the keys held in equal-shape 2-D
+    words, most significant first, and flag in `new` the first copy of
+    each distinct key. `trial` (writable, or None) is each key's trial,
+    permuted along: packed into the one word's low `bits` bits when
+    bits is not None, else by the lexsort order, which is stable."""
+    w = words[0]
+    if bits is not None:
+        w <<= bits
+        w |= trial
+        w.sort(axis=1)
+        np.bitwise_and(w, (1 << bits) - 1, out=trial)
+        w >>= bits
+    elif len(words) == 1 and trial is None:
+        w.sort(axis=1)
+    else:
+        order = np.lexsort(words[::-1], axis=1)
+        for x in words if trial is None else [*words, trial]:
+            x[...] = np.take_along_axis(x, order, axis=1)
+    new[:, :1] = True
+    np.not_equal(w[:, 1:], w[:, :-1], out=new[:, 1:])
+    for x in words[1:]:
+        new[:, 1:] |= x[:, 1:] != x[:, :-1]
 
 
 def _distinct_keys(
@@ -221,7 +264,8 @@ def _distinct_keys(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Sort `_keys_for_target`'s (keys, counts) in place. Returns flags on
     the first copy of each distinct key, in sorted order, and when tagged
-    each sorted key's trial (else None); a first copy has the earliest."""
+    each sorted key's trial (else None); a first copy has the earliest.
+    Latin buckets are sorted in blocks shared among threads."""
     k = counts.size
     if not keys.size:
         return np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64) if tagged else None
@@ -229,29 +273,22 @@ def _distinct_keys(
         words = [keys.reshape(1, -1)]
     else:  # Latin buckets: trial i's key in bucket b is row b * k + i
         words = [word.reshape(-1, k) for word in keys.T]
-    w, trial = words[0], None
+    w, trial, bits = words[0], None, None
     if tagged:
-        trial = np.repeat(np.arange(k), counts) if keys.ndim == 1 else np.arange(k)
-        trial = np.broadcast_to(trial, w.shape)
-        bits = (k - 1).bit_length()
-        room = 2 ** (63 - bits)
-    if len(words) == 1 and (not tagged or -room <= int(w.min()) and int(w.max()) < room):
-        if tagged:
-            w <<= bits
-            w |= trial
-        w.sort(axis=1)
-        if tagged:
-            trial = w & ((1 << bits) - 1)
-            w >>= bits
-    else:
-        order = np.lexsort(words[::-1], axis=1)
-        words = [np.take_along_axis(x, order, axis=1) for x in words]
-        if tagged:
-            trial = np.take_along_axis(trial, order, axis=1)
-    new = np.zeros(w.shape, dtype=bool)
-    new[:, :1] = True
-    for x in words:
-        new[:, 1:] |= x[:, 1:] != x[:, :-1]
+        trial = np.repeat(np.arange(k), counts) if keys.ndim == 1 else np.tile(np.arange(k), len(w))
+        trial = trial.reshape(w.shape)
+        room = 2 ** (63 - (k - 1).bit_length())
+        if len(words) == 1 and -room <= int(w.min()) and int(w.max()) < room:
+            bits = (k - 1).bit_length()
+    new = np.empty(w.shape, dtype=bool)
+    step = max(1, rng.CHUNK_KEYS // w.shape[1])  # buckets per block
+
+    def sort(starts: range) -> None:
+        for lo in starts:
+            rows = slice(lo, lo + step)
+            _sort_rows([x[rows] for x in words], new[rows], None if trial is None else trial[rows], bits)
+
+    rng.share(sort, range(0, len(w), step), w.size)
     return new, trial
 
 

@@ -34,7 +34,7 @@ import shlex
 
 import pytest
 
-from hypercov import exact
+from hypercov import exact, rng
 from hypercov.cli import main
 
 SIM = "simulate --d 4 --n 16 --p 2 --k 8 --reps 50 --seed 11"
@@ -120,6 +120,17 @@ def test_payload_hash(name, capsys):
     command, code, digest = GOLDEN[name]
     assert main(shlex.split(command)) == code
     assert payload_digest(capsys.readouterr().out) == digest
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("name", ["simulate-lhs-rows", "simulate-os-rows", "simulate-lhs-multi-word"])
+def test_row_keys_on_threads(name, cpus, capsys, monkeypatch, pools):
+    # k = 2 is below the 2^21 keys at which rows go to threads; every key
+    # its own threshold sends draws, row keys and their count there.
+    monkeypatch.setattr(rng, "PARALLEL_KEYS", 1)
+    monkeypatch.setattr(rng, "usable_cpus", lambda: cpus)
+    test_payload_hash(name, capsys)
+    assert cpus in pools
 
 
 def no_product(lo, m):

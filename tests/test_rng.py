@@ -5,7 +5,6 @@ the splitmix64 sequence, so a failure here means the core mixer drifted
 from the pinned algorithm.
 """
 
-import concurrent.futures
 import os
 import sys
 import threading
@@ -250,21 +249,6 @@ def test_chunked_rows_match_rows_drawn_one_seed_at_a_time(n):
     for row, s in zip(got, seeds):
         assert np.array_equal(row, permutation(int(s), n))
         assert np.array_equal(row, np.argsort(raw_block(int(s), 0, n), kind="stable"))
-
-
-@pytest.fixture
-def pools(monkeypatch):
-    """Thread counts of the pools that permutations_from_seeds starts."""
-    sizes = []
-    real = concurrent.futures.ThreadPoolExecutor
-
-    class Counted(real):
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
-    return sizes
 
 
 def tied_keys(monkeypatch, n):

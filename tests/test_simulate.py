@@ -6,10 +6,12 @@ before any statistics enter.
 """
 
 import dataclasses
+import itertools
 import math
 import statistics
 import subprocess
 import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -591,9 +593,10 @@ class TestKeyContract:
 class TestMemory:
     def test_replicate_peak_below_one_and_a_half_times_its_charge(self):
         # One row-key replicate holds its (k, d, n) int32 columns, the key
-        # words, the packed digits and the one trial-major buffer the words
-        # are filled from, 1.29 times the k * d * n * 8 bytes that
-        # MAX_REPLICATE_BYTES charges. The count sorts the key words in place.
+        # words, the one trial-major buffer the words are filled from and
+        # the count's flags, 1.10 times the k * d * n * 8 bytes that
+        # MAX_REPLICATE_BYTES charges (1.16 on two threads). Digits are
+        # packed a trial at a time, and the count sorts the key words in place.
         spec, k = DesignSpec(4, 2**16), 8
         plan = SimPlan(spec, SampleKind.LHS, k=k, reps=1, seed=SEED)
         tracemalloc.start()
@@ -603,6 +606,13 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * k * spec.d * spec.n * 8
+
+    def test_threads_keep_the_replicate_peak_below_the_same_bound(self, monkeypatch, pools):
+        # Each thread adds its own trial's packed digits and block's temporaries.
+        monkeypatch.setattr(rng, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(rng, "PARALLEL_KEYS", 1)
+        self.test_replicate_peak_below_one_and_a_half_times_its_charge()
+        assert pools and set(pools) == {2}
 
     def test_replicate_bytes_guard_names_the_largest_k(self):
         # k*n is within MAX_TRACKED_KEYS at both k; the columns are not.
@@ -713,6 +723,100 @@ class TestWorkers:
         monkeypatch.setattr(simulate, "MAX_REPLICATE_BYTES", batch_bytes)
         assert simulate_coverage(plan, workers=8)[0].fractions == seq[0].fractions
         assert pool_sizes == [3]  # one batch at a time runs without a pool
+
+
+class TestThreads:
+    """Latin-bucket row keys are built and counted on threads (rng.share):
+    trials, then blocks of buckets. No byte may depend on how many."""
+
+    CASES = [
+        (DesignSpec(4, 2**16), SampleKind.LHS),  # one word
+        (DesignSpec(4, 2**16, p=16), SampleKind.OS),
+        (DesignSpec(5, 2**16), SampleKind.LHS),  # two words, lexsorted
+    ]
+
+    @staticmethod
+    def outputs(spec, kind, cols):
+        keys, counts = _keys_for_target(cols, spec, Units())
+        if cols.shape[0]:
+            curve = coverage_curve(spec, kind, 9, cols.shape[0], Units())
+        else:  # a plan has k >= 1; count the keys of no trial directly
+            curve = simulate._new_per_trial(keys, counts, Units().universe(spec))
+        return keys.copy(), simulate._covered_counts(cols, spec, Units()), curve
+
+    # k = 3 and 10 leave a last block of 1 and 6 buckets (65,536 buckets,
+    # CHUNK_KEYS // k a block).
+    @pytest.mark.parametrize("spec, kind", CASES)
+    @pytest.mark.parametrize("k", [0, 1, 3, 10])
+    def test_any_thread_count_gives_the_same_bytes(self, monkeypatch, pools, spec, kind, k):
+        monkeypatch.setattr(rng, "usable_cpus", lambda: 1)
+        cols = trial_columns(spec, kind, 9, k)
+        keys, count, curve = self.outputs(spec, kind, cols)
+        assert keys.shape == (k * spec.n, 1 + (spec.d == 5))
+        assert pools == []
+        monkeypatch.setattr(rng, "PARALLEL_KEYS", 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads switch often, more of them than cores
+        try:
+            for cpus in (1, 2, 3, 8):
+                monkeypatch.setattr(rng, "usable_cpus", lambda: cpus)
+                got = self.outputs(spec, kind, cols)
+                assert got[0].tobytes() == keys.tobytes()
+                assert got[1] == count
+                assert np.array_equal(got[2], curve)
+        finally:
+            sys.setswitchinterval(interval)
+        assert (max(pools, default=1) > 1) == (k > 0)  # k = 1 still threads the curve's draw
+
+    def test_the_rule_is_one_thread_per_cpu_part_and_parallel_keys(self, monkeypatch, pools):
+        spec, k = DesignSpec(4, 2**16), 3
+        cols = trial_columns(spec, SampleKind.LHS, 9, k)
+        monkeypatch.setattr(rng, "usable_cpus", lambda: 8)
+        # One key short of two thresholds: the caller's thread alone.
+        monkeypatch.setattr(rng, "PARALLEL_KEYS", k * spec.n // 2 + 1)
+        keys, counts = _keys_for_target(cols, spec, Units())
+        want = simulate._distinct_keys(keys, counts)[0]
+        assert pools == []
+        # Exactly two: a pool of two for the scatter, the gather and the sort.
+        monkeypatch.setattr(rng, "PARALLEL_KEYS", k * spec.n // 2)
+        keys, counts = _keys_for_target(cols, spec, Units())
+        assert np.array_equal(simulate._distinct_keys(keys, counts)[0], want)
+        assert pools == [2, 2, 2]
+        # Every key its own threshold: one thread per trial, then per block.
+        monkeypatch.setattr(rng, "PARALLEL_KEYS", 1)
+        keys, counts = _keys_for_target(cols, spec, Units())
+        assert np.array_equal(simulate._distinct_keys(keys, counts)[0], want)
+        assert pools == [2, 2, 2, 3, 4, 4]
+
+    def test_a_failing_share_raises_and_leaves_no_thread(self, monkeypatch, pools):
+        spec = DesignSpec(4, 2**16)
+        cols = trial_columns(spec, SampleKind.LHS, 9, 3)
+        monkeypatch.setattr(rng, "PARALLEL_KEYS", 1)
+        monkeypatch.setattr(rng, "usable_cpus", lambda: 3)
+        before = threading.active_count()
+
+        def fail_once(name, at):
+            real, calls = getattr(simulate, name), itertools.count()
+
+            def fn(*args):
+                if next(calls) == at:
+                    raise ValueError(f"{name} failed")
+                return real(*args)
+
+            monkeypatch.setattr(simulate, name, fn)
+
+        pack = simulate._pack
+        fail_once("_pack", 1)  # the second trial's
+        with pytest.raises(ValueError, match="_pack failed"):
+            _keys_for_target(cols, spec, Units())
+        assert threading.active_count() == before
+        monkeypatch.setattr(simulate, "_pack", pack)
+        keys, counts = _keys_for_target(cols, spec, Units())
+        fail_once("_sort_rows", 2)  # the third block's
+        with pytest.raises(ValueError, match="_sort_rows failed"):
+            simulate._distinct_keys(keys, counts)
+        assert threading.active_count() == before
+        assert pools == [3, 3, 3, 3]
 
 
 class TestSubblockUniformity:

@@ -24,6 +24,12 @@ leave every one unchanged.
 The `gen` and `oracle` rows were recorded while trials passed through
 `design.Trial`, and they must not change now that the oracle and `gen`
 keep trials as column arrays.
+The `sweep-simulated-rows` and `sweep-simulated-multi-word` rows send
+prefix curves down the Latin-bucket row path (n^t past 2^63), one key
+word with its trial packed into the low bits and two words lexsorted.
+They were recorded while row keys were copied from a trial-major buffer
+into bucket order before they were sorted; sorting blocks of buckets
+straight from trial-major keys must leave both unchanged.
 `law-conjecture-n1923` was re-recorded when every hit rate became the
 correctly rounded 1/n^(t-1): libm pow had rounded 1/1923 one ulp low,
 so its lambda column and its k=1 value went from ...332 to ...333.
@@ -93,6 +99,8 @@ GOLDEN = {
     "sweep-closed-form-t1": ("sweep --mode closed-form --kind lhs --d 3 --t 1 --levels 0.5 --n-grid 10,100,1000", 0, "08c54e4392a12788dc863c054e1be0d1cc928314407db3416c00b184ca13679d"),
     "sweep-simulated-t2": ("sweep --mode simulated --kind lhs --d 3 --t 2 --levels 0.5,0.9 --n-grid 8,27,64 --reps 3 --seed 5", 0, "971023deb6bc9c7e98c5e83a8c3d1cf2404ef7727701cc3eee5ec620ca954666"),
     "sweep-full-coverage": ("sweep --mode simulated --kind lhs --d 2 --t 2 --levels 1.0 --n-grid 8,16,32 --reps 3 --seed 5", 0, "bcf240152fbda2b299daedb637cd05862e458a9ad32a45c1ab6d7e465d03a4f2"),
+    "sweep-simulated-rows": ("sweep --mode simulated --kind lhs --d 4 --t 4 --levels 1e-13 --n-grid 60000,62000,65536 --reps 2 --seed 5", 0, "3495e7dc51a78c4d64e1f813b79120c29a4a099e6840d413fb1c6613019c395d"),
+    "sweep-simulated-multi-word": ("sweep --mode simulated --kind lhs --d 6 --t 6 --levels 1e-17 --n-grid 6300,6400,6500 --reps 2 --seed 5", 0, "59b7c877ce2dfdd06134423d75e3e897752796a5ee07cee273451b210f85ca4d"),
     "gen-lhs-csv": ("gen --kind lhs --d 3 --n 5 --k 3 --seed 21", 0, "046f83d0677b2ef14bf4ca117f1716db72d222b1e415e677d3b06bd088f9953f"),
     "gen-lhs-json": ("gen --kind lhs --d 3 --n 5 --k 3 --seed 21 --format json", 0, "5824a4cbc01e392212b79db88e765364fe1bc2d1bd0490f1c96dbef421b3b5a1"),
     "gen-os-csv": ("gen --kind os --d 3 --n 8 --p 2 --k 3 --seed 21", 0, "a8f61be127dac1c3a2ce237fdaaa5fea8c8817e927486f9987f45ef1736ed086"),

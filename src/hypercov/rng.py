@@ -49,8 +49,9 @@ release the GIL, so the threads run at once. Each chunk draws its own
 keys from its own seeds, sorts, checks and redraws them, and writes only
 its own rows of the output, so the output is the same bytes whatever the
 thread count. The threads live for one call and are joined before it
-returns or raises. `simulate` shares the trials and bucket blocks of its
-Latin-bucket row keys by the same rule.
+returns or raises. `simulate` shares by the same rule the trials its
+Latin-bucket row keys are packed from and the blocks of buckets they are
+sorted in.
 """
 
 from __future__ import annotations

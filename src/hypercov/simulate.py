@@ -20,7 +20,8 @@ offsets) into int64 codes. When the key space does not fit int64
 (n^t > 2^63) the keys go into Latin buckets: every counted axis of a
 trial is a permutation of 0..n-1, so bucket b, the keys with value b on
 the first counted axis, holds one key of each trial, and the other axes
-are packed into int64 words.
+are packed into int64 words. The rows are trial-major: trial i's key in
+bucket b is row i * n + b.
 
 Distinct keys are counted one of two ways, with the same result. Codes
 whose universe U is at most DIRECT_RATIO times their number are counted
@@ -28,18 +29,19 @@ by direct address: a count marks a bool map of U, and a prefix curve
 takes each cell's earliest trial with np.minimum.at (order-independent)
 and counts cells per trial. Every other case (larger universes, row
 keys, a chunk's keys thinned by a `covered` map) is sorted: counts and
-prefix curves share one sort per bucket, and a distinct key starts
-where adjacent keys differ. A curve needs each key's earliest trial,
-which goes into the word's low bit_length(k-1) bits when they are free
-(the packed sort of rng.permutations_from_seeds). Else np.lexsort sorts
+prefix curves share one sort per bucket (rows are copied to bucket
+order a block of buckets at a time), and a distinct key starts where
+adjacent keys differ. A curve needs each key's earliest trial, which
+goes into the word's low bit_length(k-1) bits when they are free (the
+packed sort of rng.permutations_from_seeds). Else np.lexsort sorts
 the buckets: it is stable, so a bucket keeps its keys in trial order.
 Replicates are drawn in batches of up to BATCH_ENTRIES column entries,
 each trial from its own seed fold(fold(seed, r), t); the i-th codes of a
 batch are offset by i * U, so one map or one sort counts every replicate
 in it. Row keys go one replicate at a time, and from 2 * rng.PARALLEL_KEYS
 keys on they are built and counted on threads by the rule of rng.share,
-each thread writing only its own trials or blocks of buckets, so no byte
-depends on the thread count.
+each thread writing only its own trials' rows or its own blocks' flags
+and trials, so no byte depends on the thread count.
 Per-replicate coverage fractions are exact integer ratios converted to
 float once; aggregation is sequential in replicate order with math.fsum,
 so reports are bit-stable for a fixed seed regardless of worker count.
@@ -188,10 +190,10 @@ def _keys_for_target(
     (k, len(axes), n) on `axes` (all d by default).
 
     keys is 1-D codes, trial by trial, when the target's universe fits
-    int64. Otherwise it is rows of shape (n * k, words): the counted axes
+    int64. Otherwise it is rows of shape (k * n, words): the counted axes
     after the first, packed base n into as few int64 words as hold them,
-    in Latin-bucket order, so trial i's key whose first-axis value is b
-    is row b * k + i.
+    also trial by trial, so trial i's key whose first-axis value is b
+    (its Latin bucket) is row i * n + b.
     """
     k, n = cols.shape[0], spec.n
     drawn = tuple(range(1, spec.d + 1)) if axes is None else axes
@@ -207,29 +209,19 @@ def _keys_for_target(
     first, rest = digits[0], digits[1:]
     per_word = max(q for q in range(1, len(rest) + 1) if n**q <= 2**63)
     groups = [rest[lo : lo + per_word] for lo in range(0, len(rest), per_word)]
-    keys = np.empty((len(groups), n * k), dtype=np.int64)  # each word contiguous
-    # Threads share the trials, each packed and scattered within its own
-    # row (n words, 512 KiB at n = 2^16; first is a permutation, so every
-    # word is rewritten), then the blocks of buckets, copied to bucket
-    # order. A fancy assignment with an intp index scatters faster than
-    # np.put_along_axis, which builds broadcast index arrays: at k = 40 on
-    # a 2-vCPU VM the keys took 48 ms on one thread and 34 ms on two,
-    # against 79 ms for one put_along_axis over the whole buffer.
-    by_trial = np.empty((k, n), dtype=np.int64)
-    step = max(1, rng.CHUNK_KEYS // max(k, 1))  # buckets per block
-    for word, group in zip(keys, groups):
+    keys = np.empty((len(groups), k, n), dtype=np.int64)  # each word contiguous
+    # Threads share the trials. Each trial is packed and scattered within
+    # its own row of each word (first is a permutation, so every entry is
+    # written) through an intp index, which scatters faster than int32.
 
-        def scatter(trials: range) -> None:
-            for i in trials:
-                by_trial[i][first[i].astype(np.intp)] = _pack([x[i] for x in group], n)
+    def scatter(trials: range) -> None:
+        for i in trials:
+            where = first[i].astype(np.intp)
+            for word, group in zip(keys, groups):
+                word[i][where] = _pack([x[i] for x in group], n)
 
-        def gather(starts: range) -> None:
-            for lo in starts:
-                word.reshape(n, k)[lo : lo + step] = by_trial[:, lo : lo + step].T
-
-        rng.share(scatter, range(k), n * k)
-        rng.share(gather, range(0, n, step), n * k)
-    return keys.T, counts
+    rng.share(scatter, range(k), n * k)
+    return keys.reshape(len(groups), k * n).T, counts
 
 
 def _sort_rows(
@@ -262,33 +254,35 @@ def _sort_rows(
 def _distinct_keys(
     keys: np.ndarray, counts: np.ndarray, tagged: bool = False
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Sort `_keys_for_target`'s (keys, counts) in place. Returns flags on
-    the first copy of each distinct key, in sorted order, and when tagged
-    each sorted key's trial (else None); a first copy has the earliest.
-    Latin buckets are sorted in blocks shared among threads."""
+    """Sort `_keys_for_target`'s (keys, counts) bucket by bucket: 1-D codes
+    in place as one bucket, Latin-bucket rows in blocks of buckets copied
+    to bucket order and shared among threads. Returns flags on the first
+    copy of each distinct key, in sorted order, and when tagged each
+    sorted key's trial (else None); a first copy has the earliest."""
     k = counts.size
     if not keys.size:
         return np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64) if tagged else None
-    if keys.ndim == 1:  # one bucket
-        words = [keys.reshape(1, -1)]
-    else:  # Latin buckets: trial i's key in bucket b is row b * k + i
-        words = [word.reshape(-1, k) for word in keys.T]
+    # Each word as (keys per bucket, buckets): column b is bucket b.
+    shape = (-1, 1) if keys.ndim == 1 else (k, -1)
+    words = [word.reshape(shape) for word in keys.reshape(len(keys), -1).T]
     w, trial, bits = words[0], None, None
-    if tagged:
-        trial = np.repeat(np.arange(k), counts) if keys.ndim == 1 else np.tile(np.arange(k), len(w))
-        trial = trial.reshape(w.shape)
+    size, buckets = w.shape
+    if tagged:  # (buckets, size), as the sorted blocks are
+        trial = np.tile(np.repeat(np.arange(k), counts // buckets), (buckets, 1))
         room = 2 ** (63 - (k - 1).bit_length())
         if len(words) == 1 and -room <= int(w.min()) and int(w.max()) < room:
             bits = (k - 1).bit_length()
-    new = np.empty(w.shape, dtype=bool)
-    step = max(1, rng.CHUNK_KEYS // w.shape[1])  # buckets per block
+    new = np.empty((buckets, size), dtype=bool)
+    step = max(1, rng.CHUNK_KEYS // size)  # buckets per block
 
     def sort(starts: range) -> None:
         for lo in starts:
-            rows = slice(lo, lo + step)
-            _sort_rows([x[rows] for x in words], new[rows], None if trial is None else trial[rows], bits)
+            block = slice(lo, lo + step)
+            # 1-D codes: a view, sorted in place; rows: a cache-sized copy
+            rows = [np.ascontiguousarray(x[:, block].T) for x in words]
+            _sort_rows(rows, new[block], None if trial is None else trial[block], bits)
 
-    rng.share(sort, range(0, len(w), step), w.size)
+    rng.share(sort, range(0, buckets, step), w.size)
     return new, trial
 
 

@@ -131,10 +131,13 @@ def test_payload_hash(name, capsys):
 
 
 @pytest.mark.parametrize("cpus", [2, 3])
-@pytest.mark.parametrize("name", ["simulate-lhs-rows", "simulate-os-rows", "simulate-lhs-multi-word"])
+@pytest.mark.parametrize(
+    "name",
+    ["simulate-lhs-rows", "simulate-os-rows", "simulate-lhs-multi-word", "sweep-simulated-rows", "sweep-simulated-multi-word"],
+)
 def test_row_keys_on_threads(name, cpus, capsys, monkeypatch, pools):
-    # k = 2 is below the 2^21 keys at which rows go to threads; every key
-    # its own threshold sends draws, row keys and their count there.
+    # These rows are below the 2^21 keys at which they go to threads; every
+    # key its own threshold sends draws, row keys and their count there.
     monkeypatch.setattr(rng, "PARALLEL_KEYS", 1)
     monkeypatch.setattr(rng, "usable_cpus", lambda: cpus)
     test_payload_hash(name, capsys)

@@ -358,14 +358,14 @@ class TestDistinctCount:
     )
     @settings(max_examples=100)
     def test_bucketed_rows_match_set_of_tuples(self, buckets, per_bucket, n_words, high, data):
-        # Row b * k + i is trial i's key in bucket b, k = per_bucket.
+        # Row i * buckets + b is trial i's key in bucket b, k = per_bucket.
         size = buckets * per_bucket
         words = [
             np.array(data.draw(st.lists(st.integers(0, high), min_size=size, max_size=size)), dtype=np.int64)
             for _ in range(n_words)
         ]
         keys = np.stack(words, axis=1)
-        rows = [(r % per_bucket, (r // per_bucket, *keys[r].tolist())) for r in range(size)]
+        rows = [(r // buckets, (r % buckets, *keys[r].tolist())) for r in range(size)]
         self.check(keys, np.full(per_bucket, buckets), rows)
 
     @given(
@@ -575,8 +575,8 @@ class TestKeyContract:
         assert keys.shape[0] == counts.sum()
         assert (keys.ndim == 2) == (units.universe(spec) > 2**63)
 
-    def test_rows_come_in_latin_bucket_order(self):
-        # Trial i's key whose first-axis value is b is row b * k + i,
+    def test_rows_are_trial_major(self):
+        # Trial i's key whose first-axis value is b is row i * n + b,
         # holding the other axes packed base n.
         spec, k, n = DesignSpec(4, 5), 3, 5
         cols = trial_columns(spec, SampleKind.LHS, 8, k)
@@ -586,17 +586,17 @@ class TestKeyContract:
         want = np.empty((n * k, 1), dtype=np.int64)
         for i in range(k):
             for r in range(n):
-                want[cols[i, 1, r] * k + i] = (cols[i, 3, r] * n + cols[i, 0, r]) * n + cols[i, 2, r]
+                want[i * n + cols[i, 1, r]] = (cols[i, 3, r] * n + cols[i, 0, r]) * n + cols[i, 2, r]
         assert np.array_equal(keys, want)
 
 
 class TestMemory:
-    def test_replicate_peak_below_one_and_a_half_times_its_charge(self):
-        # One row-key replicate holds its (k, d, n) int32 columns, the key
-        # words, the one trial-major buffer the words are filled from and
-        # the count's flags, 1.10 times the k * d * n * 8 bytes that
-        # MAX_REPLICATE_BYTES charges (1.16 on two threads). Digits are
-        # packed a trial at a time, and the count sorts the key words in place.
+    def test_replicate_peak_below_its_charge(self):
+        # One row-key replicate holds its (k, d, n) int32 columns, the
+        # trial-major key words, the count's flags and one block of keys
+        # copied to bucket order at a time: 0.88 times the k * d * n * 8
+        # bytes that MAX_REPLICATE_BYTES charges, on one thread or two.
+        # Digits are packed a trial at a time.
         spec, k = DesignSpec(4, 2**16), 8
         plan = SimPlan(spec, SampleKind.LHS, k=k, reps=1, seed=SEED)
         tracemalloc.start()
@@ -605,13 +605,13 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * k * spec.d * spec.n * 8
+        assert peak < k * spec.d * spec.n * 8
 
     def test_threads_keep_the_replicate_peak_below_the_same_bound(self, monkeypatch, pools):
         # Each thread adds its own trial's packed digits and block's temporaries.
         monkeypatch.setattr(rng, "usable_cpus", lambda: 2)
         monkeypatch.setattr(rng, "PARALLEL_KEYS", 1)
-        self.test_replicate_peak_below_one_and_a_half_times_its_charge()
+        self.test_replicate_peak_below_its_charge()
         assert pools and set(pools) == {2}
 
     def test_replicate_bytes_guard_names_the_largest_k(self):
@@ -777,16 +777,16 @@ class TestThreads:
         keys, counts = _keys_for_target(cols, spec, Units())
         want = simulate._distinct_keys(keys, counts)[0]
         assert pools == []
-        # Exactly two: a pool of two for the scatter, the gather and the sort.
+        # Exactly two: a pool of two for the scatter and the sort.
         monkeypatch.setattr(rng, "PARALLEL_KEYS", k * spec.n // 2)
         keys, counts = _keys_for_target(cols, spec, Units())
         assert np.array_equal(simulate._distinct_keys(keys, counts)[0], want)
-        assert pools == [2, 2, 2]
+        assert pools == [2, 2]
         # Every key its own threshold: one thread per trial, then per block.
         monkeypatch.setattr(rng, "PARALLEL_KEYS", 1)
         keys, counts = _keys_for_target(cols, spec, Units())
         assert np.array_equal(simulate._distinct_keys(keys, counts)[0], want)
-        assert pools == [2, 2, 2, 3, 4, 4]
+        assert pools == [2, 2, 3, 4]
 
     def test_a_failing_share_raises_and_leaves_no_thread(self, monkeypatch, pools):
         spec = DesignSpec(4, 2**16)
@@ -816,7 +816,7 @@ class TestThreads:
         with pytest.raises(ValueError, match="_sort_rows failed"):
             simulate._distinct_keys(keys, counts)
         assert threading.active_count() == before
-        assert pools == [3, 3, 3, 3]
+        assert pools == [3, 3, 3]
 
 
 class TestSubblockUniformity:

@@ -34,7 +34,6 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
-from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from . import __version__, lazy
@@ -249,14 +248,21 @@ def parse_target(text: str) -> Units:
 # --- subcommand runners -----------------------------------------------------
 
 
+# gen holds every entry as a Python int of a row list: 10^7 entries took 1.1 GiB at peak.
+MAX_GEN_ENTRIES = 10**7
+
+
 def _run_gen(config: RunConfig, out: str | None, workers: int) -> int:
     params = config.params
     kind = SampleKind(params["kind"])
-    seed = params["seed"]
-    cols = sampling.trial_columns(_spec_from(params), kind, seed, params["k"])
+    spec, seed, k = _spec_from(params), params["seed"], params["k"]
+    if (entries := k * spec.d * spec.n) > MAX_GEN_ENTRIES:  # trial_columns refuses a negative k
+        raise GuardExceededError(f"k*d*n = {entries} entries exceed guard {MAX_GEN_ENTRIES}; "
+                                 f"the largest k that fits is {MAX_GEN_ENTRIES // (spec.d * spec.n)}")
+    cols = sampling.trial_columns(spec, kind, seed, k)
     trials = (cols.transpose(0, 2, 1) + 1).tolist()  # 1-based point rows
     if params["format"] == "json":
-        spec = {key: params[key] for key in ("d", "n", "p") if params[key] is not None}
+        doc_spec = {key: params[key] for key in ("d", "n", "p") if params[key] is not None}
         doc = {
             "provenance": {
                 "version": __version__,
@@ -265,7 +271,7 @@ def _run_gen(config: RunConfig, out: str | None, workers: int) -> int:
                 "config": {"subcommand": config.subcommand, "params": params},
             },
             "trials": [
-                {"spec": spec, "seed": rng.fold(seed, t), "kind": kind.value, "points": points}
+                {"spec": doc_spec, "seed": rng.fold(seed, t), "kind": kind.value, "points": points}
                 for t, points in enumerate(trials, start=1)
             ],
         }
@@ -299,46 +305,13 @@ def _parse_format(text: str) -> int | None:
     raise StructuralError(f"--format must be rational or decimal:<digits>, got {text!r}")
 
 
-def _rounded_quotient(num: int, den: int, digits: int) -> tuple[int, int]:
-    """(coeff, exp) of Decimal(num) / Decimal(den) at precision `digits`
-    (den > 0), from one integer quotient: num/den rounded half-even to
-    `digits` significant digits, and when that is exact, with trailing
-    zeros dropped while the exponent is below 0 (Decimal's ideal form)."""
-    if not num:
-        return 0, 0
-    mag, limit = abs(num), 10**digits
-    # 10^e <= mag/den < 10^(e+1); the bit lengths place e within one.
-    e = math.floor((mag.bit_length() - den.bit_length()) * math.log10(2))
-    while True:
-        shift = digits - 1 - e
-        top, rest = (mag * 10**shift, den) if shift >= 0 else (mag, den * 10**-shift)
-        coeff, rem = divmod(top, rest)
-        if coeff >= limit:
-            e += 1
-        elif coeff * 10 < limit:
-            e -= 1
-        else:
-            break
-    exp = -shift
-    if 2 * rem > rest or 2 * rem == rest and coeff % 2:
-        coeff += 1
-        if coeff == limit:
-            coeff, exp = coeff // 10, exp + 1
-    elif not rem:
-        while exp < 0 and not coeff % 10:
-            coeff, exp = coeff // 10, exp + 1
-    return (coeff if num > 0 else -coeff), exp
-
-
-def _decimal_str(value: Fraction, digits: int) -> str:
-    """str(Decimal(num) / Decimal(den)) at precision `digits`. Converting
-    an integer to Decimal takes time quadratic in its length, so only the
-    rounded quotient is converted; scaleb rounds to the context's
-    precision, which is `digits`."""
+def _decimal_str(num: str, den: str, digits: int) -> str:
+    """num/den, given as digit text, as Decimal division prints it at
+    precision `digits`. Decimal reads text exactly in linear time, while
+    Decimal(int) takes time quadratic in the integer's length."""
     with localcontext() as ctx:
         ctx.prec = digits
-        coeff, exp = _rounded_quotient(value.numerator, value.denominator, digits)
-        return str(Decimal(coeff).scaleb(exp))
+        return str(Decimal(num) / Decimal(den))
 
 
 def _run_exact(config: RunConfig, out: str | None, workers: int) -> int:
@@ -354,8 +327,9 @@ def _run_exact(config: RunConfig, out: str | None, workers: int) -> int:
     rows = []
     for q in qs:
         v = value_of(kind, spec, q)
-        dec = None if digits is None else _decimal_str(v, digits)
-        rows.append([kind.value, spec.d, spec.n, spec.p, q, v.numerator, v.denominator, dec])
+        num, den = str(v.numerator), str(v.denominator)  # converted once, for the cells and the decimal
+        dec = None if digits is None else _decimal_str(num, den, digits)
+        rows.append([kind.value, spec.d, spec.n, spec.p, q, num, den, dec])
     _emit(out, _table(config, "kind,d,n,p,m_or_k,value_num,value_den,value_decimal", rows))
     return 0
 

@@ -8,7 +8,7 @@ import shlex
 import subprocess
 import sys
 import time
-from decimal import Decimal, localcontext
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -101,6 +101,28 @@ class TestGen:
         assert (code, captured.out) == (2, "")
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "argv, entries, largest",
+        [
+            (["--d", "16", "--n", "1048576", "--k", "100000"], 16 * 2**20 * 10**5, 0),
+            (["--d", "2", "--n", "1000", "--k", "5001"], 10_002_000, 5000),
+        ],
+    )
+    def test_gen_over_the_entry_guard_exits_3(self, capsys, argv, entries, largest):
+        # Refused before drawing: the first case's columns alone would take 6.7 TB.
+        code = main(["gen", *argv])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err == (
+            f"error: k*d*n = {entries} entries exceed guard 10000000; the largest k that fits is {largest}\n"
+        )
+
+    def test_gen_at_the_entry_guard_draws(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_GEN_ENTRIES", 16)
+        argv = ["gen", "--d", "2", "--n", "4", "--kind", "lhs", "--seed", "42", "--k"]
+        assert run_cli(capsys, *argv, "2") == (0, GOLDEN_GEN)
+        assert run_cli(capsys, *argv, "3") == (3, "")
+
     @pytest.mark.parametrize("flags", [["--d", "3", "--n", "5"], ["--kind", "os", "--d", "2", "--n", "4", "--p", "2"]])
     def test_negative_seed_draws_as_its_64_bit_residue(self, capsys, flags):
         # Seeds fold mod 2^64, so -5 and 2^64 - 5 draw the same trials.
@@ -178,7 +200,7 @@ class TestExact:
             "--format", "decimal:1000000",
         )
         assert code == 0
-        assert len(out.splitlines()[-1].split(",")[-1]) == 1_000_001  # digits and the point
+        assert out.splitlines()[-1].split(",")[-1] == decimal_quotient(9, 7, 10**6)
 
     @staticmethod
     @st.composite
@@ -210,22 +232,18 @@ class TestExact:
     @settings(max_examples=300, deadline=None)
     def test_decimal_column_matches_whole_integer_division(self, case):
         num, den, digits = case
-        value = Fraction(num, den)
-        want = decimal_quotient(value.numerator, value.denominator, digits)
-        assert cli._decimal_str(value, digits) == want
-        # The integer quotient that _decimal_str converts, scaled at the same precision.
-        coeff, exp = cli._rounded_quotient(value.numerator, value.denominator, digits)
-        with localcontext() as ctx:
-            ctx.prec = digits
-            assert str(Decimal(coeff).scaleb(exp)) == want
+        with cli._all_int_digits():
+            assert cli._decimal_str(str(num), str(den), digits) == decimal_quotient(num, den, digits)
 
-    def test_decimal_column_near_the_bit_guard_converts_no_whole_integer(self, monkeypatch):
+    def test_decimal_column_near_the_bit_guard_converts_no_whole_integer(self, capsys, monkeypatch):
         value = expected_coverage_multiset(IntersectionKind("lhs"), DesignSpec(2, 1000), 40)
         assert value.denominator.bit_length() > 100_000
         want = decimal_quotient(value.numerator, value.denominator, 12)
-        short = lambda x: Decimal(x) if abs(x) < 10**12 else pytest.fail("a whole integer became a Decimal")
-        monkeypatch.setattr(cli, "Decimal", short)
-        assert cli._decimal_str(value, 12) == want
+        text_only = lambda x: Decimal(x) if isinstance(x, str) else pytest.fail(f"Decimal got a {type(x).__name__}")
+        monkeypatch.setattr(cli, "Decimal", text_only)
+        code, out = run_cli(capsys, "exact", "--kind", "lhs", "--d", "2", "--n", "1000", "--k", "40")
+        assert code == 0
+        assert out.splitlines()[-1].split(",")[-1] == want
 
     def test_needs_exactly_one_of_m_k(self, capsys):
         code, _ = run_cli(capsys, "exact", "--kind", "lhs", "--d", "2", "--n", "3")

@@ -78,10 +78,12 @@ REPLICATE_KEYS = 2_000
 # 4x for a curve.
 DIRECT_RATIO = 4
 # Column entries of a batch of replicates (a larger one is drawn alone).
-# At 2^16, with int64 columns, 300 replicates of os d=2 n=100 k=100,
-# three a batch, took 215 ms against 175 ms alone: their larger arrays
-# are mapped afresh on every call (20,000 minor page faults against 124).
-BATCH_ENTRIES = 1 << 14
+# On a 2-vCPU x86 VM, 300 replicates of os d=2 n=100 k=100 took 83 ms
+# three a batch at 2^16 against 96 ms alone at 2^14. 2^18 was a few ms
+# faster but raised the process's peak RSS by 2.4 MiB. Larger batches
+# lost only while glibc gave their arrays back to the kernel after every
+# call, which importing rng stops.
+BATCH_ENTRIES = 1 << 16
 # Entries of a curve's first-trial map per bincount, whose intp copy
 # of its input then stays in cache and small.
 MAP_CHUNK = 1 << 16

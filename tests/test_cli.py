@@ -235,6 +235,24 @@ class TestExact:
         with cli._all_int_digits():
             assert cli._decimal_str(str(num), str(den), digits) == decimal_quotient(num, den, digits)
 
+    # 10^9864 has SPLIT_BITS bits and 10^9865 more; 2^SPLIT_BITS is the
+    # least integer printed by halves.
+    @pytest.mark.parametrize("x", [
+        "0", *(f"10**{j} + {e}" for j in (0, 1, 9864, 9865, 40000) for e in (-1, 0)),
+        "2**cli.SPLIT_BITS - 1", "2**cli.SPLIT_BITS", "3**50000",
+    ])
+    def test_int_str_is_str(self, x):
+        x = eval(x)
+        with cli._all_int_digits():
+            assert cli._int_str(x) == str(x)
+
+    @given(st.integers(0, 2**5000))
+    @settings(max_examples=200, deadline=None)
+    def test_int_str_by_many_levels_of_halves_is_str(self, x):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "SPLIT_BITS", 16)
+            assert cli._int_str(x) == str(x)
+
     def test_decimal_column_near_the_bit_guard_converts_no_whole_integer(self, capsys, monkeypatch):
         value = expected_coverage_multiset(IntersectionKind("lhs"), DesignSpec(2, 1000), 40)
         assert value.denominator.bit_length() > 100_000

@@ -6,6 +6,7 @@ from the pinned algorithm.
 """
 
 import os
+import platform
 import sys
 import threading
 import warnings
@@ -328,6 +329,59 @@ def test_usable_cpus_reads_the_affinity_mask(monkeypatch):
     assert rng.usable_cpus() == 5
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert rng.usable_cpus() == 1
+
+
+def test_repeated_draws_fault_in_no_memory():
+    # Under glibc's own thresholds every call gave its chunk's memory
+    # back to the kernel and faulted it in again: 224 minor faults a call.
+    resource = pytest.importorskip("resource")
+    if platform.libc_ver()[0] != "glibc":
+        pytest.skip("only glibc's malloc takes these thresholds")
+    assert rng._keep_freed_memory()
+    seeds = fold_grid([29], np.arange(1, 611))[0]
+    for _ in range(3):
+        permutations_from_seeds(seeds, 125)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(10):
+        permutations_from_seeds(seeds, 125)
+    assert (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10 < 16
+
+
+class _Libc:
+    """ctypes.CDLL(None) of a C library whose mallopt, if it has one,
+    records its calls and returns `took`."""
+
+    def __init__(self, name, took=None):
+        assert name is None
+        self.calls = []
+        if took is not None:
+
+            def mallopt(param, value):
+                self.calls.append((param, value))
+                return took
+
+            self.mallopt = mallopt
+
+    def __getattr__(self, symbol):
+        raise AttributeError(f"undefined symbol: {symbol}")
+
+
+def _no_library(name):
+    raise TypeError("no library from None")  # as on Windows
+
+
+@pytest.mark.parametrize("opened", [_Libc, _no_library])
+def test_keep_freed_memory_leaves_a_library_without_mallopt(monkeypatch, opened):
+    monkeypatch.setattr(rng.ctypes, "CDLL", opened)
+    assert rng._keep_freed_memory() is False
+
+
+@pytest.mark.parametrize("took", [1, 0])
+def test_keep_freed_memory_sets_both_thresholds(monkeypatch, took):
+    libc = _Libc(None, took)
+    monkeypatch.setattr(rng.ctypes, "CDLL", lambda name: libc)
+    assert rng._keep_freed_memory() is bool(took)
+    assert libc.calls == [(-3, 32 << 20), (-1, 64 << 20)]
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])

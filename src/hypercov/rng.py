@@ -62,7 +62,7 @@ twice that), so the arrays of a sweep's draws, a few hundred KiB each,
 were given back after every call and faulted in again, zeroed page by
 page: 27,750 minor faults a sweep-thresholds pass. Set from the start to
 glibc's 64-bit ceilings, 32 MiB and 64 MiB, the thresholds keep that
-memory in the process (under 1,000 faults a pass); a block past 32 MiB
+memory in the process (at most 1 fault a pass); a block past 32 MiB
 is still mapped for itself. Only where memory comes from changes, never
 a byte drawn. Only the numpy paths import this module, so `exact`,
 `law` and `verify` leave the policy as it is.

@@ -237,12 +237,16 @@ class TestExact:
 
     # 10^9864 has SPLIT_BITS bits and 10^9865 more; 2^SPLIT_BITS is the
     # least integer printed by halves.
-    @pytest.mark.parametrize("x", [
-        "0", *(f"10**{j} + {e}" for j in (0, 1, 9864, 9865, 40000) for e in (-1, 0)),
-        "2**cli.SPLIT_BITS - 1", "2**cli.SPLIT_BITS", "3**50000",
-    ])
+    INT_STR_CASES = {
+        "0": 0,
+        **{f"10^{j}{e:+d}": 10**j + e for j in (0, 1, 9864, 9865, 40000) for e in (-1, 0)},
+        "2^SPLIT_BITS-1": 2**cli.SPLIT_BITS - 1,
+        "2^SPLIT_BITS": 2**cli.SPLIT_BITS,
+        "3^50000": 3**50000,
+    }
+
+    @pytest.mark.parametrize("x", INT_STR_CASES.values(), ids=INT_STR_CASES.keys())
     def test_int_str_is_str(self, x):
-        x = eval(x)
         with cli._all_int_digits():
             assert cli._int_str(x) == str(x)
 

@@ -33,6 +33,10 @@ straight from trial-major keys must leave both unchanged.
 `law-conjecture-n1923` was re-recorded when every hit rate became the
 correctly rounded 1/n^(t-1): libm pow had rounded 1/1923 one ulp low,
 so its lambda column and its k=1 value went from ...332 to ...333.
+The `oracle-intersect-*` and `oracle-cover-*` rows without `--edge`
+(lhs and os full grids, m and k up to 3) were recorded while the two
+expectations walked the multisets in two copies of the loop; walking
+them once for both must leave every one unchanged.
 """
 
 import hashlib
@@ -108,6 +112,10 @@ GOLDEN = {
     "simulate-lhs-rows": ("simulate --kind lhs --d 4 --n 65536 --k 2 --reps 2 --target full --seed 3", 0, "74021c1068da1734dd3765cdacf13fd4750616d88d3a9600523d85418a4170b6"),
     "simulate-os-rows": ("simulate --kind os --d 4 --n 65536 --p 16 --k 2 --reps 2 --target full --seed 3", 0, "8075cd123a2d13b16429384b662607f9dfa5d6dc80568f2e5ebb55220cb06b7e"),
     "simulate-lhs-multi-word": ("simulate --kind lhs --d 5 --n 65536 --k 2 --reps 2 --target full --seed 3", 0, "0dbe8823e46359e19cdf87bf148c46503b3647e1b761e4fe5c7dcba183834caa"),
+    "oracle-intersect-lhs-grid": ("oracle --mode intersect --kind lhs --d 2 --n 3 --m 1,2,3", 0, "d894014623e3409d5307f1164ff09b4f740ead6a0309bfefd08dd4dbbe4586ef"),
+    "oracle-intersect-os-grid": ("oracle --mode intersect --kind os --d 2 --n 4 --p 2 --m 1,2", 0, "ac4297719dea10ee58e79a46148cfb91e6be1426415139f7cf5c3e21fb89cb0c"),
+    "oracle-cover-os-grid": ("oracle --mode cover --kind os --d 2 --n 4 --p 2 --k 1,2", 0, "e1e0258e41893c2501dc7f5874b69446294df66ee1690f31c44047d07a314ba3"),
+    "oracle-cover-lhs-grid": ("oracle --mode cover --kind lhs --d 3 --n 2 --k 1,2,3", 0, "deadb7ee42af56fd5732189781ff2d94206f9a5cd538c58a6faae76fbf6c180e"),
     "oracle-cover-os-enumerated": ("oracle --mode cover --kind os --d 2 --n 9 --p 3 --k 1", 0, "4227ef6fc0693b5b4728eb89783a06c17d9d143e8982b1cbdb48dd6bedb490db"),
     "law-bracket-lhs-split": ("law --model bracket --kind lhs --d 2 --n 100 --k 17,64,256,512", 0, "d6a9bd8d4242a6b19ace3642ce8d4e3fc23b815256ac9fc9bf72b35389bf03b0"),
     "law-bracket-os-split": ("law --model bracket --kind os --d 2 --n 100 --p 10 --k 17,64,256,512", 0, "76c62777ab83ef85bcc0f240d148c7360f9043811923ce3f1197f8faba6a6919"),

@@ -74,12 +74,12 @@ from .design import DesignSpec, Units, band_width
 from .errors import CapExceededError, GuardExceededError, StructuralError
 
 # Refuse exact work whose integers would exceed this many bits. Near the
-# bound (lhs d=2 n=1000 k=117, 998,010 bits) the CLI took 5.5 s for
-# `exact --format rational`, which builds both products (0.4 s), takes
-# the gcd (1.8 s) and prints both integers, and as long with the decimal
-# column (2-vCPU VM, Python 3.11.7); `law --model bracket` took 0.15 s,
-# since its interval rounding settles before the products it would fall
-# back to, which the guard bounds.
+# bound (lhs d=2 n=1000 k=117, 998,010 bits) `exact --format rational`
+# took 1.5-1.7 s in a whole process, which builds both products (0.2 s),
+# takes the gcd (1.05 s) and prints both integers (0.2 s), and as long
+# with the decimal column (2-vCPU VM, Python 3.11.7); `law --model
+# bracket` took 0.08 s, since its interval rounding settles before the
+# products it would fall back to, which the guard bounds.
 BIGINT_GUARD_BITS = 1_000_000
 
 # Working bits of coverage_float's first try, past bits(k) + bits(b//a),

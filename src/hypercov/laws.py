@@ -72,6 +72,10 @@ def _check_law(lam: float, k: int) -> None:
         raise StructuralError(f"lambda must be in (0, 1], got {lam}")
     if k < 0:
         raise StructuralError(f"k must be >= 0, got {k}")
+    try:
+        float(k)
+    except OverflowError:
+        raise StructuralError(f"k must fit a float, got a {k.bit_length()}-bit k") from None
 
 
 def iid_coverage(lam: float, k: int) -> float:

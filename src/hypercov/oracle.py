@@ -8,8 +8,11 @@ no numpy; it keeps a second form of a trial on purpose, d tuples of
 0-based values (the sampler's (b, d, n) columns as nested tuples).
 The units counted are a `design.Units` family, or a tuple of families
 pooled together; `_cells` projects trials onto them with plain tuple
-code on 1-based values. Guards refuse anything that would not finish
-at a desk: the point is small instances, not scale.
+code on 1-based values. One walk over the multisets serves both
+expectations: it joins each multiset's unit sets by & for the units
+common to all its trials, or by | for the units any of them covers.
+Guards refuse anything that would not finish at a desk: the point is
+small instances, not scale.
 """
 
 from __future__ import annotations
@@ -99,11 +102,6 @@ def _unit_sets(ts: EnumeratedTrialSet, projection: Units | tuple[Units, ...]) ->
     return [frozenset((f, cell) for f, cells in enumerate(row) for cell in cells) for row in rows]
 
 
-def _universe(ts: EnumeratedTrialSet, projection: Units | tuple[Units, ...]) -> int:
-    families = (projection,) if isinstance(projection, Units) else projection
-    return sum(units.universe(ts.spec) for units in families)
-
-
 def check_walk(name: str, b: int, m: int) -> None:
     """Refuse m < 1, or a walk over the m-multisets of b trials above
     MULTISET_GUARD, which bounds multisets * m: each costs O(m) to walk."""
@@ -116,23 +114,30 @@ def check_walk(name: str, b: int, m: int) -> None:
         )
 
 
+def _multiset_mean(
+    name: str, ts: EnumeratedTrialSet, q: int, projection: Units | tuple[Units, ...], intersect: bool
+) -> Fraction:
+    """Average number of units common to all trials of a q-multiset
+    (intersect) or covered by any of them, over all C(b+q-1, q)."""
+    b = len(ts.trials)
+    check_walk(name, b, q)
+    units = _unit_sets(ts, projection)
+    total = 0
+    for combo in combinations_with_replacement(range(b), q):
+        got = units[combo[0]]
+        for i in set(combo[1:]):
+            got = got & units[i] if intersect else got | units[i]
+        total += len(got)
+    return Fraction(total, math.comb(b + q - 1, q))
+
+
 def oracle_expected_intersection(
     ts: EnumeratedTrialSet,
     m: int,
     projection: Units | tuple[Units, ...] = Units(),
 ) -> Fraction:
     """Average number of units common to all trials of an m-multiset."""
-    check_walk("m", len(ts.trials), m)
-    units = _unit_sets(ts, projection)
-    total = 0
-    count = 0
-    for combo in combinations_with_replacement(range(len(units)), m):
-        common = units[combo[0]]
-        for idx in set(combo[1:]):
-            common = common & units[idx]
-        total += len(common)
-        count += 1
-    return Fraction(total, count)
+    return _multiset_mean("m", ts, m, projection, intersect=True)
 
 
 def oracle_expected_coverage(
@@ -141,18 +146,8 @@ def oracle_expected_coverage(
     projection: Units | tuple[Units, ...] = Units(),
 ) -> Fraction:
     """Average fraction of the unit universe covered by a k-multiset."""
-    check_walk("k", len(ts.trials), k)
-    units = _unit_sets(ts, projection)
-    universe = _universe(ts, projection)
-    total = 0
-    count = 0
-    for combo in combinations_with_replacement(range(len(units)), k):
-        covered: set = set()
-        for idx in set(combo):
-            covered |= units[idx]
-        total += len(covered)
-        count += 1
-    return Fraction(total, count * universe)
+    families = (projection,) if isinstance(projection, Units) else projection
+    return _multiset_mean("k", ts, k, projection, intersect=False) / sum(u.universe(ts.spec) for u in families)
 
 
 def occurrence_counts(ts: EnumeratedTrialSet, units: Units) -> dict[tuple[int, ...], int]:
@@ -228,19 +223,15 @@ def constant_count_check(name: str, counts: dict, want: int) -> CheckResult:
 
 def default_verification_suite() -> list[CheckResult]:
     """Oracle vs exact-count agreement on the standard tiny instances."""
-    d2n2 = DesignSpec(2, 2)
-    d2n3 = DesignSpec(2, 3)
-    d3n2 = DesignSpec(3, 2)
     d2p2 = DesignSpec(2, 4, 2)
-
-    lhs_d2n2 = enumerate_trials(d2n2, SampleKind.LHS)
-    lhs_d2n3 = enumerate_trials(d2n3, SampleKind.LHS)
-    lhs_d3n2 = enumerate_trials(d3n2, SampleKind.LHS)
+    lhs_d2n2 = enumerate_trials(DesignSpec(2, 2), SampleKind.LHS)
+    lhs_d2n3 = enumerate_trials(DesignSpec(2, 3), SampleKind.LHS)
+    lhs_d3n2 = enumerate_trials(DesignSpec(3, 2), SampleKind.LHS)
     lhs_d2p2 = enumerate_trials(d2p2, SampleKind.LHS)
     os_d2p2 = enumerate_trials(d2p2, SampleKind.OS)
 
     lhs, os_ = IntersectionKind.LHS_TUPLE, IntersectionKind.OS_TUPLE
-    band = IntersectionKind.LH_EDGE_SUBBLOCK
+    edges, band = IntersectionKind.LH_EDGE_ALL, IntersectionKind.LH_EDGE_SUBBLOCK
     pairs = tuple(Units(2, pair) for pair in combinations(range(1, 4), 2))
     cell = Units(2, (1, 2), coarse=(1, 1))
     checks = [
@@ -252,7 +243,7 @@ def default_verification_suite() -> list[CheckResult]:
             ("lhs d=2 n=3", lhs_d2n3, lhs, Units()),
             ("lhs d=3 n=2", lhs_d3n2, lhs, Units()),
             ("os d=2 p=2", os_d2p2, os_, Units()),
-            ("edges d=3 n=2", lhs_d3n2, IntersectionKind.LH_EDGE_ALL, pairs),
+            ("edges d=3 n=2", lhs_d3n2, edges, pairs),
             ("sub-block edge d=2 p=2", lhs_d2p2, band, cell),
         ):
             checks.append(exact_check(f"intersection {label} m={m}", ts, kind, "intersect", m, units))
@@ -268,26 +259,12 @@ def default_verification_suite() -> list[CheckResult]:
         valid, b = _valid_trial_count(ts, orthogonal), kind_params(kind, ts.spec).b
         got = str(valid) if valid == len(ts.trials) else f"{valid} of {len(ts.trials)}"
         checks.append(CheckResult(label, got, str(b), got == str(b) and b == want))
-    checks.append(
-        constant_count_check(
-            "cell occurrence lhs d=2 n=3",
-            occurrence_counts(lhs_d2n3, Units()),
-            kind_params(IntersectionKind.LHS_TUPLE, d2n3).a,
-        )
-    )
-    checks.append(
-        constant_count_check(
-            "cell occurrence os d=2 p=2",
-            occurrence_counts(os_d2p2, Units()),
-            kind_params(IntersectionKind.OS_TUPLE, d2p2).a,
-        )
-    )
-    for i, j in combinations(range(1, 4), 2):
-        checks.append(
-            constant_count_check(
-                f"edge occurrence lhs d=3 n=2 axes=({i},{j})",
-                occurrence_counts(lhs_d3n2, Units(2, (i, j))),
-                kind_params(IntersectionKind.LH_EDGE_ALL, d3n2).a,
-            )
-        )
+    for label, ts, kind, units in (
+        ("cell occurrence lhs d=2 n=3", lhs_d2n3, lhs, Units()),
+        ("cell occurrence os d=2 p=2", os_d2p2, os_, Units()),
+        *((f"edge occurrence lhs d=3 n=2 axes=({i},{j})", lhs_d3n2, edges, Units(2, (i, j)))
+          for i, j in combinations(range(1, 4), 2)),
+    ):
+        # Every unit occurs in a of the b trials.
+        checks.append(constant_count_check(label, occurrence_counts(ts, units), kind_params(kind, ts.spec).a))
     return checks

@@ -341,6 +341,24 @@ class TestLaw:
         assert err.startswith("error: n must fit a float")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--model", "iid", "--t", "2"],
+            ["--model", "asymptotic", "--t", "2"],
+            ["--model", "conjecture", "--t", "2"],
+            ["--model", "iid", "--kind", "lhs", "--d", "2"],
+        ],
+        ids=["iid", "asymptotic", "conjecture", "kind"],
+    )
+    def test_k_beyond_float_exits_2(self, capsys, flags):
+        code = main(["law", *flags, "--n", "10", "--k", "1" + "0" * 400])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: k must fit a float, got a 1329-bit k")
+        assert "Traceback" not in err
+
     def test_t_and_kind_give_one_lambda(self, capsys):
         # libm pow gave ...332 for --t; the rounded 1/1923 is ...333.
         rows = []

@@ -158,6 +158,13 @@ class TestClosedForms:
         with pytest.raises(StructuralError):
             iid_coverage(0.5, -1)
 
+    @pytest.mark.parametrize("law", [iid_coverage, asymptotic_coverage])
+    def test_k_beyond_float_refused(self, law):
+        # 2^1024 - 1 rounds up past the largest double; 2^1023 still fits.
+        assert law(0.5, 2**1023) == 1.0
+        with pytest.raises(StructuralError, match="k must fit a float, got a 1024-bit k"):
+            law(0.5, 2**1024 - 1)
+
     def test_conjecture_validation(self):
         with pytest.raises(StructuralError):
             projection_lambda(10, 4, d=3)

@@ -118,7 +118,7 @@ def _multiset_mean(
     name: str, ts: EnumeratedTrialSet, q: int, projection: Units | tuple[Units, ...], intersect: bool
 ) -> Fraction:
     """Average number of units common to all trials of a q-multiset
-    (intersect) or covered by any of them, over all C(b+q-1, q)."""
+    (intersect) or covered by any of them, over the C(b+q-1, q) multisets."""
     b = len(ts.trials)
     check_walk(name, b, q)
     units = _unit_sets(ts, projection)

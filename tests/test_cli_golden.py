@@ -37,6 +37,12 @@ The `oracle-intersect-*` and `oracle-cover-*` rows without `--edge`
 (lhs and os full grids, m and k up to 3) were recorded while the two
 expectations walked the multisets in two copies of the loop; walking
 them once for both must leave every one unchanged.
+The `sweep-simulated-os`, `sweep-full-coverage-os`, `sweep-simulated-os-d3`
+and `sweep-simulated-lhs-batches` rows were recorded while every
+replicate of a sweep cell drew its own trials. They run orthogonal
+sweeps and LHS sweeps of 100 replicates, which fill more than one
+`SimPlan.batch`; drawing a cell's replicates in batches must leave every
+one unchanged.
 """
 
 import hashlib
@@ -103,6 +109,10 @@ GOLDEN = {
     "sweep-closed-form-t1": ("sweep --mode closed-form --kind lhs --d 3 --t 1 --levels 0.5 --n-grid 10,100,1000", 0, "08c54e4392a12788dc863c054e1be0d1cc928314407db3416c00b184ca13679d"),
     "sweep-simulated-t2": ("sweep --mode simulated --kind lhs --d 3 --t 2 --levels 0.5,0.9 --n-grid 8,27,64 --reps 3 --seed 5", 0, "971023deb6bc9c7e98c5e83a8c3d1cf2404ef7727701cc3eee5ec620ca954666"),
     "sweep-full-coverage": ("sweep --mode simulated --kind lhs --d 2 --t 2 --levels 1.0 --n-grid 8,16,32 --reps 3 --seed 5", 0, "bcf240152fbda2b299daedb637cd05862e458a9ad32a45c1ab6d7e465d03a4f2"),
+    "sweep-simulated-os": ("sweep --mode simulated --kind os --d 2 --t 2 --levels 0.5,0.9 --n-grid 4,9,16,25 --reps 40 --seed 7", 0, "3bb9cd50879e92b210b0331a72c16092369bcc632defe855042a22343a929fc4"),
+    "sweep-full-coverage-os": ("sweep --mode simulated --kind os --d 2 --t 2 --levels 1.0 --n-grid 4,9,16 --reps 40 --seed 7", 0, "2ec64e1622589039650aa41f8a9d82ef9f57ba9a92ef5d53bdfd252b3b954fa8"),
+    "sweep-simulated-os-d3": ("sweep --mode simulated --kind os --d 3 --t 2 --levels 0.5,0.9 --n-grid 8,27,64 --reps 40 --seed 7", 0, "4163e72633bc294cef00bc3ef40923e309a8c1522c8d432cbd781e4644190c6a"),
+    "sweep-simulated-lhs-batches": ("sweep --mode simulated --kind lhs --d 3 --t 2 --levels 0.5,0.9 --n-grid 8,27,64 --reps 100 --seed 5", 0, "8a5f7324fc337e9e19d7ec70819663891f8003a589b64c1035c2d219e2b3210c"),
     "sweep-simulated-rows": ("sweep --mode simulated --kind lhs --d 4 --t 4 --levels 1e-13 --n-grid 60000,62000,65536 --reps 2 --seed 5", 0, "3495e7dc51a78c4d64e1f813b79120c29a4a099e6840d413fb1c6613019c395d"),
     "sweep-simulated-multi-word": ("sweep --mode simulated --kind lhs --d 6 --t 6 --levels 1e-17 --n-grid 6300,6400,6500 --reps 2 --seed 5", 0, "59b7c877ce2dfdd06134423d75e3e897752796a5ee07cee273451b210f85ca4d"),
     "gen-lhs-csv": ("gen --kind lhs --d 3 --n 5 --k 3 --seed 21", 0, "046f83d0677b2ef14bf4ca117f1716db72d222b1e415e677d3b06bd088f9953f"),

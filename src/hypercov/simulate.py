@@ -35,10 +35,12 @@ adjacent keys differ. A curve needs each key's earliest trial, which
 goes into the word's low bit_length(k-1) bits when they are free (the
 packed sort of rng.permutations_from_seeds). Else np.lexsort sorts
 the buckets: it is stable, so a bucket keeps its keys in trial order.
-Replicates are drawn in batches of up to BATCH_ENTRIES column entries,
+Replicates are drawn in batches of up to BATCH_ENTRIES column entries
+(`SimPlan.batch`, `replicate_batches`, which sweeps draw through too),
 each trial from its own seed fold(fold(seed, r), t); the i-th codes of a
 batch are offset by i * U, so one map or one sort counts every replicate
-in it. Row keys go one replicate at a time, and from 2 * rng.PARALLEL_KEYS
+in it. A sweep counts each replicate's prefix curve alone, from its
+slice of the batch's columns. Row keys go one replicate at a time, and from 2 * rng.PARALLEL_KEYS
 keys on they are built and counted on threads by the rule of rng.share,
 each thread writing only its own trials' rows or its own blocks' flags
 and trials, so no byte depends on the thread count.
@@ -51,7 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -347,6 +349,7 @@ def coverage_curve(
     target: Units,
     first: int = 1,
     covered: np.ndarray | None = None,
+    cols: np.ndarray | None = None,
 ) -> np.ndarray:
     """Distinct covered keys after each trial prefix first..first+i, for
     i < k (one replicate).
@@ -354,10 +357,13 @@ def coverage_curve(
     With `covered`, a bool map of the target's universe holding the keys
     of trials 1..first-1, only keys it does not hold are counted, and
     this chunk's keys are then marked in it; a replicate is extended
-    chunk by chunk this way. Nondecreasing by construction.
+    chunk by chunk this way. Nondecreasing by construction. `cols`, if
+    given, are these trials' columns on the target's axes, drawn by the
+    caller as trial_columns would (in `replicate_batches`, say).
     """
     axes = SimPlan(spec, kind, k, reps=1, targets=(target,)).axes  # the plan's checks and key guard
-    cols = trial_columns(spec, kind, rep_seed, k, first, axes)
+    if cols is None:
+        cols = trial_columns(spec, kind, rep_seed, k, first, axes)
     keys, counts = _keys_for_target(cols, spec, target, axes)
     if covered is not None:  # a bool map implies 1-D codes: the universe is small
         fresh = ~covered[keys]
@@ -367,15 +373,22 @@ def coverage_curve(
     return np.cumsum(_new_per_trial(keys, counts, target.universe(spec)), dtype=np.int64)
 
 
-def _replicate_counts(plan: SimPlan, rep_ids: Sequence[int]) -> list[tuple[int, tuple[int, ...]]]:
-    out, axes, batch, trials = [], plan.axes, plan.batch, np.arange(1, plan.k + 1)
-    for lo in range(0, len(rep_ids), batch):
-        reps = rep_ids[lo : lo + batch]
+def replicate_batches(plan: SimPlan, rep_ids: Sequence[int]) -> Iterator[tuple[list[int], np.ndarray]]:
+    """(replicate seeds, columns) of rep_ids in groups of plan.batch: the
+    columns on plan.axes of trials 1..plan.k of each replicate r, from
+    seed fold(plan.seed, r), one replicate after another."""
+    trials = np.arange(1, plan.k + 1)
+    for lo in range(0, len(rep_ids), plan.batch):
         # fold(fold(seed, r), t); rng.fold takes 2 us a replicate, fold_grid of one seed 25 us a call
-        seeds = rng.fold_grid([rng.fold(plan.seed, r) for r in reps], trials)
-        cols = points_batch(plan.spec, plan.kind, seeds.reshape(-1), axes)
-        counts = [_covered_counts(cols, plan.spec, t, axes, len(reps)) for t in plan.targets]
-        out.extend(zip(reps, zip(*counts)))
+        seeds = [rng.fold(plan.seed, r) for r in rep_ids[lo : lo + plan.batch]]
+        yield seeds, points_batch(plan.spec, plan.kind, rng.fold_grid(seeds, trials).reshape(-1), plan.axes)
+
+
+def _replicate_counts(plan: SimPlan, rep_ids: Sequence[int]) -> list[tuple[int, tuple[int, ...]]]:
+    out, ids = [], iter(rep_ids)
+    for seeds, cols in replicate_batches(plan, rep_ids):
+        counts = [_covered_counts(cols, plan.spec, t, plan.axes, len(seeds)) for t in plan.targets]
+        out.extend((next(ids), c) for c in zip(*counts))
     return out
 
 

@@ -21,8 +21,11 @@ is fully covered and k* is the mean stopping count, a float. A replicate
 is extended in chunks, never redrawn: the first is the coupon-collector
 mean U (ln U + gamma) / n for a universe of U cells, each later one a
 fifth of it, and a bool map of the U cells carries the covered keys from
-chunk to chunk. Each trial i is fold(rep_seed, i) whatever the chunking, so
-k* does not depend on it.
+chunk to chunk. A cell's curves, and its first chunks, are drawn in
+SimPlan.batch groups of replicates (simulate.replicate_batches), and
+each replicate's curve is counted alone from its slice of the columns.
+Trial i of replicate r is fold(fold(seed, r), i) whatever the batching
+and chunking, so k* does not depend on them.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import lazy
 from .design import MAX_D, MAX_N, DesignSpec, SampleKind, SweepMode, Units
@@ -90,17 +93,14 @@ def closed_form_k(n: int, t: int, level: float) -> int:
     raise GuardExceededError("closed-form boundary walk did not settle")
 
 
-def _mean_curve(
-    spec: DesignSpec, kind: SampleKind, t: int, k: int, reps: int, seed: int
-) -> np.ndarray:
-    import numpy as np
-
-    target = Units(t)
-    simulate.SimPlan(spec, kind, k, reps, targets=(target,))  # the guards, total work included
-    total = np.zeros(k, dtype=np.int64)
-    for r in range(1, reps + 1):
-        total += simulate.coverage_curve(spec, kind, rng.fold(seed, r), k, target)
-    return total / (reps * target.universe(spec))
+def _replicates(
+    spec: DesignSpec, kind: SampleKind, target: Units, k: int, reps: int, seed: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """(seed, columns of trials 1..k) of each replicate 1..reps, drawn in
+    SimPlan.batch groups once the plan's guards, total work included, pass."""
+    plan = simulate.SimPlan(spec, kind, k, reps, targets=(target,), seed=seed)
+    for seeds, cols in simulate.replicate_batches(plan, range(1, reps + 1)):
+        yield from zip(seeds, cols.reshape(len(seeds), k, *cols.shape[1:]))
 
 
 def _first_draw(spec: DesignSpec, kind: SampleKind, t: int, level: float, reps: int) -> int:
@@ -124,14 +124,7 @@ def _first_draw(spec: DesignSpec, kind: SampleKind, t: int, level: float, reps: 
     return start
 
 
-def simulated_k(
-    spec: DesignSpec,
-    kind: SampleKind,
-    t: int,
-    level: float,
-    reps: int,
-    seed: int,
-) -> int:
+def simulated_k(spec: DesignSpec, kind: SampleKind, t: int, level: float, reps: int, seed: int) -> int:
     """Smallest k whose mean simulated coverage over reps reaches level.
     The curve length doubles until the mean crosses; refused past
     SIM_K_GUARD."""
@@ -139,9 +132,12 @@ def simulated_k(
 
     if not (0.0 < level < 1.0):
         raise InvalidModeError(f"threshold search needs level in (0, 1), got {level}")
-    k = _first_draw(spec, kind, t, level, reps)
+    k, target = _first_draw(spec, kind, t, level, reps), Units(t)
     while True:
-        hit = np.nonzero(_mean_curve(spec, kind, t, k, reps, seed) >= level)[0]
+        total = np.zeros(k, dtype=np.int64)  # covered cells after each prefix, over all replicates
+        for rep_seed, cols in _replicates(spec, kind, target, k, reps, seed):
+            total += simulate.coverage_curve(spec, kind, rep_seed, k, target, cols=cols)
+        hit = np.nonzero(total / (reps * target.universe(spec)) >= level)[0]
         if hit.size:
             return int(hit[0]) + 1
         k *= 2
@@ -149,9 +145,12 @@ def simulated_k(
             raise GuardExceededError(f"k search passed guard {SIM_K_GUARD}")
 
 
-def _stop(spec: DesignSpec, kind: SampleKind, target: Units, rep_seed: int, start: int) -> int:
+def _stop(
+    spec: DesignSpec, kind: SampleKind, target: Units, rep_seed: int, start: int, cols: np.ndarray | None = None
+) -> int:
     """Trials until one replicate covers the target's universe, drawn in
-    chunks of start, then of a fifth of it, up to SIM_K_GUARD in all."""
+    chunks of start (the first's columns `cols`, if given), then of a
+    fifth of it, up to SIM_K_GUARD in all."""
     import numpy as np
 
     universe = target.universe(spec)
@@ -160,7 +159,8 @@ def _stop(spec: DesignSpec, kind: SampleKind, target: Units, rep_seed: int, star
     chunk = start
     while drawn < SIM_K_GUARD:
         chunk = min(chunk, SIM_K_GUARD - drawn)
-        curve = simulate.coverage_curve(spec, kind, rep_seed, chunk, target, drawn + 1, covered)
+        curve = simulate.coverage_curve(spec, kind, rep_seed, chunk, target, drawn + 1, covered, cols=cols)
+        cols = None
         hit = np.nonzero(curve >= universe - got)[0]
         if hit.size:
             return drawn + int(hit[0]) + 1
@@ -180,7 +180,7 @@ def full_coverage_k(
     """Mean number of trials until the t-axis projection is fully covered."""
     start = _first_draw(spec, kind, t, 1.0, reps)  # before any bitmap: start * n >= U
     target = Units(t)
-    stops = [_stop(spec, kind, target, rng.fold(seed, r), start) for r in range(1, reps + 1)]
+    stops = [_stop(spec, kind, target, s, start, cols) for s, cols in _replicates(spec, kind, target, start, reps, seed)]
     return math.fsum(stops) / len(stops)
 
 

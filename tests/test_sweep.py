@@ -171,7 +171,7 @@ class TestDoublingSearch:
     def test_guard_stops_both_searches(self, monkeypatch):
         lengths = []
 
-        def never_covers(spec, kind, seed, k, target, first=1, covered=None):
+        def never_covers(spec, kind, seed, k, target, first=1, covered=None, cols=None):
             lengths.append(k)
             return np.zeros(k, np.int64)
 

@@ -254,6 +254,24 @@ class TestCurve:
         assert np.count_nonzero(covered) == whole[-1]
 
 
+    @pytest.mark.parametrize("kind", list(SampleKind))
+    @pytest.mark.parametrize("target", [Units(), Units(2, (3, 1))])
+    def test_given_columns_count_as_a_fresh_draw(self, kind, target):
+        # cols, drawn by the caller as trial_columns draws them, give the
+        # curve and the covered map that coverage_curve's own draw gives.
+        spec = DesignSpec(3, 8, p=2)
+        axes = SimPlan(spec, kind, 1, 1, targets=(target,)).axes
+        cols = trial_columns(spec, kind, 5, 12, axes=axes)
+        want = coverage_curve(spec, kind, 5, 12, target)
+        assert np.array_equal(coverage_curve(spec, kind, 5, 12, target, cols=cols), want)
+        mine, given = (np.zeros(target.universe(spec), dtype=bool) for _ in range(2))
+        for first, k in [(1, 4), (5, 1), (6, 9)]:
+            cols = trial_columns(spec, kind, 5, k, first, axes)
+            a = coverage_curve(spec, kind, 5, k, target, first, mine)
+            b = coverage_curve(spec, kind, 5, k, target, first, given, cols=cols)
+            assert np.array_equal(a, b) and np.array_equal(mine, given)
+
+
 class TestUnitEncoders:
     """The oracle's per-trial projection (`oracle._cells`) and the
     simulator's numpy key encoder count the same cells on the same trials."""

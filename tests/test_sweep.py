@@ -20,7 +20,7 @@ from hypercov.sweep import (
     run_sweep,
     simulated_k,
 )
-from hypercov.simulate import coverage_curve
+from hypercov.simulate import coverage_curve, summarize
 
 
 class TestClosedFormThreshold:
@@ -107,6 +107,26 @@ class TestFullCoverage:
         assert got == full_coverage_k(DesignSpec(2, 4), SampleKind.LHS, 2, reps=50, seed=1)
 
     @pytest.mark.parametrize(
+        "spec,kind,exact",
+        [
+            (DesignSpec(2, 3), SampleKind.LHS, Fraction(73, 10)),
+            (DesignSpec(2, 4), SampleKind.LHS, Fraction(1365160189, 111546435)),
+            (DesignSpec(2, 4, p=2), SampleKind.OS, Fraction(537421, 45045)),
+        ],
+    )
+    def test_mean_stop_matches_the_exact_expectation(self, monkeypatch, spec, kind, exact):
+        # The exact mean number of i.i.d. trials to cover the full 2-axis
+        # grid: sum over nonempty cell sets S of (-1)^(|S|+1) / (1 - q_S),
+        # q_S the share of oracle.enumerate_trials' trials that miss S.
+        stops, real = [], sweep._stop
+        monkeypatch.setattr(sweep, "_stop", lambda *args: stops.append(real(*args)) or stops[-1])
+        reps = 2000
+        got = full_coverage_k(spec, kind, 2, reps=reps, seed=11)
+        assert len(stops) == reps and got == math.fsum(stops) / reps
+        stats = summarize(stops)
+        assert abs(stats.mean - exact) <= 4 * stats.se
+
+    @pytest.mark.parametrize(
         "spec,kind,t",
         [
             (DesignSpec(2, 4), SampleKind.LHS, 2),
@@ -156,6 +176,29 @@ class TestFullCoverage:
         assert closed.rows == tuple((n, closed_form_k(n, 2, 0.5)) for n in grid)
         with pytest.raises(InvalidModeError, match="^full coverage has no closed form; use simulated mode$"):
             run_sweep(2, 2, SampleKind.LHS, [0.5, 1.0], grid, SweepMode.CLOSED_FORM)
+
+
+class TestBatchSize:
+    """How many replicates share a draw (SimPlan.batch) changes no result:
+    trial t of replicate r is fold(fold(seed, r), t) in any batch."""
+
+    @pytest.mark.parametrize("kind", list(SampleKind))
+    @pytest.mark.parametrize("level", [0.5, 0.9, 1.0])
+    def test_batch_size_changes_no_result(self, monkeypatch, kind, level):
+        spec, t, reps, seed = DesignSpec(3, 8, p=2), 2, 23, 3  # 23 = 3 * 7 + 2
+        entries = sweep._first_draw(spec, kind, t, level, reps) * t * spec.n  # a first curve's
+        batches, real = [], simulate.replicate_batches
+        monkeypatch.setattr(simulate, "replicate_batches", lambda plan, ids: batches.append(plan.batch) or real(plan, ids))
+        results = []
+        for budget, want in [(0, 1), (7 * entries, 7), (reps * entries, reps)]:
+            monkeypatch.setattr(simulate, "BATCH_ENTRIES", budget)
+            batches.clear()
+            if level == 1.0:
+                results.append(full_coverage_k(spec, kind, t, reps=reps, seed=seed))
+            else:
+                results.append(simulated_k(spec, kind, t, level, reps=reps, seed=seed))
+            assert batches[0] == want
+        assert results[0] == results[1] == results[2]
 
 
 class TestDoublingSearch:

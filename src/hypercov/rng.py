@@ -72,7 +72,6 @@ from __future__ import annotations
 
 import ctypes
 import os
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -83,7 +82,12 @@ _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
 
 _G = np.uint64(GAMMA)
-_STEPS, _LAST = ((np.uint64(30), np.uint64(_M1)), (np.uint64(27), np.uint64(_M2))), np.uint64(31)
+# mix64's shifts and multipliers as numpy scalars, for _mix64_arr.
+_S30 = np.uint64(30)
+_S27 = np.uint64(27)
+_S31 = np.uint64(31)
+_UM1 = np.uint64(_M1)
+_UM2 = np.uint64(_M2)
 # Keys per chunk of permutation rows (at least one row). At 512 KiB per
 # uint64 array a chunk's keys and temporaries stay in a core's L2 cache,
 # which made the draw up to twice as fast as chunks of 2^22 keys.
@@ -95,8 +99,6 @@ NARROW_N = 512
 # Fewest keys a thread draws: a call of fewer than 2 * PARALLEL_KEYS keys
 # runs on the caller's thread alone.
 PARALLEL_KEYS = 1 << 20
-# fold_grid caches the label half of the last 64 label arrays this small.
-CACHED_LABELS = 1024
 # mallopt's parameter numbers (glibc's malloc.h) and the values it sets;
 # glibc refuses an mmap threshold above 32 MiB on 64-bit.
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
@@ -175,11 +177,13 @@ def fold(seed: int, *labels: int) -> int:
 def _mix64_arr(z: np.ndarray) -> np.ndarray:
     """SplitMix64 finalizer on a uint64 array, in place; returns z."""
     tmp = np.empty_like(z)
-    for shift, mult in _STEPS:
-        np.right_shift(z, shift, out=tmp)
-        z ^= tmp
-        z *= mult
-    np.right_shift(z, _LAST, out=tmp)
+    np.right_shift(z, _S30, out=tmp)
+    z ^= tmp
+    z *= _UM1
+    np.right_shift(z, _S27, out=tmp)
+    z ^= tmp
+    z *= _UM2
+    np.right_shift(z, _S31, out=tmp)
     z ^= tmp
     return z
 
@@ -194,18 +198,8 @@ def fold_grid(seeds: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """fold(seed, label) for every (seed, label) pair; shape (len(seeds), len(labels))."""
     s = np.asarray(seeds, dtype=np.uint64)
     lab = np.asarray(labels, dtype=np.uint64)
-    inner = _label_mix(lab.tobytes()) if lab.size <= CACHED_LABELS else _mix64_arr(lab + _G)
+    inner = _mix64_arr(lab + _G)
     return _mix64_arr(s[:, None] ^ inner[None, :])
-
-
-@lru_cache(maxsize=64)
-def _label_mix(labels: bytes) -> np.ndarray:
-    """fold_grid's mix64(label + GAMMA) of recurring small label arrays
-    (trial ranges, axes), read-only; by the scalar mix64, so no entry
-    depends on how _mix64_arr is bound."""
-    out = np.array([mix64(x + GAMMA) for x in np.frombuffer(labels, np.uint64).tolist()], np.uint64)
-    out.flags.writeable = False
-    return out
 
 
 def _argsort_redraw(s: np.ndarray, n: int) -> np.ndarray:

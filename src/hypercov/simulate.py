@@ -373,22 +373,25 @@ def coverage_curve(
     return np.cumsum(_new_per_trial(keys, counts, target.universe(spec)), dtype=np.int64)
 
 
-def replicate_batches(plan: SimPlan, rep_ids: Sequence[int]) -> Iterator[tuple[list[int], np.ndarray]]:
-    """(replicate seeds, columns) of rep_ids in groups of plan.batch: the
-    columns on plan.axes of trials 1..plan.k of each replicate r, from
+def replicate_batches(
+    plan: SimPlan, rep_ids: Sequence[int]
+) -> Iterator[tuple[Sequence[int], list[int], np.ndarray]]:
+    """(replicate ids, seeds, columns) of rep_ids in groups of plan.batch:
+    the columns on plan.axes of trials 1..plan.k of each replicate r, from
     seed fold(plan.seed, r), one replicate after another."""
     trials = np.arange(1, plan.k + 1)
     for lo in range(0, len(rep_ids), plan.batch):
+        ids = rep_ids[lo : lo + plan.batch]
         # fold(fold(seed, r), t); rng.fold takes 1 us a replicate, fold_grid of one seed 8 us a call
-        seeds = [rng.fold(plan.seed, r) for r in rep_ids[lo : lo + plan.batch]]
-        yield seeds, points_batch(plan.spec, plan.kind, rng.fold_grid(seeds, trials).reshape(-1), plan.axes)
+        seeds = [rng.fold(plan.seed, r) for r in ids]
+        yield ids, seeds, points_batch(plan.spec, plan.kind, rng.fold_grid(seeds, trials).reshape(-1), plan.axes)
 
 
 def _replicate_counts(plan: SimPlan, rep_ids: Sequence[int]) -> list[tuple[int, tuple[int, ...]]]:
-    out, ids = [], iter(rep_ids)
-    for seeds, cols in replicate_batches(plan, rep_ids):
+    out = []
+    for ids, seeds, cols in replicate_batches(plan, rep_ids):
         counts = [_covered_counts(cols, plan.spec, t, plan.axes, len(seeds)) for t in plan.targets]
-        out.extend((next(ids), c) for c in zip(*counts))
+        out.extend(zip(ids, zip(*counts)))
     return out
 
 

@@ -99,7 +99,7 @@ def _replicates(
     """(seed, columns of trials 1..k) of each replicate 1..reps, drawn in
     SimPlan.batch groups once the plan's guards, total work included, pass."""
     plan = simulate.SimPlan(spec, kind, k, reps, targets=(target,), seed=seed)
-    for seeds, cols in simulate.replicate_batches(plan, range(1, reps + 1)):
+    for _, seeds, cols in simulate.replicate_batches(plan, range(1, reps + 1)):
         yield from zip(seeds, cols.reshape(len(seeds), k, *cols.shape[1:]))
 
 

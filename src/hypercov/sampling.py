@@ -18,8 +18,8 @@ output is uniform over all orthogonal trials.
 
 Trials are drawn through two entries, in a batch, one trial per seed:
 `points_batch` draws either sampler's trials for given seeds, and
-`trial_columns` draws trials first..first+k-1 of a run, trial t from
-seed fold(seed, t). Both give 0-based columns: an int32 array of shape
+`trial_columns` draws trials 1..k of a run, trial t from seed
+fold(seed, t). Both give 0-based columns: an int32 array of shape
 (k, d, n) (n <= design.MAX_N = 2^20) whose entry [t, j] is axis j + 1
 of trial t, a permutation of 0..n-1, the one form of a trial outside
 the oracle; 1-based rows appear only in `gen` output and the oracle's
@@ -94,14 +94,11 @@ def points_batch(spec: DesignSpec, kind: SampleKind, seeds: np.ndarray, axes: Ax
     return orthogonal_columns(fines, p, axes, spec.d)
 
 
-def trial_columns(
-    spec: DesignSpec, kind: SampleKind, seed: int, k: int, first: int = 1, axes: Axes = None
-) -> np.ndarray:
-    """Columns of trials first..first+k-1 of a run or replicate, on the
-    sorted 1-based `axes` (all d by default); trial t (1-based) is drawn
-    from fold(seed, t), so a run can be extended."""
+def trial_columns(spec: DesignSpec, kind: SampleKind, seed: int, k: int, axes: Axes = None) -> np.ndarray:
+    """Columns of trials 1..k of a run, on the sorted 1-based `axes` (all
+    d by default); trial t is drawn from fold(seed, t)."""
     if k < 0:
         raise StructuralError(f"k must be >= 0, got {k}")
     # Masked as rng.fold masks, so a negative seed or one past 64 bits runs.
-    seeds = rng.fold_grid([seed & rng.MASK64], np.arange(first, first + k))[0]
+    seeds = rng.fold_grid([seed & rng.MASK64], np.arange(1, k + 1))[0]
     return points_batch(spec, kind, seeds, axes)

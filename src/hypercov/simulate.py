@@ -1,8 +1,8 @@
 """Monte Carlo coverage estimation over replicated trial pools.
 
-A replicate draws k i.i.d. trials (replicate r uses substream
-fold(seed, r), trial t inside it fold(rep_seed, t)) and counts distinct
-covered keys for each requested target, a `design.Units` family:
+A replicate draws k i.i.d. trials (trial t of replicate r from seed
+fold(fold(seed, r), t)) and counts distinct covered keys for each
+requested target, a `design.Units` family:
 
     Units()                 grid cells, universe n^d
     Units(t, dims)          cells of a t-axis projection, universe n^t
@@ -35,15 +35,17 @@ adjacent keys differ. A curve needs each key's earliest trial, which
 goes into the word's low bit_length(k-1) bits when they are free (the
 packed sort of rng.permutations_from_seeds). Else np.lexsort sorts
 the buckets: it is stable, so a bucket keeps its keys in trial order.
-Replicates are drawn in batches of up to BATCH_ENTRIES column entries
-(`SimPlan.batch`, `replicate_batches`, which sweeps draw through too),
-each trial from its own seed fold(fold(seed, r), t); the i-th codes of a
+Every simulated trial, of a run or of a sweep, is drawn by
+`replicate_batches`: the trials first..first+k-1 of replicates in
+batches of up to BATCH_ENTRIES column entries (`SimPlan.batch`), each
+trial from its own seed fold(fold(seed, r), t). The i-th codes of a
 batch are offset by i * U, so one map or one sort counts every replicate
-in it, and a sweep counts each replicate's prefix curve alone from its
-slice of the batch's columns. Row keys go one replicate at a time; from
-2 * rng.PARALLEL_KEYS keys on they are built and counted on threads by
-the rule of rng.share, each thread writing only its own trials' rows or
-its own blocks' flags and trials, so no byte depends on the thread count.
+in it; `coverage_curve` draws nothing and counts one replicate's prefix
+curve from its slice of a batch's columns. Row keys go one replicate at
+a time; from 2 * rng.PARALLEL_KEYS keys on they are built and counted on
+threads by the rule of rng.share, each thread writing only its own
+trials' rows or its own blocks' flags and trials, so no byte depends on
+the thread count.
 Per-replicate coverage fractions are exact integer ratios converted to
 float once; aggregation is sequential in replicate order with math.fsum,
 so reports are bit-stable for a fixed seed regardless of worker count.
@@ -61,7 +63,7 @@ from . import rng
 from .design import DesignSpec, SampleKind, Units, band_width
 from .errors import GuardExceededError, StructuralError
 from .laws import asymptotic_coverage, iid_coverage, projection_lambda
-from .sampling import Axes, points_batch, trial_columns
+from .sampling import Axes, points_batch
 
 MAX_TRACKED_KEYS = 20_000_000  # k * n per replicate
 # k * len(axes) * n column entries, charged 8 bytes each: 4 for the int32
@@ -341,30 +343,18 @@ def _new_per_trial(keys: np.ndarray, counts: np.ndarray, universe: int) -> np.nd
     return per_trial[:k]
 
 
-def coverage_curve(
-    spec: DesignSpec,
-    kind: SampleKind,
-    rep_seed: int,
-    k: int,
-    target: Units,
-    first: int = 1,
-    covered: np.ndarray | None = None,
-    cols: np.ndarray | None = None,
-) -> np.ndarray:
-    """Distinct covered keys after each trial prefix first..first+i, for
-    i < k (one replicate).
+def coverage_curve(plan: SimPlan, k: int, cols: np.ndarray, covered: np.ndarray | None = None) -> np.ndarray:
+    """Distinct keys of plan's one target after each of one replicate's
+    k trials, counted from their columns (k, len(plan.axes), n), as
+    `replicate_batches` draws them under the plan's guards.
 
     With `covered`, a bool map of the target's universe holding the keys
-    of trials 1..first-1, only keys it does not hold are counted, and
-    this chunk's keys are then marked in it; a replicate is extended
-    chunk by chunk this way. Nondecreasing by construction. `cols`, if
-    given, are these trials' columns on the target's axes, drawn by the
-    caller as trial_columns would (in `replicate_batches`, say).
+    of the replicate's earlier trials, only keys it does not hold are
+    counted, and these trials' keys are then marked in it; a replicate is
+    extended chunk by chunk this way. Nondecreasing by construction.
     """
-    axes = SimPlan(spec, kind, k, reps=1, targets=(target,)).axes  # the plan's checks and key guard
-    if cols is None:
-        cols = trial_columns(spec, kind, rep_seed, k, first, axes)
-    keys, counts = _keys_for_target(cols, spec, target, axes)
+    spec, (target,) = plan.spec, plan.targets
+    keys, counts = _keys_for_target(cols, spec, target, plan.axes)
     if covered is not None:  # a bool map implies 1-D codes: the universe is small
         fresh = ~covered[keys]
         covered[keys] = True
@@ -374,23 +364,24 @@ def coverage_curve(
 
 
 def replicate_batches(
-    plan: SimPlan, rep_ids: Sequence[int]
-) -> Iterator[tuple[Sequence[int], list[int], np.ndarray]]:
-    """(replicate ids, seeds, columns) of rep_ids in groups of plan.batch:
-    the columns on plan.axes of trials 1..plan.k of each replicate r, from
-    seed fold(plan.seed, r), one replicate after another."""
-    trials = np.arange(1, plan.k + 1)
+    plan: SimPlan, rep_ids: Sequence[int], first: int = 1
+) -> Iterator[tuple[Sequence[int], np.ndarray]]:
+    """(replicate ids, columns) of rep_ids in groups of plan.batch: the
+    columns on plan.axes of trials first..first+plan.k-1 of each
+    replicate r, trial t from seed fold(fold(plan.seed, r), t), one
+    replicate after another. The one place simulation draws trials."""
+    trials = np.arange(first, first + plan.k)
     for lo in range(0, len(rep_ids), plan.batch):
         ids = rep_ids[lo : lo + plan.batch]
-        # fold(fold(seed, r), t); rng.fold takes 1 us a replicate, fold_grid of one seed 8 us a call
+        # rng.fold takes 1 us a replicate, fold_grid of one seed 8 us a call
         seeds = [rng.fold(plan.seed, r) for r in ids]
-        yield ids, seeds, points_batch(plan.spec, plan.kind, rng.fold_grid(seeds, trials).reshape(-1), plan.axes)
+        yield ids, points_batch(plan.spec, plan.kind, rng.fold_grid(seeds, trials).reshape(-1), plan.axes)
 
 
 def _replicate_counts(plan: SimPlan, rep_ids: Sequence[int]) -> list[tuple[int, tuple[int, ...]]]:
     out = []
-    for ids, seeds, cols in replicate_batches(plan, rep_ids):
-        counts = [_covered_counts(cols, plan.spec, t, plan.axes, len(seeds)) for t in plan.targets]
+    for ids, cols in replicate_batches(plan, rep_ids):
+        counts = [_covered_counts(cols, plan.spec, t, plan.axes, len(ids)) for t in plan.targets]
         out.extend(zip(ids, zip(*counts)))
     return out
 

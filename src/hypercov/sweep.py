@@ -21,9 +21,9 @@ is fully covered and k* is the mean stopping count, a float. A replicate
 is extended in chunks, never redrawn: the first is the coupon-collector
 mean U (ln U + gamma) / n for a universe of U cells, each later one a
 fifth of it, and a bool map of the U cells carries the covered keys from
-chunk to chunk. A cell's curves, and its first chunks, are drawn in
-SimPlan.batch groups of replicates (simulate.replicate_batches), and
-each replicate's curve is counted alone from its slice of the columns.
+chunk to chunk. simulate.replicate_batches draws a cell's curves, or
+each chunk of a group's replicates still running, in SimPlan.batch
+groups, and each replicate's curve is counted alone from its slice.
 Trial i of replicate r is fold(fold(seed, r), i) whatever the batching
 and chunking, so k* does not depend on them.
 """
@@ -31,7 +31,7 @@ and chunking, so k* does not depend on them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -93,14 +93,11 @@ def closed_form_k(n: int, t: int, level: float) -> int:
     raise GuardExceededError("closed-form boundary walk did not settle")
 
 
-def _replicates(
-    spec: DesignSpec, kind: SampleKind, target: Units, k: int, reps: int, seed: int
-) -> Iterator[tuple[int, np.ndarray]]:
-    """(seed, columns of trials 1..k) of each replicate 1..reps, drawn in
-    SimPlan.batch groups once the plan's guards, total work included, pass."""
-    plan = simulate.SimPlan(spec, kind, k, reps, targets=(target,), seed=seed)
-    for _, seeds, cols in simulate.replicate_batches(plan, range(1, reps + 1)):
-        yield from zip(seeds, cols.reshape(len(seeds), k, *cols.shape[1:]))
+def _columns(plan: simulate.SimPlan, rep_ids: Sequence[int], first: int = 1) -> Iterator[np.ndarray]:
+    """Columns of trials first..first+plan.k-1 of each replicate in
+    rep_ids, in order, drawn in SimPlan.batch groups."""
+    for ids, cols in simulate.replicate_batches(plan, rep_ids, first):
+        yield from cols.reshape(len(ids), plan.k, *cols.shape[1:])
 
 
 def _first_draw(spec: DesignSpec, kind: SampleKind, t: int, level: float, reps: int) -> int:
@@ -134,9 +131,10 @@ def simulated_k(spec: DesignSpec, kind: SampleKind, t: int, level: float, reps: 
         raise InvalidModeError(f"threshold search needs level in (0, 1), got {level}")
     k, target = _first_draw(spec, kind, t, level, reps), Units(t)
     while True:
+        plan = simulate.SimPlan(spec, kind, k, reps, targets=(target,), seed=seed)
         total = np.zeros(k, dtype=np.int64)  # covered cells after each prefix, over all replicates
-        for rep_seed, cols in _replicates(spec, kind, target, k, reps, seed):
-            total += simulate.coverage_curve(spec, kind, rep_seed, k, target, cols=cols)
+        for cols in _columns(plan, range(1, reps + 1)):
+            total += simulate.coverage_curve(plan, k, cols)
         hit = np.nonzero(total / (reps * target.universe(spec)) >= level)[0]
         if hit.size:
             return int(hit[0]) + 1
@@ -145,29 +143,33 @@ def simulated_k(spec: DesignSpec, kind: SampleKind, t: int, level: float, reps: 
             raise GuardExceededError(f"k search passed guard {SIM_K_GUARD}")
 
 
-def _stop(
-    spec: DesignSpec, kind: SampleKind, target: Units, rep_seed: int, start: int, cols: np.ndarray | None = None
-) -> int:
-    """Trials until one replicate covers the target's universe, drawn in
-    chunks of start (the first's columns `cols`, if given), then of a
-    fifth of it, up to SIM_K_GUARD in all."""
+def _stops(plan: simulate.SimPlan) -> list[int]:
+    """Trials until each replicate 1..plan.reps covers the universe of
+    plan's one target, drawn in chunks of plan.k, then of a fifth of it,
+    up to SIM_K_GUARD in all. The replicates of each SimPlan.batch group
+    still running draw each chunk together, each marking its own bool map
+    of the universe, and leave the group when the map fills."""
     import numpy as np
 
-    universe = target.universe(spec)
-    covered = np.zeros(universe, dtype=bool)
-    drawn = got = 0
-    chunk = start
-    while drawn < SIM_K_GUARD:
-        chunk = min(chunk, SIM_K_GUARD - drawn)
-        curve = simulate.coverage_curve(spec, kind, rep_seed, chunk, target, drawn + 1, covered, cols=cols)
-        cols = None
-        hit = np.nonzero(curve >= universe - got)[0]
-        if hit.size:
-            return drawn + int(hit[0]) + 1
-        drawn += chunk
-        got += int(curve[-1])
-        chunk = -(-start // 5)
-    raise GuardExceededError(f"full coverage passed guard {SIM_K_GUARD}")
+    universe, rep_ids, stops = plan.targets[0].universe(plan.spec), range(1, plan.reps + 1), {}
+    for lo in range(0, plan.reps, plan.batch):
+        # batch * U bytes, U <= plan.k * n: at most BATCH_ENTRIES / t
+        covered = {r: np.zeros(universe, dtype=bool) for r in rep_ids[lo : lo + plan.batch]}
+        drawn, chunk = 0, plan.k
+        while covered:
+            if drawn >= SIM_K_GUARD:
+                raise GuardExceededError(f"full coverage passed guard {SIM_K_GUARD}")
+            chunk, ids = min(chunk, SIM_K_GUARD - drawn), list(covered)
+            part = replace(plan, k=chunk, reps=len(ids))
+            for r, cols in zip(ids, _columns(part, ids, drawn + 1)):
+                missing = universe - np.count_nonzero(covered[r])
+                hit = np.nonzero(simulate.coverage_curve(part, chunk, cols, covered[r]) >= missing)[0]
+                if hit.size:
+                    stops[r] = drawn + int(hit[0]) + 1
+                    del covered[r]
+            drawn += chunk
+            chunk = -(-plan.k // 5)
+    return [stops[r] for r in rep_ids]
 
 
 def full_coverage_k(
@@ -179,9 +181,7 @@ def full_coverage_k(
 ) -> float:
     """Mean number of trials until the t-axis projection is fully covered."""
     start = _first_draw(spec, kind, t, 1.0, reps)  # before any bitmap: start * n >= U
-    target = Units(t)
-    stops = [_stop(spec, kind, target, s, start, cols) for s, cols in _replicates(spec, kind, target, start, reps, seed)]
-    return math.fsum(stops) / len(stops)
+    return math.fsum(_stops(simulate.SimPlan(spec, kind, start, reps, targets=(Units(t),), seed=seed))) / reps
 
 
 def _check_cell(level: float, mode: SweepMode, reps: int) -> None:

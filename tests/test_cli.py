@@ -508,7 +508,7 @@ class TestSimulate:
         def no_draw(*args):
             raise AssertionError("trials were drawn")
 
-        monkeypatch.setattr(simulate, "trial_columns", no_draw)
+        monkeypatch.setattr(simulate, "points_batch", no_draw)
         code = main(["simulate", "--d", "16", "--n", "20000", "--k", "1000", "--reps", "1"])
         captured = capsys.readouterr()
         assert (code, captured.out) == (3, "")

@@ -7,9 +7,10 @@ from scipy.stats import chi2
 from reference_checks import columns, is_latin, is_orthogonal, point_set, rows
 
 from hypercov import rng
-from hypercov.design import DesignSpec
+from hypercov.design import DesignSpec, Units
 from hypercov.errors import StructuralError, UnsupportedSpecError
 from hypercov.sampling import SampleKind, orthogonal_columns, points_batch, trial_columns
+from hypercov.simulate import SimPlan, replicate_batches
 
 # Uniformity runs draw one trial per seed; batch generation keeps the
 # 10k and 32k draws below a second each.
@@ -144,9 +145,12 @@ class TestTrialStreams:
     @pytest.mark.parametrize("spec,kind", [(DesignSpec(3, 5), SampleKind.LHS), (DesignSpec(2, 9, p=3), SampleKind.OS)])
     @pytest.mark.parametrize("first", [1, 2, 7])
     def test_a_later_start_extends_the_run(self, spec, kind, first):
-        # Trial t is fold(seed, t) whatever the run's length or start.
-        run = trial_columns(spec, kind, 31, 12)
-        assert np.array_equal(trial_columns(spec, kind, 31, 4, first=first), run[first - 1 : first + 3])
+        # Trial t of replicate r is fold(fold(seed, r), t) whatever the
+        # replicate's length, start or batch.
+        ((_, cols),) = replicate_batches(SimPlan(spec, kind, 4, reps=2, seed=31), [2, 5], first)
+        for r, got in zip([2, 5], cols.reshape(2, 4, *cols.shape[1:])):
+            run = trial_columns(spec, kind, rng.fold(31, r), 12)
+            assert np.array_equal(got, run[first - 1 : first + 3])
 
     @pytest.mark.parametrize(
         "spec,kind,axes",
@@ -164,10 +168,13 @@ class TestTrialStreams:
     )
     def test_an_axis_subset_is_those_columns_of_the_full_draw(self, spec, kind, axes):
         # Each axis has its own substreams, so drawing a subset leaves
-        # every value the same, also for a run extended from a later trial.
-        full = trial_columns(spec, kind, 13, 6)
+        # every value the same, also for a replicate extended from a later
+        # trial, whose plan draws the axes its target counts.
+        full = trial_columns(spec, kind, rng.fold(13, 1), 6)
+        assert np.array_equal(trial_columns(spec, kind, rng.fold(13, 1), 3, axes), full[:3, np.array(axes) - 1])
+        plan = SimPlan(spec, kind, 3, reps=1, targets=(Units(len(axes), axes),), seed=13)
         for first in (1, 4):
-            sub = trial_columns(spec, kind, 13, 3, first=first, axes=axes)
+            ((_, sub),) = replicate_batches(plan, [1], first)
             assert np.array_equal(sub, full[first - 1 : first + 2, np.array(axes) - 1])
 
     def test_empty_run(self):

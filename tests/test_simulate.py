@@ -42,6 +42,13 @@ def edge(i, j, pi, pj):
     return Units(2, (i, j), coarse=(pi, pj))
 
 
+def drawn_curve(spec, kind, seed, k, target):
+    """coverage_curve of trials 1..k of a run drawn from seed by
+    sampling.trial_columns, on the target's axes."""
+    plan = SimPlan(spec, kind, k, reps=1, targets=(target,))
+    return coverage_curve(plan, k, trial_columns(spec, kind, seed, k, plan.axes))
+
+
 @pytest.fixture
 def pool_sizes(monkeypatch):
     """Sizes of the process pools asked for; a fake executor runs the
@@ -218,7 +225,7 @@ class TestStatisticalAgreement:
 class TestCurve:
     def test_curve_shape_and_monotonicity(self):
         spec = DesignSpec(2, 5)
-        c = coverage_curve(spec, SampleKind.LHS, rep_seed=9, k=8, target=Units())
+        c = drawn_curve(spec, SampleKind.LHS, 9, 8, Units())
         assert len(c) == 8
         assert c[0] == 5  # first trial always covers n cells
         assert np.all(np.diff(c) >= 0)
@@ -229,7 +236,7 @@ class TestCurve:
         plan = SimPlan(spec, SampleKind.LHS, k=5, reps=3, seed=SEED)
         rep = simulate_coverage(plan)[0]
         for r in range(1, 4):
-            c = coverage_curve(spec, SampleKind.LHS, rng.fold(SEED, r), 5, Units())
+            c = drawn_curve(spec, SampleKind.LHS, rng.fold(SEED, r), 5, Units())
             assert c[-1] / 16 == rep.fractions[r - 1]
 
     @pytest.mark.parametrize(
@@ -237,39 +244,25 @@ class TestCurve:
         [
             (DesignSpec(2, 4), SampleKind.LHS, Units()),
             (DesignSpec(3, 8, p=2), SampleKind.OS, Units(2)),
+            (DesignSpec(3, 8, p=2), SampleKind.LHS, Units(2, (3, 1))),
+            (DesignSpec(3, 8, p=2), SampleKind.OS, Units(2, (3, 1))),
             (DesignSpec(3, 8, p=2), SampleKind.OS, edge(1, 3, 2, 1)),
         ],
     )
     def test_chunks_with_a_covered_map_add_up_to_one_curve(self, spec, kind, target):
         # Each chunk counts only keys the map does not hold yet, so the
         # chunks' curves, stacked, are the curve of one long draw.
-        whole = coverage_curve(spec, kind, 5, 12, target)
+        plan = SimPlan(spec, kind, 12, reps=1, targets=(target,))
+        cols = trial_columns(spec, kind, 5, 12, plan.axes)
+        whole = coverage_curve(plan, 12, cols)
         covered = np.zeros(target.universe(spec), dtype=bool)
         got, parts = 0, []
         for first, k in [(1, 3), (4, 1), (5, 8)]:
-            part = coverage_curve(spec, kind, 5, k, target, first=first, covered=covered)
+            part = coverage_curve(plan, k, cols[first - 1 : first - 1 + k], covered)
             parts.append(got + part)
             got += int(part[-1])
         assert np.array_equal(np.concatenate(parts), whole)
         assert np.count_nonzero(covered) == whole[-1]
-
-
-    @pytest.mark.parametrize("kind", list(SampleKind))
-    @pytest.mark.parametrize("target", [Units(), Units(2, (3, 1))])
-    def test_given_columns_count_as_a_fresh_draw(self, kind, target):
-        # cols, drawn by the caller as trial_columns draws them, give the
-        # curve and the covered map that coverage_curve's own draw gives.
-        spec = DesignSpec(3, 8, p=2)
-        axes = SimPlan(spec, kind, 1, 1, targets=(target,)).axes
-        cols = trial_columns(spec, kind, 5, 12, axes=axes)
-        want = coverage_curve(spec, kind, 5, 12, target)
-        assert np.array_equal(coverage_curve(spec, kind, 5, 12, target, cols=cols), want)
-        mine, given = (np.zeros(target.universe(spec), dtype=bool) for _ in range(2))
-        for first, k in [(1, 4), (5, 1), (6, 9)]:
-            cols = trial_columns(spec, kind, 5, k, first, axes)
-            a = coverage_curve(spec, kind, 5, k, target, first, mine)
-            b = coverage_curve(spec, kind, 5, k, target, first, given, cols=cols)
-            assert np.array_equal(a, b) and np.array_equal(mine, given)
 
 
 class TestUnitEncoders:
@@ -332,7 +325,7 @@ class TestUnitEncoders:
     def test_curve_entries_are_prefix_counts(self, spec, kind, text):
         # Seed 2 gives the edge unit three leading trials with no key.
         units, k = parse_target(text), 6
-        curve = coverage_curve(spec, kind, rep_seed=2, k=k, target=units)
+        curve = drawn_curve(spec, kind, 2, k, units)
         cols = trial_columns(spec, kind, 2, k)
         prefix = [simulate._covered_counts(cols[:i], spec, units)[0] for i in range(1, k + 1)]
         assert curve.tolist() == prefix
@@ -430,7 +423,7 @@ class TestDirectAddress:
         spec, units = DesignSpec(3, 8, p=2), parse_target(text)
         cols = trial_columns(spec, kind, 6, k)
         counts = self.both(monkeypatch, lambda: simulate._covered_counts(cols, spec, units)[0])
-        curves = self.both(monkeypatch, lambda: coverage_curve(spec, kind, 6, k, units).tolist())
+        curves = self.both(monkeypatch, lambda: drawn_curve(spec, kind, 6, k, units).tolist())
         assert counts[0] == counts[1] == curves[0][-1]
         assert curves[0] == curves[1]
 
@@ -440,10 +433,13 @@ class TestDirectAddress:
         # The covered map thins later chunks below the ratio: those sort.
         spec, units = DesignSpec(3, 8, p=2), parse_target(text)
 
+        plan = SimPlan(spec, kind, 34, reps=1, targets=(units,))
+        cols = trial_columns(spec, kind, 5, 34, plan.axes)
+
         def chunks():
             covered = np.zeros(units.universe(spec), dtype=bool)
             return [
-                coverage_curve(spec, kind, 5, k, units, first=first, covered=covered).tolist()
+                coverage_curve(plan, k, cols[first - 1 : first - 1 + k], covered).tolist()
                 for first, k in [(1, 3), (4, 1), (5, 30)]
             ]
 
@@ -459,7 +455,7 @@ class TestDirectAddress:
         real = simulate._distinct_keys
         monkeypatch.setattr(simulate, "_distinct_keys", lambda *a, **kw: sorts.append(1) or real(*a, **kw))
         cols = trial_columns(spec, kind, 2, k)
-        curve = coverage_curve(spec, kind, 2, k, units)
+        curve = drawn_curve(spec, kind, 2, k, units)
         prefix = [len(frozenset().union(*oracle._cells(spec, cols[:i].tolist(), units))) for i in range(1, k + 1)]
         assert curve.tolist() == prefix
         assert simulate._covered_counts(cols, spec, units)[0] == prefix[-1]
@@ -468,7 +464,7 @@ class TestDirectAddress:
     def test_map_type_holds_k(self, monkeypatch):
         # k = 300 needs 16 bits; an 8-bit map would wrap the trial index.
         spec, units, k = DesignSpec(2, 2), Units(), 300
-        curves = self.both(monkeypatch, lambda: coverage_curve(spec, SampleKind.LHS, 4, k, units).tolist())
+        curves = self.both(monkeypatch, lambda: drawn_curve(spec, SampleKind.LHS, 4, k, units).tolist())
         assert curves[0] == curves[1]
 
     @pytest.mark.parametrize("curve", [False, True])
@@ -477,8 +473,10 @@ class TestDirectAddress:
         spec, k, perm_rows = DesignSpec(3, 27, p=3), 5, []
         real = rng.permutations_from_seeds
         monkeypatch.setattr(rng, "permutations_from_seeds", lambda s, n: perm_rows.append(np.size(s)) or real(s, n))
-        if curve:
-            coverage_curve(spec, SampleKind.OS, 9, k, Units(2))
+        if curve:  # a sweep's chunk, drawn from a later trial
+            plan = SimPlan(spec, SampleKind.OS, k=k, reps=1, targets=(Units(2),))
+            ((_, cols),) = simulate.replicate_batches(plan, [1], first=3)
+            coverage_curve(plan, k, cols)
         else:
             plan = SimPlan(spec, SampleKind.OS, k=k, reps=1, targets=(Units(2), parse_target("proj:2@2,1")))
             simulate._replicate_counts(plan, [1])
@@ -757,7 +755,7 @@ class TestThreads:
     def outputs(spec, kind, cols):
         keys, counts = _keys_for_target(cols, spec, Units())
         if cols.shape[0]:
-            curve = coverage_curve(spec, kind, 9, cols.shape[0], Units())
+            curve = coverage_curve(SimPlan(spec, kind, cols.shape[0], reps=1), cols.shape[0], cols)
         else:  # a plan has k >= 1; count the keys of no trial directly
             curve = simulate._new_per_trial(keys, counts, Units().universe(spec))
         return keys.copy(), simulate._covered_counts(cols, spec, Units()), curve
@@ -784,7 +782,7 @@ class TestThreads:
                 assert np.array_equal(got[2], curve)
         finally:
             sys.setswitchinterval(interval)
-        assert (max(pools, default=1) > 1) == (k > 0)  # k = 1 still threads the curve's draw
+        assert (max(pools, default=1) > 1) == (k > 1)  # one trial is one part and one block: nothing to share
 
     def test_the_rule_is_one_thread_per_cpu_part_and_parallel_keys(self, monkeypatch, pools):
         spec, k = DesignSpec(4, 2**16), 3

@@ -20,7 +20,8 @@ from hypercov.sweep import (
     run_sweep,
     simulated_k,
 )
-from hypercov.simulate import coverage_curve, summarize
+from hypercov.simulate import SimPlan, summarize
+from test_simulate import drawn_curve
 
 
 class TestClosedFormThreshold:
@@ -114,15 +115,15 @@ class TestFullCoverage:
             (DesignSpec(2, 4, p=2), SampleKind.OS, Fraction(537421, 45045)),
         ],
     )
-    def test_mean_stop_matches_the_exact_expectation(self, monkeypatch, spec, kind, exact):
+    def test_mean_stop_matches_the_exact_expectation(self, spec, kind, exact):
         # The exact mean number of i.i.d. trials to cover the full 2-axis
         # grid: sum over nonempty cell sets S of (-1)^(|S|+1) / (1 - q_S),
         # q_S the share of oracle.enumerate_trials' trials that miss S.
-        stops, real = [], sweep._stop
-        monkeypatch.setattr(sweep, "_stop", lambda *args: stops.append(real(*args)) or stops[-1])
         reps = 2000
-        got = full_coverage_k(spec, kind, 2, reps=reps, seed=11)
-        assert len(stops) == reps and got == math.fsum(stops) / reps
+        start = sweep._first_draw(spec, kind, 2, 1.0, reps)
+        stops = sweep._stops(SimPlan(spec, kind, start, reps, targets=(Units(2),), seed=11))
+        assert len(stops) == reps
+        assert full_coverage_k(spec, kind, 2, reps=reps, seed=11) == math.fsum(stops) / reps
         stats = summarize(stops)
         assert abs(stats.mean - exact) <= 4 * stats.se
 
@@ -144,7 +145,7 @@ class TestFullCoverage:
         universe = target.universe(spec)
         stops = []
         for r in range(1, reps + 1):
-            curve = coverage_curve(spec, kind, rng.fold(seed, r), 40 * spec.n ** (t - 1), target)
+            curve = drawn_curve(spec, kind, rng.fold(seed, r), 40 * spec.n ** (t - 1), target)
             stops.append(int(np.argmax(curve == universe)) + 1)
             assert curve[stops[-1] - 1] == universe
         if start is not None:
@@ -188,7 +189,11 @@ class TestBatchSize:
         spec, t, reps, seed = DesignSpec(3, 8, p=2), 2, 23, 3  # 23 = 3 * 7 + 2
         entries = sweep._first_draw(spec, kind, t, level, reps) * t * spec.n  # a first curve's
         batches, real = [], simulate.replicate_batches
-        monkeypatch.setattr(simulate, "replicate_batches", lambda plan, ids: batches.append(plan.batch) or real(plan, ids))
+        def spy(plan, ids, first=1):
+            batches.append(plan.batch)
+            return real(plan, ids, first)
+
+        monkeypatch.setattr(simulate, "replicate_batches", spy)
         results = []
         for budget, want in [(0, 1), (7 * entries, 7), (reps * entries, reps)]:
             monkeypatch.setattr(simulate, "BATCH_ENTRIES", budget)
@@ -199,6 +204,28 @@ class TestBatchSize:
                 results.append(simulated_k(spec, kind, t, level, reps=reps, seed=seed))
             assert batches[0] == want
         assert results[0] == results[1] == results[2]
+
+    @pytest.mark.parametrize("kind", list(SampleKind))
+    def test_batched_later_chunks_stop_where_one_long_curve_does(self, monkeypatch, kind):
+        # A first chunk of one trial puts every stop in a later chunk, which
+        # the replicates of a batch still running draw together.
+        spec, t, reps, seed = DesignSpec(3, 8, p=2), 2, 23, 3
+        target = Units(t)
+        universe = target.universe(spec)
+        want = []
+        for r in range(1, reps + 1):
+            curve = drawn_curve(spec, kind, rng.fold(seed, r), 40 * spec.n ** (t - 1), target)
+            want.append(int(np.argmax(curve == universe)) + 1)
+            assert curve[want[-1] - 1] == universe
+        monkeypatch.setattr(sweep, "_first_draw", lambda *args: 1)
+        results = []
+        for batch in (1, 7, reps):
+            monkeypatch.setattr(simulate, "BATCH_ENTRIES", batch * t * spec.n)  # a chunk's entries
+            plan = SimPlan(spec, kind, 1, reps, targets=(target,), seed=seed)
+            assert plan.batch == batch
+            assert sweep._stops(plan) == want
+            results.append(full_coverage_k(spec, kind, t, reps=reps, seed=seed))
+        assert results == [math.fsum(want) / reps] * 3
 
 
 class TestDoublingSearch:
@@ -214,7 +241,7 @@ class TestDoublingSearch:
     def test_guard_stops_both_searches(self, monkeypatch):
         lengths = []
 
-        def never_covers(spec, kind, seed, k, target, first=1, covered=None, cols=None):
+        def never_covers(plan, k, cols, covered=None):
             lengths.append(k)
             return np.zeros(k, np.int64)
 
@@ -227,9 +254,9 @@ class TestDoublingSearch:
         lengths.clear()
         with pytest.raises(GuardExceededError, match="^full coverage passed guard 64$"):
             full_coverage_k(DesignSpec(2, 4), SampleKind.LHS, 2, reps=2, seed=0)
-        # The first replicate's coupon-collector chunk of 14 trials, then
-        # chunks of 3 and a last one that ends at the guard.
-        assert lengths == [14] + [3] * 16 + [2]
+        # Both replicates, in one batch, take the coupon-collector chunk
+        # of 14 trials, then chunks of 3 and a last one that ends at the guard.
+        assert lengths == [14, 14] + [3, 3] * 16 + [2, 2]
 
 
 class TestFitSlope:

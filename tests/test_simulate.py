@@ -432,7 +432,6 @@ class TestDirectAddress:
     def test_chunked_curves_agree(self, monkeypatch, kind, text):
         # The covered map thins later chunks below the ratio: those sort.
         spec, units = DesignSpec(3, 8, p=2), parse_target(text)
-
         plan = SimPlan(spec, kind, 34, reps=1, targets=(units,))
         cols = trial_columns(spec, kind, 5, 34, plan.axes)
 

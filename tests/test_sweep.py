@@ -24,6 +24,17 @@ from hypercov.simulate import SimPlan, summarize
 from test_simulate import drawn_curve
 
 
+def long_curve_stops(spec, kind, t, reps, seed):
+    """Each replicate's full-coverage stop, read from one draw long
+    enough to cover: the reference the chunked walks must match."""
+    universe, stops = Units(t).universe(spec), []
+    for r in range(1, reps + 1):
+        curve = drawn_curve(spec, kind, rng.fold(seed, r), 40 * spec.n ** (t - 1), Units(t))
+        stops.append(int(np.argmax(curve == universe)) + 1)
+        assert curve[stops[-1] - 1] == universe
+    return stops
+
+
 class TestClosedFormThreshold:
     @pytest.mark.parametrize(
         "n,t,level,k_star",
@@ -138,16 +149,10 @@ class TestFullCoverage:
     )
     @pytest.mark.parametrize("start", [None, 1, 3])
     def test_chunks_stop_where_one_long_curve_does(self, monkeypatch, spec, kind, t, start):
-        # The reference draws each replicate once, long enough to cover,
-        # and takes its first full index. A tiny start puts every stop in
-        # a later chunk; the coupon-collector start leaves some in the first.
-        target, reps, seed = Units(t), 12, 17
-        universe = target.universe(spec)
-        stops = []
-        for r in range(1, reps + 1):
-            curve = drawn_curve(spec, kind, rng.fold(seed, r), 40 * spec.n ** (t - 1), target)
-            stops.append(int(np.argmax(curve == universe)) + 1)
-            assert curve[stops[-1] - 1] == universe
+        # A tiny start puts every stop in a later chunk; the
+        # coupon-collector start leaves some in the first.
+        reps, seed = 12, 17
+        stops = long_curve_stops(spec, kind, t, reps, seed)
         if start is not None:
             monkeypatch.setattr(sweep, "_first_draw", lambda *args: start)
         else:
@@ -210,18 +215,12 @@ class TestBatchSize:
         # A first chunk of one trial puts every stop in a later chunk, which
         # the replicates of a batch still running draw together.
         spec, t, reps, seed = DesignSpec(3, 8, p=2), 2, 23, 3
-        target = Units(t)
-        universe = target.universe(spec)
-        want = []
-        for r in range(1, reps + 1):
-            curve = drawn_curve(spec, kind, rng.fold(seed, r), 40 * spec.n ** (t - 1), target)
-            want.append(int(np.argmax(curve == universe)) + 1)
-            assert curve[want[-1] - 1] == universe
+        want = long_curve_stops(spec, kind, t, reps, seed)
         monkeypatch.setattr(sweep, "_first_draw", lambda *args: 1)
         results = []
         for batch in (1, 7, reps):
             monkeypatch.setattr(simulate, "BATCH_ENTRIES", batch * t * spec.n)  # a chunk's entries
-            plan = SimPlan(spec, kind, 1, reps, targets=(target,), seed=seed)
+            plan = SimPlan(spec, kind, 1, reps, targets=(Units(t),), seed=seed)
             assert plan.batch == batch
             assert sweep._stops(plan) == want
             results.append(full_coverage_k(spec, kind, t, reps=reps, seed=seed))

@@ -37,21 +37,42 @@ is sorted as plain integers; where the top 64 - b bits of the row are
 distinct they alone decide the order, so the low bits of the sorted row
 are the argsort, written out as int32. For n <= NARROW_N the same is
 done on the top 32 bits of each key, as uint32: distinct top 32 - b
-bits order the full keys too. A row in which two top parts tie takes the definition literally:
-argsort of the full keys, duplicate check and redraw. Rows are drawn in
-chunks of about CHUNK_KEYS keys (one row when n is larger), so the
-temporaries have a fixed size however many rows are asked for.
+bits order the full keys too. Rows of n <= GROUP_KEYS // 2 keys are
+sorted group = GROUP_KEYS // n at a time, as one row: each key is
+shifted right by 32 + tagbits instead of 32, tagbits = bit_length(group
+- 1), and the row's index in its group fills the top tagbits bits of
+its words. The tags order the group row by row, so each row sorts into
+its own place as if sorted alone, and within a row the sort sees a top
+part tagbits bits shorter: where those top 32 - tagbits - b bits are
+distinct they order the full keys by the same argument. A last partial
+group is sorted as one shorter row. A row in which two top parts tie
+takes the definition literally: argsort of the full keys, duplicate
+check and redraw.
+
+Rows are drawn in chunks of about CHUNK_KEYS keys (one row when n is
+larger), so the temporaries have a fixed size however many rows are
+asked for. Every elementwise pass runs over a chunk's keys as one flat
+array, never row by row with an inner loop of n keys: each seed is
+repeated n times, and the counter steps and the (tagged) column indices
+are added and ORed as a tile of whole groups of rows, at least
+TILE_KEYS keys, repeated along the chunk (a row of n >= TILE_KEYS keys
+adds its steps to its seed by broadcasting). Ties are found by one xor
+of adjacent words and one min over the whole sorted chunk. A pair of
+words from two rows has different tags when rows are grouped, so it
+never ties; ungrouped it can only raise a false alarm. The rows are
+scanned one by one only when the alarm fires.
 
 A call that draws at least 2 * PARALLEL_KEYS keys shares its chunks
 among threads by the rule of `share`: one per usable CPU, at most one
 per chunk and one per PARALLEL_KEYS keys. numpy's ufuncs and sorts
-release the GIL, so the threads run at once. Each chunk draws its own
-keys from its own seeds, sorts, checks and redraws them, and writes only
-its own rows of the output, so the output is the same bytes whatever the
-thread count. The threads live for one call and are joined before it
-returns or raises. `simulate` shares by the same rule the trials its
-Latin-bucket row keys are packed from and the blocks of buckets they are
-sorted in.
+release the GIL, so the threads run at once; only np.repeat, which
+spreads a chunk's seeds, holds it, for 20-45 us of a chunk. Each chunk
+draws its own keys from its own seeds, sorts, checks and redraws them,
+and writes only its own rows of the output, so the output is the same
+bytes whatever the thread count. The threads live for one call and are
+joined before it returns or raises. `simulate` shares by the same rule
+the trials its Latin-bucket row keys are packed from and the blocks of
+buckets they are sorted in.
 
 Importing this module sets the C allocator's policy for the whole
 process, once (`_keep_freed_memory`). glibc's malloc maps a block of at
@@ -90,12 +111,23 @@ _UM1 = np.uint64(_M1)
 _UM2 = np.uint64(_M2)
 # Keys per chunk of permutation rows (at least one row). At 512 KiB per
 # uint64 array a chunk's keys and temporaries stay in a core's L2 cache,
-# which made the draw up to twice as fast as chunks of 2^22 keys.
+# which made the draw up to twice as fast as chunks of 2^22 keys. With
+# the flat passes, sim-many-small's pass against 2^16 (12 alternating
+# rounds, 2-vCPU x86 VM) took 4.6% longer at 2^15 and 1.1% less at 2^17
+# (faster in 8 rounds of 12), too little for twice the temporaries.
 CHUNK_KEYS = 1 << 16
 # Rows of at most this many keys sort the top 32 bits of each key, up to
 # 20% faster on a 2-vCPU x86 VM; at n = 512 one row in 64 ties in its top
 # 23 bits and falls back, and from n = 800 on the ties made it slower.
 NARROW_N = 512
+# Narrow rows of n keys sort GROUP_KEYS // n rows at a time as one row.
+# A 65,536-key chunk's draw took 485 us against 1,044 one row at a time
+# at n = 3, and 427 against 525 at n = 10; 64 was no faster than 32.
+GROUP_KEYS = 32
+# Fewest keys in a tile of the flat passes. At n = 10 a chunk's seeds
+# repeated and its tiled steps added took 62-83 us against 91-137 for one
+# broadcast add of n-key rows, and the columns ORed 24 against 67 us.
+TILE_KEYS = 1 << 11
 # Fewest keys a thread draws: a call of fewer than 2 * PARALLEL_KEYS keys
 # runs on the caller's thread alone.
 PARALLEL_KEYS = 1 << 20
@@ -220,6 +252,22 @@ def _argsort_redraw(s: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def _tiled(op: np.ufunc, flat: np.ndarray, tile: np.ndarray) -> None:
+    """op(flat, tile) in place, with the tile repeated along flat: whole
+    tiles as the rows of one 2-D pass, then a prefix of it over the rest."""
+    whole = flat.size - flat.size % tile.size
+    body = flat[:whole].reshape(-1, tile.size)
+    op(body, tile, out=body)
+    op(flat[whole:], tile[: flat.size - whole], out=flat[whole:])
+
+
+def _tied_rows(packed: np.ndarray, n: int, low: np.integer) -> np.ndarray:
+    """Rows of a sorted chunk of packed words, n to a row, in which two
+    adjacent words differ only in the low bits: their top parts tie."""
+    rows = packed.reshape(-1, n)
+    return np.flatnonzero(((rows[:, 1:] ^ rows[:, :-1]) <= low).any(axis=1))
+
+
 def permutations_from_seeds(seeds: np.ndarray, n: int) -> np.ndarray:
     """One uniform permutation of {0..n-1} per seed, as int32 (n is at
     most design.MAX_N = 2^20); shape (*seeds.shape, n).
@@ -232,34 +280,55 @@ def permutations_from_seeds(seeds: np.ndarray, n: int) -> np.ndarray:
     shape = np.shape(seeds)
     s = np.asarray(seeds, dtype=np.uint64).reshape(-1)
     out = np.empty((s.size, n), dtype=np.int32)
-    word = np.uint32 if n <= NARROW_N else np.uint64
+    narrow = n <= NARROW_N
+    word = np.uint32 if narrow else np.uint64
     low = word((1 << (n - 1).bit_length()) - 1)
-    cols = np.arange(n, dtype=word)
-    steps = np.arange(1, n + 1, dtype=np.uint64) * _G
+    # Narrow rows sort `group` at a time as one row, each word tagged with
+    # its row's index in the group in its top `tagbits` bits.
+    group = max(1, GROUP_KEYS // n) if narrow else 1
+    tagbits = (group - 1).bit_length()
+    shift = np.uint64(32 + tagbits)
     rows = max(1, CHUNK_KEYS // n)
-    starts = range(0, s.size, rows)
+    # Tiles of `reps` whole groups' rows, at least TILE_KEYS keys, or every
+    # row of the call: the counter steps and the tagged column indices.
+    reps = min(s.size, group * -(-TILE_KEYS // (group * n)))
+    steps = np.arange(1, n + 1, dtype=np.uint64) * _G
+    cols = np.arange(n, dtype=word)
+    if reps > 1:
+        steps = np.tile(steps, reps)
+        tags = ((np.arange(reps) % group) << (32 - tagbits)).astype(word)
+        cols = (tags[:, None] | cols).reshape(-1)
+    span = group * n
 
     def draw(chunks: range) -> None:
         for lo in chunks:
-            keys = _mix64_arr(s[lo : lo + rows, None] + steps)
-            if word is np.uint32:  # the top 32 bits of each key
-                np.right_shift(keys, np.uint64(32), out=keys)
+            if reps > 1:
+                keys = np.repeat(s[lo : lo + rows], n)
+                _tiled(np.add, keys, steps)
+            else:  # a row holds a whole tile: one broadcast pass
+                keys = (s[lo : lo + rows, None] + steps).reshape(-1)
+            keys = _mix64_arr(keys)
+            if narrow:  # the top 32 - tagbits bits of each key
+                np.right_shift(keys, shift, out=keys)
                 keys = keys.astype(np.uint32)
             keys &= ~low
-            keys |= cols
-            keys.sort(axis=1)
+            _tiled(np.bitwise_or, keys, cols)
+            whole = keys.size - keys.size % span
+            keys[:whole].reshape(-1, span).sort(axis=1)
+            keys[whole:].sort()  # a last partial group, as one shorter row
             # The low bits are the argsort, < n: a uint64 word narrows on the way out.
-            np.bitwise_and(keys, low, out=out[lo : lo + rows].view(np.uint32))
+            np.bitwise_and(keys, low, out=out[lo : lo + rows].reshape(-1).view(np.uint32))
             # Top parts tie where adjacent keys differ only in the low bits;
-            # one min over the chunk rules that out before any per-row scan.
-            gaps = keys[:, 1:] ^ keys[:, :-1]
+            # one min over the chunk rules that out before any per-row scan
+            # (a pair across rows can only raise a false alarm).
+            gaps = keys[1:] ^ keys[:-1]
             if gaps.size and gaps.min() <= low:
-                tied = np.flatnonzero((gaps <= low).any(axis=1))
+                tied = _tied_rows(keys, n, low)
                 out[lo + tied] = _argsort_redraw(s[lo + tied], n)
             # Freed before this thread's next chunk draws, so that it gets
             # the same memory back, still in cache: 4-12% faster on a
             # 2-vCPU x86 VM.
             del keys, gaps
 
-    share(draw, starts, s.size * n)
+    share(draw, range(0, s.size, rows), s.size * n)
     return out.reshape(*shape, n)

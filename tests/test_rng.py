@@ -178,48 +178,62 @@ def _reference_permutation(seed: int, n: int, low_bits: int | None = None) -> tu
     return np.argsort(keys, kind="stable"), path
 
 
+def _assert_every_path(monkeypatch, seeds, n, low_bits=None):
+    """Draw a row per seed and check it against _reference_permutation:
+    fast, tied and redrawn rows all occur, and exactly the rows whose own
+    top parts tie are passed to _argsort_redraw."""
+    redrawn = []
+    real = rng._argsort_redraw
+    monkeypatch.setattr(rng, "_argsort_redraw", lambda s, n: redrawn.extend(s.tolist()) or real(s, n))
+
+    got = permutations_from_seeds(seeds, n)
+
+    paths = {}
+    for row, s in zip(got, seeds):
+        want, paths[int(s)] = _reference_permutation(int(s), n, low_bits)
+        assert np.array_equal(row, want), (int(s), paths[int(s)])
+    assert set(paths.values()) == {"fast", "tied", "redrawn"}
+    # A pair of words from two rows never sends a row to the fallback.
+    assert sorted(redrawn) == sorted(s for s, path in paths.items() if path != "fast")
+
+
 @pytest.mark.parametrize("n", [3, 5, 9])
 def test_packed_sort_matches_the_reference_on_every_path(monkeypatch, n):
     # Keys below 2**(b+4) have 16 possible top parts, so one call holds
     # rows whose tops are distinct, rows whose tops tie and rows whose
-    # whole keys repeat; chunks of 4 rows put them in different chunks.
+    # whole keys repeat; chunks of 4 rows put them in different chunks,
+    # and the last and first rows of two chunks often tie.
     b = (n - 1).bit_length()
     wide = rng._mix64_arr
     monkeypatch.setattr(rng, "_mix64_arr", lambda z: wide(z) % np.uint64(2 ** (b + 4)))
     monkeypatch.setattr(rng, "NARROW_N", 0)  # the 64-bit sort; its 32-bit twin is below
     monkeypatch.setattr(rng, "CHUNK_KEYS", 4 * n)
     seeds = np.array([fold(23, t) for t in range(1, 301)], dtype=np.uint64)
-
-    got = permutations_from_seeds(seeds, n)
-
-    paths = []
-    for row, s in zip(got, seeds):
-        want, path = _reference_permutation(int(s), n)
-        paths.append(path)
-        assert np.array_equal(row, want), (int(s), path)
-    assert {"fast", "tied", "redrawn"} <= set(paths)
+    _assert_every_path(monkeypatch, seeds, n)
 
 
-@pytest.mark.parametrize("n", [3, 5, 9])
+@pytest.mark.parametrize("n", [3, 5, 9, 17])
 def test_narrow_sort_matches_the_reference_on_every_path(monkeypatch, n):
-    # At n <= NARROW_N the sort sees the top 32 bits of each key. Keys
-    # of (x mod 2**(b+4)) << 32 give those 16 top parts above the column
-    # bits, so fast, tied and redrawn rows all occur, in different chunks.
+    # At n <= NARROW_N the sort sees the top 32 bits of each key, and at
+    # n <= GROUP_KEYS // 2 it sorts `group` rows at a time, each word
+    # tagged with its row in its top `tagbits` bits: it sees the bits
+    # above 32 + tagbits + b. Keys of (x mod 2**(top+1)) << (31 + tagbits
+    # + b) give those 2**top values over twice as many keys, so fast, tied
+    # and redrawn rows all occur. Chunks of 4 groups and 2 rows end in a
+    # partial group, and tiles of group + 1 rows round up to 2 groups,
+    # which repeat in each chunk.
+    group = max(1, rng.GROUP_KEYS // n)
+    tagbits = (group - 1).bit_length()
     b = (n - 1).bit_length()
-    assert n <= rng.NARROW_N
+    top = 4 if group > 1 else 8  # 17 keys need more than 16 top parts
     wide = rng._mix64_arr
-    monkeypatch.setattr(rng, "_mix64_arr", lambda z: (wide(z) % np.uint64(2 ** (b + 4))) << np.uint64(32))
-    monkeypatch.setattr(rng, "CHUNK_KEYS", 4 * n)
+    monkeypatch.setattr(
+        rng, "_mix64_arr", lambda z: (wide(z) % np.uint64(2 ** (top + 1))) << np.uint64(31 + tagbits + b)
+    )
+    monkeypatch.setattr(rng, "CHUNK_KEYS", (4 * group + 2) * n)
+    monkeypatch.setattr(rng, "TILE_KEYS", (group + 1) * n)
     seeds = np.array([fold(29, t) for t in range(1, 301)], dtype=np.uint64)
-
-    got = permutations_from_seeds(seeds, n)
-
-    paths = []
-    for row, s in zip(got, seeds):
-        want, path = _reference_permutation(int(s), n, low_bits=32 + b)
-        paths.append(path)
-        assert np.array_equal(row, want), (int(s), path)
-    assert {"fast", "tied", "redrawn"} <= set(paths)
+    _assert_every_path(monkeypatch, seeds, n, low_bits=32 + tagbits + b)
 
 
 @pytest.mark.parametrize("n", [rng.NARROW_N, rng.NARROW_N + 1])
@@ -237,12 +251,24 @@ def test_narrow_and_wide_sorts_agree_at_the_threshold(monkeypatch, n):
         assert np.array_equal(row, np.argsort(raw_block(int(s), 0, n), kind="stable"))
 
 
-@pytest.mark.parametrize("n", [1000, 2**17])
+@pytest.mark.parametrize(
+    "n",
+    [
+        rng.GROUP_KEYS // 2,  # rows sorted two at a time
+        rng.GROUP_KEYS // 2 + 1,  # one at a time
+        rng.NARROW_N,  # the 32-bit sort
+        rng.NARROW_N + 1,  # the 64-bit sort
+        1000,
+        rng.TILE_KEYS - 1,  # tiles of two rows
+        rng.TILE_KEYS,  # one row a tile: the broadcast add
+        2**17,
+    ],
+)
 def test_chunked_rows_match_rows_drawn_one_seed_at_a_time(n):
     # Two full chunks and a partial one (a chunk is one row once n
-    # passes CHUNK_KEYS).
+    # passes CHUNK_KEYS), whose odd row count ends in a partial group.
     per_chunk = max(1, rng.CHUNK_KEYS // n)
-    count = 2 * per_chunk + (per_chunk + 1) // 2
+    count = 2 * per_chunk + per_chunk // 2 + 1
     seeds = fold_grid([31], np.arange(1, count + 1))[0]
 
     got = permutations_from_seeds(seeds, n)
@@ -356,6 +382,32 @@ def test_importing_rng_stops_repeated_draws_faulting_in_memory():
     assert rng._keep_freed_memory()  # glibc took both values
     proc = subprocess.run([sys.executable, "-c", DRAW_FAULTS], capture_output=True, text=True, check=True)
     assert float(proc.stdout) < 16
+
+
+# numpy's traced bytes before and after draws at three n, in a fresh
+# interpreter.
+DRAW_MEMORY = """
+import tracemalloc
+import numpy as np
+from hypercov import rng
+only_numpy = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+def numpy_bytes():
+    return sum(t.size for t in tracemalloc.take_snapshot().filter_traces(only_numpy).traces)
+tracemalloc.start()
+seeds = rng.fold_grid([53], np.arange(1, 6001))[0]
+before = numpy_bytes()
+for n in (9, 10, 100):
+    rng.permutations_from_seeds(seeds, n)
+print(before, numpy_bytes())
+"""
+
+
+def test_a_draw_keeps_no_array_after_it_returns():
+    # A tile cached per n would hold memory for the life of the process.
+    proc = subprocess.run([sys.executable, "-c", DRAW_MEMORY], capture_output=True, text=True, check=True)
+    before, after = map(int, proc.stdout.split())
+    assert before > 0  # the seeds are traced
+    assert after == before
 
 
 class _Libc:

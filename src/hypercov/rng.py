@@ -38,35 +38,35 @@ distinct they alone decide the order, so the low bits of the sorted row
 are the argsort, written out as int32. For n <= NARROW_N the same is
 done on the top 32 bits of each key, as uint32: distinct top 32 - b
 bits order the full keys too. Rows of n <= GROUP_KEYS // 2 keys are
-sorted group = GROUP_KEYS // n at a time, as one row: each key is
-shifted right by 32 + tagbits instead of 32, tagbits = bit_length(group
-- 1), and the row's index in its group fills the top tagbits bits of
-its words. The tags order the group row by row, so each row sorts into
-its own place as if sorted alone, and within a row the sort sees a top
-part tagbits bits shorter: where those top 32 - tagbits - b bits are
-distinct they order the full keys by the same argument. A last partial
-group is sorted as one shorter row. A row in which two top parts tie
-takes the definition literally: argsort of the full keys, duplicate
-check and redraw.
+sorted group = GROUP_KEYS // n at a time, as one row: keys are shifted
+right by 32 + tagbits, tagbits = bit_length(group - 1), and each row's
+index in its group fills the top tagbits bits of its words. The tags
+keep the rows apart, so each sorts into its own place as if alone, with
+a top part tagbits bits shorter that orders the full keys wherever it
+is distinct, by the same argument. A last partial group is sorted as
+one shorter row. A row in which two top parts tie takes the definition
+literally: argsort of the full keys, duplicate check and redraw.
 
 Rows are drawn in chunks of about CHUNK_KEYS keys (one row when n is
 larger), so the temporaries have a fixed size however many rows are
-asked for. Every elementwise pass runs over a chunk's keys as one flat
-array, never row by row with an inner loop of n keys: each seed is
-repeated n times, and the counter steps and the (tagged) column indices
-are added and ORed as a tile of whole groups of rows, at least
-TILE_KEYS keys, repeated along the chunk (a row of n >= TILE_KEYS keys
-adds its steps to its seed by broadcasting). Ties are found by one xor
-of adjacent words and one min over the whole sorted chunk. A pair of
-words from two rows has different tags when rows are grouped, so it
-never ties; ungrouped it can only raise a false alarm. The rows are
-scanned one by one only when the alarm fires.
+asked for. Every elementwise pass runs over a chunk as one flat array,
+not row by row: seeds are repeated n times each, and the counter steps
+and the tagged columns are added and ORed as a tile of whole groups, at
+least TILE_KEYS keys, repeated along it. Rows of n >= TILE_KEYS keys,
+and calls on threads (below), add their steps by broadcasting instead.
+One xor of adjacent words and one min over the chunk look for ties; a
+pair from two rows never ties when their tags differ and can otherwise
+only raise a false alarm, so the rows are scanned one by one only when
+it fires.
 
 A call that draws at least 2 * PARALLEL_KEYS keys shares its chunks
 among threads by the rule of `share`: one per usable CPU, at most one
 per chunk and one per PARALLEL_KEYS keys. numpy's ufuncs and sorts
-release the GIL, so the threads run at once; only np.repeat, which
-spreads a chunk's seeds, holds it, for 20-45 us of a chunk. Each chunk
+release the GIL, so the threads run at once. np.repeat holds it, for
+20-45 us a chunk, so a call on threads does not repeat its seeds: on 2
+threads 30,000 rows of 100 keys took 15.4 ms with it and 13.7 ms
+without (300,000 rows of 10 keys took 15.4 against 17.2 ms, but no
+benchmarked call draws rows that short on threads). Each chunk
 draws its own keys from its own seeds, sorts, checks and redraws them,
 and writes only its own rows of the output, so the output is the same
 bytes whatever the thread count. The threads live for one call and are
@@ -166,19 +166,27 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _threads(parts: Sequence, keys: int) -> int:
+    """Threads `share` runs parts of `keys` keys of work on: 1 below
+    2 * PARALLEL_KEYS keys, else one per usable CPU, at most one per part
+    and one per PARALLEL_KEYS keys."""
+    # Below two threads' worth of keys, without the usable_cpus() syscall.
+    return 1 if keys < 2 * PARALLEL_KEYS else min(usable_cpus(), len(parts), keys // PARALLEL_KEYS)
+
+
 def share(job: Callable[[Sequence], object], parts: Sequence, keys: int) -> None:
     """Run job over parts, a call's independent shares of `keys` keys of
     work: on the caller's thread alone, or on one thread per usable CPU,
-    at most one per part and one per PARALLEL_KEYS keys, thread t taking
-    parts[t::threads]. Each job must write only what its own parts own.
-    The threads are joined before this returns or re-raises a job's error.
+    at most one per part and one per PARALLEL_KEYS keys (`_threads`),
+    thread t taking parts[t::threads]. Each job must write only what its
+    own parts own. The threads are joined before this returns or
+    re-raises a job's error.
 
     A job may call numpy and plain helpers such as simulate._pack, never
     a function that perfbench's tracer wraps (WRAPPED in
     perfbench/layers.py): its span stack is not thread-safe.
     """
-    # Below two threads' worth of keys, without the usable_cpus() syscall.
-    threads = 1 if keys < 2 * PARALLEL_KEYS else min(usable_cpus(), len(parts), keys // PARALLEL_KEYS)
+    threads = _threads(parts, keys)
     if threads <= 1:
         job(parts)
         return
@@ -289,23 +297,27 @@ def permutations_from_seeds(seeds: np.ndarray, n: int) -> np.ndarray:
     tagbits = (group - 1).bit_length()
     shift = np.uint64(32 + tagbits)
     rows = max(1, CHUNK_KEYS // n)
+    starts = range(0, s.size, rows)
     # Tiles of `reps` whole groups' rows, at least TILE_KEYS keys, or every
-    # row of the call: the counter steps and the tagged column indices.
+    # row of the call: the tagged column indices and the counter steps.
     reps = min(s.size, group * -(-TILE_KEYS // (group * n)))
-    steps = np.arange(1, n + 1, dtype=np.uint64) * _G
     cols = np.arange(n, dtype=word)
     if reps > 1:
-        steps = np.tile(steps, reps)
         tags = ((np.arange(reps) % group) << (32 - tagbits)).astype(word)
         cols = (tags[:, None] | cols).reshape(-1)
+    steps = np.arange(1, n + 1, dtype=np.uint64) * _G
+    # np.repeat holds the GIL, so a call on threads adds by broadcasting.
+    tiled = reps > 1 and _threads(starts, s.size * n) == 1
+    if tiled:
+        steps = np.tile(steps, reps)
     span = group * n
 
     def draw(chunks: range) -> None:
         for lo in chunks:
-            if reps > 1:
+            if tiled:
                 keys = np.repeat(s[lo : lo + rows], n)
                 _tiled(np.add, keys, steps)
-            else:  # a row holds a whole tile: one broadcast pass
+            else:
                 keys = (s[lo : lo + rows, None] + steps).reshape(-1)
             keys = _mix64_arr(keys)
             if narrow:  # the top 32 - tagbits bits of each key
@@ -330,5 +342,5 @@ def permutations_from_seeds(seeds: np.ndarray, n: int) -> np.ndarray:
             # 2-vCPU x86 VM.
             del keys, gaps
 
-    share(draw, range(0, s.size, rows), s.size * n)
+    share(draw, starts, s.size * n)
     return out.reshape(*shape, n)

@@ -121,12 +121,13 @@ CHUNK_KEYS = 1 << 16
 # 23 bits and falls back, and from n = 800 on the ties made it slower.
 NARROW_N = 512
 # Narrow rows of n keys sort GROUP_KEYS // n rows at a time as one row.
-# A 65,536-key chunk's draw took 485 us against 1,044 one row at a time
-# at n = 3, and 427 against 525 at n = 10; 64 was no faster than 32.
+# On a 2-vCPU x86 VM a 65,536-key chunk's draw took 485 us against 1,044
+# one row at a time at n = 3, and 427 against 525 at n = 10; 64 was no
+# faster than 32.
 GROUP_KEYS = 32
-# Fewest keys in a tile of the flat passes. At n = 10 a chunk's seeds
-# repeated and its tiled steps added took 62-83 us against 91-137 for one
-# broadcast add of n-key rows, and the columns ORed 24 against 67 us.
+# Fewest keys in a tile of the flat passes. At n = 10 (same VM) a chunk's
+# seeds repeated and its tiled steps added took 62-83 us against 91-137
+# for one broadcast add of n-key rows, and the columns ORed 24 against 67.
 TILE_KEYS = 1 << 11
 # Fewest keys a thread draws: a call of fewer than 2 * PARALLEL_KEYS keys
 # runs on the caller's thread alone.

@@ -28,24 +28,23 @@ whose universe U is at most DIRECT_RATIO times their number are counted
 by direct address: a count marks a bool map of U, and a prefix curve
 takes each cell's earliest trial with np.minimum.at (order-independent)
 and counts cells per trial. Every other case (larger universes, row
-keys, a chunk's keys thinned by a `covered` map) is sorted: counts and
-prefix curves share one sort per bucket (rows are copied to bucket
-order a block of buckets at a time), and a distinct key starts where
-adjacent keys differ. A curve needs each key's earliest trial, which
-goes into the word's low bit_length(k-1) bits when they are free (the
-packed sort of rng.permutations_from_seeds). Else np.lexsort sorts
-the buckets: it is stable, so a bucket keeps its keys in trial order.
+keys) is sorted: counts and prefix curves share one sort per bucket
+(rows are copied to bucket order a block of buckets at a time), and a
+distinct key starts where adjacent keys differ. A curve needs each
+key's earliest trial, which goes into the word's low bit_length(k-1)
+bits when they are free (the packed sort of rng.permutations_from_seeds).
+Else np.lexsort sorts the buckets: it is stable, so a bucket keeps its
+keys in trial order.
 Every simulated trial, of a run or of a sweep, is drawn by
-`replicate_batches`: the trials first..first+k-1 of replicates in
-batches of up to BATCH_ENTRIES column entries (`SimPlan.batch`), each
-trial from its own seed fold(fold(seed, r), t). The i-th codes of a
-batch are offset by i * U, so one map or one sort counts every replicate
-in it; `coverage_curve` draws nothing and counts one replicate's prefix
-curve from its slice of a batch's columns. Row keys go one replicate at
-a time; from 2 * rng.PARALLEL_KEYS keys on they are built and counted on
-threads by the rule of rng.share, each thread writing only its own
-trials' rows or its own blocks' flags and trials, so no byte depends on
-the thread count.
+`replicate_batches`, trials first..first+k-1 of the replicates of a
+batch of up to BATCH_ENTRIES column entries (`SimPlan.batch`) at once.
+The i-th replicate's codes are offset by i * U, so one map or one sort
+counts the whole batch: a run's final counts, or `coverage_curve`'s
+prefix curves, each key's trial numbered within the batch. Row keys go
+one replicate at a time; from 2 * rng.PARALLEL_KEYS keys on they are
+built and counted on threads by the rule of rng.share, each thread
+writing only its own trials' rows or its own blocks' flags and trials,
+so no byte depends on the thread count.
 Per-replicate coverage fractions are exact integer ratios converted to
 float once; aggregation is sequential in replicate order with math.fsum,
 so reports are bit-stable for a fixed seed regardless of worker count.
@@ -142,9 +141,10 @@ class SimPlan:
 
     @property
     def batch(self) -> int:
-        """Replicates drawn and counted together: as many as BATCH_ENTRIES
-        column entries hold, at least one, and few enough that their
-        offset codes fit int64 (so row keys go one replicate at a time)."""
+        """Replicates drawn and counted together, by a run and by a
+        sweep's curves alike: as many as BATCH_ENTRIES column entries
+        hold, at least one, and few enough that their offset codes fit
+        int64 (so row keys go one replicate at a time)."""
         fit = min(2**63 // t.universe(self.spec) for t in self.targets)
         return max(1, min(BATCH_ENTRIES // (self.replicate_bytes // 8), fit))
 
@@ -297,16 +297,24 @@ def _direct(keys: np.ndarray, universe: int) -> bool:
     return keys.ndim == 1 and universe <= DIRECT_RATIO * keys.size
 
 
+def _batch_keys(
+    cols: np.ndarray, spec: DesignSpec, target: Units, axes: Axes, reps: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """`_keys_for_target` of reps replicates, the i-th one's codes offset by i * universe."""
+    keys, counts = _keys_for_target(cols, spec, target, axes)
+    if reps > 1:  # SimPlan.batch keeps reps * universe within int64
+        keys += np.repeat(np.arange(reps) * target.universe(spec), counts.reshape(reps, -1).sum(axis=1))
+    return keys, counts
+
+
 def _covered_counts(
     cols: np.ndarray, spec: DesignSpec, target: Units, axes: Axes = None, reps: int = 1
 ) -> list[int]:
     """Distinct keys of each of `reps` replicates, whose trials are equal
-    consecutive slices of cols (their codes offset by replicate). One
-    replicate takes a flat count, several times faster than a row sum."""
-    keys, counts = _keys_for_target(cols, spec, target, axes)
+    consecutive slices of cols. One replicate takes a flat count, several
+    times faster than a row sum."""
+    keys, counts = _batch_keys(cols, spec, target, axes, reps)
     universe = target.universe(spec)
-    if reps > 1:  # SimPlan.batch keeps reps * universe within int64
-        keys += np.repeat(np.arange(reps) * universe, counts.reshape(reps, -1).sum(axis=1))
     if _direct(keys, reps * universe):
         seen = np.zeros((reps, universe), dtype=bool)  # universe bytes, at most 4 per key
         seen.reshape(-1)[keys] = True
@@ -318,24 +326,30 @@ def _covered_counts(
     return np.bincount(keys[new.reshape(-1)] // universe, minlength=reps).tolist()
 
 
-def _new_per_trial(keys: np.ndarray, counts: np.ndarray, universe: int) -> np.ndarray:
-    """Distinct keys whose earliest trial is i, for each of the k trials."""
+def _new_per_trial(
+    keys: np.ndarray, counts: np.ndarray, universe: int, covered: np.ndarray | None = None
+) -> np.ndarray:
+    """Distinct keys whose earliest trial is i, for each of the k trials,
+    leaving out those a flat bool map `covered` holds (then marked in it)."""
     k = counts.size
     if not _direct(keys, universe):
-        new, trial = _distinct_keys(keys, counts, tagged=True)
+        new, trial = _distinct_keys(keys, counts, tagged=True)  # sorts 1-D keys in place
+        if covered is not None:  # a key held before is new in no trial
+            new &= ~covered[keys]
+            covered[keys] = True
         return np.bincount(trial[new], minlength=k)
-    # first[c] is the earliest trial holding code c, k if none does.
-    # minimum.at is order-independent; a fancy assignment with repeated
-    # indices is not promised to keep any particular one. The map's type
-    # is the smallest that holds k, 32 bits at most as k * n is under
-    # MAX_TRACKED_KEYS. So with universe <= 4 keys it takes at most 16
-    # bytes per key, no more than MAX_REPLICATE_BYTES charges for the two
-    # or more column entries (8 bytes each) a key of two or more axes is
-    # packed from (one axis has n <= keys cells), and the guard still
-    # bounds a replicate's memory.
+    # first[c] is the earliest trial holding code c, k if none does;
+    # minimum.at is order-independent, unlike a fancy assignment with
+    # repeated indices. Its type holds k in 32 bits at most (k * n is under
+    # MAX_TRACKED_KEYS, or BATCH_ENTRIES for a batch), so at universe <= 4
+    # keys it takes at most 16 bytes a key, what MAX_REPLICATE_BYTES charges
+    # the 2+ column entries of a key of 2+ axes (one axis: n <= keys cells).
     dtype = np.min_scalar_type(k)
     first = np.full(universe, k, dtype=dtype)
     np.minimum.at(first, keys, np.repeat(np.arange(k, dtype=dtype), counts))
+    if covered is not None:  # a cell held before is new in no trial
+        np.putmask(first, covered, k)
+        covered |= first < k
     per_trial = np.zeros(k + 1, dtype=np.int64)
     step = max(MAP_CHUNK, k)
     for lo in range(0, universe, step):
@@ -344,23 +358,17 @@ def _new_per_trial(keys: np.ndarray, counts: np.ndarray, universe: int) -> np.nd
 
 
 def coverage_curve(plan: SimPlan, k: int, cols: np.ndarray, covered: np.ndarray | None = None) -> np.ndarray:
-    """Distinct keys of plan's one target after each of one replicate's
-    k trials, counted from their columns (k, len(plan.axes), n), as
-    `replicate_batches` draws them under the plan's guards.
-
-    With `covered`, a bool map of the target's universe holding the keys
-    of the replicate's earlier trials, only keys it does not hold are
-    counted, and these trials' keys are then marked in it; a replicate is
-    extended chunk by chunk this way. Nondecreasing by construction.
-    """
-    spec, (target,) = plan.spec, plan.targets
-    keys, counts = _keys_for_target(cols, spec, target, plan.axes)
-    if covered is not None:  # a bool map implies 1-D codes: the universe is small
-        fresh = ~covered[keys]
-        covered[keys] = True
-        counts = np.bincount(np.repeat(np.arange(k), counts)[fresh], minlength=k)
-        keys = keys[fresh]
-    return np.cumsum(_new_per_trial(keys, counts, target.universe(spec)), dtype=np.int64)
+    """Prefix curves of plan's one target, counted in one pass: the
+    distinct keys after each trial of the k // plan.k replicates of plan.k
+    trials whose columns (k, len(plan.axes), n) a `replicate_batches` batch
+    holds, as nondecreasing rows of a (k // plan.k, plan.k) array. With
+    `covered`, a (k // plan.k, universe) bool map of each replicate's
+    earlier keys, only keys its row lacks count, and are then marked."""
+    spec, (target,), reps = plan.spec, plan.targets, k // plan.k
+    keys, counts = _batch_keys(cols, spec, target, plan.axes, reps)
+    flat = None if covered is None else covered.reshape(-1)  # indexed by the offset codes
+    new = _new_per_trial(keys, counts, reps * target.universe(spec), flat)
+    return np.cumsum(new.reshape(reps, plan.k), axis=1, dtype=np.int64)
 
 
 def replicate_batches(

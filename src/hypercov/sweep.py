@@ -23,7 +23,7 @@ mean U (ln U + gamma) / n for a universe of U cells, each later one a
 fifth of it, and a bool map of the U cells carries the covered keys from
 chunk to chunk. simulate.replicate_batches draws a cell's curves, or
 each chunk of a group's replicates still running, in SimPlan.batch
-groups, and each replicate's curve is counted alone from its slice.
+groups, and one simulate.coverage_curve call counts a batch's curves.
 Trial i of replicate r is fold(fold(seed, r), i) whatever the batching
 and chunking, so k* does not depend on them.
 """
@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass, replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from . import lazy
 from .design import MAX_D, MAX_N, DesignSpec, SampleKind, SweepMode, Units
@@ -93,13 +93,6 @@ def closed_form_k(n: int, t: int, level: float) -> int:
     raise GuardExceededError("closed-form boundary walk did not settle")
 
 
-def _columns(plan: simulate.SimPlan, rep_ids: Sequence[int], first: int = 1) -> Iterator[np.ndarray]:
-    """Columns of trials first..first+plan.k-1 of each replicate in
-    rep_ids, in order, drawn in SimPlan.batch groups."""
-    for ids, cols in simulate.replicate_batches(plan, rep_ids, first):
-        yield from cols.reshape(len(ids), plan.k, *cols.shape[1:])
-
-
 def _first_draw(spec: DesignSpec, kind: SampleKind, t: int, level: float, reps: int) -> int:
     """Trials in a simulated cell's first curve (per replicate), after
     SimPlan's guards accept reps of them: closed-form k* plus a margin
@@ -133,8 +126,8 @@ def simulated_k(spec: DesignSpec, kind: SampleKind, t: int, level: float, reps: 
     while True:
         plan = simulate.SimPlan(spec, kind, k, reps, targets=(target,), seed=seed)
         total = np.zeros(k, dtype=np.int64)  # covered cells after each prefix, over all replicates
-        for cols in _columns(plan, range(1, reps + 1)):
-            total += simulate.coverage_curve(plan, k, cols)
+        for ids, cols in simulate.replicate_batches(plan, range(1, reps + 1)):
+            total += simulate.coverage_curve(plan, len(ids) * k, cols).sum(axis=0)
         hit = np.nonzero(total / (reps * target.universe(spec)) >= level)[0]
         if hit.size:
             return int(hit[0]) + 1
@@ -146,30 +139,29 @@ def simulated_k(spec: DesignSpec, kind: SampleKind, t: int, level: float, reps: 
 def _stops(plan: simulate.SimPlan) -> list[int]:
     """Trials until each replicate 1..plan.reps covers the universe of
     plan's one target, drawn in chunks of plan.k, then of a fifth of it,
-    up to SIM_K_GUARD in all. The replicates of each SimPlan.batch group
-    still running draw each chunk together, each marking its own bool map
-    of the universe, and leave the group when the map fills."""
+    up to SIM_K_GUARD in all. The replicates of a SimPlan.batch group
+    still running draw and count each chunk in one batch, each marking
+    its own row of a bool map of the universe until the row fills."""
     import numpy as np
 
-    universe, rep_ids, stops = plan.targets[0].universe(plan.spec), range(1, plan.reps + 1), {}
+    universe, stops = plan.targets[0].universe(plan.spec), np.zeros(plan.reps, dtype=np.int64)
     for lo in range(0, plan.reps, plan.batch):
-        # batch * U bytes, U <= plan.k * n: at most BATCH_ENTRIES / t
-        covered = {r: np.zeros(universe, dtype=bool) for r in rep_ids[lo : lo + plan.batch]}
-        drawn, chunk = 0, plan.k
-        while covered:
+        ids = np.arange(lo + 1, min(lo + plan.batch, plan.reps) + 1)
+        # batch * U bytes, U <= plan.k * n: BATCH_ENTRIES / t, or one replicate's k * n
+        covered, drawn, chunk = np.zeros((ids.size, universe), dtype=bool), 0, plan.k
+        while ids.size:
             if drawn >= SIM_K_GUARD:
                 raise GuardExceededError(f"full coverage passed guard {SIM_K_GUARD}")
-            chunk, ids = min(chunk, SIM_K_GUARD - drawn), list(covered)
-            part = replace(plan, k=chunk, reps=len(ids))
-            for r, cols in zip(ids, _columns(part, ids, drawn + 1)):
-                missing = universe - np.count_nonzero(covered[r])
-                hit = np.nonzero(simulate.coverage_curve(part, chunk, cols, covered[r]) >= missing)[0]
-                if hit.size:
-                    stops[r] = drawn + int(hit[0]) + 1
-                    del covered[r]
-            drawn += chunk
-            chunk = -(-plan.k // 5)
-    return [stops[r] for r in rep_ids]
+            # One batch: chunk <= plan.k, so part.batch >= plan.batch >= ids.size.
+            chunk, missing = min(chunk, SIM_K_GUARD - drawn), universe - np.count_nonzero(covered, axis=1)
+            part = replace(plan, k=chunk, reps=ids.size)
+            ((_, cols),) = simulate.replicate_batches(part, ids.tolist(), drawn + 1)
+            reached = simulate.coverage_curve(part, ids.size * chunk, cols, covered) >= missing[:, None]
+            done = reached[:, -1]
+            stops[ids[done] - 1] = drawn + 1 + np.argmax(reached[done], axis=1)
+            ids, covered = ids[~done], covered[~done]
+            drawn, chunk = drawn + chunk, -(-plan.k // 5)
+    return stops.tolist()
 
 
 def full_coverage_k(

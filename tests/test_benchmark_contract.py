@@ -115,6 +115,35 @@ def test_sweep_draws_every_trial_through_the_curve(name, capsys):
     assert metrics["sweep.trials_used"] >= 0.85 * metrics["sweep.trials_drawn"]
 
 
+@pytest.mark.parametrize("name", ["sim-t2", "full-coverage"])
+def test_sweep_counts_each_batch_in_one_curve_call(name, capsys, monkeypatch):
+    # The k of each coverage_curve call is the number of trials it counts,
+    # one call per batch drawn, so the tracer's curve_trials stays exact.
+    import hypercov.cli
+    from hypercov import simulate
+
+    yields, calls = [], []
+    real_batches, real_curve = simulate.replicate_batches, simulate.coverage_curve
+
+    def batches(plan, rep_ids, first=1):
+        for ids, cols in real_batches(plan, rep_ids, first):
+            yields.append(cols.shape[0])
+            yield ids, cols
+
+    def curve(plan, k, cols, covered=None):
+        assert k == cols.shape[0] and k % plan.k == 0
+        calls.append((k, plan.k))
+        return real_curve(plan, k, cols, covered)
+
+    monkeypatch.setattr(simulate, "replicate_batches", batches)
+    monkeypatch.setattr(simulate, "coverage_curve", curve)
+    (inv,) = [i for i in WORKLOADS["sweep-thresholds"].invocations if i.name == name]
+    assert hypercov.cli.main(inv.bind(20260819)) == 0
+    capsys.readouterr()
+    assert [k for k, _ in calls] == yields
+    assert any(k > per for k, per in calls)  # some batch holds several replicates
+
+
 @pytest.mark.parametrize(
     "inv",
     [inv for inv in WORKLOADS["exact-bracket"].invocations if inv.argv[:3] == ("law", "--model", "bracket")],

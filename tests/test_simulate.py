@@ -46,7 +46,7 @@ def drawn_curve(spec, kind, seed, k, target):
     """coverage_curve of trials 1..k of a run drawn from seed by
     sampling.trial_columns, on the target's axes."""
     plan = SimPlan(spec, kind, k, reps=1, targets=(target,))
-    return coverage_curve(plan, k, trial_columns(spec, kind, seed, k, plan.axes))
+    return coverage_curve(plan, k, trial_columns(spec, kind, seed, k, plan.axes))[0]
 
 
 @pytest.fixture
@@ -254,11 +254,11 @@ class TestCurve:
         # chunks' curves, stacked, are the curve of one long draw.
         plan = SimPlan(spec, kind, 12, reps=1, targets=(target,))
         cols = trial_columns(spec, kind, 5, 12, plan.axes)
-        whole = coverage_curve(plan, 12, cols)
-        covered = np.zeros(target.universe(spec), dtype=bool)
+        whole = coverage_curve(plan, 12, cols)[0]
+        covered = np.zeros((1, target.universe(spec)), dtype=bool)
         got, parts = 0, []
         for first, k in [(1, 3), (4, 1), (5, 8)]:
-            part = coverage_curve(plan, k, cols[first - 1 : first - 1 + k], covered)
+            part = coverage_curve(dataclasses.replace(plan, k=k), k, cols[first - 1 : first - 1 + k], covered)[0]
             parts.append(got + part)
             got += int(part[-1])
         assert np.array_equal(np.concatenate(parts), whole)
@@ -430,15 +430,15 @@ class TestDirectAddress:
     @pytest.mark.parametrize("kind", list(SampleKind))
     @pytest.mark.parametrize("text", ["full", "proj:2", "edge:1,3,2,1"])
     def test_chunked_curves_agree(self, monkeypatch, kind, text):
-        # The covered map thins later chunks below the ratio: those sort.
+        # Later chunks leave out the keys the covered map holds, on both paths.
         spec, units = DesignSpec(3, 8, p=2), parse_target(text)
         plan = SimPlan(spec, kind, 34, reps=1, targets=(units,))
         cols = trial_columns(spec, kind, 5, 34, plan.axes)
 
         def chunks():
-            covered = np.zeros(units.universe(spec), dtype=bool)
+            covered = np.zeros((1, units.universe(spec)), dtype=bool)
             return [
-                coverage_curve(plan, k, cols[first - 1 : first - 1 + k], covered).tolist()
+                coverage_curve(dataclasses.replace(plan, k=k), k, cols[first - 1 : first - 1 + k], covered)[0].tolist()
                 for first, k in [(1, 3), (4, 1), (5, 30)]
             ]
 
@@ -565,6 +565,87 @@ class TestBatches:
             "points_batch": reps * k,
             "_keys_for_target": reps * k * 27,
         }
+
+
+class TestBatchedCurves:
+    """One coverage_curve call counts every curve of a batch in one pass,
+    the codes offset by replicate and the trials numbered within the
+    batch, and each row is the curve of that replicate counted alone."""
+
+    @pytest.fixture
+    def sorts(self, monkeypatch):
+        """The `bits` of each block _sort_rows sorts, None for a lexsort."""
+        seen, real = [], simulate._sort_rows
+
+        def spy(words, new, trial, bits):
+            seen.append(bits)
+            real(words, new, trial, bits)
+
+        monkeypatch.setattr(simulate, "_sort_rows", spy)
+        return seen
+
+    @staticmethod
+    def check(plan, sorts, covered=None):
+        """Assert that plan's one batch, counted in one call, gives the
+        stacked curves (and maps) of its replicates counted alone; return
+        the batch's curves and the sorts of both ways."""
+        ((ids, cols),) = simulate.replicate_batches(plan, range(1, plan.reps + 1))
+        k, one = plan.k, dataclasses.replace(plan, reps=1)
+        maps = [None if covered is None else covered[i : i + 1].copy() for i in range(len(ids))]
+        sorts.clear()
+        alone = [coverage_curve(one, k, cols[i * k : (i + 1) * k], maps[i])[0] for i in range(len(ids))]
+        alone_sorts = sorts[:]
+        sorts.clear()
+        got, batch_sorts = coverage_curve(plan, len(ids) * k, cols, covered), sorts[:]
+        assert got.shape == (plan.reps, k)
+        assert np.array_equal(got, np.stack(alone))
+        if covered is not None:
+            assert np.array_equal(covered, np.concatenate(maps))
+        else:  # and those are the counts of each replicate's prefixes
+            (target,), trials = plan.targets, cols.reshape(len(ids), k, *cols.shape[1:])
+            count = lambda c: simulate._covered_counts(c, plan.spec, target, plan.axes)[0]
+            assert got.tolist() == [[count(c[:i]) for i in range(1, k + 1)] for c in trials]
+        return got, alone_sorts, batch_sorts
+
+    @pytest.mark.parametrize("kind", list(SampleKind))
+    @pytest.mark.parametrize("text", ["full", "proj:2", "edge:1,3,2,1"])  # an LHS trial holds 0-4 edge keys
+    @pytest.mark.parametrize("ratio", [0, 2**62], ids=["tagged", "direct"])
+    def test_rows_are_the_replicates_curves(self, monkeypatch, sorts, kind, text, ratio):
+        monkeypatch.setattr(simulate, "DIRECT_RATIO", ratio)
+        plan = SimPlan(DesignSpec(3, 8, p=2), kind, k=5, reps=4, targets=(parse_target(text),), seed=SEED)
+        _, _, batch_sorts = self.check(plan, sorts)
+        assert batch_sorts == ([(4 * 5 - 1).bit_length()] if ratio == 0 else [])
+
+    def test_offset_codes_past_the_tag_room_take_the_lexsort(self, monkeypatch, sorts):
+        # U = 2^60. Alone, 2 trials take 1 tag bit and the codes fit the
+        # 2^62 left; a batch's 6 trials take 3 bits, and the offset codes
+        # of its second and third replicates pass the 2^60 left.
+        monkeypatch.setattr(simulate, "BATCH_ENTRIES", 1 << 20)
+        plan = SimPlan(DesignSpec(4, 2**15), SampleKind.LHS, k=2, reps=3, seed=SEED)
+        assert plan.batch >= 3
+        _, alone_sorts, batch_sorts = self.check(plan, sorts)
+        assert (alone_sorts, batch_sorts) == ([1, 1, 1], [None])
+
+    @pytest.mark.parametrize("kind", list(SampleKind))
+    @pytest.mark.parametrize("ratio", [0, 2**62], ids=["sorted", "direct"])
+    def test_covered_rows_are_each_replicates_own(self, monkeypatch, sorts, kind, ratio):
+        # The first map is empty, the second partly filled, the third full.
+        monkeypatch.setattr(simulate, "DIRECT_RATIO", ratio)
+        spec, units = DesignSpec(3, 8, p=2), Units(2)
+        plan = SimPlan(spec, kind, k=6, reps=3, targets=(units,), seed=SEED)
+        covered = np.zeros((3, units.universe(spec)), dtype=bool)
+        covered[1, ::3] = covered[2] = True
+        got, _, _ = self.check(plan, sorts, covered)
+        assert got[0, 0] == spec.n and 0 < got[1, -1] < got[0, -1] and not got[2].any()
+        assert covered[2].all()
+
+    def test_row_keys_take_batches_of_one(self):
+        spec, units = DesignSpec(16, 16), Units()  # n^d = 2^64: Latin-bucket rows
+        plan = SimPlan(spec, SampleKind.LHS, k=2, reps=3, seed=SEED)
+        assert plan.batch == 1
+        for r, (ids, cols) in enumerate(simulate.replicate_batches(plan, [1, 2, 3]), 1):
+            prefix = [simulate._covered_counts(cols[:i], spec, units, plan.axes)[0] for i in (1, 2)]
+            assert list(ids) == [r] and coverage_curve(plan, plan.k, cols).tolist() == [prefix]
 
 
 class TestKeyContract:

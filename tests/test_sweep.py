@@ -242,20 +242,22 @@ class TestDoublingSearch:
 
         def never_covers(plan, k, cols, covered=None):
             lengths.append(k)
-            return np.zeros(k, np.int64)
+            return np.zeros((k // plan.k, plan.k), np.int64)
 
         monkeypatch.setattr(simulate, "coverage_curve", never_covers)
         monkeypatch.setattr(sweep, "SIM_K_GUARD", 64)
         with pytest.raises(GuardExceededError, match="^k search passed guard 64$"):
             simulated_k(DesignSpec(2, 8), SampleKind.LHS, 2, 0.5, reps=2, seed=0)
-        # Starts at closed_form_k + 4 = 10 and doubles while within the guard.
-        assert lengths == [10, 10, 20, 20, 40, 40]
+        # Starts at closed_form_k + 4 = 10 and doubles while within the
+        # guard, both replicates' curves counted in one call.
+        assert lengths == [20, 40, 80]
         lengths.clear()
         with pytest.raises(GuardExceededError, match="^full coverage passed guard 64$"):
             full_coverage_k(DesignSpec(2, 4), SampleKind.LHS, 2, reps=2, seed=0)
-        # Both replicates, in one batch, take the coupon-collector chunk
-        # of 14 trials, then chunks of 3 and a last one that ends at the guard.
-        assert lengths == [14, 14] + [3, 3] * 16 + [2, 2]
+        # Both replicates, in one batch counted by one call, take the
+        # coupon-collector chunk of 14 trials, then chunks of 3 and a last
+        # one that ends at the guard.
+        assert lengths == [28] + [6] * 16 + [4]
 
 
 class TestFitSlope:

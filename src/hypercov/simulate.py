@@ -38,16 +38,19 @@ keys in trial order.
 Every simulated trial, of a run or of a sweep, is drawn by
 `replicate_batches`, trials first..first+k-1 of the replicates of a
 batch of up to BATCH_ENTRIES column entries (`SimPlan.batch`) at once.
-The i-th replicate's codes are offset by i * U, so one map or one sort
-counts the whole batch: a run's final counts, or `coverage_curve`'s
-prefix curves, each key's trial numbered within the batch. Row keys go
+`_keys_for_target` adds i * U to the i-th replicate's codes as it packs
+them, so one map or one sort counts the whole batch: a run's final
+counts, or `coverage_curve`'s prefix curves, each key's trial numbered
+within the batch. Row keys go
 one replicate at a time; from 2 * rng.PARALLEL_KEYS keys on they are
 built and counted on threads by the rule of rng.share, each thread
 writing only its own trials' rows or its own blocks' flags and trials,
 so no byte depends on the thread count.
 Per-replicate coverage fractions are exact integer ratios converted to
-float once; aggregation is sequential in replicate order with math.fsum,
-so reports are bit-stable for a fixed seed regardless of worker count.
+float once. Each worker process takes one consecutive run of
+replicates, so the rows come back in replicate order; aggregation is
+sequential in that order with math.fsum, so reports are bit-stable for
+a fixed seed regardless of worker count.
 """
 
 from __future__ import annotations
@@ -143,8 +146,9 @@ class SimPlan:
     def batch(self) -> int:
         """Replicates drawn and counted together, by a run and by a
         sweep's curves alike: as many as BATCH_ENTRIES column entries
-        hold, at least one, and few enough that their offset codes fit
-        int64 (so row keys go one replicate at a time)."""
+        hold, at least one, and few enough that their codes, offset by
+        replicate where `_keys_for_target` packs them, fit int64 (so row
+        keys go one replicate at a time)."""
         fit = min(2**63 // t.universe(self.spec) for t in self.targets)
         return max(1, min(BATCH_ENTRIES // (self.replicate_bytes // 8), fit))
 
@@ -190,44 +194,50 @@ def _pack(digits: Sequence[np.ndarray], base: int) -> np.ndarray:
 
 
 def _keys_for_target(
-    cols: np.ndarray, spec: DesignSpec, target: Units, axes: Axes = None
+    cols: np.ndarray, spec: DesignSpec, target: Units, axes: Axes = None, reps: int = 1
 ) -> tuple[np.ndarray, np.ndarray]:
     """(keys, per-trial key counts) of the trials' 0-based columns
     (k, len(axes), n) on `axes` (all d by default).
 
-    keys is 1-D codes, trial by trial, when the target's universe fits
-    int64. Otherwise it is rows of shape (k * n, words): the counted axes
-    after the first, packed base n into as few int64 words as hold them,
-    also trial by trial, so trial i's key whose first-axis value is b
-    (its Latin bucket) is row i * n + b.
+    keys is 1-D codes, trial by trial, when the target's universe U fits
+    int64; cols then holds `reps` replicates of k // reps trials each,
+    and the i-th one's codes are offset by i * U (SimPlan.batch keeps
+    them within int64). Otherwise it is rows of shape (k * n, words): the
+    counted axes after the first, packed base n into as few int64 words
+    as hold them, also trial by trial, so trial i's key whose first-axis
+    value is b (its Latin bucket) is row i * n + b.
     """
-    k, n = cols.shape[0], spec.n
+    k, n, universe = cols.shape[0], spec.n, target.universe(spec)
     drawn = tuple(range(1, spec.d + 1)) if axes is None else axes
     digits = [cols[:, drawn.index(v)] for v in target.axes(spec)]  # views, (k, n) each
+    counts = np.full(k, n, dtype=np.int64)
+    if universe > 2**63:
+        first, rest = digits[0], digits[1:]
+        per_word = max(q for q in range(1, len(rest) + 1) if n**q <= 2**63)
+        groups = [rest[lo : lo + per_word] for lo in range(0, len(rest), per_word)]
+        keys = np.empty((len(groups), k, n), dtype=np.int64)  # each word contiguous
+        # Threads share the trials. Each trial is packed and scattered within
+        # its own row of each word (first is a permutation, so every entry is
+        # written) through an intp index, which scatters faster than int32.
+
+        def scatter(trials: range) -> None:
+            for i in trials:
+                where = first[i].astype(np.intp)
+                for word, group in zip(keys, groups):
+                    word[i][where] = _pack([x[i] for x in group], n)
+
+        rng.share(scatter, range(k), n * k)
+        return keys.reshape(len(groups), k * n).T, counts
     if target.coarse is not None:
         # Keep the keys inside the coarse cell, coded by fine offsets.
         base = band_width(spec.require_p(), spec.d)
         mask = np.logical_and(*(x // base == q - 1 for x, q in zip(digits, target.coarse)))
-        return _pack([x[mask] % base for x in digits], base), mask.sum(axis=1)
-    counts = np.full(k, n, dtype=np.int64)
-    if target.universe(spec) <= 2**63:
-        return _pack(digits, n).reshape(-1), counts
-    first, rest = digits[0], digits[1:]
-    per_word = max(q for q in range(1, len(rest) + 1) if n**q <= 2**63)
-    groups = [rest[lo : lo + per_word] for lo in range(0, len(rest), per_word)]
-    keys = np.empty((len(groups), k, n), dtype=np.int64)  # each word contiguous
-    # Threads share the trials. Each trial is packed and scattered within
-    # its own row of each word (first is a permutation, so every entry is
-    # written) through an intp index, which scatters faster than int32.
-
-    def scatter(trials: range) -> None:
-        for i in trials:
-            where = first[i].astype(np.intp)
-            for word, group in zip(keys, groups):
-                word[i][where] = _pack([x[i] for x in group], n)
-
-    rng.share(scatter, range(k), n * k)
-    return keys.reshape(len(groups), k * n).T, counts
+        keys, counts = _pack([x[mask] % base for x in digits], base), mask.sum(axis=1)
+    else:
+        keys = _pack(digits, n).reshape(-1)
+    if reps > 1:  # in place; one replicate's U may be 2^63 itself, past int64
+        keys += np.repeat(np.arange(reps) * universe, counts.reshape(reps, -1).sum(axis=1))
+    return keys, counts
 
 
 def _sort_rows(
@@ -297,23 +307,13 @@ def _direct(keys: np.ndarray, universe: int) -> bool:
     return keys.ndim == 1 and universe <= DIRECT_RATIO * keys.size
 
 
-def _batch_keys(
-    cols: np.ndarray, spec: DesignSpec, target: Units, axes: Axes, reps: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """`_keys_for_target` of reps replicates, the i-th one's codes offset by i * universe."""
-    keys, counts = _keys_for_target(cols, spec, target, axes)
-    if reps > 1:  # SimPlan.batch keeps reps * universe within int64
-        keys += np.repeat(np.arange(reps) * target.universe(spec), counts.reshape(reps, -1).sum(axis=1))
-    return keys, counts
-
-
 def _covered_counts(
     cols: np.ndarray, spec: DesignSpec, target: Units, axes: Axes = None, reps: int = 1
 ) -> list[int]:
     """Distinct keys of each of `reps` replicates, whose trials are equal
     consecutive slices of cols. One replicate takes a flat count, several
     times faster than a row sum."""
-    keys, counts = _batch_keys(cols, spec, target, axes, reps)
+    keys, counts = _keys_for_target(cols, spec, target, axes, reps)
     universe = target.universe(spec)
     if _direct(keys, reps * universe):
         seen = np.zeros((reps, universe), dtype=bool)  # universe bytes, at most 4 per key
@@ -365,7 +365,7 @@ def coverage_curve(plan: SimPlan, k: int, cols: np.ndarray, covered: np.ndarray 
     `covered`, a (k // plan.k, universe) bool map of each replicate's
     earlier keys, only keys its row lacks count, and are then marked."""
     spec, (target,), reps = plan.spec, plan.targets, k // plan.k
-    keys, counts = _batch_keys(cols, spec, target, plan.axes, reps)
+    keys, counts = _keys_for_target(cols, spec, target, plan.axes, reps)
     flat = None if covered is None else covered.reshape(-1)  # indexed by the offset codes
     new = _new_per_trial(keys, counts, reps * target.universe(spec), flat)
     return np.cumsum(new.reshape(reps, plan.k), axis=1, dtype=np.int64)
@@ -407,12 +407,9 @@ def simulate_coverage(plan: SimPlan, workers: int = 1) -> list[CoverageReport]:
         # Imported here: it costs start-up time a single process never uses.
         from concurrent.futures import ProcessPoolExecutor
 
-        chunks = [rep_ids[c::pool_size] for c in range(pool_size)]
-        rows = []
+        chunks = [rep_ids[c * plan.reps // pool_size : (c + 1) * plan.reps // pool_size] for c in range(pool_size)]
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            for part in pool.map(_replicate_counts, [plan] * pool_size, chunks):
-                rows.extend(part)
-        rows.sort(key=lambda item: item[0])
+            rows = [row for part in pool.map(_replicate_counts, [plan] * pool_size, chunks) for row in part]
 
     reports = []
     for ti, target in enumerate(plan.targets):

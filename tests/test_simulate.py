@@ -518,7 +518,7 @@ class TestBatches:
         monkeypatch.setattr(simulate, "BATCH_ENTRIES", 4 * plan.replicate_bytes // 8)
         assert plan.batch == 4
         self.check(plan, list(range(1, reps + 1)))
-        self.check(plan, list(range(2, 3 * reps + 2, 3)))  # a worker's stride
+        self.check(plan, list(range(2, 3 * reps + 2, 3)))  # ids that are no consecutive run
 
     @pytest.mark.parametrize("kind", list(SampleKind))
     def test_last_batch_at_the_real_budget(self, kind):
@@ -537,6 +537,15 @@ class TestBatches:
         plan = self.plan(spec, kind, ("full", "proj:2"), k, 3)
         assert plan.batch == 1
         self.check(plan, [1, 2, 3])
+
+    def test_offset_codes_reach_the_int64_edge(self):
+        # U = 16^15 = 2^60, so a batch holds 8 replicates and the eighth
+        # one's codes end at 8 * U - 1 = 2^63 - 1; the ninth goes alone.
+        plan = self.plan(DesignSpec(15, 16), SampleKind.LHS, ("full",), 1, 9)
+        assert plan.batch == 8 == 2**63 // 16**15
+        self.check(plan, list(range(1, 10)))
+        got, _, _ = TestBatchedCurves.check(dataclasses.replace(plan, reps=8), [])
+        assert got.tolist() == [[16]] * 8
 
     def test_draws_and_keys_total_what_single_replicates_did(self, monkeypatch):
         # The counts perfbench takes from these calls: permutation rows,
@@ -663,6 +672,7 @@ class TestKeyContract:
             (DesignSpec(4, 2**16), SampleKind.LHS, "full"),
             (DesignSpec(4, 2**16, p=16), SampleKind.OS, "proj:4@4,2,3,1"),
             (DesignSpec(5, 2**16), SampleKind.LHS, "full"),
+            (DesignSpec(9, 128), SampleKind.LHS, "full"),  # U = 2^63, past int64 itself
         ],
     )
     def test_one_key_per_row_and_rows_past_int64(self, spec, kind, text):
@@ -775,6 +785,16 @@ class TestWorkers:
         assert simulate_coverage(plan, workers=2)[0].fractions == seq[0].fractions
         assert pool_sizes == [3, 2]
 
+    @pytest.mark.parametrize("reps", [4, 31])
+    def test_uneven_runs_come_back_in_replicate_order(self, monkeypatch, pool_sizes, reps):
+        # Three processes take runs of 1, 1 and 2 replicates, or 10, 10 and 11.
+        monkeypatch.setattr(rng, "usable_cpus", lambda: 3)
+        plan = SimPlan(DesignSpec(2, 6), SampleKind.LHS, k=4, reps=reps, targets=(Units(), Units(1)), seed=SEED)
+        seq = simulate_coverage(plan, workers=1)
+        par = simulate_coverage(plan, workers=3)
+        assert [a.fractions for a in seq] == [b.fractions for b in par]
+        assert pool_sizes == [3]
+
     def test_one_usable_cpu_starts_no_pool(self, monkeypatch, pool_sizes):
         monkeypatch.setattr(rng, "usable_cpus", lambda: 1)
         plan = SimPlan(DesignSpec(2, 6), SampleKind.LHS, k=4, reps=30, seed=SEED)
@@ -801,7 +821,7 @@ class TestWorkers:
         assert run(2) == run(1)
 
     def test_pool_of_batches_equals_one_process(self):
-        # Neither the run nor either worker's stride is whole batches.
+        # Neither the run nor either worker's run of replicates is whole batches.
         plan = SimPlan(DesignSpec(2, 6), SampleKind.LHS, k=4, reps=1, targets=(Units(), Units(1)), seed=SEED)
         plan = dataclasses.replace(plan, reps=2 * plan.batch + 3)
         assert plan.batch > 1

@@ -57,8 +57,9 @@ d*n*log2(n) bits, and the two q-term rising products by about
 q*bits(b), their size, both at BIGINT_GUARD_BITS. A product above it is
 refused before any multiplication, naming the largest q that fits;
 check_terms refuses a whole list of q that way. coverage_float builds
-both products only when its INTERVAL_TRIES fail, and the guard bounds
-exactly that fallback.
+both products only when its INTERVAL_TRIES fail, yet it calls
+check_terms first, as its callers do: a k whose products would pass
+the guard is refused even where the interval settles without them.
 """
 
 from __future__ import annotations

@@ -34,7 +34,6 @@ from .exact import (
 
 ENUM_GUARD = 100_000
 MULTISET_GUARD = 10_000_000
-GRID_GUARD = 1_000_000
 
 # d axes of 0-based values, axis j + 1 at place j.
 Trial = tuple[tuple[int, ...], ...]
@@ -156,8 +155,6 @@ def occurrence_counts(ts: EnumeratedTrialSet, units: Units) -> dict[tuple[int, .
     coarse cell count 0)."""
     units.validate_for(ts.spec)
     n, t = ts.spec.n, len(units.axes(ts.spec))
-    if n**t > GRID_GUARD:
-        raise GuardExceededError(f"grid of {n**t} cells exceeds guard {GRID_GUARD}")
     counts: Counter = Counter()
     for cells in _cells(ts.spec, ts.trials, units):
         counts.update(cells)

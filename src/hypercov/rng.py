@@ -70,9 +70,9 @@ benchmarked call draws rows that short on threads). Each chunk
 draws its own keys from its own seeds, sorts, checks and redraws them,
 and writes only its own rows of the output, so the output is the same
 bytes whatever the thread count. The threads live for one call and are
-joined before it returns or raises. `simulate` shares by the same rule
-the trials its Latin-bucket row keys are packed from and the blocks of
-buckets they are sorted in.
+joined before it returns or raises. `simulate` packs its Latin-bucket
+row keys a block of trials at a time and sorts them a block of buckets
+at a time, blocks that `share` cuts and shares by the same rule.
 
 Importing this module sets the C allocator's policy for the whole
 process, once (`_keep_freed_memory`). glibc's malloc maps a block of at
@@ -93,7 +93,7 @@ from __future__ import annotations
 
 import ctypes
 import os
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -109,12 +109,15 @@ _S27 = np.uint64(27)
 _S31 = np.uint64(31)
 _UM1 = np.uint64(_M1)
 _UM2 = np.uint64(_M2)
-# Keys per chunk of permutation rows (at least one row). At 512 KiB per
-# uint64 array a chunk's keys and temporaries stay in a core's L2 cache,
-# which made the draw up to twice as fast as chunks of 2^22 keys. With
-# the flat passes, sim-many-small's pass against 2^16 (12 alternating
-# rounds, 2-vCPU x86 VM) took 4.6% longer at 2^15 and 1.1% less at 2^17
-# (faster in 8 rounds of 12), too little for twice the temporaries.
+# Keys per block of every pass `share` cuts: rows drawn here, trials
+# packed into Latin-bucket rows and buckets sorted in simulate. A curve's
+# first-trial map is counted as many entries per bincount, so that its
+# intp copy stays in cache. At 512 KiB per uint64 array a block's keys
+# and temporaries stay in a core's L2 cache, which made the draw up to
+# twice as fast as chunks of 2^22 keys. With the flat passes,
+# sim-many-small's pass against 2^16 (12 alternating rounds, 2-vCPU x86
+# VM) took 4.6% longer at 2^15 and 1.1% less at 2^17 (faster in 8 rounds
+# of 12), too little for twice the temporaries.
 CHUNK_KEYS = 1 << 16
 # Rows of at most this many keys sort the top 32 bits of each key, up to
 # 20% faster on a 2-vCPU x86 VM; at n = 512 one row in 64 ties in its top
@@ -167,36 +170,42 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _threads(parts: Sequence, keys: int) -> int:
-    """Threads `share` runs parts of `keys` keys of work on: 1 below
-    2 * PARALLEL_KEYS keys, else one per usable CPU, at most one per part
+def _threads(count: int, width: int) -> int:
+    """Threads `share` runs `count` items of `width` keys each on: 1 below
+    2 * PARALLEL_KEYS keys, else one per usable CPU, at most one per block
     and one per PARALLEL_KEYS keys."""
+    keys, blocks = count * width, -(-count // max(1, CHUNK_KEYS // width))
     # Below two threads' worth of keys, without the usable_cpus() syscall.
-    return 1 if keys < 2 * PARALLEL_KEYS else min(usable_cpus(), len(parts), keys // PARALLEL_KEYS)
+    return 1 if keys < 2 * PARALLEL_KEYS else min(usable_cpus(), blocks, keys // PARALLEL_KEYS)
 
 
-def share(job: Callable[[Sequence], object], parts: Sequence, keys: int) -> None:
-    """Run job over parts, a call's independent shares of `keys` keys of
-    work: on the caller's thread alone, or on one thread per usable CPU,
-    at most one per part and one per PARALLEL_KEYS keys (`_threads`),
-    thread t taking parts[t::threads]. Each job must write only what its
-    own parts own. The threads are joined before this returns or
-    re-raises a job's error.
+def share(job: Callable[[slice], object], count: int, width: int) -> None:
+    """Run job once per block of range(count), items of `width` keys
+    each: consecutive blocks of about CHUNK_KEYS keys, at least one item,
+    each passed as a slice. They run on the caller's thread alone, or on
+    `_threads` threads, thread t taking blocks t, t + threads, ... A job
+    writes only what its own block owns. The threads are joined before
+    this returns or re-raises a job's error.
 
     A job may call numpy and plain helpers such as simulate._pack, never
     a function that perfbench's tracer wraps (WRAPPED in
     perfbench/layers.py): its span stack is not thread-safe.
     """
-    threads = _threads(parts, keys)
+    step, threads = max(1, CHUNK_KEYS // width), _threads(count, width)
+    blocks = [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
+
+    def run(t: int) -> None:
+        for block in blocks[t::threads]:
+            job(block)
+
     if threads <= 1:
-        job(parts)
-        return
+        return run(0)
     # Imported here: a call below the threshold never pays for it.
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        # list() re-raises a share's error; leaving the with joins every thread.
-        list(pool.map(job, [parts[t::threads] for t in range(threads)]))
+        # list() re-raises a block's error; leaving the with joins every thread.
+        list(pool.map(run, range(threads)))
 
 
 def mix64(z: int) -> int:
@@ -297,8 +306,6 @@ def permutations_from_seeds(seeds: np.ndarray, n: int) -> np.ndarray:
     group = max(1, GROUP_KEYS // n) if narrow else 1
     tagbits = (group - 1).bit_length()
     shift = np.uint64(32 + tagbits)
-    rows = max(1, CHUNK_KEYS // n)
-    starts = range(0, s.size, rows)
     # Tiles of `reps` whole groups' rows, at least TILE_KEYS keys, or every
     # row of the call: the tagged column indices and the counter steps.
     reps = min(s.size, group * -(-TILE_KEYS // (group * n)))
@@ -308,40 +315,38 @@ def permutations_from_seeds(seeds: np.ndarray, n: int) -> np.ndarray:
         cols = (tags[:, None] | cols).reshape(-1)
     steps = np.arange(1, n + 1, dtype=np.uint64) * _G
     # np.repeat holds the GIL, so a call on threads adds by broadcasting.
-    tiled = reps > 1 and _threads(starts, s.size * n) == 1
+    tiled = reps > 1 and _threads(s.size, n) == 1
     if tiled:
         steps = np.tile(steps, reps)
     span = group * n
 
-    def draw(chunks: range) -> None:
-        for lo in chunks:
-            if tiled:
-                keys = np.repeat(s[lo : lo + rows], n)
-                _tiled(np.add, keys, steps)
-            else:
-                keys = (s[lo : lo + rows, None] + steps).reshape(-1)
-            keys = _mix64_arr(keys)
-            if narrow:  # the top 32 - tagbits bits of each key
-                np.right_shift(keys, shift, out=keys)
-                keys = keys.astype(np.uint32)
-            keys &= ~low
-            _tiled(np.bitwise_or, keys, cols)
-            whole = keys.size - keys.size % span
-            keys[:whole].reshape(-1, span).sort(axis=1)
-            keys[whole:].sort()  # a last partial group, as one shorter row
-            # The low bits are the argsort, < n: a uint64 word narrows on the way out.
-            np.bitwise_and(keys, low, out=out[lo : lo + rows].reshape(-1).view(np.uint32))
-            # Top parts tie where adjacent keys differ only in the low bits;
-            # one min over the chunk rules that out before any per-row scan
-            # (a pair across rows can only raise a false alarm).
-            gaps = keys[1:] ^ keys[:-1]
-            if gaps.size and gaps.min() <= low:
-                tied = _tied_rows(keys, n, low)
-                out[lo + tied] = _argsort_redraw(s[lo + tied], n)
-            # Freed before this thread's next chunk draws, so that it gets
-            # the same memory back, still in cache: 4-12% faster on a
-            # 2-vCPU x86 VM.
-            del keys, gaps
+    def draw(rows: slice) -> None:
+        if tiled:
+            keys = np.repeat(s[rows], n)
+            _tiled(np.add, keys, steps)
+        else:
+            keys = (s[rows, None] + steps).reshape(-1)
+        keys = _mix64_arr(keys)
+        if narrow:  # the top 32 - tagbits bits of each key
+            np.right_shift(keys, shift, out=keys)
+            keys = keys.astype(np.uint32)
+        keys &= ~low
+        _tiled(np.bitwise_or, keys, cols)
+        whole = keys.size - keys.size % span
+        keys[:whole].reshape(-1, span).sort(axis=1)
+        keys[whole:].sort()  # a last partial group, as one shorter row
+        # The low bits are the argsort, < n: a uint64 word narrows on the way out.
+        np.bitwise_and(keys, low, out=out[rows].reshape(-1).view(np.uint32))
+        # Top parts tie where adjacent keys differ only in the low bits;
+        # one min over the chunk rules that out before any per-row scan
+        # (a pair across rows can only raise a false alarm).
+        gaps = keys[1:] ^ keys[:-1]
+        if gaps.size and gaps.min() <= low:
+            tied = rows.start + _tied_rows(keys, n, low)
+            out[tied] = _argsort_redraw(s[tied], n)
 
-    share(draw, starts, s.size * n)
+    # A chunk's arrays are freed when draw returns, before this thread's
+    # next chunk draws, so that it gets the same memory back, still in
+    # cache: 4-12% faster on a 2-vCPU x86 VM.
+    share(draw, s.size, n)
     return out.reshape(*shape, n)

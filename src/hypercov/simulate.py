@@ -41,10 +41,10 @@ batch of up to BATCH_ENTRIES column entries (`SimPlan.batch`) at once.
 `_keys_for_target` adds i * U to the i-th replicate's codes as it packs
 them, so one map or one sort counts the whole batch: a run's final
 counts, or `coverage_curve`'s prefix curves, each key's trial numbered
-within the batch. Row keys go
-one replicate at a time; from 2 * rng.PARALLEL_KEYS keys on they are
-built and counted on threads by the rule of rng.share, each thread
-writing only its own trials' rows or its own blocks' flags and trials,
+within the batch. Row keys go one replicate at a time, packed a block
+of trials and sorted a block of buckets at a time, in the cache-sized
+blocks of rng.share; from 2 * rng.PARALLEL_KEYS keys on the blocks go
+to threads, each writing only its own blocks' rows, flags and trials,
 so no byte depends on the thread count.
 Per-replicate coverage fractions are exact integer ratios converted to
 float once. Each worker process takes one consecutive run of
@@ -90,9 +90,6 @@ DIRECT_RATIO = 4
 # lost only while glibc gave their arrays back to the kernel after every
 # call, which importing rng stops.
 BATCH_ENTRIES = 1 << 16
-# Entries of a curve's first-trial map per bincount, whose intp copy
-# of its input then stays in cache and small.
-MAP_CHUNK = 1 << 16
 
 @dataclass(frozen=True)
 class SimPlan:
@@ -215,19 +212,18 @@ def _keys_for_target(
         first, rest = digits[0], digits[1:]
         per_word = max(q for q in range(1, len(rest) + 1) if n**q <= 2**63)
         groups = [rest[lo : lo + per_word] for lo in range(0, len(rest), per_word)]
-        keys = np.empty((len(groups), k, n), dtype=np.int64)  # each word contiguous
-        # Threads share the trials. Each trial is packed and scattered within
-        # its own row of each word (first is a permutation, so every entry is
+        keys = np.empty((len(groups), k * n), dtype=np.int64)  # each word contiguous
+        # A block of trials is packed at once and scattered within its own
+        # rows of each word (first is a permutation, so every row is
         # written) through an intp index, which scatters faster than int32.
 
-        def scatter(trials: range) -> None:
-            for i in trials:
-                where = first[i].astype(np.intp)
-                for word, group in zip(keys, groups):
-                    word[i][where] = _pack([x[i] for x in group], n)
+        def scatter(trials: slice) -> None:
+            where = (np.arange(trials.start, trials.stop)[:, None] * n + first[trials]).reshape(-1)
+            for word, group in zip(keys, groups):
+                word[where] = _pack([x[trials] for x in group], n).reshape(-1)
 
-        rng.share(scatter, range(k), n * k)
-        return keys.reshape(len(groups), k * n).T, counts
+        rng.share(scatter, k, n)
+        return keys.T, counts
     if target.coarse is not None:
         # Keep the keys inside the coarse cell, coded by fine offsets.
         base = band_width(spec.require_p(), spec.d)
@@ -289,16 +285,13 @@ def _distinct_keys(
         if len(words) == 1 and -room <= int(w.min()) and int(w.max()) < room:
             bits = (k - 1).bit_length()
     new = np.empty((buckets, size), dtype=bool)
-    step = max(1, rng.CHUNK_KEYS // size)  # buckets per block
 
-    def sort(starts: range) -> None:
-        for lo in starts:
-            block = slice(lo, lo + step)
-            # 1-D codes: a view, sorted in place; rows: a cache-sized copy
-            rows = [np.ascontiguousarray(x[:, block].T) for x in words]
-            _sort_rows(rows, new[block], None if trial is None else trial[block], bits)
+    def sort(block: slice) -> None:
+        # 1-D codes: a view, sorted in place; rows: a cache-sized copy
+        rows = [np.ascontiguousarray(x[:, block].T) for x in words]
+        _sort_rows(rows, new[block], None if trial is None else trial[block], bits)
 
-    rng.share(sort, range(0, buckets, step), w.size)
+    rng.share(sort, buckets, size)
     return new, trial
 
 
@@ -351,7 +344,7 @@ def _new_per_trial(
         np.putmask(first, covered, k)
         covered |= first < k
     per_trial = np.zeros(k + 1, dtype=np.int64)
-    step = max(MAP_CHUNK, k)
+    step = max(rng.CHUNK_KEYS, k)
     for lo in range(0, universe, step):
         per_trial += np.bincount(first[lo : lo + step], minlength=k + 1)
     return per_trial[:k]

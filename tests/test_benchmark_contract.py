@@ -16,6 +16,7 @@ import json
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -142,6 +143,42 @@ def test_sweep_counts_each_batch_in_one_curve_call(name, capsys, monkeypatch):
     capsys.readouterr()
     assert [k for k, _ in calls] == yields
     assert any(k > per for k, per in calls)  # some batch holds several replicates
+
+
+def test_no_share_job_calls_a_wrapped_function(monkeypatch, pools):
+    # rng.share runs its jobs on threads, and the tracer's span stack is
+    # not thread-safe: every call of a function in WRAPPED must run on
+    # the thread that started the share, whichever module looks it up.
+    import numpy as np
+
+    import hypercov.cli  # noqa: F401 (loads every module WRAPPED names)
+    from hypercov import rng, simulate
+    from hypercov.design import DesignSpec, Units
+    from hypercov.sampling import SampleKind, trial_columns
+
+    calls = []
+    modules = [m for name, m in list(sys.modules.items()) if name.startswith("hypercov.")]
+    for mod_name, fn_name, *_ in WRAPPED:
+        fn = getattr(importlib.import_module(f"hypercov.{mod_name}"), fn_name)
+
+        def wrapper(*args, _fn=fn, _name=f"{mod_name}.{fn_name}", **kwargs):
+            calls.append((_name, threading.get_ident()))
+            return _fn(*args, **kwargs)
+
+        for mod in modules:
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, wrapper)
+    monkeypatch.setattr(rng, "PARALLEL_KEYS", 1)
+    monkeypatch.setattr(rng, "usable_cpus", lambda: 3)
+    spec, k = DesignSpec(4, 2**16), 3
+    rng.permutations_from_seeds(np.arange(3, dtype=np.uint64), spec.n)  # a draw of three chunks
+    cols = trial_columns(spec, SampleKind.LHS, 9, k)
+    simulate._covered_counts(cols, spec, Units())  # a row count
+    simulate.coverage_curve(simulate.SimPlan(spec, SampleKind.LHS, k, reps=1), k, cols)  # a row curve
+    assert pools and set(pools) == {3}
+    assert {name for name, _ in calls} >= {"rng.permutations_from_seeds", "simulate._keys_for_target"}
+    assert {ident for _, ident in calls} == {threading.get_ident()}
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ The oracle averages over every trial of a small design, so it contains
 none of the closed-form algebra it is checking.
 """
 
+import itertools
 from fractions import Fraction
 from itertools import combinations
 
@@ -12,7 +13,7 @@ import pytest
 from reference_checks import is_latin, is_orthogonal, point_set
 
 from hypercov import oracle
-from hypercov.design import DesignSpec, Units
+from hypercov.design import MAX_D, DesignSpec, Units
 from hypercov.errors import GuardExceededError
 from hypercov.exact import (
     IntersectionKind,
@@ -84,6 +85,29 @@ class TestEnumeration:
         monkeypatch.setattr(oracle, "ENUM_GUARD", 120)
         ts = enumerate_trials(DesignSpec(2, 5), SampleKind.LHS)
         assert len(ts.trials) == 120
+
+    def test_enumeration_guard_keeps_every_grid_small(self):
+        # occurrence_counts lists all n^t <= n^d cells of an ensemble that
+        # passed ENUM_GUARD; walk every shape the guard admits. b grows
+        # with d and with n (or p), so each walk stops at its first refusal.
+        def admitted(kind, spec):
+            return kind_params(IntersectionKind(kind.value), spec).b <= oracle.ENUM_GUARD
+
+        grids = {}
+        for kind, spec_of in [
+            (SampleKind.LHS, lambda d, n: DesignSpec(d, n)),
+            (SampleKind.OS, lambda d, p: DesignSpec(d, p**d, p=p)),
+        ]:
+            for size in itertools.count(1 if kind is SampleKind.OS else 2):
+                ds = list(itertools.takewhile(lambda d: admitted(kind, spec_of(d, size)), range(2, MAX_D + 1)))
+                if not ds:
+                    break
+                grids.update({(kind, d, size): spec_of(d, size).n ** d for d in ds})
+        assert max(n for kind, _, n in grids if kind is SampleKind.LHS) == 8
+        assert max(p for kind, _, p in grids if kind is SampleKind.OS) == 3
+        assert (SampleKind.OS, MAX_D, 1) in grids  # p = 1: one cell at any d
+        assert max(grids.values()) == 2**16 == grids[SampleKind.LHS, 16, 2]
+        assert all(cells < 10**6 for cells in grids.values())
 
 
 class TestOracleAgainstFastPath:

@@ -6,6 +6,7 @@ before any statistics enter.
 """
 
 import dataclasses
+import functools
 import itertools
 import math
 import statistics
@@ -681,19 +682,45 @@ class TestKeyContract:
         assert keys.shape[0] == counts.sum()
         assert (keys.ndim == 2) == (units.universe(spec) > 2**63)
 
-    def test_rows_are_trial_major(self):
-        # Trial i's key whose first-axis value is b is row i * n + b,
-        # holding the other axes packed base n.
-        spec, k, n = DesignSpec(4, 5), 3, 5
+    @staticmethod
+    def check_trial_major(spec, k, units, per_word):
+        """Trial i's key whose first-axis value is b is row i * n + b,
+        holding the other axes packed base n, per_word axes to a word."""
+        n = spec.n
         cols = trial_columns(spec, SampleKind.LHS, 8, k)
         with mock.patch.object(Units, "universe", return_value=2**64):
-            keys, counts = _keys_for_target(cols, spec, Units(4, (2, 4, 1, 3)))
+            keys, counts = _keys_for_target(cols, spec, units)
         assert counts.tolist() == [n] * k
-        want = np.empty((n * k, 1), dtype=np.int64)
+        first, *rest = [a - 1 for a in units.axes(spec)]
+        words = [rest[lo : lo + per_word] for lo in range(0, len(rest), per_word)]
+        want = np.empty((n * k, len(words)), dtype=np.int64)
         for i in range(k):
             for r in range(n):
-                want[i * n + cols[i, 1, r]] = (cols[i, 3, r] * n + cols[i, 0, r]) * n + cols[i, 2, r]
+                for w, axes in enumerate(words):
+                    want[i * n + cols[i, first, r], w] = functools.reduce(
+                        lambda code, a: code * n + int(cols[i, a, r]), axes, 0
+                    )
         assert np.array_equal(keys, want)
+
+    def test_rows_are_trial_major(self, monkeypatch):
+        self.check_trial_major(DesignSpec(4, 5), 3, Units(4, (2, 4, 1, 3)), per_word=3)
+        # Two words: 32^12 = 2^60 fits int64, 32^13 does not.
+        self.check_trial_major(DesignSpec(16, 32), 3, Units(), per_word=12)
+        # Blocks of 2, 2 and 1 trials.
+        monkeypatch.setattr(rng, "CHUNK_KEYS", 2 * 5)
+        self.check_trial_major(DesignSpec(4, 5), 5, Units(4, (2, 4, 1, 3)), per_word=3)
+        monkeypatch.setattr(rng, "CHUNK_KEYS", 2 * 32)
+        self.check_trial_major(DesignSpec(16, 32), 5, Units(), per_word=12)
+
+    @pytest.mark.parametrize("spec, words", [(DesignSpec(16, 16), 1), (DesignSpec(16, 32), 2)])
+    def test_rows_are_packed_once_per_block_and_word(self, monkeypatch, spec, words):
+        cols = trial_columns(spec, SampleKind.LHS, 8, 10)
+        want = _keys_for_target(cols, spec, Units())[0]
+        calls, pack = [], simulate._pack
+        monkeypatch.setattr(simulate, "_pack", lambda digits, base: calls.append(digits[0].shape) or pack(digits, base))
+        monkeypatch.setattr(rng, "CHUNK_KEYS", 3 * spec.n)  # blocks of 3, 3, 3 and 1 trials
+        assert np.array_equal(_keys_for_target(cols, spec, Units())[0], want)
+        assert calls == [(3, spec.n)] * 3 * words + [(1, spec.n)] * words
 
 
 class TestMemory:
@@ -884,6 +911,21 @@ class TestThreads:
             sys.setswitchinterval(interval)
         assert (max(pools, default=1) > 1) == (k > 1)  # one trial is one part and one block: nothing to share
 
+    @pytest.mark.parametrize("spec", [DesignSpec(16, 16), DesignSpec(16, 32)])  # one word, two
+    def test_blocks_of_several_trials_give_the_same_bytes_on_threads(self, monkeypatch, pools, spec):
+        monkeypatch.setattr(rng, "CHUNK_KEYS", 2 * spec.n)  # 2, 2 and 1 trials; 2 buckets a sort block
+        cols = trial_columns(spec, SampleKind.LHS, 9, 5)
+        monkeypatch.setattr(rng, "usable_cpus", lambda: 1)
+        keys, count, curve = self.outputs(spec, SampleKind.LHS, cols)
+        assert pools == []
+        monkeypatch.setattr(rng, "PARALLEL_KEYS", 1)
+        monkeypatch.setattr(rng, "usable_cpus", lambda: 3)
+        got = self.outputs(spec, SampleKind.LHS, cols)
+        assert got[0].tobytes() == keys.tobytes()
+        assert got[1] == count
+        assert np.array_equal(got[2], curve)
+        assert pools and set(pools) == {3}
+
     def test_the_rule_is_one_thread_per_cpu_part_and_parallel_keys(self, monkeypatch, pools):
         spec, k = DesignSpec(4, 2**16), 3
         cols = trial_columns(spec, SampleKind.LHS, 9, k)
@@ -922,7 +964,7 @@ class TestThreads:
             monkeypatch.setattr(simulate, name, fn)
 
         pack = simulate._pack
-        fail_once("_pack", 1)  # the second trial's
+        fail_once("_pack", 1)  # the second block's (a block is one trial at n = 2^16)
         with pytest.raises(ValueError, match="_pack failed"):
             _keys_for_target(cols, spec, Units())
         assert threading.active_count() == before

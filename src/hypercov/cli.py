@@ -31,14 +31,14 @@ import json
 import math
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from . import __version__, lazy
 from .design import DesignSpec, SampleKind, SweepMode, Units
-from .errors import CapExceededError, GuardExceededError, HypercovError, StructuralError
+from .errors import GuardExceededError, HypercovError, StructuralError
 from .exact import (
     IntersectionKind, check_terms, expected_coverage_multiset, expected_intersection, kind_params,
 )
@@ -124,14 +124,17 @@ def _normalize(name: str, flag: Flag, value: Any) -> Any:
 
     def cast(v: Any) -> Any:
         # No flag text parses to a bool, nor to a float where an int is due.
-        if isinstance(v, bool) or (scalar is int and isinstance(v, float)):
-            raise StructuralError(f"{option} must be {scalar.__name__}, got {json.dumps(v)}")
-        return scalar(v)
+        if not (isinstance(v, bool) or (scalar is int and isinstance(v, float))):
+            with suppress(ValueError, TypeError, OverflowError):
+                return scalar(v)
+        raise StructuralError(f"{option} must be {scalar.__name__}, got {json.dumps(v)}")
 
     if flag.tag.endswith("_list"):
         if isinstance(value, str):
             # Flag text is comma-separated, except a str_list's: one item per flag.
             value = [value] if flag.tag == "str_list" else value.split(",")
+        if not isinstance(value, list):
+            raise StructuralError(f"{option} must be a list of {scalar.__name__}, got {json.dumps(value)}")
         return [cast(v) for v in value]
     value = cast(value)
     if flag.choices is not None and value not in flag.choices:
@@ -297,7 +300,7 @@ def _parse_format(text: str) -> int | None:
         if digits < 1:
             raise StructuralError("decimal digits must be >= 1")
         if digits > MAX_DECIMAL_DIGITS:
-            raise CapExceededError(
+            raise GuardExceededError(
                 f"decimal:{digits} exceeds cap {MAX_DECIMAL_DIGITS} digits; "
                 "use --format rational for the exact value"
             )
@@ -466,10 +469,11 @@ def _run_oracle(config: RunConfig, out: str | None, workers: int) -> int:
     name = f"{mode} {kind.value} d={spec.d} n={spec.n}"
     if edge is not None:
         name += f" edge={params['edge']}"
-    # Refuse the first q that exact_check would refuse, before enumerating
-    # or any product or walk. Every exact kind's b counts the sampler's trials.
+    # Refuse the first q that exact_check would refuse (any q < 1 in either
+    # mode), before enumerating or any product or walk. Every exact kind's
+    # b counts the sampler's trials.
     for q in params[q_name]:
-        kp = check_terms(q_name, (q,), 1 if mode == "intersect" else 0, exact_kind, spec)
+        kp = check_terms(q_name, (q,), 1, exact_kind, spec)
         oracle.check_walk(q_name, kp.b, q)
     ts = oracle.enumerate_trials(spec, kind)
     checks = [
@@ -639,7 +643,7 @@ def _all_int_digits() -> Iterator[None]:
 def _refuse(exc: Exception) -> int:
     """Print why a run stopped; return its exit code."""
     print(f"error: {exc}", file=sys.stderr)
-    if isinstance(exc, GuardExceededError):  # includes cap violations
+    if isinstance(exc, GuardExceededError):
         return 3
     return 5 if isinstance(exc, OSError) else 2
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import StructuralError, UnsupportedSpecError
+from .errors import StructuralError
 
 MAX_D = 16
 MAX_N = 2**20
@@ -70,7 +70,7 @@ class DesignSpec:
 
     def require_p(self) -> int:
         if self.p is None:
-            raise UnsupportedSpecError("operation needs a coarse base p (n = p**d)")
+            raise StructuralError("operation needs a coarse base p (n = p**d)")
         return self.p
 
 

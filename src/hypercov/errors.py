@@ -1,8 +1,8 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, one per refusal exit code.
 
-The CLI maps these onto process exit codes: structural and mode errors
-are usage problems (exit 2), guard and cap violations are resource
-refusals (exit 3).
+The CLI maps them onto process exit codes: a StructuralError is a usage
+problem (exit 2), a GuardExceededError a work, memory or cap refusal
+(exit 3).
 """
 
 
@@ -11,20 +11,11 @@ class HypercovError(Exception):
 
 
 class StructuralError(HypercovError, ValueError):
-    """Malformed input: bad dimensions, out-of-range entries, bad shapes."""
-
-
-class UnsupportedSpecError(HypercovError, ValueError):
-    """Operation needs a capability the design spec does not have (e.g. no coarse base p)."""
-
-
-class InvalidModeError(HypercovError, ValueError):
-    """Mode combination that is not defined (e.g. closed-form full coverage)."""
+    """Malformed or unsupported input: bad dimensions, out-of-range
+    entries, a mode combination that is not defined, or an operation the
+    design spec cannot do (e.g. no coarse base p)."""
 
 
 class GuardExceededError(HypercovError, RuntimeError):
-    """A work or memory guard would be exceeded; the request is refused."""
-
-
-class CapExceededError(GuardExceededError):
-    """A fixed cap was exceeded; the message points at the alternative."""
+    """A work, memory or fixed cap would be exceeded; the request is
+    refused, and the message may point at the alternative."""

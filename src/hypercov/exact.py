@@ -72,7 +72,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .design import DesignSpec, Units, band_width
-from .errors import CapExceededError, GuardExceededError, StructuralError
+from .errors import GuardExceededError, StructuralError
 
 # Refuse exact work whose integers would exceed this many bits. Near the
 # bound (lhs d=2 n=1000 k=117, 998,010 bits) `exact --format rational`
@@ -158,7 +158,7 @@ def check_terms(
             raise StructuralError(f"{name} must be >= {least}, got {q}")
         if q > DEFAULT_COVERAGE_CAP:
             advice = "; use the closed-form coverage laws for large k" if name == "k" else ""
-            raise CapExceededError(f"{name}={q} exceeds cap {DEFAULT_COVERAGE_CAP}{advice}")
+            raise GuardExceededError(f"{name}={q} exceeds cap {DEFAULT_COVERAGE_CAP}{advice}")
         kp = kp or kind_params(kind, spec)
         bits = kp.b.bit_length()
         if q * bits > BIGINT_GUARD_BITS:

@@ -96,14 +96,9 @@ def asymptotic_coverage(lam: float, k: int) -> float:
     return -math.expm1(-k * lam)
 
 
-@dataclass(frozen=True)
-class ErrorBounds:
-    e1_bound: float
-    e2_bound: float
-    valid: bool  # k(k-1) <= a, the hypothesis behind e1_bound
-
-
-def error_bounds(kind: IntersectionKind, spec: DesignSpec, k: int) -> ErrorBounds:
+def error_bounds(kind: IntersectionKind, spec: DesignSpec, k: int) -> tuple[float, float, bool]:
+    """(e1_bound, e2_bound, valid), valid when k(k-1) <= a, the
+    hypothesis behind e1_bound."""
     if k < 0:
         raise StructuralError(f"k must be >= 0, got {k}")
     kp = kind_params(kind, spec)
@@ -111,7 +106,7 @@ def error_bounds(kind: IntersectionKind, spec: DesignSpec, k: int) -> ErrorBound
     klam = float(k * lam)
     e1 = math.exp(klam) * float(Fraction(k * (k - 1), kp.a))
     e2 = math.exp(-klam) * k * float(lam * lam)
-    return ErrorBounds(e1_bound=e1, e2_bound=e2, valid=k * (k - 1) <= kp.a)
+    return e1, e2, k * (k - 1) <= kp.a
 
 
 @dataclass(frozen=True)
@@ -138,13 +133,13 @@ def bracket_exact_vs_asymptotic(
     p_multiset = coverage_float(kind, spec, k)
     p_iid = iid_coverage(lam, k)
     p_asym = asymptotic_coverage(lam, k)
-    eb = error_bounds(kind, spec, k)
+    e1_bound, e2_bound, valid = error_bounds(kind, spec, k)
     return BracketReport(
         lam=lam,
         p_multiset=p_multiset,
         p_iid=p_iid,
         p_asym=p_asym,
-        e1_bound=eb.e1_bound,
-        e2_bound=eb.e2_bound,
-        valid=eb.valid,
+        e1_bound=e1_bound,
+        e2_bound=e2_bound,
+        valid=valid,
     )

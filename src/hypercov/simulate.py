@@ -150,15 +150,8 @@ class SimPlan:
         return max(1, min(BATCH_ENTRIES // (self.replicate_bytes // 8), fit))
 
 
-@dataclass(frozen=True)
-class SummaryStats:
-    mean: float
-    sd: float
-    se: float
-
-
-def summarize(values: Sequence[float]) -> SummaryStats:
-    """Mean, sample sd (n-1) and standard error."""
+def summarize(values: Sequence[float]) -> tuple[float, float, float]:
+    """(mean, sample sd (n-1), standard error)."""
     vals = [float(v) for v in values]
     if not vals:
         raise StructuralError("cannot summarize an empty sequence")
@@ -168,7 +161,7 @@ def summarize(values: Sequence[float]) -> SummaryStats:
     else:
         sd = 0.0
     se = sd / math.sqrt(len(vals))
-    return SummaryStats(m, sd, se)
+    return m, sd, se
 
 
 @dataclass(frozen=True)
@@ -266,11 +259,12 @@ def _sort_rows(
 def _distinct_keys(
     keys: np.ndarray, counts: np.ndarray, tagged: bool = False
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Sort `_keys_for_target`'s (keys, counts) bucket by bucket: 1-D codes
-    in place as one bucket, Latin-bucket rows in blocks of buckets copied
-    to bucket order and shared among threads. Returns flags on the first
-    copy of each distinct key, in sorted order, and when tagged each
-    sorted key's trial (else None); a first copy has the earliest."""
+    """Sort `_keys_for_target`'s (keys, counts), every key >= 0, bucket by
+    bucket: 1-D codes in place as one bucket, Latin-bucket rows in blocks
+    of buckets copied to bucket order and shared among threads. Returns
+    flags on the first copy of each distinct key, in sorted order, and
+    when tagged each sorted key's trial (else None); a first copy has the
+    earliest."""
     k = counts.size
     if not keys.size:
         return np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64) if tagged else None
@@ -282,7 +276,7 @@ def _distinct_keys(
     if tagged:  # (buckets, size), as the sorted blocks are
         trial = np.tile(np.repeat(np.arange(k), counts // buckets), (buckets, 1))
         room = 2 ** (63 - (k - 1).bit_length())
-        if len(words) == 1 and -room <= int(w.min()) and int(w.max()) < room:
+        if len(words) == 1 and int(w.max()) < room:
             bits = (k - 1).bit_length()
     new = np.empty((buckets, size), dtype=bool)
 
@@ -379,11 +373,12 @@ def replicate_batches(
         yield ids, points_batch(plan.spec, plan.kind, rng.fold_grid(seeds, trials).reshape(-1), plan.axes)
 
 
-def _replicate_counts(plan: SimPlan, rep_ids: Sequence[int]) -> list[tuple[int, tuple[int, ...]]]:
+def _replicate_counts(plan: SimPlan, rep_ids: Sequence[int]) -> list[tuple[int, ...]]:
+    """Each replicate's distinct keys per target, in rep_ids order."""
     out = []
     for ids, cols in replicate_batches(plan, rep_ids):
         counts = [_covered_counts(cols, plan.spec, t, plan.axes, len(ids)) for t in plan.targets]
-        out.extend(zip(ids, zip(*counts)))
+        out.extend(zip(*counts))
     return out
 
 
@@ -407,16 +402,16 @@ def simulate_coverage(plan: SimPlan, workers: int = 1) -> list[CoverageReport]:
     reports = []
     for ti, target in enumerate(plan.targets):
         universe = target.universe(plan.spec)
-        fracs = tuple(counts[ti] / universe for _, counts in rows)
-        stats = summarize(fracs)
+        fracs = tuple(counts[ti] / universe for counts in rows)
+        mean, sd, se = summarize(fracs)
         # One trial's per-key hit rate, either sampler; edge targets have 2 axes.
         lam = projection_lambda(plan.spec.n, len(target.axes(plan.spec)))
         reports.append(
             CoverageReport(
                 fractions=fracs,
-                mean=stats.mean,
-                sd=stats.sd,
-                se=stats.se,
+                mean=mean,
+                sd=sd,
+                se=se,
                 ref_iid=iid_coverage(lam, plan.k),
                 ref_asym=asymptotic_coverage(lam, plan.k),
             )

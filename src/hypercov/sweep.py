@@ -38,7 +38,7 @@ from typing import Sequence
 
 from . import lazy
 from .design import MAX_D, MAX_N, DesignSpec, SampleKind, SweepMode, Units
-from .errors import GuardExceededError, InvalidModeError, StructuralError
+from .errors import GuardExceededError, StructuralError
 
 # Only simulated cells use these; a closed-form sweep never imports numpy.
 rng = lazy("rng")
@@ -72,7 +72,7 @@ def _meets_level(n: int, t: int, k: int, level: float) -> bool:
 def closed_form_k(n: int, t: int, level: float) -> int:
     """Smallest k with 1 - (1 - n^-(t-1))^k >= level."""
     if not (0.0 < level < 1.0):
-        raise InvalidModeError(f"closed form needs level in (0, 1), got {level}")
+        raise StructuralError(f"closed form needs level in (0, 1), got {level}")
     if n < 2:
         raise StructuralError(f"n must be >= 2, got {n}")
     if t < 1:
@@ -121,7 +121,7 @@ def simulated_k(spec: DesignSpec, kind: SampleKind, t: int, level: float, reps: 
     import numpy as np
 
     if not (0.0 < level < 1.0):
-        raise InvalidModeError(f"threshold search needs level in (0, 1), got {level}")
+        raise StructuralError(f"threshold search needs level in (0, 1), got {level}")
     k, target = _first_draw(spec, kind, t, level, reps), Units(t)
     while True:
         plan = simulate.SimPlan(spec, kind, k, reps, targets=(target,), seed=seed)
@@ -184,13 +184,6 @@ def _check_cell(level: float, mode: SweepMode, reps: int) -> None:
         raise StructuralError(f"reps must be >= 1, got {reps}")
 
 
-@dataclass(frozen=True)
-class FitResult:
-    slope: float
-    intercept: float
-    residual: float  # L2 norm of log10 residuals
-
-
 def _check_grid(n_grid: Sequence[int]) -> None:
     if len(n_grid) < 3:
         raise StructuralError(f"need >= 3 grid points, got {len(n_grid)}")
@@ -198,8 +191,9 @@ def _check_grid(n_grid: Sequence[int]) -> None:
         raise StructuralError("all grid points share one n; slope undefined")
 
 
-def fit_slope(rows: Sequence[tuple[int, float]]) -> FitResult:
-    """Least squares fit of log10(k*) against log10(n)."""
+def fit_slope(rows: Sequence[tuple[int, float]]) -> tuple[float, float, float]:
+    """(slope, intercept, residual) of the least squares fit of log10(k*)
+    against log10(n); residual is the L2 norm of the log10 residuals."""
     _check_grid([n for n, _ in rows])
     xs = [math.log10(n) for n, _ in rows]
     ys = [math.log10(ks) for _, ks in rows]
@@ -212,7 +206,7 @@ def fit_slope(rows: Sequence[tuple[int, float]]) -> FitResult:
     residual = math.sqrt(
         math.fsum((y - (intercept + slope * x)) ** 2 for x, y in zip(xs, ys))
     )
-    return FitResult(slope, intercept, residual)
+    return slope, intercept, residual
 
 
 @dataclass(frozen=True)
@@ -257,7 +251,7 @@ def run_sweep(
     for spec in specs:
         Units(t).validate_for(spec)
     if mode is SweepMode.CLOSED_FORM and 1.0 in levels:
-        raise InvalidModeError("full coverage has no closed form; use simulated mode")
+        raise StructuralError("full coverage has no closed form; use simulated mode")
     if mode is SweepMode.SIMULATED:
         for level in levels:  # refuse a cell over a guard before any cell runs
             for spec in specs:
@@ -272,6 +266,6 @@ def run_sweep(
                 rows.append((n, full_coverage_k(spec, kind, t, reps, _cell_seed(seed, t, n, level))))
             else:
                 rows.append((n, simulated_k(spec, kind, t, level, reps, _cell_seed(seed, t, n, level))))
-        fit = fit_slope(rows)
-        results.append(SweepResult(level, t, tuple(rows), fit.slope, fit.intercept, fit.residual))
+        slope, intercept, residual = fit_slope(rows)
+        results.append(SweepResult(level, t, tuple(rows), slope, intercept, residual))
     return results

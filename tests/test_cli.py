@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from reference_checks import columns, decimal_quotient
 
-from hypercov import cli, exact, laws, oracle, rng, simulate, sweep
+from hypercov import cli, errors, exact, laws, oracle, rng, simulate, sweep
 from hypercov.cli import (
     RunConfig,
     build_parser,
@@ -30,7 +30,7 @@ from hypercov.cli import (
     resolve_params,
 )
 from hypercov.design import DesignSpec
-from hypercov.errors import StructuralError
+from hypercov.errors import GuardExceededError, StructuralError
 from hypercov.exact import IntersectionKind, expected_coverage_multiset
 from hypercov.sampling import SampleKind, points_batch, trial_columns
 
@@ -1007,6 +1007,9 @@ class TestUsageErrors:
             ("simulate --kind lhs --d 2 --n 4 --p 2 --k 1 --reps 1 --target edge:1", 2,
              "an edge needs i,j or i,j,pi,pj, got '1'"),
             ("exact --kind lhs --d 2 --n 3 --k 1 --config LIST", 2, "config file must hold a JSON object"),
+            # k = -1 used to be refused as "k must be >= 0", though 0 is refused too.
+            ("oracle --mode cover --kind lhs --d 2 --n 3 --k 0", 2, "k must be >= 1, got 0"),
+            ("oracle --mode cover --kind lhs --d 2 --n 3 --k -1", 2, "k must be >= 1, got -1"),
         ],
     )
     def test_refusal(self, capsys, tmp_path, argv, code, message):
@@ -1015,6 +1018,36 @@ class TestUsageErrors:
         got = main(argv.replace("LIST", str(listed)).split())
         captured = capsys.readouterr()
         assert (got, captured.out, captured.err) == (code, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv, params, message",
+        [
+            ('exact --kind lhs --d 2 --n 3 --k ""', None, '--k must be int, got ""'),
+            ("exact --kind lhs --d 2 --n 3 --k 1,,2", None, '--k must be int, got ""'),
+            ('simulate --d 2 --n 4 --k 1 --reps 1 --dims ""', None, '--dims must be int, got ""'),
+            ("sweep --mode closed-form --d 3 --t 2 --levels 0.5,x --n-grid 64,128,256", None,
+             '--levels must be float, got "x"'),
+            ("exact --kind lhs --d 2 --n 3", {"k": [[1]]}, "--k must be int, got [1]"),
+            ("exact --kind lhs --d 2 --n 3", {"k": 5}, "--k must be a list of int, got 5"),
+        ],
+    )
+    def test_malformed_value_names_its_flag(self, capsys, tmp_path, argv, params, message):
+        # Each used to print only Python's own message, naming no flag.
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"params": params}))
+        got = main(shlex.split(argv) + ([] if params is None else ["--config", str(cfg)]))
+        captured = capsys.readouterr()
+        assert (got, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "exc, code", [(StructuralError("why"), 2), (GuardExceededError("why"), 3), (OSError("why"), 5)]
+    )
+    def test_each_refusal_class_has_one_exit_code(self, capsys, exc, code):
+        assert {name for name, v in vars(errors).items() if isinstance(v, type)} == {
+            "HypercovError", "StructuralError", "GuardExceededError"
+        }
+        assert cli._refuse(exc) == code
+        assert capsys.readouterr().err == "error: why\n"
 
     def test_io_error_exit(self, capsys):
         code, _ = run_cli(
@@ -1283,12 +1316,25 @@ def test_cli_import_loads_neither_mpmath_nor_the_process_pool():
 
 NUMPY_FREE_RUNS = [
     "exact --kind lhs --d 2 --n 10 --k 4",
+    "exact --kind lhs --d 2 --n 3 --m 2",
     "law --model iid --t 2 --n 100 --k 1",
     "law --model bracket --kind lhs --d 2 --n 100 --k 64,128",
+    "law --model asymptotic --t 2 --n 100 --k 1",
+    "law --model iid --kind lhs --d 2 --n 100 --k 1",
+    "law --model asymptotic --kind lhs --d 2 --n 100 --k 1",
+    "law --model conjecture --t 2 --n 100 --k 1",
     CLOSED_FORM,
     "verify",
     "oracle --mode cover --kind os --d 2 --n 4 --p 2 --k 2",
+    "oracle --mode intersect --kind lhs --d 2 --n 3 --m 2",
+    "oracle --mode occurrence --kind lhs --d 3 --n 3 --edge 1,2",
 ]
+
+
+def test_numpy_free_runs_take_every_route_that_draws_no_trials():
+    drawing = {("gen", ""), ("simulate", ""), ("sweep", "--mode simulated")}
+    taken = {(run.split()[0], _route_of(shlex.split(run))) for run in NUMPY_FREE_RUNS}
+    assert taken == {(sub, route) for sub, routes in ROUTES.items() for route in routes} - drawing
 
 
 def test_counting_runs_never_import_numpy():

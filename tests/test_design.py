@@ -12,7 +12,7 @@ from reference_checks import columns, is_latin, is_orthogonal, point_set
 
 from hypercov import oracle, rng
 from hypercov.design import DesignSpec, Units, band_width
-from hypercov.errors import StructuralError, UnsupportedSpecError
+from hypercov.errors import StructuralError
 from hypercov.sampling import SampleKind, trial_columns
 
 # Two hand-checked 8-point designs on a 2x2x2 block structure: both are
@@ -60,7 +60,7 @@ class TestDesignSpec:
 
     def test_require_p(self):
         assert DesignSpec(2, 9, p=3).require_p() == 3
-        with pytest.raises(UnsupportedSpecError):
+        with pytest.raises(StructuralError, match="needs a coarse base p"):
             DesignSpec(2, 9).require_p()
 
 
@@ -228,5 +228,5 @@ class TestProjections:
         for bad in bad_units:
             with pytest.raises(StructuralError):
                 bad.validate_for(spec)
-        with pytest.raises(UnsupportedSpecError):
+        with pytest.raises(StructuralError, match="needs a coarse base p"):
             Units(2, (1, 2), coarse=(1, 1)).validate_for(DesignSpec(3, 8))

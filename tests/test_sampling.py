@@ -8,7 +8,7 @@ from reference_checks import columns, is_latin, is_orthogonal, point_set, rows
 
 from hypercov import rng
 from hypercov.design import DesignSpec, Units
-from hypercov.errors import StructuralError, UnsupportedSpecError
+from hypercov.errors import StructuralError
 from hypercov.sampling import SampleKind, orthogonal_columns, points_batch, trial_columns
 from hypercov.simulate import SimPlan, replicate_batches
 
@@ -82,7 +82,7 @@ class TestOrthogonalSampler:
 
     def test_requires_block_structure(self):
         for k in (0, 1):
-            with pytest.raises(UnsupportedSpecError, match="needs a coarse base p"):
+            with pytest.raises(StructuralError, match="needs a coarse base p"):
                 trial_columns(DesignSpec(2, 4), SampleKind.OS, 0, k)
 
     def test_batch_matches_scalar(self):

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from hypercov import oracle, rng, simulate
 from hypercov.cli import parse_target
 from hypercov.design import DesignSpec, Units
-from hypercov.errors import GuardExceededError, StructuralError, UnsupportedSpecError
+from hypercov.errors import GuardExceededError, StructuralError
 from hypercov.sampling import SampleKind, trial_columns
 from hypercov.simulate import (
     SimPlan,
@@ -107,7 +107,7 @@ class TestTargets:
             SimPlan(spec, SampleKind.LHS, k=1, reps=0, seed=0)
         with pytest.raises(StructuralError):
             SimPlan(spec, SampleKind.LHS, k=1, reps=1, targets=(Units(3),), seed=0)
-        with pytest.raises(UnsupportedSpecError):
+        with pytest.raises(StructuralError, match="needs a coarse base p"):
             SimPlan(spec, SampleKind.LHS, k=1, reps=1, targets=(edge(1, 2, 1, 1),), seed=0)
 
     def test_memory_guard(self):
@@ -352,7 +352,8 @@ class TestDistinctCount:
         assert trial[new].tolist() == [first[key] for key in sorted(first)]
 
     @given(
-        st.lists(st.integers(0, 3) | st.integers(-(2**63), 2**63 - 1), max_size=40),
+        # Codes are >= 0, as _keys_for_target packs them (TestKeyContract).
+        st.lists(st.integers(0, 3) | st.integers(0, 2**63 - 1), max_size=40),
         st.integers(1, 3),
     )
     @settings(max_examples=200)
@@ -507,7 +508,7 @@ class TestBatches:
 
     def check(self, plan, rep_ids):
         got = simulate._replicate_counts(plan, rep_ids)
-        assert got == [(r, self.alone(plan, r)) for r in rep_ids]
+        assert got == [self.alone(plan, r) for r in rep_ids]
 
     @pytest.mark.parametrize("kind", list(SampleKind))
     @pytest.mark.parametrize("texts", TARGETS)
@@ -681,6 +682,13 @@ class TestKeyContract:
         keys, counts = _keys_for_target(trial_columns(spec, kind, 4, 3), spec, units)
         assert keys.shape[0] == counts.sum()
         assert (keys.ndim == 2) == (units.universe(spec) > 2**63)
+        assert keys.min() >= 0  # _distinct_keys' tag room test reads only the max
+
+    def test_offset_codes_stay_non_negative_at_the_int64_edge(self):
+        # U = 16^15 = 2^60: the eighth replicate's codes end at 8 * U - 1 = 2^63 - 1.
+        spec = DesignSpec(15, 16)
+        keys, _ = _keys_for_target(trial_columns(spec, SampleKind.LHS, 4, 8), spec, Units(), reps=8)
+        assert keys.min() >= 0 and keys.max() >= 7 * 2**60
 
     @staticmethod
     def check_trial_major(spec, k, units, per_word):
@@ -782,16 +790,16 @@ class TestMemory:
 
 class TestSummarize:
     def test_constant_series(self):
-        s = summarize([0.5, 0.5, 0.5])
-        assert s.mean == 0.5
-        assert s.sd == 0.0
-        assert s.se == 0.0
+        mean, sd, se = summarize([0.5, 0.5, 0.5])
+        assert mean == 0.5
+        assert sd == 0.0
+        assert se == 0.0
 
     def test_two_point_series(self):
-        s = summarize([0.0, 1.0])
-        assert s.mean == 0.5
-        assert s.sd == pytest.approx(0.7071067811865476)
-        assert s.se == pytest.approx(0.5)
+        mean, sd, se = summarize([0.0, 1.0])
+        assert mean == 0.5
+        assert sd == pytest.approx(0.7071067811865476)
+        assert se == pytest.approx(0.5)
 
 
 class TestWorkers:
